@@ -1,11 +1,11 @@
 #include "baseline/coordinator.h"
 
-#include "algebra/plan_xml.h"
 #include "engine/operator.h"
 #include "ns/urn.h"
 #include "peer/peer.h"
 #include "wire/body_codec.h"
 #include "wire/envelope.h"
+#include "wire/plan_codec.h"
 #include "xml/token_writer.h"
 
 namespace mqp::baseline {
@@ -102,7 +102,7 @@ void Coordinator::Run(algebra::Plan plan, Callback cb) {
       algebra::Plan subplan(std::move(sub));
       wire::Send(sim_, id_, *pid,
                  {wire::kSubqueryKind, req_, 0,
-                  net::MakePayload(algebra::SerializePlan(subplan))});
+                  wire::SerializePlanShared(subplan, &sim_->stats()).bytes});
     }
   }
   if (outstanding_ == 0) {

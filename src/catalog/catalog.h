@@ -109,8 +109,9 @@ struct IndexEntry {
   bool operator==(const IndexEntry& other) const = default;
 };
 
-/// \brief Resolution instrumentation (cumulative). Mirrored into
-/// peer::PeerCounters and net::NetStats by the peer after each resolve.
+/// \brief Resolution instrumentation (cumulative). The peer reports the
+/// resolve group of the counter table (common/counters.h) as deltas
+/// after each resolve; area_resolves and binding_cache_misses stay here.
 struct ResolveStats {
   uint64_t area_resolves = 0;           ///< ResolveArea calls (incl. cache hits)
   uint64_t resolve_index_probes = 0;    ///< AreaIndex bucket probes

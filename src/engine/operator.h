@@ -13,39 +13,22 @@
 #include <string>
 
 #include "algebra/plan.h"
+#include "common/counters.h"
 #include "common/result.h"
 
 namespace mqp::engine {
 
-/// \brief Per-thread engine instrumentation (plain counters, no
-/// atomics). The engine is single-threaded *per peer*: the transport
-/// serializes each peer's handlers onto one thread at a time, while
-/// shared immutable items remain readable cross-thread (DESIGN.md §8).
-/// Stats() is therefore thread-local — a handler snapshots it before and
-/// after an evaluation and works with the deltas, the same pattern as
-/// xml::DomNodesBuilt(); the peer mirrors its deltas into PeerCounters
-/// and NetStats, which the transport shards per thread.
+/// \brief Per-thread engine instrumentation: the engine group of the
+/// counter table (common/counters.h), as plain counters, no atomics. The
+/// engine is single-threaded *per peer*: the transport serializes each
+/// peer's handlers onto one thread at a time, while shared immutable
+/// items remain readable cross-thread (DESIGN.md §8). Stats() is
+/// therefore thread-local — a handler snapshots it before and after an
+/// evaluation and reports the deltas through Peer::Count, the same
+/// pattern as xml::DomNodesBuilt(). topk_rows_pruned is never bumped by
+/// plain TopNOp, so the ablated ship-everything reference stays at zero.
 struct EngineStats {
-  /// Whole data items deep-copied (LocalStore view rebuilds, cloning-mode
-  /// fetches, deep-XPath materialization). Zero on the shared steady path.
-  uint64_t items_cloned = 0;
-  /// Keys resolved by a compiled FieldAccessor's direct child walk
-  /// (join build/probe, group-by, aggregate value, top-N order keys).
-  uint64_t field_accessor_hits = 0;
-  /// Probes of structural-hash tables (distinct union, difference).
-  uint64_t structural_hash_probes = 0;
-  /// Wall-clock nanoseconds inside Evaluate (steady clock, independent of
-  /// simulated time).
-  uint64_t engine_eval_ns = 0;
-  /// Rows a distributed top-k proved dead without shipping: bound-cut
-  /// tails at bounded fetch/subquery servers (engine/topk_heap.h) plus
-  /// migration-path truncations. Never incremented by plain TopNOp, so
-  /// the ablated ship-everything reference stays at zero.
-  uint64_t topk_rows_pruned = 0;
-  /// Evaluations aborted mid-stream because their ScopedEvalBudget ran
-  /// dry (DESIGN.md §11): the operator checkpoint that crossed the limit
-  /// failed the evaluation with kTimeout so a partial could be delivered.
-  uint64_t budget_aborts = 0;
+  MQP_ENGINE_COUNTERS(MQP_COUNTER_FIELD)
 };
 
 /// Cumulative engine counters (monotonic).

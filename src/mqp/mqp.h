@@ -3,7 +3,10 @@
 //   #include "mqp/mqp.h"   and link against the `mqp` CMake target.
 //
 // Module map:
-//   common/     Status/Result error model, deterministic RNG, strings
+//   common/     Status/Result error model, deterministic RNG, strings,
+//               and the counter table (counters: every counter declared
+//               once; NetStats, PeerCounters and EngineStats are
+//               generated from it — DESIGN.md §12)
 //   xml/        XML DOM (the data-item model) with structural hashing and
 //               epoch-cached sizes/hashes, parser, serializer, XPath-lite,
 //               and the streaming codec: pull TokenReader / emitting
@@ -75,6 +78,7 @@
 #include "catalog/catalog.h"
 #include "catalog/intension.h"
 #include "catalog/versioned.h"
+#include "common/counters.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"

@@ -29,6 +29,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/counters.h"
 #include "common/result.h"
 #include "net/kind_table.h"
 #include "net/message.h"
@@ -45,232 +46,35 @@ class PeerNode {
   virtual void HandleMessage(const Message& msg) = 0;
 };
 
-/// \brief Aggregate traffic statistics. The plan_* counters are fed by
-/// the wire layer (wire/plan_codec.h): how often plans were serialized,
-/// parsed, or forwarded by reusing the buffer they arrived in.
+/// \brief Aggregate traffic statistics: the substrate and peer-reported
+/// counters of the counter table (common/counters.h), plus per-kind
+/// message and byte counts.
 ///
 /// Under a multi-threaded transport each thread owns a private shard of
 /// this struct (Transport::stats() non-const) and shards are merged on
 /// read (Transport::stats() const) — counters are plain uint64_t, never
 /// atomics, so the per-message hot path stays contention-free.
-struct NetStats {
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
+struct NetStats : PeerReportedCounters {
+  MQP_SUBSTRATE_COUNTERS(MQP_COUNTER_FIELD)
   // Flat arrays over the interned kind table (net/kind_table.h), behind a
   // map-compatible lookup API; ForEachSorted iterates kinds in stable
   // name order without per-print rebuilds.
   KindCounters messages_by_kind;
   KindCounters bytes_by_kind;
 
-  uint64_t plan_serializations = 0;
-  uint64_t plan_parses = 0;
-  uint64_t forwards_without_reserialize = 0;
-
-  // Streaming-codec counters (wire/plan_codec.h): plan bodies decoded via
-  // the token reader, xml::Nodes materialized while decoding plans (only
-  // verbatim <data> items should ever count), and wall-clock nanoseconds
-  // spent decoding (steady_clock, independent of simulated time).
-  uint64_t token_decodes = 0;
-  uint64_t dom_nodes_built = 0;
-  uint64_t plan_decode_ns = 0;
-
-  // Catalog-resolution counters, fed by the peers (see
-  // catalog::ResolveStats): index probes and entries scanned during
-  // coverage search, and binding-cache hits.
-  uint64_t resolve_index_probes = 0;
-  uint64_t resolve_entries_scanned = 0;
-  uint64_t binding_cache_hits = 0;
-
-  // Query-engine counters, fed by the peers (see engine::EngineStats):
-  // whole items deep-copied on evaluation paths (zero on the shared-store
-  // steady path), keys resolved by compiled field accessors, probes of
-  // the structural-hash set-semantics tables, and wall-clock nanoseconds
-  // spent inside engine::Evaluate (steady clock, independent of simulated
-  // time).
-  uint64_t items_cloned = 0;
-  uint64_t field_accessor_hits = 0;
-  uint64_t structural_hash_probes = 0;
-  uint64_t engine_eval_ns = 0;
-
-  // Scheduler-substrate counters (DESIGN.md §7). events_scheduled counts
-  // every enqueued event in either scheduler mode and is therefore
-  // mode-invariant; pool hits and calendar resizes are calendar-mode
-  // mechanics (zero under the heap reference).
-  uint64_t events_scheduled = 0;
-  uint64_t event_pool_hits = 0;
-  uint64_t calendar_resizes = 0;
-
-  // Mailbox counters (runtime::ThreadedRuntime, DESIGN.md §8): external
-  // senders that blocked on a full bounded mailbox, and worker-thread
-  // sends that bypassed the bound (a worker must never block on a full
-  // mailbox — two full peers sending to each other would deadlock).
-  uint64_t mailbox_backpressure_waits = 0;
-  uint64_t mailbox_soft_overflows = 0;
-
-  /// Messages counted as sent but never delivered because the sender was
-  /// down at send time / the recipient was down or unknown at send time
-  /// *or failed while the message was in flight* (every backend counts
-  /// the in-transit case in drops_to_failed too — DESIGN.md §9).
-  uint64_t drops_from_failed = 0;
-  uint64_t drops_to_failed = 0;
-
-  // Fault-injection counters (net/fault_injector.h): messages the armed
-  // injector dropped, duplicated, or delayed per the seeded fault plan.
-  // Dropped messages still count in messages/bytes (same contract as the
-  // drops_* counters above: counted as sent, never delivered).
-  uint64_t fault_drops = 0;
-  uint64_t fault_dups = 0;
-  uint64_t fault_delays = 0;
-
-  // Query-reliability counters, fed by the peers (peer::Peer's client
-  // retry layer, DESIGN.md §9): retries launched, queries finished
-  // without a complete result (deadline or retry budget exhausted),
-  // alternatives/candidates skipped past a dead or suspect server while
-  // the query still made progress, late results discarded because the
-  // query already completed, and incomplete outcomes delivered with a
-  // non-empty partial item set.
-  uint64_t query_retries = 0;
-  uint64_t query_timeouts = 0;
-  uint64_t failovers = 0;
-  uint64_t duplicates_suppressed = 0;
-  uint64_t partials_delivered = 0;
-
-  // Distributed top-k counters (DESIGN.md §10), fed by the peers:
-  // bounded reply batches merged by top-k coordinators, rows proven dead
-  // without shipping (server bound cuts + coordinator early-termination
-  // leftovers), bytes the bounded protocol avoided shipping relative to
-  // the full collections, and sources terminated before exhaustion
-  // because no remaining row could beat the k-th bound. All zero when
-  // the ablation knob (optimizer::set_use_distributed_topk) is off.
-  uint64_t topk_batches = 0;
-  uint64_t topk_rows_pruned = 0;
-  uint64_t topk_bytes_saved = 0;
-  uint64_t topk_early_terminations = 0;
-
-  // Reply-demux hygiene counters (peer::Peer::HandleFetchReply and the
-  // subquery/top-k demux): reply bodies that failed to decode, and
-  // replies whose correlation id matched no pending request or top-k
-  // session. Both are asserted zero by the happy-path suites.
-  uint64_t reply_decode_failures = 0;
-  uint64_t unmatched_replies = 0;
-
-  // Overload-protection counters (DESIGN.md §11), fed by the peers:
-  // queries refused by admission control (shed replies returned
-  // unevaluated), evaluations aborted mid-stream by an expired
-  // per-query resource budget (engine::EngineStats::budget_aborts),
-  // cancel messages fanned out when a query completed / timed out / was
-  // shed, and remote top-k merge sessions or queued plans a received
-  // cancel reaped. All zero when peer::set_use_overload_protection is
-  // off.
-  uint64_t queries_shed = 0;
-  uint64_t budget_aborts = 0;
-  uint64_t cancels_sent = 0;
-  uint64_t cancelled_sessions_reaped = 0;
-
-  // TcpTransport outbound backpressure (DESIGN.md §11, parity with the
-  // mailbox counters above): external senders that blocked on a full
-  // bounded per-connection send queue, and transport-internal threads
-  // (readers/timers relaying) that bypassed the bound instead — they
-  // must never block, or two full peers relaying to each other would
-  // deadlock the transport.
-  uint64_t tcp_send_queue_waits = 0;
-  uint64_t tcp_send_soft_overflows = 0;
-
   /// Zeroes every counter while keeping the per-kind arrays' capacity —
   /// bench reset loops must not reallocate.
   void Clear() {
-    messages = 0;
-    bytes = 0;
+    MQP_NET_COUNTERS(MQP_COUNTER_ZERO)
     messages_by_kind.clear();
     bytes_by_kind.clear();
-    plan_serializations = 0;
-    plan_parses = 0;
-    forwards_without_reserialize = 0;
-    token_decodes = 0;
-    dom_nodes_built = 0;
-    plan_decode_ns = 0;
-    resolve_index_probes = 0;
-    resolve_entries_scanned = 0;
-    binding_cache_hits = 0;
-    items_cloned = 0;
-    field_accessor_hits = 0;
-    structural_hash_probes = 0;
-    engine_eval_ns = 0;
-    events_scheduled = 0;
-    event_pool_hits = 0;
-    calendar_resizes = 0;
-    mailbox_backpressure_waits = 0;
-    mailbox_soft_overflows = 0;
-    drops_from_failed = 0;
-    drops_to_failed = 0;
-    fault_drops = 0;
-    fault_dups = 0;
-    fault_delays = 0;
-    query_retries = 0;
-    query_timeouts = 0;
-    failovers = 0;
-    duplicates_suppressed = 0;
-    partials_delivered = 0;
-    topk_batches = 0;
-    topk_rows_pruned = 0;
-    topk_bytes_saved = 0;
-    topk_early_terminations = 0;
-    reply_decode_failures = 0;
-    unmatched_replies = 0;
-    queries_shed = 0;
-    budget_aborts = 0;
-    cancels_sent = 0;
-    cancelled_sessions_reaped = 0;
-    tcp_send_queue_waits = 0;
-    tcp_send_soft_overflows = 0;
   }
 
   /// Adds every counter of `other` into this (shard merge-on-read).
   void MergeFrom(const NetStats& other) {
-    messages += other.messages;
-    bytes += other.bytes;
+    MQP_NET_COUNTERS(MQP_COUNTER_ADD)
     messages_by_kind.MergeFrom(other.messages_by_kind);
     bytes_by_kind.MergeFrom(other.bytes_by_kind);
-    plan_serializations += other.plan_serializations;
-    plan_parses += other.plan_parses;
-    forwards_without_reserialize += other.forwards_without_reserialize;
-    token_decodes += other.token_decodes;
-    dom_nodes_built += other.dom_nodes_built;
-    plan_decode_ns += other.plan_decode_ns;
-    resolve_index_probes += other.resolve_index_probes;
-    resolve_entries_scanned += other.resolve_entries_scanned;
-    binding_cache_hits += other.binding_cache_hits;
-    items_cloned += other.items_cloned;
-    field_accessor_hits += other.field_accessor_hits;
-    structural_hash_probes += other.structural_hash_probes;
-    engine_eval_ns += other.engine_eval_ns;
-    events_scheduled += other.events_scheduled;
-    event_pool_hits += other.event_pool_hits;
-    calendar_resizes += other.calendar_resizes;
-    mailbox_backpressure_waits += other.mailbox_backpressure_waits;
-    mailbox_soft_overflows += other.mailbox_soft_overflows;
-    drops_from_failed += other.drops_from_failed;
-    drops_to_failed += other.drops_to_failed;
-    fault_drops += other.fault_drops;
-    fault_dups += other.fault_dups;
-    fault_delays += other.fault_delays;
-    query_retries += other.query_retries;
-    query_timeouts += other.query_timeouts;
-    failovers += other.failovers;
-    duplicates_suppressed += other.duplicates_suppressed;
-    partials_delivered += other.partials_delivered;
-    topk_batches += other.topk_batches;
-    topk_rows_pruned += other.topk_rows_pruned;
-    topk_bytes_saved += other.topk_bytes_saved;
-    topk_early_terminations += other.topk_early_terminations;
-    reply_decode_failures += other.reply_decode_failures;
-    unmatched_replies += other.unmatched_replies;
-    queries_shed += other.queries_shed;
-    budget_aborts += other.budget_aborts;
-    cancels_sent += other.cancels_sent;
-    cancelled_sessions_reaped += other.cancelled_sessions_reaped;
-    tcp_send_queue_waits += other.tcp_send_queue_waits;
-    tcp_send_soft_overflows += other.tcp_send_soft_overflows;
   }
 };
 

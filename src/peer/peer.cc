@@ -27,55 +27,6 @@ using algebra::ProvenanceEntry;
 
 namespace {
 
-/// Mirrors engine::Stats() deltas into PeerCounters and NetStats on scope
-/// exit (the resolve/wire counter flow pattern). Re-entrant: only the
-/// outermost scope records, so a result callback that submits a fresh
-/// query from inside ProcessPlan cannot double-count.
-class EngineTally {
- public:
-  EngineTally(PeerCounters* counters, net::NetStats* stats, int* depth)
-      : counters_(counters),
-        stats_(stats),
-        depth_(depth),
-        before_(engine::Stats()) {
-    ++*depth_;
-  }
-
-  ~EngineTally() {
-    if (--*depth_ > 0) return;
-    const engine::EngineStats& now = engine::Stats();
-    const uint64_t cloned = now.items_cloned - before_.items_cloned;
-    const uint64_t hits =
-        now.field_accessor_hits - before_.field_accessor_hits;
-    const uint64_t probes =
-        now.structural_hash_probes - before_.structural_hash_probes;
-    const uint64_t ns = now.engine_eval_ns - before_.engine_eval_ns;
-    const uint64_t pruned = now.topk_rows_pruned - before_.topk_rows_pruned;
-    const uint64_t aborts = now.budget_aborts - before_.budget_aborts;
-    counters_->items_cloned += cloned;
-    counters_->field_accessor_hits += hits;
-    counters_->structural_hash_probes += probes;
-    counters_->engine_eval_ns += ns;
-    counters_->topk_rows_pruned += pruned;
-    counters_->budget_aborts += aborts;
-    stats_->items_cloned += cloned;
-    stats_->field_accessor_hits += hits;
-    stats_->structural_hash_probes += probes;
-    stats_->engine_eval_ns += ns;
-    stats_->topk_rows_pruned += pruned;
-    stats_->budget_aborts += aborts;
-  }
-
-  EngineTally(const EngineTally&) = delete;
-  EngineTally& operator=(const EngineTally&) = delete;
-
- private:
-  PeerCounters* counters_;
-  net::NetStats* stats_;
-  int* depth_;
-  engine::EngineStats before_;
-};
-
 // FNV-1a, the shed coin's hash: the coin must be a pure function of
 // (seed, query id, attempt), identical across backends and standard
 // libraries (std::hash is implementation-defined, so it cannot be the
@@ -99,10 +50,60 @@ uint64_t Fnv1a(uint64_t h, uint64_t v) {
 
 bool g_use_overload_protection = true;
 
+// `now - before` over one counter-table group, as a batch for Count.
+#define MQP_COUNTER_DELTA(name) deltas.name = now.name - before.name;
+
+PeerReportedCounters EngineDeltas(const engine::EngineStats& now,
+                                  const engine::EngineStats& before) {
+  PeerReportedCounters deltas;
+  MQP_ENGINE_COUNTERS(MQP_COUNTER_DELTA)
+  return deltas;
+}
+
+PeerReportedCounters ResolveDeltas(const catalog::ResolveStats& now,
+                                   const catalog::ResolveStats& before) {
+  PeerReportedCounters deltas;
+  MQP_RESOLVE_COUNTERS(MQP_COUNTER_DELTA)
+  return deltas;
+}
+
+#undef MQP_COUNTER_DELTA
+
 }  // namespace
 
 void set_use_overload_protection(bool on) { g_use_overload_protection = on; }
 bool use_overload_protection() { return g_use_overload_protection; }
+
+void Peer::Count(uint64_t PeerReportedCounters::*counter, uint64_t n) {
+  counters_.*counter += n;
+  sim_->stats().*counter += n;
+}
+
+void Peer::Count(const PeerReportedCounters& deltas) {
+  counters_.Add(deltas);
+  sim_->stats().Add(deltas);
+}
+
+/// Re-entrant: only the outermost scope records, so a result callback
+/// that submits a fresh query from inside ProcessPlan cannot double-count.
+class Peer::EngineTally {
+ public:
+  explicit EngineTally(Peer* peer) : peer_(peer), before_(engine::Stats()) {
+    ++peer_->engine_tally_depth_;
+  }
+
+  ~EngineTally() {
+    if (--peer_->engine_tally_depth_ > 0) return;
+    peer_->Count(EngineDeltas(engine::Stats(), before_));
+  }
+
+  EngineTally(const EngineTally&) = delete;
+  EngineTally& operator=(const EngineTally&) = delete;
+
+ private:
+  Peer* peer_;
+  engine::EngineStats before_;
+};
 
 Peer::Peer(net::Transport* sim, PeerOptions options)
     : sim_(sim), options_(std::move(options)) {
@@ -348,8 +349,7 @@ void Peer::HandleFetchReply(const wire::Envelope& env) {
   }
   auto decoded = wire::DecodeItemBody(env.body());
   if (!decoded.ok()) {
-    ++counters_.reply_decode_failures;
-    sim_->stats().reply_decode_failures++;
+    Count(&PeerCounters::reply_decode_failures);
     return;
   }
   PendingPull pull = std::move(it->second);
@@ -410,8 +410,7 @@ std::string Peer::SubmitQuery(Plan plan, Callback cb) {
     if (pending_.size() >= limit) {
       std::string shed_qid =
           options_.name + "-q" + std::to_string(next_query_++);
-      ++counters_.queries_shed;
-      sim_->stats().queries_shed++;
+      Count(&PeerCounters::queries_shed);
       QueryOutcome outcome;
       outcome.query_id = shed_qid;
       outcome.shed = true;
@@ -472,7 +471,10 @@ std::string Peer::SubmitQuery(Plan plan, Callback cb) {
 
 void Peer::HandleMessage(const net::Message& msg) {
   auto decoded = wire::DecodeEnvelope(msg);
-  if (!decoded.ok()) return;  // malformed frames are dropped
+  if (!decoded.ok()) {  // malformed frames are dropped
+    Count(&PeerCounters::decode_rejects);
+    return;
+  }
   const wire::Envelope env = std::move(decoded).value();
   if (env.kind == kMqpKind) {
     HandleMqp(env);
@@ -503,38 +505,49 @@ void Peer::HandleMessage(const net::Message& msg) {
   }
 }
 
+namespace {
+
+// Reads the <cat> texts of a category reply; false on a malformed body.
+bool ParseCategoryReply(std::string_view body,
+                        std::vector<std::string>* categories) {
+  xml::TokenReader r(body);
+  auto t = r.Next();
+  if (!t.ok() || t->type != xml::TokenType::kStartElement) return false;
+  xml::AttrList attrs;
+  t = r.ReadAttrs(&attrs);
+  while (t.ok() && t->type != xml::TokenType::kEndElement) {
+    if (t->type == xml::TokenType::kStartElement) {
+      if (t->name == "cat") {
+        // Concatenate the element's text runs (InnerText equivalent;
+        // <cat> carries a single text child in practice).
+        std::string text;
+        size_t depth = r.depth();
+        while (t.ok() && r.depth() >= depth) {
+          t = r.Next();
+          if (t.ok() && t->type == xml::TokenType::kText) text += t->value;
+        }
+        if (!t.ok()) return false;
+        categories->push_back(std::move(text));
+      } else if (!r.SkipToElementEnd().ok()) {
+        return false;
+      }
+    }
+    t = r.Next();
+  }
+  return t.ok();
+}
+
+}  // namespace
+
 void Peer::HandleCategoryReply(const wire::Envelope& env) {
   // Correlation comes from the wire header; only the category list
   // requires the body.
   auto it = category_waiters_.find(env.query_id);
   if (it == category_waiters_.end()) return;
   std::vector<std::string> categories;
-  {
-    xml::TokenReader r(env.body());
-    auto t = r.Next();
-    if (!t.ok() || t->type != xml::TokenType::kStartElement) return;
-    xml::AttrList attrs;
-    t = r.ReadAttrs(&attrs);
-    while (t.ok() && t->type != xml::TokenType::kEndElement) {
-      if (t->type == xml::TokenType::kStartElement) {
-        if (t->name == "cat") {
-          // Concatenate the element's text runs (InnerText equivalent;
-          // <cat> carries a single text child in practice).
-          std::string text;
-          size_t depth = r.depth();
-          while (t.ok() && r.depth() >= depth) {
-            t = r.Next();
-            if (t.ok() && t->type == xml::TokenType::kText) text += t->value;
-          }
-          if (!t.ok()) return;
-          categories.push_back(std::move(text));
-        } else if (!r.SkipToElementEnd().ok()) {
-          return;
-        }
-      }
-      t = r.Next();
-    }
-    if (!t.ok()) return;
+  if (!ParseCategoryReply(env.body(), &categories)) {
+    Count(&PeerCounters::decode_rejects);
+    return;
   }
   auto cb = std::move(it->second);
   category_waiters_.erase(it);
@@ -545,11 +558,10 @@ void Peer::HandleCategoryReply(const wire::Envelope& env) {
 
 void Peer::ProcessPlan(Plan plan, uint32_t hops, double deadline,
                        uint32_t attempt) {
-  // Mirror the engine's instrumentation into the per-peer and
-  // network-wide counters (same flow as resolve/wire counters). The
-  // scope spans the whole loop: annotation fetches, locality probes and
-  // sub-plan evaluation all touch the store/engine.
-  const EngineTally tally(&counters_, &sim_->stats(), &engine_tally_depth_);
+  // Report the engine counters this pass produces. The scope spans the
+  // whole loop: annotation fetches, locality probes and sub-plan
+  // evaluation all touch the store/engine.
+  const EngineTally tally(this);
   // Under the overload service model a plan whose deadline already passed
   // skips the whole resolve/optimize pass: RouteOrDeliver's deadline
   // branch salvages what it can under the floor budget and delivers the
@@ -641,8 +653,8 @@ void Peer::AnnotateLocalUrls(Plan* plan) {
 
 int Peer::ResolveUrns(Plan* plan) {
   if (plan->root() == nullptr) return 0;
-  // Mirror the catalog's resolution instrumentation into the per-peer
-  // and network-wide counters (same flow as the wire layer's plan_*).
+  // The catalog's resolution instrumentation is reported as deltas of
+  // the resolve counter group (common/counters.h).
   const catalog::ResolveStats before = catalog_.resolve_stats();
   int bound = 0;
   // Snapshot the URN nodes up front; bindings may add new URN leaves
@@ -729,8 +741,7 @@ int Peer::ResolveUrns(Plan* plan) {
           });
       if (!filtered.empty() &&
           filtered.alternatives.size() < binding->alternatives.size()) {
-        ++counters_.failovers;
-        sim_->stats().failovers++;
+        Count(&PeerCounters::failovers);
         binding_value = std::move(filtered);
       }
     }
@@ -751,19 +762,7 @@ int Peer::ResolveUrns(Plan* plan) {
     }
   }
   counters_.urns_bound += bound;
-  const catalog::ResolveStats& after = catalog_.resolve_stats();
-  const uint64_t probes =
-      after.resolve_index_probes - before.resolve_index_probes;
-  const uint64_t scanned =
-      after.resolve_entries_scanned - before.resolve_entries_scanned;
-  const uint64_t cache_hits =
-      after.binding_cache_hits - before.binding_cache_hits;
-  counters_.resolve_index_probes += probes;
-  counters_.resolve_entries_scanned += scanned;
-  counters_.binding_cache_hits += cache_hits;
-  sim_->stats().resolve_index_probes += probes;
-  sim_->stats().resolve_entries_scanned += scanned;
-  sim_->stats().binding_cache_hits += cache_hits;
+  Count(ResolveDeltas(catalog_.resolve_stats(), before));
   return bound;
 }
 
@@ -922,13 +921,17 @@ std::string UnansweredSummary(const Plan& plan, const std::string& self) {
 }  // namespace
 
 net::Payload Peer::PlanBody(const Plan& plan) {
-  auto serialized = wire::SerializePlanShared(plan, &sim_->stats());
-  if (serialized.reused) {
-    ++counters_.forwards_without_reserialize;
-  } else {
-    ++counters_.plan_serializations;
-  }
+  PeerReportedCounters deltas;
+  auto serialized = wire::SerializePlanShared(plan, &deltas);
+  Count(deltas);
   return std::move(serialized.bytes);
+}
+
+Result<Plan> Peer::DecodePlan(const net::Payload& body) {
+  PeerReportedCounters deltas;
+  auto plan = wire::ParsePlanShared(body, &deltas);
+  Count(deltas);
+  return plan;
 }
 
 void Peer::RouteOrDeliver(Plan plan, uint32_t hops, double deadline,
@@ -1078,8 +1081,7 @@ void Peer::RouteOrDeliver(Plan plan, uint32_t hops, double deadline,
   if (routed_around) {
     // The plan made it past at least one dead/suspect server and is
     // still moving: one failover per routing decision.
-    ++counters_.failovers;
-    sim_->stats().failovers++;
+    Count(&PeerCounters::failovers);
   }
   if (auto pit = pending_.find(plan.query_id()); pit != pending_.end()) {
     // This peer is the query's own client: remember the first hop so a
@@ -1111,14 +1113,11 @@ void Peer::DeliverToTarget(Plan plan, double deadline, uint32_t attempt) {
 }
 
 void Peer::HandleResult(const wire::Envelope& env) {
-  const net::NetStats& stats = sim_->stats();
-  const uint64_t decode_ns_before = stats.plan_decode_ns;
-  const uint64_t token_decodes_before = stats.token_decodes;
-  auto plan = wire::ParsePlanShared(env.payload, &sim_->stats());
-  counters_.plan_decode_ns += stats.plan_decode_ns - decode_ns_before;
-  counters_.token_decodes += stats.token_decodes - token_decodes_before;
-  if (!plan.ok()) return;
-  ++counters_.plan_parses;
+  auto plan = DecodePlan(env.payload);
+  if (!plan.ok()) {
+    Count(&PeerCounters::decode_rejects);
+    return;
+  }
   HandleResultPlan(std::move(plan).value(), env.body().size());
 }
 
@@ -1129,8 +1128,7 @@ void Peer::HandleResultPlan(Plan plan, size_t wire_bytes) {
     // (a retry raced the original, or the fault plan duplicated the
     // result): count the suppression, deliver nothing twice.
     if (completed_set_.count(plan.query_id()) > 0) {
-      ++counters_.duplicates_suppressed;
-      sim_->stats().duplicates_suppressed++;
+      Count(&PeerCounters::duplicates_suppressed);
     }
     return;
   }
@@ -1307,8 +1305,7 @@ void Peer::StartAttempt(const std::string& query_id, uint32_t attempt) {
   Pending& p = it->second;
   p.attempt = attempt;
   ++p.generation;
-  ++counters_.query_retries;
-  sim_->stats().query_retries++;
+  Count(&PeerCounters::query_retries);
   Plan plan = p.original->Clone();
   if (options_.record_provenance) {
     AddProvenance(&plan, ProvenanceAction::kForwarded,
@@ -1348,8 +1345,7 @@ void Peer::GiveUp(const std::string& query_id) {
   auto it = pending_.find(query_id);
   if (it == pending_.end()) return;
   Pending& p = it->second;
-  ++counters_.query_timeouts;
-  sim_->stats().query_timeouts++;
+  Count(&PeerCounters::query_timeouts);
   QueryOutcome outcome;
   if (p.best_partial != nullptr) {
     outcome = std::move(*p.best_partial);
@@ -1362,8 +1358,7 @@ void Peer::GiveUp(const std::string& query_id) {
   outcome.attempts = p.attempt + 1;
   outcome.completed_at = sim_->now();
   if (!outcome.items.empty()) {
-    ++counters_.partials_delivered;
-    sim_->stats().partials_delivered++;
+    Count(&PeerCounters::partials_delivered);
   }
   Callback cb = std::move(p.callback);
   // Giving up abandons every in-flight attempt: tell the servers that
@@ -1500,7 +1495,10 @@ void Peer::HandleRegister(const wire::Envelope& env) {
   ++counters_.registrations_received;
   if (!options_.roles.index && !options_.roles.meta_index) return;
   auto parsed = ParseRegisterBody(env.body());
-  if (!parsed.ok()) return;
+  if (!parsed.ok()) {
+    Count(&PeerCounters::decode_rejects);
+    return;
+  }
   RegisterDoc reg = std::move(parsed).value();
   const std::string& sender = reg.server;
   if (sender.empty()) return;
@@ -1599,7 +1597,10 @@ void Peer::RequestCategories(const std::string& server,
 void Peer::HandleCategoryQuery(const wire::Envelope& env, net::PeerId from) {
   if (!options_.roles.category || hierarchies_ == nullptr) return;
   xml::AttrList q;
-  if (!wire::DecodeAttrBody(env.body(), &q).ok()) return;
+  if (!wire::DecodeAttrBody(env.body(), &q).ok()) {
+    Count(&PeerCounters::decode_rejects);
+    return;
+  }
   std::string reply;
   xml::TokenWriter w(&reply);
   w.Start("cat-reply");
@@ -1693,9 +1694,12 @@ void SendTopKReply(net::Transport* sim, net::PeerId self, net::PeerId to,
 }  // namespace
 
 void Peer::HandleFetch(const wire::Envelope& env, net::PeerId from) {
-  const EngineTally tally(&counters_, &sim_->stats(), &engine_tally_depth_);
+  const EngineTally tally(this);
   xml::AttrList attrs;
-  if (!wire::DecodeAttrBody(env.body(), &attrs).ok()) return;
+  if (!wire::DecodeAttrBody(env.body(), &attrs).ok()) {
+    Count(&PeerCounters::decode_rejects);
+    return;
+  }
   auto items = store_.Fetch(address(), attrs.Get("xpath"));
   TopKRequest req;
   if (items.ok() && ParseTopKRequest(attrs, &req)) {
@@ -1725,17 +1729,16 @@ void Peer::HandleFetch(const wire::Envelope& env, net::PeerId from) {
 // --- subquery service (coordinator-style distributed QP, baseline C2) ------------
 
 void Peer::HandleSubquery(const wire::Envelope& env, net::PeerId from) {
-  const EngineTally tally(&counters_, &sim_->stats(), &engine_tally_depth_);
+  const EngineTally tally(this);
   // Subquery evaluation honors the requesting query's remaining deadline
   // (DESIGN.md §11); an exhausted budget yields the empty reply below,
   // which the coordinator's deadline/retry machinery already handles.
   const engine::ScopedEvalBudget budget(EvalLimitsFor(env.deadline));
   // The body is the sub-plan's <mqp> document itself (the coordinator
   // stopped wrapping it; correlation rides in the envelope header).
-  auto plan = algebra::ParsePlan(env.body());
+  auto plan = DecodePlan(env.payload);
   if (!plan.ok()) {
-    ++counters_.reply_decode_failures;
-    sim_->stats().reply_decode_failures++;
+    Count(&PeerCounters::reply_decode_failures);
   } else if (plan->root() != nullptr) {
     // A bound-stamped root marks a bounded top-k request: evaluate the
     // sub-plan, then ship only the eligible score-ordered slice.
@@ -2001,17 +2004,14 @@ void Peer::SendTopKRequest(const std::string& query_id, size_t idx) {
   algebra::Plan sub;
   sub.set_root(src.node);
   wire::Send(sim_, id_, *pid,
-             {kSubqueryKind, rid, 0,
-              net::MakePayload(algebra::SerializePlan(sub)), s.deadline,
-              s.attempt});
+             {kSubqueryKind, rid, 0, PlanBody(sub), s.deadline, s.attempt});
 }
 
 void Peer::HandleBoundedReply(const wire::Envelope& env) {
   const std::string& rid = env.query_id;
   const size_t marker = rid.rfind("#tk");
   const auto count_unmatched = [this]() {
-    ++counters_.unmatched_replies;
-    sim_->stats().unmatched_replies++;
+    Count(&PeerCounters::unmatched_replies);
   };
   if (marker == std::string::npos) {
     count_unmatched();
@@ -2059,15 +2059,14 @@ void Peer::HandleBoundedReply(const wire::Envelope& env) {
 
 void Peer::MergeTopKBatch(const std::string& query_id, size_t idx,
                           const wire::Envelope& env) {
-  const EngineTally tally(&counters_, &sim_->stats(), &engine_tally_depth_);
+  const EngineTally tally(this);
   auto sit = topk_sessions_.find(query_id);
   if (sit == topk_sessions_.end()) return;
   TopKSession& s = sit->second;
   TopKSource& src = s.sources[idx];
   auto decoded = wire::DecodeItemBodyWithAttrs(env.body());
   if (!decoded.ok()) {
-    ++counters_.reply_decode_failures;
-    sim_->stats().reply_decode_failures++;
+    Count(&PeerCounters::reply_decode_failures);
     return;  // the session stalls; the deadline timer (or a retry) recovers
   }
   const wire::ItemBody body = std::move(decoded).value();
@@ -2086,8 +2085,7 @@ void Peer::MergeTopKBatch(const std::string& query_id, size_t idx,
   src.total = AttrU64(body.attrs, "total", src.total);
   src.cont = AttrU64(body.attrs, "cont", src.cont + shipped);
   const bool more = AttrU64(body.attrs, "more", 0) != 0;
-  ++counters_.topk_batches;
-  sim_->stats().topk_batches++;
+  Count(&PeerCounters::topk_batches);
   if (!more) {
     src.done = true;
   } else if (s.heap->full()) {
@@ -2100,12 +2098,10 @@ void Peer::MergeTopKBatch(const std::string& query_id, size_t idx,
     if (next != nullptr && !s.heap->WouldAccept(*next, src.leaf)) {
       src.done = true;
       src.terminated_early = true;
-      ++counters_.topk_early_terminations;
-      sim_->stats().topk_early_terminations++;
+      Count(&PeerCounters::topk_early_terminations);
       if (src.total > src.received_rows) {
         const uint64_t pruned = src.total - src.received_rows;
-        counters_.topk_rows_pruned += pruned;
-        sim_->stats().topk_rows_pruned += pruned;
+        Count(&PeerCounters::topk_rows_pruned, pruned);
       }
     }
   }
@@ -2176,8 +2172,7 @@ void Peer::FinishTopKSession(const std::string& query_id) {
             : options_.cost.avg_item_bytes;
     const auto saved = static_cast<uint64_t>(
         std::llround(per_row * static_cast<double>(unshipped)));
-    counters_.topk_bytes_saved += saved;
-    sim_->stats().topk_bytes_saved += saved;
+    Count(&PeerCounters::topk_bytes_saved, saved);
   }
   // The heap holds exactly the reference TopN's answer; morphing the TopN
   // to it and re-entering the Figure-2 loop finishes the plan (remaining
@@ -2217,32 +2212,28 @@ bool Peer::OverloadActive() const {
 }
 
 void Peer::HandleMqp(const wire::Envelope& env) {
-  // dom_nodes_built spans the entire hop — decode through forward — so a
-  // pure routing hop can be asserted to build zero xml::Nodes.
+  // hop_dom_nodes_built spans the entire hop — decode through forward —
+  // so a pure routing hop can be asserted to build zero xml::Nodes.
   const uint64_t nodes_before = xml::DomNodesBuilt();
-  const net::NetStats& stats = sim_->stats();
-  const uint64_t decode_ns_before = stats.plan_decode_ns;
-  const uint64_t token_decodes_before = stats.token_decodes;
-  auto parsed = wire::ParsePlanShared(env.payload, &sim_->stats());
-  counters_.plan_decode_ns += stats.plan_decode_ns - decode_ns_before;
-  counters_.token_decodes += stats.token_decodes - token_decodes_before;
-  if (!parsed.ok()) return;  // malformed plans are dropped
-  ++counters_.plan_parses;
+  auto parsed = DecodePlan(env.payload);
+  if (!parsed.ok()) {  // malformed plans are dropped
+    Count(&PeerCounters::decode_rejects);
+    return;
+  }
   ++counters_.plans_received;
   Plan plan = std::move(parsed).value();
   const OverloadOptions& ov = options_.overload;
   if (OverloadActive() && cancelled_set_.count(plan.query_id()) > 0) {
     // The client already tore this query down; servicing it is waste.
-    ++counters_.cancelled_sessions_reaped;
-    sim_->stats().cancelled_sessions_reaped++;
-    counters_.dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
+    Count(&PeerCounters::cancelled_sessions_reaped);
+    counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
     return;
   }
   if (ov.service_rate_qps <= 0) {
     // No service-time model: process at arrival (the pre-§11 path —
     // default traces stay byte-identical).
     ProcessPlan(std::move(plan), env.hops, env.deadline, env.attempt);
-    counters_.dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
+    counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
     return;
   }
   // The modeled core serves one plan per 1/rate seconds; arrivals queue
@@ -2259,14 +2250,14 @@ void Peer::HandleMqp(const wire::Envelope& env) {
     // before the client's own deadline fires — and the kShed marker
     // quarantines this hop so a retry binds elsewhere.
     ShedPlan(std::move(plan), env.deadline, env.attempt);
-    counters_.dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
+    counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
     return;
   }
   if (OverloadActive() &&
       ShouldShed(start - now, plan.policy().priority, plan.query_id(),
                  env.attempt)) {
     ShedPlan(std::move(plan), env.deadline, env.attempt);
-    counters_.dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
+    counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
     return;
   }
   // The plan occupies the core for [start, start + 1/rate) and its
@@ -2279,15 +2270,14 @@ void Peer::HandleMqp(const wire::Envelope& env) {
        attempt = env.attempt]() mutable {
         if (OverloadActive() && cancelled_set_.count(p.query_id()) > 0) {
           // Cancelled while queued: reap instead of serving.
-          ++counters_.cancelled_sessions_reaped;
-          sim_->stats().cancelled_sessions_reaped++;
+          Count(&PeerCounters::cancelled_sessions_reaped);
           return;
         }
         const uint64_t nb = xml::DomNodesBuilt();
         ProcessPlan(std::move(p), hops, deadline, attempt);
-        counters_.dom_nodes_built += xml::DomNodesBuilt() - nb;
+        counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nb;
       });
-  counters_.dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
+  counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
 }
 
 bool Peer::ShouldShed(double projected_delay, uint32_t priority,
@@ -2317,8 +2307,7 @@ bool Peer::ShouldShed(double projected_delay, uint32_t priority,
 }
 
 void Peer::ShedPlan(Plan plan, double deadline, uint32_t attempt) {
-  ++counters_.queries_shed;
-  sim_->stats().queries_shed++;
+  Count(&PeerCounters::queries_shed);
   // The marker is recorded even when provenance is otherwise ablated: it
   // is the wire signal the client's failover keys on (quarantine the hot
   // server, rebind elsewhere), not an audit note.
@@ -2360,8 +2349,7 @@ void Peer::SendCancels(const std::string& query_id, const Pending& p) {
   for (const auto& t : targets) {
     auto pid = sim_->Lookup(t);
     if (!pid.ok() || *pid == id_) continue;
-    ++counters_.cancels_sent;
-    sim_->stats().cancels_sent++;
+    Count(&PeerCounters::cancels_sent);
     wire::Send(sim_, id_, *pid, {kCancelKind, query_id, 0, net::Payload()});
   }
 }
@@ -2377,8 +2365,7 @@ void Peer::HandleCancel(const wire::Envelope& env) {
   if (it != topk_sessions_.end()) {
     topk_sessions_.erase(it);
     RememberTopKDone(qid);
-    ++counters_.cancelled_sessions_reaped;
-    sim_->stats().cancelled_sessions_reaped++;
+    Count(&PeerCounters::cancelled_sessions_reaped);
   }
 }
 

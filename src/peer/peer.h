@@ -17,6 +17,7 @@
 #include "algebra/plan.h"
 #include "algebra/plan_xml.h"
 #include "catalog/catalog.h"
+#include "common/counters.h"
 #include "common/rng.h"
 #include "engine/local_store.h"
 #include "engine/operator.h"
@@ -227,61 +228,12 @@ struct QueryOutcome {
   bool shed = false;
 };
 
-/// \brief Simple counters exposed for tests and benches.
-struct PeerCounters {
-  uint64_t plans_received = 0;
-  uint64_t plans_forwarded = 0;
-  uint64_t urns_bound = 0;
-  uint64_t subplans_evaluated = 0;
-  uint64_t subplans_deferred = 0;
-  uint64_t registrations_received = 0;
-  uint64_t results_delivered = 0;
-  uint64_t plans_dead_ended = 0;
-  // Wire-layer serialization-cache counters (see wire/plan_codec.h).
-  uint64_t plan_serializations = 0;          ///< plan bodies produced here
-  uint64_t plan_parses = 0;                  ///< plan bodies parsed here
-  uint64_t forwards_without_reserialize = 0; ///< cache hits: buffer reused
-  // Streaming-codec counters (see wire/plan_codec.h). dom_nodes_built
-  // spans the whole plan-message handling (decode through forward/reply),
-  // so a pure routing hop asserts it at exactly zero.
-  uint64_t token_decodes = 0;                ///< plans decoded via tokens
-  uint64_t dom_nodes_built = 0;              ///< xml::Nodes built handling plans
-  uint64_t plan_decode_ns = 0;               ///< steady-clock decode time
-  // Catalog-resolution counters (see catalog::ResolveStats).
-  uint64_t resolve_index_probes = 0;         ///< area-index bucket probes
-  uint64_t resolve_entries_scanned = 0;      ///< entries overlap-tested
-  uint64_t binding_cache_hits = 0;           ///< resolutions answered cached
-  // Query-engine counters (see engine::EngineStats). items_cloned spans
-  // every store/engine touch this peer makes, so a filter query over a
-  // local collection asserts it at exactly zero.
-  uint64_t items_cloned = 0;                 ///< whole items deep-copied
-  uint64_t field_accessor_hits = 0;          ///< compiled key extractions
-  uint64_t structural_hash_probes = 0;       ///< set-semantics hash probes
-  uint64_t engine_eval_ns = 0;               ///< steady-clock eval time
-  // Query-reliability counters (DESIGN.md §9), mirrored into
-  // net::NetStats as they happen.
-  uint64_t query_retries = 0;          ///< retry attempts launched
-  uint64_t query_timeouts = 0;         ///< queries finished incomplete
-  uint64_t failovers = 0;              ///< dead/suspect servers routed around
-  uint64_t duplicates_suppressed = 0;  ///< late results for finished queries
-  uint64_t partials_delivered = 0;     ///< incomplete outcomes with items
-  // Distributed top-k counters (DESIGN.md §10), mirrored into
-  // net::NetStats as they happen. All zero with the ablation knob
-  // (optimizer::set_use_distributed_topk) off.
-  uint64_t topk_batches = 0;            ///< bounded reply batches merged
-  uint64_t topk_rows_pruned = 0;        ///< rows proven dead, never shipped
-  uint64_t topk_bytes_saved = 0;        ///< est. bytes the bounds avoided
-  uint64_t topk_early_terminations = 0; ///< sources cut before exhaustion
-  // Reply-demux hygiene (asserted zero by the happy-path suites).
-  uint64_t reply_decode_failures = 0;  ///< malformed reply/subquery bodies
-  uint64_t unmatched_replies = 0;      ///< replies matching no request
-  // Overload-protection counters (DESIGN.md §11), mirrored into
-  // net::NetStats as they happen. All zero with the ablation knob
-  // (peer::set_use_overload_protection) off.
-  uint64_t queries_shed = 0;            ///< plans refused by admission control
-  uint64_t budget_aborts = 0;           ///< evaluations cut by their budget
-  uint64_t cancels_sent = 0;            ///< cancel fan-out messages sent
-  uint64_t cancelled_sessions_reaped = 0;  ///< sessions/queued plans reaped
+/// \brief Per-peer counters for tests and benches: the peer-only and
+/// peer-reported groups of the counter table (common/counters.h). The
+/// peer-reported members are inherited; Peer::Count records them here and
+/// in the transport's NetStats at once.
+struct PeerCounters : PeerReportedCounters {
+  MQP_PEER_ONLY_COUNTERS(MQP_COUNTER_FIELD)
 };
 
 /// \brief A network participant. Attach to any net::Transport (the
@@ -481,8 +433,19 @@ class Peer : public net::PeerNode {
   void RouteOrDeliver(algebra::Plan plan, uint32_t hops, double deadline = 0,
                       uint32_t attempt = 0);
 
-  /// Serializes via the wire-layer cache, tallying per-peer counters.
+  /// Records a peer-reported counter once: in counters_ and in the
+  /// calling thread's sim_->stats() shard. Pass `&PeerCounters::name`;
+  /// a substrate or peer-only counter does not compile.
+  void Count(uint64_t PeerReportedCounters::*counter, uint64_t n = 1);
+  /// The same for a batch of deltas (engine, resolve and codec tallies).
+  void Count(const PeerReportedCounters& deltas);
+  /// Reports engine::Stats() deltas through Count on scope exit.
+  class EngineTally;
+
+  /// Serializes via the wire-layer cache, counting the work.
   net::Payload PlanBody(const algebra::Plan& plan);
+  /// Decodes a plan body via the wire codec, counting the work.
+  Result<algebra::Plan> DecodePlan(const net::Payload& body);
 
   void DeliverToTarget(algebra::Plan plan, double deadline = 0,
                        uint32_t attempt = 0);

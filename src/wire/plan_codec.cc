@@ -7,7 +7,7 @@
 namespace mqp::wire {
 
 SerializedPlan SerializePlanShared(const algebra::Plan& plan,
-                                   net::NetStats* stats) {
+                                   PeerReportedCounters* stats) {
   if (plan.WireCacheValid()) {
     if (stats != nullptr) ++stats->forwards_without_reserialize;
     return {plan.cached_wire(), /*reused=*/true};
@@ -19,7 +19,7 @@ SerializedPlan SerializePlanShared(const algebra::Plan& plan,
 }
 
 Result<algebra::Plan> ParsePlanShared(net::Payload bytes,
-                                      net::NetStats* stats) {
+                                      PeerReportedCounters* stats) {
   if (bytes == nullptr) bytes = net::MakePayload("");
   const uint64_t nodes_before = xml::DomNodesBuilt();
   const auto started = std::chrono::steady_clock::now();

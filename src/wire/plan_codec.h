@@ -10,10 +10,9 @@
 // streaming token codec (algebra/plan_xml.h): no intermediate DOM is
 // built, and ParsePlanShared instruments the decode (token_decodes,
 // dom_nodes_built via xml::DomNodesBuilt deltas, plan_decode_ns on the
-// steady clock). All traffic is counted into NetStats
-// (plan_serializations / plan_parses / forwards_without_reserialize /
-// token_decodes / dom_nodes_built / plan_decode_ns) so benches and tests
-// can observe it.
+// steady clock). Both helpers count into the wire group of the counter
+// table (common/counters.h): pass a NetStats shard directly, or a local
+// PeerReportedCounters that the peer then reports through Peer::Count.
 #pragma once
 
 #include "algebra/plan.h"
@@ -33,12 +32,12 @@ struct SerializedPlan {
 /// mutated since its cached bytes were produced (or none are attached).
 /// Counts into `stats` when non-null.
 SerializedPlan SerializePlanShared(const algebra::Plan& plan,
-                                   net::NetStats* stats = nullptr);
+                                   PeerReportedCounters* stats = nullptr);
 
 /// \brief Parses a plan from shared wire bytes and attaches them as the
 /// plan's cached serialization, so forwarding the plan unchanged reuses
 /// the incoming buffer. Counts into `stats` when non-null.
 Result<algebra::Plan> ParsePlanShared(net::Payload bytes,
-                                      net::NetStats* stats = nullptr);
+                                      PeerReportedCounters* stats = nullptr);
 
 }  // namespace mqp::wire

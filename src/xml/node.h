@@ -28,8 +28,8 @@ void BumpMutationEpoch();
 /// \brief Process-wide monotonic count of Node objects ever constructed
 /// (elements and text, including clones). The streaming wire codec exists
 /// to keep this flat on routing hops: tests and benches snapshot it around
-/// a code path and assert on the delta (dom_nodes_built counters in
-/// PeerCounters / NetStats are fed from it).
+/// a code path and assert on the delta (the dom_nodes_built and
+/// hop_dom_nodes_built counters are fed from it).
 uint64_t DomNodesBuilt();
 
 /// \brief Process-wide cache-invalidation epoch. Per-node caches (the

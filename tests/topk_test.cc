@@ -34,6 +34,7 @@
 #include "peer/peer.h"
 #include "query/parser.h"
 #include "runtime/threaded_runtime.h"
+#include "wire/envelope.h"
 #include "workload/garage_sale.h"
 #include "workload/network_builder.h"
 #include "xml/node.h"
@@ -346,6 +347,7 @@ struct WireObs {
   uint64_t topk_early_terminations = 0;
   uint64_t reply_decode_failures = 0;
   uint64_t unmatched_replies = 0;
+  uint64_t decode_rejects = 0;
 };
 
 TopKFp RunTopKQuery(net::Transport* transport, uint64_t seed, uint64_t k,
@@ -386,6 +388,7 @@ TopKFp RunTopKQuery(net::Transport* transport, uint64_t seed, uint64_t k,
     obs->topk_early_terminations = s.topk_early_terminations;
     obs->reply_decode_failures = s.reply_decode_failures;
     obs->unmatched_replies = s.unmatched_replies;
+    obs->decode_rejects = s.decode_rejects;
   }
   return fp;
 }
@@ -425,6 +428,7 @@ TEST(DistributedTopK, MatchesUnboundedReferenceManySeeds) {
     ASSERT_EQ(reference, got) << "seed " << seed << " k " << k;
     EXPECT_EQ(obs.reply_decode_failures, 0u) << "seed " << seed;
     EXPECT_EQ(obs.unmatched_replies, 0u) << "seed " << seed;
+    EXPECT_EQ(obs.decode_rejects, 0u) << "seed " << seed;
     total_batches += obs.topk_batches;
     total_pruned += obs.topk_rows_pruned;
     total_early += obs.topk_early_terminations;
@@ -435,6 +439,24 @@ TEST(DistributedTopK, MatchesUnboundedReferenceManySeeds) {
   EXPECT_GT(total_batches, 0u);
   EXPECT_GT(total_pruned, 0u);
   EXPECT_GT(total_early, 0u);
+}
+
+// Bounded subqueries carry plans like mqp and result messages do, and
+// go through the same wire codec: with no faults each plan-carrying
+// message is decoded exactly once, and plan_parses counts every decode.
+TEST(DistributedTopK, SubqueryPlanDecodesAreCounted) {
+  net::Simulator sim;
+  const TopKFp got = RunTopKQuery(&sim, /*seed=*/3, /*k=*/5, /*ascending=*/true,
+                                  /*distributed=*/true, /*sellers=*/5,
+                                  /*items_per_seller=*/8, nullptr,
+                                  /*with_predicate=*/true);
+  ASSERT_TRUE(got.complete);
+  const net::NetStats& s = sim.stats();
+  const uint64_t subqueries = s.messages_by_kind.at(wire::kSubqueryKind);
+  ASSERT_GT(subqueries, 0u);
+  EXPECT_EQ(s.plan_parses, s.messages_by_kind.at(wire::kMqpKind) +
+                               s.messages_by_kind.at(wire::kResultKind) +
+                               subqueries);
 }
 
 // Simulator and threaded runtime return the same ranking with the

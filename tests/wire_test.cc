@@ -253,7 +253,7 @@ TEST(WireRoutingTest, ForwardedUnchangedPlanIsNotReserialized) {
 
   // Streaming codec: the pure routing hop (receive → decode → forward)
   // built zero xml::Nodes — the throwaway DOM is gone from the hot path.
-  EXPECT_EQ(relay.counters().dom_nodes_built, 0u);
+  EXPECT_EQ(relay.counters().hop_dom_nodes_built, 0u);
   EXPECT_EQ(relay.counters().token_decodes, 1u);
   EXPECT_GT(relay.counters().plan_decode_ns, 0u);
   // The authority evaluates the bound sub-plan, yet builds zero nodes
@@ -261,7 +261,7 @@ TEST(WireRoutingTest, ForwardedUnchangedPlanIsNotReserialized) {
   // and the result rides the plan as those same shared items (the
   // receiving client is who materializes them from the wire). Its engine
   // counters show the work happened.
-  EXPECT_EQ(authority.counters().dom_nodes_built, 0u);
+  EXPECT_EQ(authority.counters().hop_dom_nodes_built, 0u);
   EXPECT_EQ(authority.counters().items_cloned, 0u);
   EXPECT_GT(authority.counters().subplans_evaluated, 0u);
   EXPECT_GT(authority.counters().engine_eval_ns, 0u);
