@@ -8,12 +8,15 @@
 //   * streaming — the token codec: bytes → PlanNodes directly, and
 //                 PlanNodes → bytes through the emitting sink.
 // Plans are measured at operator depths 2/8/32, with and without inline
-// <data> items (the one structure that legitimately materializes DOM
-// nodes). dom_nodes/decode counters make the waste visible.
+// <data> items. The streaming decode keeps canonical items as verbatim
+// bytes, so its dom_nodes/decode is zero either way; the DOM decode's
+// counter makes the waste visible.
 //
-// The shape check requires the ≥2x streaming-vs-DOM decode speedup at
-// depth 8 and 32 (no inline items) and re-verifies that both decoders
-// produce byte-identical re-serializations.
+// The shape check covers depths 8 and 32, item-free and with 20 items
+// per data leaf. Each row requires the ≥2x streaming-vs-DOM decode
+// speedup, zero DOM nodes built by the streaming decode, re-encodes
+// from both decoders equal to the input bytes, and a streaming decode
+// that Equals the DOM decode once its items are built.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -77,12 +80,12 @@ Plan MakePlan(int depth, size_t items_per_leaf) {
   return plan;
 }
 
+// Decodes take the shared wire buffer, like wire::ParsePlanShared.
 void DecodeLoop(benchmark::State& state, bool streaming,
                 size_t items_per_leaf) {
   algebra::set_use_streaming_plan_codec(true);
-  const std::string wire =
-      algebra::SerializePlan(MakePlan(static_cast<int>(state.range(0)),
-                                      items_per_leaf));
+  const net::Payload wire = net::MakePayload(algebra::SerializePlan(
+      MakePlan(static_cast<int>(state.range(0)), items_per_leaf)));
   algebra::set_use_streaming_plan_codec(streaming);
   const uint64_t nodes_before = xml::DomNodesBuilt();
   uint64_t decodes = 0;
@@ -93,7 +96,7 @@ void DecodeLoop(benchmark::State& state, bool streaming,
   }
   algebra::set_use_streaming_plan_codec(true);
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(wire.size()));
+                          static_cast<int64_t>(wire->size()));
   state.counters["dom_nodes/decode"] = benchmark::Counter(
       static_cast<double>(xml::DomNodesBuilt() - nodes_before) /
       static_cast<double>(decodes == 0 ? 1 : decodes));
@@ -167,7 +170,7 @@ BENCHMARK(BM_PlanWireSizeStreaming)->Arg(8);
 
 // --- shape check ---------------------------------------------------------------
 
-double SecondsPerDecode(const std::string& wire, bool streaming,
+double SecondsPerDecode(const net::Payload& wire, bool streaming,
                         size_t iters) {
   algebra::set_use_streaming_plan_codec(streaming);
   const auto start = std::chrono::steady_clock::now();
@@ -181,52 +184,66 @@ double SecondsPerDecode(const std::string& wire, bool streaming,
   return elapsed.count() / static_cast<double>(iters);
 }
 
+// One shape-check row; prints the reason and returns false on a failure.
+bool CheckRow(int depth, size_t items_per_leaf) {
+  algebra::set_use_streaming_plan_codec(true);
+  const net::Payload wire =
+      net::MakePayload(algebra::SerializePlan(MakePlan(depth, items_per_leaf)));
+  const uint64_t nodes_before = xml::DomNodesBuilt();
+  auto via_stream = algebra::ParsePlan(wire);
+  const uint64_t stream_nodes = xml::DomNodesBuilt() - nodes_before;
+  algebra::set_use_streaming_plan_codec(false);
+  auto via_dom = algebra::ParsePlan(wire);
+  algebra::set_use_streaming_plan_codec(true);
+  // Equivalence: both decodes re-encode to the input bytes (carried items
+  // verbatim), and agree once the streaming decode builds its items.
+  if (!via_stream.ok() || !via_dom.ok() ||
+      algebra::SerializePlan(*via_stream) != *wire ||
+      algebra::SerializePlan(*via_dom) != *wire ||
+      !via_stream->root()->Equals(*via_dom->root())) {
+    std::printf("FAIL: codec paths diverge at depth %d, %zu items/leaf\n",
+                depth, items_per_leaf);
+    return false;
+  }
+  if (stream_nodes != 0) {
+    std::printf("FAIL: streaming decode built %llu DOM nodes at depth %d, "
+                "%zu items/leaf\n",
+                static_cast<unsigned long long>(stream_nodes), depth,
+                items_per_leaf);
+    return false;
+  }
+  // Interleaved min-of-5: a single pass per mode is at the mercy of
+  // scheduler noise on shared CI runners.
+  (void)SecondsPerDecode(wire, true, 128);  // warm
+  (void)SecondsPerDecode(wire, false, 128);
+  double t_dom = 1e9, t_stream = 1e9;
+  for (int round = 0; round < 5; ++round) {
+    t_dom = std::min(t_dom, SecondsPerDecode(wire, false, 512));
+    t_stream = std::min(t_stream, SecondsPerDecode(wire, true, 512));
+  }
+  const double speedup = t_dom / t_stream;
+  std::printf(
+      "Shape check: depth-%d plan, %zu items/leaf: decode %.2f us streaming "
+      "vs %.2f us DOM — %.1fx (acceptance floor: 2x), zero DOM nodes "
+      "built, input bytes re-encoded, identical plans.\n",
+      depth, items_per_leaf, t_stream * 1e6, t_dom * 1e6, speedup);
+  if (speedup < 2.0) {
+    std::printf("FAIL: speedup %.1fx below the 2x acceptance floor\n",
+                speedup);
+    return false;
+  }
+  return true;
+}
+
 int ShapeCheck() {
-  for (const int depth : {8, 32}) {
-    const Plan plan = MakePlan(depth, 0);
-    const std::string wire = algebra::SerializePlan(plan);
-    // Equivalence: both decoders reproduce the same canonical bytes, and
-    // the streaming decode builds zero DOM nodes on an item-free plan.
-    algebra::set_use_streaming_plan_codec(true);
-    const uint64_t nodes_before = xml::DomNodesBuilt();
-    auto via_stream = algebra::ParsePlan(wire);
-    const uint64_t stream_nodes = xml::DomNodesBuilt() - nodes_before;
-    algebra::set_use_streaming_plan_codec(false);
-    auto via_dom = algebra::ParsePlan(wire);
-    algebra::set_use_streaming_plan_codec(true);
-    if (!via_stream.ok() || !via_dom.ok() ||
-        algebra::SerializePlan(*via_stream) !=
-            algebra::SerializePlan(*via_dom)) {
-      std::printf("FAIL: codec paths diverge at depth %d\n", depth);
-      return 1;
-    }
-    if (stream_nodes != 0) {
-      std::printf("FAIL: streaming decode built %llu DOM nodes at depth %d\n",
-                  static_cast<unsigned long long>(stream_nodes), depth);
-      return 1;
-    }
-    // Interleaved min-of-5: a single pass per mode is at the mercy of
-    // scheduler noise on shared CI runners.
-    (void)SecondsPerDecode(wire, true, 128);  // warm
-    (void)SecondsPerDecode(wire, false, 128);
-    double t_dom = 1e9, t_stream = 1e9;
-    for (int round = 0; round < 5; ++round) {
-      t_dom = std::min(t_dom, SecondsPerDecode(wire, false, 512));
-      t_stream = std::min(t_stream, SecondsPerDecode(wire, true, 512));
-    }
-    const double speedup = t_dom / t_stream;
-    std::printf(
-        "Shape check: depth-%d plan decode %.2f us streaming vs %.2f us DOM "
-        "— %.1fx (acceptance floor at depth >= 8: 2x), zero DOM nodes "
-        "built, identical plans.\n",
-        depth, t_stream * 1e6, t_dom * 1e6, speedup);
-    if (speedup < 2.0) {
-      std::printf("FAIL: speedup %.1fx below the 2x acceptance floor\n",
-                  speedup);
-      return 1;
+  for (const size_t items_per_leaf : {size_t{0}, size_t{20}}) {
+    for (const int depth : {8, 32}) {
+      if (!CheckRow(depth, items_per_leaf)) return 1;
     }
   }
-  std::printf("OK: >=2x streaming decode speedup at depth 8 and 32\n");
+  std::printf(
+      "OK: >=2x streaming decode speedup at depth 8 and 32, with and "
+      "without carried data\n");
   return 0;
 }
 

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/strings.h"
+#include "xml/token_reader.h"
 
 namespace mqp::algebra {
 
@@ -92,6 +93,26 @@ PlanNodePtr PlanNode::XmlData(ItemSet items) {
   auto n = New(OpType::kXmlData);
   n->items_ = std::move(items);
   return n;
+}
+
+PlanNodePtr PlanNode::VerbatimData(std::shared_ptr<const std::string> buffer,
+                                   std::string_view run) {
+  auto n = New(OpType::kXmlData);
+  n->verbatim_buffer_ = std::move(buffer);
+  n->verbatim_ = run;
+  return n;
+}
+
+void PlanNode::BuildVerbatimItems() const {
+  // The run passed CanonicalRunEnd, so it tokenizes cleanly: a sequence
+  // of top-level elements, each one item.
+  xml::TokenReader r(verbatim_);
+  while (r.Advance() &&
+         r.current().type == xml::TokenType::kStartElement) {
+    auto item = r.MaterializeSubtree();
+    if (!item.ok()) break;
+    items_.push_back(Item(std::move(item).value().release()));
+  }
 }
 
 PlanNodePtr PlanNode::Url(std::string url, std::string xpath) {
@@ -195,6 +216,8 @@ PlanNodePtr PlanNode::CloneInternal(
   }
   auto n = New(type_);
   n->items_ = items_;  // items are immutable shared_ptrs: shallow copy OK
+  n->verbatim_buffer_ = verbatim_buffer_;
+  n->verbatim_ = verbatim_;
   n->str_ = str_;
   n->str2_ = str2_;
   n->expr_ = expr_;  // expressions immutable
@@ -223,6 +246,7 @@ void PlanNode::MorphToData(ItemSet items) {
   const auto staleness = annotations_.staleness_minutes;
   type_ = OpType::kXmlData;
   items_ = std::move(items);
+  DropVerbatim();
   children_.clear();
   str_.clear();
   str2_.clear();
@@ -237,7 +261,9 @@ void PlanNode::MorphTo(const PlanNode& other) {
   Touch();
   PlanNodePtr copy = other.Clone();
   type_ = copy->type_;
+  copy->items();  // build them: this node takes the items, not the bytes
   items_ = std::move(copy->items_);
+  DropVerbatim();
   children_ = std::move(copy->children_);
   str_ = std::move(copy->str_);
   str2_ = std::move(copy->str2_);
@@ -300,7 +326,7 @@ bool PlanNode::Equals(const PlanNode& other, bool compare_annotations) const {
       ascending_ != other.ascending_ ||
       distinct_ != other.distinct_ ||
       children_.size() != other.children_.size() ||
-      items_.size() != other.items_.size()) {
+      items().size() != other.items().size()) {
     return false;
   }
   if (compare_annotations && !(annotations_ == other.annotations_)) {
@@ -322,7 +348,7 @@ bool PlanNode::Equals(const PlanNode& other, bool compare_annotations) const {
 std::string PlanNode::Summary() const {
   switch (type_) {
     case OpType::kXmlData:
-      return "data[" + std::to_string(items_.size()) + " items]";
+      return "data[" + std::to_string(items().size()) + " items]";
     case OpType::kUrl:
       return "url(" + str_ + (str2_.empty() ? "" : ", " + str2_) + ")";
     case OpType::kUrn:

@@ -113,6 +113,14 @@ class PlanNode {
  public:
   // --- leaf factories ---------------------------------------------------------
   static PlanNodePtr XmlData(ItemSet items);
+
+  /// A kXmlData leaf decoded from the wire whose items are still the
+  /// canonical bytes they arrived as (xml::CanonicalRunEnd): `run`, a
+  /// non-empty view into `*buffer`, which the node keeps alive. The items
+  /// are built on first read; until a mutation they re-encode as `run`.
+  static PlanNodePtr VerbatimData(std::shared_ptr<const std::string> buffer,
+                                  std::string_view run);
+
   static PlanNodePtr Url(std::string url, std::string xpath = "");
 
   /// `hint` optionally names a server known to be able to resolve the URN
@@ -165,12 +173,26 @@ class PlanNode {
   const PlanNodePtr& child(size_t i) const { return children_[i]; }
 
   // --- payload accessors ------------------------------------------------------
-  /// kXmlData: the constant items.
-  const ItemSet& items() const { return items_; }
+  /// kXmlData: the constant items. A verbatim leaf builds them from its
+  /// bytes on the first read (a canonical run always holds an item, so
+  /// empty items with a live run means "not built yet"). The cache needs
+  /// no synchronization: plan nodes are peer-confined (DESIGN.md §8).
+  const ItemSet& items() const {
+    if (items_.empty() && !verbatim_.empty()) BuildVerbatimItems();
+    return items_;
+  }
+  /// Builds the items and drops the verbatim bytes: after a mutation the
+  /// leaf re-encodes from its items.
   ItemSet& mutable_items() {
+    items();
+    DropVerbatim();
     Touch();
     return items_;
   }
+
+  /// kXmlData: the canonical bytes the encoder re-emits for the items, or
+  /// empty when the items must be written out node by node.
+  std::string_view verbatim_items() const { return verbatim_; }
 
   /// kUrl: "host:port" or "http://host:port/"; `xpath` is the collection id.
   const std::string& url() const { return str_; }
@@ -211,7 +233,7 @@ class PlanNode {
 
   /// Mutable access conservatively re-stamps the node (a false "dirty" only
   /// costs one extra serialization; a missed mutation would send stale
-  /// bytes).
+  /// bytes). Verbatim items survive: annotations are start-tag attributes.
   Annotations& annotations() {
     Touch();
     return annotations_;
@@ -225,7 +247,8 @@ class PlanNode {
 
   // --- whole-graph helpers ----------------------------------------------------
 
-  /// Deep copy. Shared sub-DAGs remain shared in the copy.
+  /// Deep copy. Shared sub-DAGs remain shared in the copy, and a verbatim
+  /// leaf's copy shares its buffer.
   PlanNodePtr Clone() const;
 
   /// Morphs this node in place into constant data — the *reduction* step of
@@ -236,7 +259,7 @@ class PlanNode {
 
   /// Morphs this node in place into a copy of `other` — the *resolution*
   /// step (URN replaced by its binding). Annotations on this node are
-  /// replaced by `other`'s.
+  /// replaced by `other`'s. The result re-encodes its items from DOM.
   void MorphTo(const PlanNode& other);
 
   /// True iff the node is constant data (a fully evaluated plan).
@@ -273,10 +296,18 @@ class PlanNode {
   static uint64_t NextStamp();
   void Touch() { stamp_ = NextStamp(); }
 
+  void BuildVerbatimItems() const;
+  void DropVerbatim() {
+    verbatim_buffer_.reset();
+    verbatim_ = {};
+  }
+
   OpType type_;
   uint64_t stamp_ = NextStamp();
   std::vector<PlanNodePtr> children_;
-  ItemSet items_;
+  mutable ItemSet items_;  // built lazily from verbatim_ (see items())
+  std::shared_ptr<const std::string> verbatim_buffer_;  // owns verbatim_
+  std::string_view verbatim_;
   std::string str_;   // url / urn / agg field / order field / target
   std::string str2_;  // xpath / group_by
   ExprPtr expr_;

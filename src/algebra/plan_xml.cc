@@ -443,8 +443,12 @@ class StreamSerializer {
     }
     switch (node.type()) {
       case OpType::kXmlData:
-        for (const Item& item : node.items()) {
-          w_->Write(*item);
+        if (!node.verbatim_items().empty()) {
+          w_->Raw(node.verbatim_items());
+        } else {
+          for (const Item& item : node.items()) {
+            w_->Write(*item);
+          }
         }
         break;
       case OpType::kSelect:
@@ -531,10 +535,16 @@ void EmitPlanTokens(const Plan& plan, xml::TokenWriter* w) {
 }
 
 // Streaming twin of Deserializer: consumes tokens directly into
-// PlanNodes; only verbatim <data> items materialize xml::Nodes.
+// PlanNodes. A <data> element's canonical item run is skipped and kept as
+// bytes (PlanNode::VerbatimData); only a rejected run materializes
+// xml::Nodes here.
 class StreamDeserializer {
  public:
-  explicit StreamDeserializer(xml::TokenReader* r) : r_(r) {}
+  /// `buffer` owns `text` when non-null; otherwise the first verbatim
+  /// leaf copies `text` into a buffer that all leaves then share.
+  StreamDeserializer(xml::TokenReader* r, std::string_view text,
+                     std::shared_ptr<const std::string> buffer)
+      : r_(r), text_(text), buffer_(std::move(buffer)) {}
 
   /// Starts a fresh node-id space (each <original>/<plan> section has its
   /// own, like the DOM path's per-section Deserializer). The attribute
@@ -616,6 +626,7 @@ class StreamDeserializer {
     ExprPtr expr;
     std::vector<FieldHistogram> histograms;
     ItemSet items;
+    std::string_view run;  // the canonical item run, when recognized
     std::vector<PlanNodePtr>& inputs = InputsAt(depth);
     while (t.type != xml::TokenType::kEndElement) {
       if (t.type == xml::TokenType::kStartElement) {
@@ -624,8 +635,14 @@ class StreamDeserializer {
           MQP_ASSIGN_OR_RETURN(auto h, FieldHistogram::FromTokens(r_));
           histograms.push_back(std::move(h));
         } else if (is_data) {
-          MQP_ASSIGN_OR_RETURN(auto item, r_->MaterializeSubtree());
-          items.push_back(Item(item.release()));
+          // The first item tries to keep the whole run as bytes (the
+          // reader then sits at </data>); a rejected run decodes item by
+          // item.
+          if (items.empty()) run = r_->SkipCanonicalRun();
+          if (run.empty()) {
+            MQP_ASSIGN_OR_RETURN(auto item, r_->MaterializeSubtree());
+            items.push_back(Item(item.release()));
+          }
         } else if (IsExprTag(ctag)) {
           if (wants_expr && expr == nullptr) {
             MQP_ASSIGN_OR_RETURN(
@@ -643,9 +660,13 @@ class StreamDeserializer {
       if (!r_->Advance()) return r_->status();
       t = r_->current();
     }
-    MQP_ASSIGN_OR_RETURN(
-        auto node, BuildByTag(tag, attrs, std::move(expr), std::move(items),
-                              &inputs));
+    PlanNodePtr node;
+    if (!run.empty()) {
+      node = VerbatimLeaf(run);
+    } else {
+      MQP_ASSIGN_OR_RETURN(node, BuildByTag(tag, attrs, std::move(expr),
+                                            std::move(items), &inputs));
+    }
     if (!histograms.empty()) {
       node->annotations().histograms = std::move(histograms);
     }
@@ -767,7 +788,20 @@ class StreamDeserializer {
     return Status::OK();
   }
 
+  // A leaf over `run` (a view into text_), re-pointed at the same bytes
+  // inside the shared buffer.
+  PlanNodePtr VerbatimLeaf(std::string_view run) {
+    if (buffer_ == nullptr) {
+      buffer_ = std::make_shared<const std::string>(text_);
+    }
+    const std::string_view shared = std::string_view(*buffer_).substr(
+        static_cast<size_t>(run.data() - text_.data()), run.size());
+    return PlanNode::VerbatimData(buffer_, shared);
+  }
+
   xml::TokenReader* r_;
+  std::string_view text_;
+  std::shared_ptr<const std::string> buffer_;
   std::unordered_map<std::string, PlanNodePtr> by_id_;
   std::deque<xml::AttrList> attr_pool_;
   std::deque<std::vector<PlanNodePtr>> input_pool_;
@@ -835,7 +869,8 @@ Status ParsePolicyTokens(xml::TokenReader* r, PlanPolicy* p) {
   return Status::OK();
 }
 
-Result<Plan> ParsePlanStreaming(std::string_view text) {
+Result<Plan> ParsePlanStreaming(std::string_view text,
+                                std::shared_ptr<const std::string> buffer) {
   xml::TokenReader r(text);
   MQP_ASSIGN_OR_RETURN(xml::Token t, r.Next());
   if (t.type == xml::TokenType::kEndOfInput) {
@@ -860,7 +895,7 @@ Result<Plan> ParsePlanStreaming(std::string_view text) {
   // lookups; duplicates and unknown elements are skipped.
   bool saw_policy = false, saw_prov = false, saw_orig = false,
        saw_plan = false, plan_has_root = false;
-  StreamDeserializer d(&r);
+  StreamDeserializer d(&r, text, std::move(buffer));
   while (t.type != xml::TokenType::kEndElement) {
     if (t.type == xml::TokenType::kStartElement) {
       if (t.name == "policy" && !saw_policy) {
@@ -1056,7 +1091,13 @@ Result<Plan> ParsePlan(std::string_view text) {
     MQP_ASSIGN_OR_RETURN(auto doc, xml::Parse(text));
     return PlanFromXml(*doc);
   }
-  return ParsePlanStreaming(text);
+  return ParsePlanStreaming(text, nullptr);
+}
+
+Result<Plan> ParsePlan(std::shared_ptr<const std::string> bytes) {
+  if (!g_use_streaming_plan_codec) return ParsePlan(std::string_view(*bytes));
+  const std::string_view text = *bytes;
+  return ParsePlanStreaming(text, std::move(bytes));
 }
 
 size_t PlanWireSize(const Plan& plan) {

@@ -48,9 +48,17 @@ std::string SerializePlan(const Plan& plan, bool indent = false);
 std::unique_ptr<xml::Node> PlanToXml(const Plan& plan);
 
 /// \brief Parses the XML wire form back into a Plan. Runs the streaming
-/// token decoder (zero xml::Nodes built except verbatim <data> items)
-/// unless the ablation knob is off.
+/// token decoder unless the ablation knob is off. It builds no xml::Node:
+/// a <data> element whose item run is canonical (xml::CanonicalRunEnd)
+/// becomes a PlanNode::VerbatimData leaf that builds its items on first
+/// read and re-encodes as the same bytes until mutated; only a rejected
+/// run decodes its items eagerly. Verbatim leaves share one copy of
+/// `text`, made when the first one is found.
 Result<Plan> ParsePlan(std::string_view text);
+
+/// \brief ParsePlan over a shared buffer (the wire path): verbatim leaves
+/// borrow `bytes` itself instead of copying it.
+Result<Plan> ParsePlan(std::shared_ptr<const std::string> bytes);
 
 /// \brief Parses a plan from a DOM node (<mqp> element) — the reference
 /// decoder behind the ablation knob.

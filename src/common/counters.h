@@ -102,7 +102,7 @@
   X(registrations_received) /* register messages received */                  \
   X(results_delivered)      /* finished plans sent to their target */         \
   X(plans_dead_ended)       /* plans with nowhere left to route */            \
-  X(hop_dom_nodes_built)    /* xml::Nodes built over whole mqp hops */
+  X(hop_dom_nodes_built)    /* xml::Nodes built over mqp/result hops */
 
 // The counters net::NetStats carries.
 #define MQP_NET_COUNTERS(X)                                                   \

@@ -10,11 +10,15 @@
 //   xml/        XML DOM (the data-item model) with structural hashing and
 //               epoch-cached sizes/hashes, parser, serializer, XPath-lite,
 //               and the streaming codec: pull TokenReader / emitting
-//               TokenWriter (the wire hot path — no throwaway DOM; see
-//               DESIGN.md §5)
+//               TokenWriter (the wire hot path — no throwaway DOM) plus
+//               the canonical-run recognizer that lets carried items
+//               skip decoding (CanonicalRunEnd; see DESIGN.md §5)
 //   ns/         multi-hierarchic namespaces: categories (interned to dense
 //               PathIds with Euler-tour intervals), interest areas, URNs
 //   algebra/    mutant query plans: operators, expressions, XML wire format
+//               (data leaves decoded from the wire keep their items as
+//               verbatim bytes, built on first read and re-sent
+//               unchanged — DESIGN.md §5)
 //   engine/     the zero-copy query engine (DESIGN.md §6): physical
 //               operators over shared immutable items, compiled
 //               FieldAccessors, StructuralHash set semantics, the keyed

@@ -499,9 +499,13 @@ void Peer::HandleMessage(const net::Message& msg) {
   } else if (env.kind == kCategoryReplyKind) {
     HandleCategoryReply(env);
   } else if (env.kind == kSyncDigestKind) {
-    if (sync_ != nullptr) sync_->HandleDigest(env, msg.from);
+    if (sync_ != nullptr && !sync_->HandleDigest(env, msg.from)) {
+      Count(&PeerCounters::decode_rejects);
+    }
   } else if (env.kind == kSyncDeltaKind) {
-    if (sync_ != nullptr) sync_->HandleDelta(env, msg.from);
+    if (sync_ != nullptr && !sync_->HandleDelta(env, msg.from)) {
+      Count(&PeerCounters::decode_rejects);
+    }
   }
 }
 
@@ -1113,12 +1117,16 @@ void Peer::DeliverToTarget(Plan plan, double deadline, uint32_t attempt) {
 }
 
 void Peer::HandleResult(const wire::Envelope& env) {
+  // A result's items are built here, when the client reads them, so the
+  // result hop is DOM-counted like an mqp hop.
+  const uint64_t nodes_before = xml::DomNodesBuilt();
   auto plan = DecodePlan(env.payload);
   if (!plan.ok()) {
     Count(&PeerCounters::decode_rejects);
     return;
   }
   HandleResultPlan(std::move(plan).value(), env.body().size());
+  counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
 }
 
 void Peer::HandleResultPlan(Plan plan, size_t wire_bytes) {
@@ -1836,30 +1844,23 @@ bool Peer::MaybeStartTopKSession(Plan* plan, uint32_t hops, double deadline,
   std::unordered_set<const PlanNode*> seen;
   std::vector<PlanNodePtr> frontier;
   if (!CollectTopKFrontier(topn->child(0), &seen, &frontier)) return false;
-  // Classify the frontier: constants pre-load the merge; bound-stamped
-  // remote sub-plans become streamed sources; anything else (an
-  // unresolved URN, an unstamped remote branch, a distinct union) means
-  // this peer cannot finish the merge — route the plan normally.
+  // Classify the frontier: constants will pre-load the merge;
+  // bound-stamped remote sub-plans become streamed sources; anything else
+  // (an unresolved URN, an unstamped remote branch, a distinct union)
+  // means this peer cannot finish the merge — route the plan normally.
+  // Constants are read only once the session is sure to start: a walk
+  // that merely passes through leaves its carried data unbuilt.
   const engine::TopKSpec spec{topn->order_field(), topn->ascending(),
                               topn->limit()};
   TopKSession s;
   s.spec = spec;
-  s.heap = std::make_unique<engine::TopKHeap>(spec.k, spec.ascending);
-  engine::FieldAccessor key(spec.field);
   std::vector<uint64_t> cards;
   uint64_t total_card = 0;
   bool all_cards = true;
   for (size_t li = 0; li < frontier.size(); ++li) {
     const PlanNodePtr& node = frontier[li];
     const auto leaf = static_cast<uint32_t>(li);
-    if (node->IsConstant()) {
-      uint64_t idx = 0;
-      for (const auto& item : node->items()) {
-        s.heap->Push(key.Eval(*item).value_or(std::string_view()), leaf,
-                     idx++, item);
-      }
-      continue;
-    }
+    if (node->IsConstant()) continue;
     const auto& topk = std::as_const(*node).annotations().topk;
     if (!topk.has_value() || topk->order_field != spec.field ||
         topk->ascending != spec.ascending || topk->k != spec.k) {
@@ -1899,6 +1900,18 @@ bool Peer::MaybeStartTopKSession(Plan* plan, uint32_t hops, double deadline,
   for (const auto& src : s.sources) {
     auto pid = sim_->Lookup(src.server);
     if (!pid.ok() || sim_->IsFailed(*pid)) return false;
+  }
+  // The (key, leaf, idx) order is total, so preloading after the
+  // classification keeps exactly the rows preloading during it kept.
+  s.heap = std::make_unique<engine::TopKHeap>(spec.k, spec.ascending);
+  engine::FieldAccessor key(spec.field);
+  for (size_t li = 0; li < frontier.size(); ++li) {
+    if (!frontier[li]->IsConstant()) continue;
+    uint64_t idx = 0;
+    for (const auto& item : frontier[li]->items()) {
+      s.heap->Push(key.Eval(*item).value_or(std::string_view()),
+                   static_cast<uint32_t>(li), idx++, item);
+    }
   }
   // Initial windows: each source's expected contribution to the top k —
   // proportional to catalog cardinalities when every source carries one,

@@ -162,10 +162,10 @@ void SyncAgent::SendDeltaRaw(const std::string& target,
               net::MakePayload(framed.ToXml())});
 }
 
-void SyncAgent::HandleDigest(const wire::Envelope& env, net::PeerId from) {
+bool SyncAgent::HandleDigest(const wire::Envelope& env, net::PeerId from) {
   ++counters_.digests_received;
   auto remote = catalog::DigestFromXml(env.body());
-  if (!remote.ok()) return;
+  if (!remote.ok()) return false;
   // The envelope's query-id slot carries the sender's address; fall back
   // to the simulator id for raw messages.
   const std::string sender =
@@ -185,12 +185,13 @@ void SyncAgent::HandleDigest(const wire::Envelope& env, net::PeerId from) {
   } else if (we_lack) {
     SendDigest(sender);
   }
+  return true;
 }
 
-void SyncAgent::HandleDelta(const wire::Envelope& env, net::PeerId from) {
+bool SyncAgent::HandleDelta(const wire::Envelope& env, net::PeerId from) {
   ++counters_.deltas_received;
   auto delta = CatalogDelta::FromXml(env.body());
-  if (!delta.ok()) return;
+  if (!delta.ok()) return false;
   const std::string sender =
       env.query_id.empty() ? sim_->Address(from) : env.query_id;
   AddPeer(sender);
@@ -212,6 +213,7 @@ void SyncAgent::HandleDelta(const wire::Envelope& env, net::PeerId from) {
   if (!delta->sender_vector.empty()) {
     SendDelta(sender, delta->sender_vector);
   }
+  return true;
 }
 
 }  // namespace mqp::sync

@@ -126,8 +126,10 @@ class SyncAgent {
 
   // --- wire handlers (called by the owning peer) --------------------------------
 
-  void HandleDigest(const wire::Envelope& env, net::PeerId from);
-  void HandleDelta(const wire::Envelope& env, net::PeerId from);
+  /// Each returns false when the body does not decode and the message is
+  /// dropped; the peer counts that as a decode reject.
+  bool HandleDigest(const wire::Envelope& env, net::PeerId from);
+  bool HandleDelta(const wire::Envelope& env, net::PeerId from);
 
  private:
   void Tick();

@@ -23,7 +23,7 @@ Result<algebra::Plan> ParsePlanShared(net::Payload bytes,
   if (bytes == nullptr) bytes = net::MakePayload("");
   const uint64_t nodes_before = xml::DomNodesBuilt();
   const auto started = std::chrono::steady_clock::now();
-  MQP_ASSIGN_OR_RETURN(auto plan, algebra::ParsePlan(*bytes));
+  MQP_ASSIGN_OR_RETURN(auto plan, algebra::ParsePlan(bytes));
   const auto elapsed = std::chrono::steady_clock::now() - started;
   plan.AttachWireCache(std::move(bytes));
   if (stats != nullptr) {

@@ -8,9 +8,12 @@
 // arrived in, so forwarding it unchanged reuses that buffer — zero
 // serialization work and zero copies. Decoding goes through the
 // streaming token codec (algebra/plan_xml.h): no intermediate DOM is
-// built, and ParsePlanShared instruments the decode (token_decodes,
-// dom_nodes_built via xml::DomNodesBuilt deltas, plan_decode_ns on the
-// steady clock). Both helpers count into the wire group of the counter
+// built, and carried <data> items stay verbatim views into the shared
+// incoming buffer until read, so a hop re-sends them without decoding
+// or re-encoding them. ParsePlanShared instruments the decode
+// (token_decodes, dom_nodes_built via xml::DomNodesBuilt deltas — only
+// the items of non-canonical runs, which decode eagerly — and
+// plan_decode_ns on the steady clock). Both helpers count into the wire group of the counter
 // table (common/counters.h): pass a NetStats shard directly, or a local
 // PeerReportedCounters that the peer then reports through Peer::Count.
 #pragma once
@@ -36,7 +39,8 @@ SerializedPlan SerializePlanShared(const algebra::Plan& plan,
 
 /// \brief Parses a plan from shared wire bytes and attaches them as the
 /// plan's cached serialization, so forwarding the plan unchanged reuses
-/// the incoming buffer. Counts into `stats` when non-null.
+/// the incoming buffer. Verbatim data leaves borrow the same buffer.
+/// Counts into `stats` when non-null.
 Result<algebra::Plan> ParsePlanShared(net::Payload bytes,
                                       PeerReportedCounters* stats = nullptr);
 

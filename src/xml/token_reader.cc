@@ -1,5 +1,6 @@
 #include "xml/token_reader.h"
 
+#include <algorithm>
 #include <array>
 
 #include "xml/parser.h"
@@ -14,6 +15,10 @@ struct CharTables {
   std::array<bool, 256> name_start{};
   std::array<bool, 256> name_char{};
   std::array<bool, 256> space{};
+  // Bytes canonical text / attribute values never hold raw ('&' only
+  // as the start of an escape).
+  std::array<bool, 256> text_stop{};
+  std::array<bool, 256> attr_stop{};
 
   constexpr CharTables() {
     for (int c = 'a'; c <= 'z'; ++c) name_start[c] = true;
@@ -25,6 +30,9 @@ struct CharTables {
     for (char c : {' ', '\t', '\n', '\r', '\v', '\f'}) {
       space[static_cast<unsigned char>(c)] = true;
     }
+    text_stop['>'] = text_stop['&'] = true;
+    attr_stop = text_stop;
+    attr_stop['<'] = attr_stop['\''] = true;
   }
 };
 
@@ -40,7 +48,124 @@ bool IsNameChar(char c) {
 
 bool IsSpace(char c) { return kChars.space[static_cast<unsigned char>(c)]; }
 
+// Length of the escape TokenWriter would emit at `s`'s start: &amp; &lt;
+// &gt; anywhere, &quot; &apos; only in attribute values. 0 for any other
+// entity — it decodes to a byte the writer emits differently.
+size_t CanonicalEntityLength(std::string_view s, bool in_attr) {
+  for (std::string_view e : {"&amp;", "&lt;", "&gt;"}) {
+    if (s.starts_with(e)) return e.size();
+  }
+  if (in_attr) {
+    for (std::string_view e : {"&quot;", "&apos;"}) {
+      if (s.starts_with(e)) return e.size();
+    }
+  }
+  return 0;
+}
+
 }  // namespace
+
+size_t CanonicalRunEnd(std::string_view in, size_t pos) {
+  constexpr size_t kNo = std::string_view::npos;
+  constexpr size_t kMaxDepth = 64;
+  constexpr size_t kMaxAttrs = 32;
+  const size_t n = in.size();
+  if (pos + 1 >= n || in[pos] != '<' || !IsNameStart(in[pos + 1])) {
+    return kNo;
+  }
+  std::array<std::string_view, kMaxDepth> open;  // names of open elements
+  std::array<std::string_view, kMaxAttrs> keys;  // the current start tag's
+  size_t depth = 0;
+  // Set by a start tag's '>' until its first content: `<a></a>`
+  // re-emits as `<a/>`.
+  bool no_content = false;
+  while (pos < n) {
+    if (in[pos] != '<') {
+      // Character data, only inside an element and never whitespace-only
+      // (the reader drops such runs).
+      if (depth == 0) return kNo;
+      bool significant = false;
+      while (pos < n && in[pos] != '<') {
+        const char c = in[pos];
+        if (!kChars.text_stop[static_cast<unsigned char>(c)]) {
+          significant = significant || !IsSpace(c);
+          ++pos;
+          continue;
+        }
+        const size_t len = c == '&' ? CanonicalEntityLength(in.substr(pos),
+                                                             /*in_attr=*/false)
+                                    : 0;
+        if (len == 0) return kNo;  // raw '>' or a non-canonical entity
+        pos += len;
+        significant = true;
+      }
+      if (!significant) return kNo;
+      no_content = false;
+      continue;
+    }
+    if (pos + 1 < n && in[pos + 1] == '/') {
+      if (depth == 0) return pos;  // the close tag that ends the run
+      if (no_content) return kNo;
+      const std::string_view name = open[--depth];
+      const size_t gt = pos + 2 + name.size();
+      if (gt >= n || in.substr(pos + 2, name.size()) != name ||
+          in[gt] != '>') {
+        return kNo;
+      }
+      pos = gt + 1;
+      continue;
+    }
+    // Start tag: '<' Name (' ' Name '="' value '"')* then '/>' or '>'.
+    // A comment, CDATA section or PI fails the name check.
+    ++pos;
+    if (pos >= n || !IsNameStart(in[pos])) return kNo;
+    const size_t name_begin = pos;
+    while (pos < n && IsNameChar(in[pos])) ++pos;
+    const std::string_view name = in.substr(name_begin, pos - name_begin);
+    if (depth == 0 && name == "histogram") return kNo;
+    no_content = false;
+    size_t num_keys = 0;
+    while (pos < n && in[pos] == ' ') {
+      const size_t key_begin = ++pos;
+      if (pos >= n || !IsNameStart(in[pos])) return kNo;
+      while (pos < n && IsNameChar(in[pos])) ++pos;
+      const std::string_view key = in.substr(key_begin, pos - key_begin);
+      if (num_keys == kMaxAttrs ||
+          std::find(keys.begin(), keys.begin() + num_keys, key) !=
+              keys.begin() + num_keys ||
+          in.substr(pos, 2) != "=\"") {
+        return kNo;
+      }
+      keys[num_keys++] = key;
+      pos += 2;
+      while (pos < n && in[pos] != '"') {
+        const char c = in[pos];
+        if (!kChars.attr_stop[static_cast<unsigned char>(c)]) {
+          ++pos;
+          continue;
+        }
+        const size_t len = c == '&' ? CanonicalEntityLength(in.substr(pos),
+                                                            /*in_attr=*/true)
+                                    : 0;
+        if (len == 0) return kNo;  // raw '<' '>' '\'' or a bad entity
+        pos += len;
+      }
+      if (pos >= n) return kNo;
+      ++pos;  // closing quote
+    }
+    if (in.substr(pos, 2) == "/>") {
+      pos += 2;
+    } else if (pos < n && in[pos] == '>') {
+      if (depth == kMaxDepth) return kNo;
+      open[depth++] = name;
+      no_content = true;
+      ++pos;
+    } else {
+      return kNo;
+    }
+  }
+  return kNo;
+}
 
 void AttrList::Add(std::string_view key, std::string_view value) {
   for (size_t i = 0; i < size_; ++i) {
@@ -376,6 +501,19 @@ Result<std::unique_ptr<Node>> TokenReader::MaterializeSubtree() {
         return Error("unexpected end of input");  // unreachable: scan errors
     }
   }
+}
+
+std::string_view TokenReader::SkipCanonicalRun() {
+  if (current_.type != TokenType::kStartElement || !in_tag_) return {};
+  // Element names are borrowed from the input, right after their '<'.
+  const size_t begin =
+      static_cast<size_t>(current_.name.data() - in_.data()) - 1;
+  const size_t end = CanonicalRunEnd(in_, begin);
+  if (end == std::string_view::npos) return {};
+  stack_.pop_back();  // the run's first element, opened by ScanStartTag
+  in_tag_ = false;
+  pos_ = end;
+  return in_.substr(begin, end - begin);
 }
 
 Status TokenReader::SkipToElementEnd() {

@@ -18,6 +18,7 @@
 // document as Parse(). Errors carry byte offsets in the same format.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -76,6 +77,21 @@ class AttrList {
   size_t size_ = 0;  // live prefix of items_
 };
 
+/// \brief The recognizer behind verbatim `<data>` leaves (DESIGN.md §5).
+/// `in[begin]` opens a run of sibling elements that ends at a close tag.
+/// Returns that close tag's offset when every byte of the run is
+/// *canonical* — exactly what TokenWriter::Write emits for the nodes a
+/// TokenReader decodes from it — and std::string_view::npos otherwise.
+/// Rejected: whitespace inside tags, single quotes, `<a></a>`,
+/// whitespace-only text, entities other than `&amp;` `&lt;` `&gt;` in
+/// text (those plus `&quot;` `&apos;` in attributes), raw `>` in text
+/// and raw `<` `>` `'` in attributes, comments, CDATA and PIs, duplicate
+/// attributes, text between the run's elements, a top-level element
+/// named `histogram` (a plan annotation, not an item), nesting deeper
+/// than 64 elements and more than 32 attributes on one element. A
+/// rejected run still decodes, eagerly.
+size_t CanonicalRunEnd(std::string_view in, size_t begin);
+
 /// \brief The pull tokenizer. Create one per document; call Next() until
 /// kEndOfInput. Errors are sticky: after a failure every subsequent call
 /// returns the same status.
@@ -127,6 +143,15 @@ class TokenReader {
   /// mid-content it finishes the enclosing element. Returns with
   /// current() == the matching kEndElement.
   Status SkipToElementEnd();
+
+  /// Jumps past the canonical run (CanonicalRunEnd) that starts with the
+  /// element current() has just opened and ends at the enclosing
+  /// element's close tag. Returns the run's bytes, a view into the input;
+  /// the next Advance() then yields the enclosing element's kEndElement.
+  /// Returns an empty view and leaves the reader unchanged when the run
+  /// is not canonical. Precondition: current() is a kStartElement whose
+  /// attributes have not been read.
+  std::string_view SkipCanonicalRun();
 
  private:
   bool AtEnd() const { return pos_ >= in_.size(); }

@@ -109,4 +109,9 @@ void TokenWriter::Write(const Node& node) {
   End();
 }
 
+void TokenWriter::Raw(std::string_view markup) {
+  CloseStartTag();
+  Emit(markup);
+}
+
 }  // namespace mqp::xml

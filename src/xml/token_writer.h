@@ -46,6 +46,12 @@ class TokenWriter {
   /// which stay modeled as xml::Node.
   void Write(const Node& node);
 
+  /// Appends complete markup verbatim as content of the open element —
+  /// the bridge for a canonical item run (CanonicalRunEnd), which is
+  /// byte-identical to what Write emits for its items. Counted like any
+  /// other emission, so a counting sink stays exact.
+  void Raw(std::string_view markup);
+
   /// Bytes emitted so far (== the output growth for a string sink).
   size_t size() const { return size_; }
 

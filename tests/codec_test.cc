@@ -1,9 +1,12 @@
 // Streaming XML codec: token reader/writer equivalence with the DOM
 // reference, randomized plan decode/encode equivalence (1000 seeds),
-// wire-size pinning, entity round-trip properties, and byte-offset
-// errors on malformed inputs from both paths.
+// wire-size pinning, entity round-trip properties, byte-offset errors on
+// malformed inputs from both paths, and verbatim data leaves (the
+// canonical-run recognizer, items built on first read, and which plan
+// changes keep the carried bytes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "algebra/plan.h"
@@ -11,6 +14,7 @@
 #include "catalog/versioned.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "net/message.h"
 #include "wire/body_codec.h"
 #include "xml/node.h"
 #include "xml/parser.h"
@@ -428,7 +432,9 @@ TEST(PlanCodecEquivalenceTest, StreamingDecodeBuildsZeroDomNodesWithoutItems) {
 TEST(PlanCodecEquivalenceTest, StreamingDecodeMaterializesOnlyDataItems) {
   ScopedCodecMode streaming(true);
   // One data leaf with two items, each a single element with one text
-  // child (price) — count exactly those nodes and nothing else.
+  // child (price) — count exactly those nodes and nothing else. The
+  // decode keeps the canonical items as bytes; the first read builds
+  // them, once.
   ItemSet items;
   for (int i = 0; i < 2; ++i) {
     auto n = xml::Node::Element("item");
@@ -440,11 +446,18 @@ TEST(PlanCodecEquivalenceTest, StreamingDecodeMaterializesOnlyDataItems) {
       PlanNode::Select(algebra::FieldLess("price", "100"),
                        PlanNode::XmlData(std::move(items)))));
   const std::string bytes = algebra::SerializePlan(plan);
-  const uint64_t before = xml::DomNodesBuilt();
+  uint64_t before = xml::DomNodesBuilt();
   auto parsed = algebra::ParsePlan(bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(xml::DomNodesBuilt() - before, 0u);
+  const PlanNode& leaf = *parsed->root()->child(0)->child(0);
+  before = xml::DomNodesBuilt();
+  EXPECT_EQ(leaf.items().size(), 2u);
   // Per item: <item>, <price>, text("10") = 3 nodes; 2 items = 6.
   EXPECT_EQ(xml::DomNodesBuilt() - before, 6u);
+  before = xml::DomNodesBuilt();
+  EXPECT_EQ(leaf.items().size(), 2u);
+  EXPECT_EQ(xml::DomNodesBuilt() - before, 0u);
 }
 
 // S3 (malformed half): lexically broken inputs error on both paths, with
@@ -503,6 +516,319 @@ TEST(PlanCodecEquivalenceTest, MalformedInputsErrorOnBothPathsWithOffsets) {
           << c.name << ": " << dom_status.ToString();
     }
   }
+}
+
+// --- verbatim data leaves ---------------------------------------------------------
+
+// Every distinct data leaf of the plan's operator DAGs (root and
+// original).
+std::vector<PlanNode*> DataLeaves(const Plan& plan) {
+  std::vector<PlanNode*> seen, out;
+  std::vector<PlanNode*> stack;
+  for (const auto& r : {plan.root(), plan.original()}) {
+    if (r != nullptr) stack.push_back(r.get());
+  }
+  while (!stack.empty()) {
+    PlanNode* n = stack.back();
+    stack.pop_back();
+    if (std::find(seen.begin(), seen.end(), n) != seen.end()) continue;
+    seen.push_back(n);
+    if (n->type() == algebra::OpType::kXmlData) out.push_back(n);
+    for (const auto& c : n->children()) stack.push_back(c.get());
+  }
+  return out;
+}
+
+std::string ItemRun(const ItemSet& items) {
+  std::string out;
+  xml::TokenWriter w(&out);
+  for (const Item& i : items) w.Write(*i);
+  return out;
+}
+
+// The items the eager path decodes from a run (every element child of a
+// <data> element, materialized), written back out.
+std::string EagerRewrite(std::string_view run) {
+  const std::string doc = "<data>" + std::string(run) + "</data>";
+  xml::TokenReader r(doc);
+  EXPECT_TRUE(r.Advance());
+  xml::AttrList attrs;
+  auto t = r.ReadAttrs(&attrs);
+  ItemSet items;
+  while (t.ok() && t->type != xml::TokenType::kEndElement) {
+    if (t->type == xml::TokenType::kStartElement) {
+      auto item = r.MaterializeSubtree();
+      if (!item.ok()) break;
+      items.push_back(Item(std::move(item).value().release()));
+    }
+    t = r.Next();
+  }
+  return ItemRun(items);
+}
+
+// A plan document whose only data leaf holds `run`; canonical whenever
+// `run` is.
+std::string PlanDocWithData(std::string_view run) {
+  return "<mqp query-id=\"q\"><plan><display target=\"10.0.0.1:9020\">"
+         "<data>" +
+         std::string(run) + "</data></display></plan></mqp>";
+}
+
+// What the plan decoder reported for a malformed document before data
+// leaves went verbatim: its first tokenizer error, which a bare token
+// walk over the document reproduces.
+Status TokenWalkStatus(std::string_view doc) {
+  xml::TokenReader r(doc);
+  while (r.Advance() && r.current().type != xml::TokenType::kEndOfInput) {
+  }
+  return r.status();
+}
+
+// One well-formed, non-canonical variant of `run` per recognizer rule.
+// `run` starts with a RandomItem: `<item id="N"><price>P</price>...`.
+std::vector<std::pair<std::string, std::string>> NonCanonicalVariants(
+    const std::string& run) {
+  const size_t tag_end = run.find('>');     // end of the first start tag
+  const size_t id_value = run.find("id=\"") + 4;
+  const size_t price_text = run.find("<price>") + 7;
+  auto insert = [&](size_t at, std::string_view what) {
+    std::string out = run;
+    out.insert(at, what);
+    return out;
+  };
+  std::string single_quoted = run;
+  single_quoted[id_value - 1] = '\'';
+  single_quoted[run.find('"', id_value)] = '\'';
+  return {
+      {"space-before-gt", insert(tag_end, " ")},
+      {"double-space", insert(id_value - 5, " ")},
+      {"space-around-eq", insert(id_value - 2, " ")},
+      {"single-quotes", single_quoted},
+      {"empty-pair", insert(tag_end + 1, "<e></e>")},
+      {"whitespace-text", insert(tag_end + 1, " \n")},
+      {"text-char-ref", insert(price_text, "&#65;")},
+      {"text-quot", insert(price_text, "&quot;")},
+      {"text-apos", insert(price_text, "&apos;")},
+      {"attr-char-ref", insert(id_value, "&#65;")},
+      {"raw-gt-text", insert(price_text, ">")},
+      {"raw-lt-attr", insert(id_value, "<")},
+      {"raw-gt-attr", insert(id_value, ">")},
+      {"raw-apos-attr", insert(id_value, "'")},
+      {"comment", insert(tag_end + 1, "<!--c-->")},
+      {"cdata", insert(price_text, "<![CDATA[x]]>")},
+      {"pi", insert(tag_end + 1, "<?pi x?>")},
+      {"duplicate-attr", insert(tag_end, " id=\"7\"")},
+      {"top-level-histogram",
+       run + "<histogram field=\"p\" min=\"1\" max=\"2\" total=\"1\">"
+             "<b c=\"1\"/></histogram>"},
+      {"top-level-text", run + "x"},
+  };
+}
+
+// The recognizer accepts exactly TokenWriter's compact form. Over 1000
+// seeds: RandomItem runs (plus nested <data> elements) are accepted and
+// equal the eager decode's re-encoding; one variant per rejection rule
+// is rejected and still decodes to the DOM path's plan, re-encoded
+// canonically; truncated and malformed runs fail with the eager path's
+// status and offset.
+TEST(VerbatimDataTest, RecognizerSweep) {
+  ScopedCodecMode streaming(true);
+  for (uint64_t seed = 0; seed < 1000; ++seed) {
+    Rng rng(seed + 77000);
+    ItemSet items;
+    const size_t n = 1 + rng.NextBelow(4);
+    for (size_t i = 0; i < n; ++i) items.push_back(RandomItem(&rng));
+    const std::string run = ItemRun(items);
+    const size_t tag_end = run.find('>');
+    std::vector<std::string> accepted = {
+        run,
+        run + "<data><n>1</n></data>",
+        run.substr(0, tag_end + 1) + "<data><n>&lt;</n></data>" +
+            run.substr(tag_end + 1),
+    };
+    for (const std::string& r : accepted) {
+      ASSERT_EQ(xml::CanonicalRunEnd(r + "</data>", 0), r.size())
+          << "seed " << seed << "\n" << r;
+      EXPECT_EQ(EagerRewrite(r), r) << "seed " << seed;
+      const std::string doc = PlanDocWithData(r);
+      auto lazy = algebra::ParsePlan(doc);
+      ASSERT_TRUE(lazy.ok()) << "seed " << seed << ": " << lazy.status();
+      const std::vector<PlanNode*> leaves = DataLeaves(*lazy);
+      ASSERT_EQ(leaves.size(), 1u);
+      EXPECT_EQ(leaves[0]->verbatim_items(), r) << "seed " << seed;
+      EXPECT_EQ(algebra::SerializePlan(*lazy), doc) << "seed " << seed;
+      EXPECT_EQ(algebra::PlanWireSize(*lazy), doc.size()) << "seed " << seed;
+      auto eager = algebra::PlanFromXml(**xml::Parse(doc));
+      ASSERT_TRUE(eager.ok()) << "seed " << seed;
+      EXPECT_TRUE(lazy->root()->Equals(*eager->root())) << "seed " << seed;
+    }
+    for (const auto& [rule, variant] : NonCanonicalVariants(run)) {
+      EXPECT_EQ(xml::CanonicalRunEnd(variant + "</data>", 0),
+                std::string_view::npos)
+          << "seed " << seed << " " << rule << "\n" << variant;
+      const std::string doc = PlanDocWithData(variant);
+      auto lazy = algebra::ParsePlan(doc);
+      ASSERT_TRUE(lazy.ok()) << "seed " << seed << " " << rule << ": "
+                             << lazy.status();
+      EXPECT_TRUE(DataLeaves(*lazy)[0]->verbatim_items().empty()) << rule;
+      auto eager = algebra::PlanFromXml(**xml::Parse(doc));
+      ASSERT_TRUE(eager.ok()) << "seed " << seed << " " << rule;
+      EXPECT_TRUE(lazy->root()->Equals(*eager->root()))
+          << "seed " << seed << " " << rule;
+      EXPECT_EQ(algebra::SerializePlan(*lazy), algebra::SerializePlan(*eager))
+          << "seed " << seed << " " << rule;
+    }
+    const std::string doc = PlanDocWithData(run);
+    const size_t data_begin = doc.find("<data>") + 6;
+    const size_t first_item = ItemRun({items[0]}).size();
+    std::vector<std::string> malformed = {
+        // Truncated inside the run, and a run cut inside its first item.
+        doc.substr(0, data_begin + 1 + rng.NextBelow(run.size() - 1)),
+        PlanDocWithData(run.substr(0, 1 + rng.NextBelow(first_item - 1))),
+        // A malformed byte inside the first item.
+        PlanDocWithData(run.substr(0, tag_end + 1) + "<>" +
+                        run.substr(tag_end + 1)),
+        PlanDocWithData(run.substr(0, run.find("<price>") + 7) + "&bogus;" +
+                        run.substr(run.find("<price>") + 7)),
+    };
+    for (const std::string& bad : malformed) {
+      const Status expected = TokenWalkStatus(bad);
+      ASSERT_FALSE(expected.ok()) << "seed " << seed << "\n" << bad;
+      const Status got = algebra::ParsePlan(bad).status();
+      EXPECT_EQ(got.ToString(), expected.ToString())
+          << "seed " << seed << "\n" << bad;
+    }
+  }
+  // Past the scan's fixed limits (64 open elements, 32 attributes on one
+  // element) canonical runs decode eagerly, to the same plan.
+  std::string deep, wide = "<w";
+  for (int i = 0; i < 65; ++i) deep += "<d>";
+  deep += "x";
+  for (int i = 0; i < 65; ++i) deep += "</d>";
+  for (int i = 0; i < 33; ++i) wide += " a" + std::to_string(i) + "=\"1\"";
+  wide += "/>";
+  for (const std::string& r : {deep, wide}) {
+    EXPECT_EQ(xml::CanonicalRunEnd(r + "</data>", 0), std::string_view::npos);
+    const std::string doc = PlanDocWithData(r);
+    auto lazy = algebra::ParsePlan(doc);
+    ASSERT_TRUE(lazy.ok()) << lazy.status();
+    EXPECT_TRUE(DataLeaves(*lazy)[0]->verbatim_items().empty());
+    EXPECT_EQ(algebra::SerializePlan(*lazy), doc);
+  }
+}
+
+// Fixed malformed items fail with the exact status text and offset the
+// eager decoder reported.
+TEST(VerbatimDataTest, MalformedItemsKeepTheEagerErrors) {
+  ScopedCodecMode streaming(true);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"<mqp><plan><data><i>&bogus;</i></data></plan></mqp>",
+       "ParseError: unknown entity &bogus; (at byte 27)"},
+      {"<mqp><plan><data><i a=\"1\"><j></i></data></plan></mqp>",
+       "ParseError: mismatched close tag </i> for <j> (at byte 32)"},
+      {"<mqp><plan><data><i/></dat></plan></mqp>",
+       "ParseError: mismatched close tag </dat> for <data> (at byte 26)"},
+      {"<mqp><plan><data><i>x</i><", "ParseError: expected name (at byte 26)"},
+  };
+  for (const auto& [doc, status] : cases) {
+    EXPECT_EQ(algebra::ParsePlan(doc).status().ToString(), status) << doc;
+  }
+}
+
+// RandomizedPlansAcrossBothPaths with every data leaf's items forced
+// through mutable_items() after decoding: the items built from the
+// verbatim bytes re-encode byte for byte, not just the forwarded bytes.
+TEST(VerbatimDataTest, RandomizedPlansWithItemsForced) {
+  for (uint64_t seed = 0; seed < 1000; ++seed) {
+    const Plan plan = RandomPlan(seed);
+    std::string bytes, dom_reserialized;
+    {
+      ScopedCodecMode dom(false);
+      bytes = algebra::SerializePlan(plan);
+      auto parsed = algebra::ParsePlan(bytes);
+      ASSERT_TRUE(parsed.ok()) << "seed " << seed;
+      dom_reserialized = algebra::SerializePlan(*parsed);
+    }
+    ScopedCodecMode streaming(true);
+    auto parsed = algebra::ParsePlan(net::MakePayload(bytes));
+    ASSERT_TRUE(parsed.ok()) << "seed " << seed << ": " << parsed.status();
+    for (PlanNode* leaf : DataLeaves(*parsed)) {
+      leaf->mutable_items();
+      EXPECT_TRUE(leaf->verbatim_items().empty()) << "seed " << seed;
+    }
+    EXPECT_EQ(algebra::SerializePlan(*parsed), bytes) << "seed " << seed;
+    EXPECT_EQ(algebra::SerializePlan(*parsed), dom_reserialized)
+        << "seed " << seed;
+    EXPECT_EQ(algebra::PlanWireSize(*parsed), bytes.size()) << "seed " << seed;
+  }
+}
+
+// Which changes keep a leaf's verbatim bytes and which re-encode it from
+// DOM, and where the bytes live.
+TEST(VerbatimDataTest, MutationsKeepOrDropTheBytes) {
+  ScopedCodecMode streaming(true);
+  Rng rng(5);
+  ItemSet items;
+  for (int i = 0; i < 3; ++i) items.push_back(RandomItem(&rng));
+  const std::string run = ItemRun(items);
+  const net::Payload bytes = net::MakePayload(PlanDocWithData(run));
+  auto decode = [&]() {
+    auto p = algebra::ParsePlan(bytes);
+    EXPECT_TRUE(p.ok()) << p.status();
+    return std::move(p).value();
+  };
+  auto leaf_of = [](const Plan& p) { return p.root()->child(0); };
+
+  // The shared-buffer overload borrows the payload; the string_view one
+  // copies the input once.
+  Plan plan = decode();
+  const std::string_view span = leaf_of(plan)->verbatim_items();
+  EXPECT_EQ(span, run);
+  EXPECT_GE(span.data(), bytes->data());
+  EXPECT_LE(span.data() + span.size(), bytes->data() + bytes->size());
+  auto copied = algebra::ParsePlan(std::string_view(*bytes));
+  ASSERT_TRUE(copied.ok());
+  EXPECT_EQ(leaf_of(*copied)->verbatim_items(), run);
+  EXPECT_NE(leaf_of(*copied)->verbatim_items().data(), span.data());
+
+  // Clone shares the buffer; the copy builds its own items.
+  const PlanNodePtr clone = leaf_of(plan)->Clone();
+  EXPECT_EQ(clone->verbatim_items().data(), span.data());
+  EXPECT_TRUE(clone->Equals(*PlanNode::XmlData(items)));
+
+  // An annotation change keeps the bytes: nothing is built to re-encode.
+  const uint64_t before = xml::DomNodesBuilt();
+  leaf_of(plan)->annotations().cardinality = 3;
+  const std::string annotated = algebra::SerializePlan(plan);
+  EXPECT_EQ(xml::DomNodesBuilt(), before);
+  EXPECT_EQ(leaf_of(plan)->verbatim_items().data(), span.data());
+  EXPECT_NE(annotated.find("<data card=\"3\">" + run + "</data>"),
+            std::string::npos);
+
+  // mutable_items() builds, drops the bytes, and re-encodes from DOM.
+  Plan edited = decode();
+  ItemSet& mutable_items = leaf_of(edited)->mutable_items();
+  EXPECT_TRUE(leaf_of(edited)->verbatim_items().empty());
+  mutable_items.pop_back();
+  items.pop_back();
+  EXPECT_EQ(algebra::SerializePlan(edited),
+            PlanDocWithData(ItemRun(items)));
+
+  // MorphToData replaces the bytes with the new items.
+  Plan morphed = decode();
+  leaf_of(morphed)->MorphToData(items);
+  EXPECT_TRUE(leaf_of(morphed)->verbatim_items().empty());
+  EXPECT_NE(algebra::SerializePlan(morphed).find(
+                "<data card=\"2\">" + ItemRun(items) + "</data>"),
+            std::string::npos);
+
+  // MorphTo copies another verbatim leaf's items, not its bytes.
+  Plan target = decode();
+  const Plan source = decode();
+  leaf_of(target)->MorphTo(*leaf_of(source));
+  EXPECT_TRUE(leaf_of(target)->verbatim_items().empty());
+  EXPECT_EQ(leaf_of(source)->verbatim_items(), run);
+  EXPECT_EQ(algebra::SerializePlan(target), *bytes);
 }
 
 // The streaming body decoders keep the DOM path's exactly-one-root

@@ -126,6 +126,10 @@ TEST(CounterTable, EachMalformedMessageIsOneDecodeReject) {
   so.roles.category = true;
   Peer server(&sim, so);
   server.ServeHierarchies(&hierarchy);
+  // Gossip on, so sync digests and deltas reach their decoders.
+  sync::SyncOptions gossip;
+  gossip.horizon_seconds = 1;
+  server.EnableSync(gossip);
   PeerOptions co;
   co.name = "client";
   Peer client(&sim, co);
@@ -139,9 +143,10 @@ TEST(CounterTable, EachMalformedMessageIsOneDecodeReject) {
   net::Message bad_header(client.id(), server.id(), wire::kMqpKind, garbage);
   bad_header.header = "not-a-header\n";
   sim.Send(std::move(bad_header));
-  for (const char* kind : {wire::kMqpKind, wire::kResultKind,
-                           wire::kRegisterKind, wire::kCategoryQueryKind,
-                           wire::kFetchKind}) {
+  for (const char* kind :
+       {wire::kMqpKind, wire::kResultKind, wire::kRegisterKind,
+        wire::kCategoryQueryKind, wire::kFetchKind, wire::kSyncDigestKind,
+        wire::kSyncDeltaKind}) {
     wire::Send(&sim, client.id(), server.id(),
                {kind, "client-x", 0, net::MakePayload(garbage)});
   }
@@ -150,9 +155,9 @@ TEST(CounterTable, EachMalformedMessageIsOneDecodeReject) {
               net::MakePayload("<cat-reply><cat>Furniture/Chairs")});
   sim.Run();
 
-  EXPECT_EQ(server.counters().decode_rejects, 6u);
+  EXPECT_EQ(server.counters().decode_rejects, 8u);
   EXPECT_EQ(client.counters().decode_rejects, 1u);
-  EXPECT_EQ(sim.stats().decode_rejects, 7u);
+  EXPECT_EQ(sim.stats().decode_rejects, 9u);
   EXPECT_EQ(sim.stats().reply_decode_failures, 0u);
 }
 

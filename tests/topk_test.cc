@@ -459,6 +459,40 @@ TEST(DistributedTopK, SubqueryPlanDecodesAreCounted) {
                                subqueries);
 }
 
+// A top-k walk hop that cannot start a merge session — its frontier
+// still holds an unresolved URN beside the data carried from earlier
+// hops — forwards the plan without reading that data: no field accessor
+// runs and no xml::Node is built.
+TEST(DistributedTopK, HopWithoutSessionLeavesCarriedDataUnread) {
+  const ScopedTopK knob(true);
+  net::Simulator sim;
+  PeerOptions ro;
+  ro.name = "relay";
+  Peer relay(&sim, ro);
+  PeerOptions no;
+  no.name = "next";
+  Peer next(&sim, no);
+  ItemSet carried;
+  for (int i = 0; i < 6; ++i) {
+    carried.push_back(PricedItem(std::to_string(40 - 3 * i)));
+  }
+  algebra::Plan plan(PlanNode::Display(
+      next.address(),
+      PlanNode::TopN(3, "price", true,
+                     PlanNode::Union({PlanNode::XmlData(std::move(carried)),
+                                      PlanNode::UrnRef("urn:ForSale:elsewhere",
+                                                       next.address())}))));
+  plan.set_query_id("walk-q");
+  wire::Send(&sim, next.id(), relay.id(),
+             {wire::kMqpKind, "walk-q", 0,
+              net::MakePayload(algebra::SerializePlan(plan))});
+  sim.Run();
+  EXPECT_EQ(relay.counters().plans_received, 1u);
+  EXPECT_EQ(relay.counters().plans_forwarded, 1u);
+  EXPECT_EQ(relay.counters().field_accessor_hits, 0u);
+  EXPECT_EQ(relay.counters().hop_dom_nodes_built, 0u);
+}
+
 // Simulator and threaded runtime return the same ranking with the
 // protocol on — arrival order of concurrent batches must not leak into
 // the result (the shared (key, leaf, idx) order is arrival-free).

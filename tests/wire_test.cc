@@ -2,6 +2,11 @@
 // cache, and the no-reserialize guarantee for pure routing hops.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+#include <vector>
+
+#include "algebra/plan_xml.h"
 #include "net/simulator.h"
 #include "peer/peer.h"
 #include "wire/envelope.h"
@@ -265,9 +270,11 @@ TEST(WireRoutingTest, ForwardedUnchangedPlanIsNotReserialized) {
   EXPECT_EQ(authority.counters().items_cloned, 0u);
   EXPECT_GT(authority.counters().subplans_evaluated, 0u);
   EXPECT_GT(authority.counters().engine_eval_ns, 0u);
-  // The returning result's items are materialized into real nodes at
-  // decode time somewhere — network-wide, not on any routing hop.
-  EXPECT_GT(sim.stats().dom_nodes_built, 0u);
+  // No decode anywhere builds a node: the returning result's items cross
+  // the wire as verbatim bytes and become real nodes only when the client
+  // reads them.
+  EXPECT_EQ(sim.stats().dom_nodes_built, 0u);
+  EXPECT_GT(client.counters().hop_dom_nodes_built, 0u);
   EXPECT_EQ(sim.stats().token_decodes, sim.stats().plan_parses);
   EXPECT_GT(sim.stats().plan_decode_ns, 0u);
 
@@ -279,6 +286,62 @@ TEST(WireRoutingTest, ForwardedUnchangedPlanIsNotReserialized) {
   EXPECT_LT(sim.stats().plan_serializations, plan_messages);
   EXPECT_EQ(sim.stats().forwards_without_reserialize, 1u);
   EXPECT_EQ(sim.stats().plan_parses, 3u);
+}
+
+// A state-area walk: each seller evaluates its own collection and
+// forwards the plan, which carries every earlier seller's result (the
+// last seller evaluates the whole union and delivers it). A forwarding
+// hop carrying two or more earlier results builds no xml::Node, and its
+// outgoing plan holds the incoming item bytes verbatim.
+TEST(WireRoutingTest, StateWalkForwardsCarriedItemsVerbatim) {
+  net::Simulator sim;
+  workload::GarageSaleNetworkParams params;
+  params.num_sellers = 24;
+  params.items_per_seller = 5;
+  auto net = workload::BuildGarageSaleNetwork(&sim, params);
+  std::vector<net::Message> sent;
+  sim.set_on_send([&](const net::Message& m) {
+    if (m.kind == wire::kMqpKind) sent.push_back(m);
+  });
+  for (const char* state : {"USA/OR", "USA/WA", "USA/CA", "France"}) {
+    bool complete = false;
+    net.client->SubmitQuery(
+        workload::MakeAreaQueryPlan(ns::MakeArea({state, "*"})),
+        [&](const peer::QueryOutcome& o) { complete = o.complete; });
+    sim.Run();
+    EXPECT_TRUE(complete) << state;
+  }
+  size_t checked = 0;
+  for (size_t i = 0; i < sent.size(); ++i) {
+    const auto seller =
+        std::find_if(net.sellers.begin(), net.sellers.end(),
+                     [&](peer::Peer* p) { return p->id() == sent[i].to; });
+    if (seller == net.sellers.end()) continue;
+    auto env = wire::DecodeEnvelope(sent[i]);
+    ASSERT_TRUE(env.ok());
+    auto in = algebra::ParsePlan(env->payload);
+    ASSERT_TRUE(in.ok()) << in.status();
+    std::vector<std::string_view> carried;
+    std::vector<const PlanNode*> stack = {in->root().get()};
+    while (!stack.empty()) {
+      const PlanNode* n = stack.back();
+      stack.pop_back();
+      if (!n->verbatim_items().empty()) carried.push_back(n->verbatim_items());
+      for (const auto& c : n->children()) stack.push_back(c.get());
+    }
+    if (carried.size() < 2) continue;
+    // The seller's own next plan message is its forward of this hop.
+    const auto out = std::find_if(
+        sent.begin() + static_cast<std::ptrdiff_t>(i) + 1, sent.end(),
+        [&](const net::Message& m) { return m.from == sent[i].to; });
+    if (out == sent.end()) continue;  // the walk's last seller
+    for (std::string_view run : carried) {
+      EXPECT_NE(out->payload->find(run), std::string::npos);
+    }
+    EXPECT_EQ((*seller)->counters().hop_dom_nodes_built, 0u);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace
