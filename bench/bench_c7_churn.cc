@@ -10,120 +10,26 @@
 //     every peer re-pushing its full catalog state every round,
 //   * availability: query success rate while the network churns,
 //   * determinism: two runs with the same seed must be bit-identical.
-#include "net/simulator.h"
+// The scenario and its shape check live in workload/churn.h, shared with
+// PaperClaims.C7GossipConvergesUnderChurn; the bench exits non-zero when
+// the shape fails.
 #include "bench_util.h"
 
 using namespace mqp;
 
-namespace {
-
-struct ChurnRun {
-  workload::ChurnStats stats;
-  size_t peers_at_start = 0;
-  int convergence_rounds = -1;  // -1: never converged
-  uint64_t gossip_messages = 0;
-  uint64_t gossip_bytes = 0;
-  uint64_t naive_bytes = 0;  // full re-push every round, same schedule
-  uint64_t total_messages = 0;
-  uint64_t total_bytes = 0;
-  uint64_t queries_shed = 0;
-  uint64_t mailbox_soft_overflows = 0;
-  std::string fingerprint;
-};
-
-ChurnRun RunOnce(uint64_t seed, size_t sellers, bool reliable) {
-  net::Simulator sim;
-  workload::GarageSaleNetworkParams params;
-  params.num_sellers = sellers;
-  params.items_per_seller = 4;
-  params.seed = seed;
-  auto net = workload::BuildGarageSaleNetwork(&sim, params);
-
-  workload::ChurnParams churn;
-  churn.reliable_queries = reliable;
-  churn.seed = seed;
-  churn.duration_seconds = 240;
-  churn.event_interval_seconds = 8;
-  churn.downtime_seconds = 30;
-  churn.query_interval_seconds = 12;
-  churn.convergence_tail_seconds = 120;
-  churn.sync.gossip_interval_seconds = 5;
-  churn.sync.refresh_interval_seconds = 15;
-  churn.sync.entry_ttl_seconds = 60;
-  // One state's worth of sellers per query: the MQP visits each bound
-  // seller sequentially, so a network-wide query would be killed by any
-  // single mid-flight crash and measure nothing but plan width.
-  churn.query_area = *ns::InterestArea::Parse("(USA.OR,*)");
-  workload::ChurnScenario scenario(&sim, &net, churn);
-  scenario.EnableSyncEverywhere();
-
-  ChurnRun run;
-  run.peers_at_start = sim.size();
-
-  // The naive baseline measured on the same schedule: every gossip round,
-  // each live synced peer would re-push its *entire* record set to one
-  // partner (registration-style maintenance, no version vectors). The
-  // probe serializes that state without sending anything.
-  const double step = churn.sync.gossip_interval_seconds;
-  for (double t = step; t <= scenario.horizon(); t += step) {
-    sim.Schedule(t, [&scenario, &run]() {
-      for (peer::Peer* p : scenario.LiveSyncedPeers()) {
-        run.naive_bytes +=
-            p->sync()->versioned().DeltaSince({}).ToXml().size();
-      }
-    });
-  }
-
-  scenario.Prepare();
-  sim.Run(scenario.churn_end());
-  // Step gossip-round-sized slices of the quiet tail until every live
-  // catalog reports the same version vector.
-  const int max_rounds =
-      static_cast<int>(churn.convergence_tail_seconds / step);
-  for (int r = 0; r <= max_rounds; ++r) {
-    if (scenario.VectorsConverged()) {
-      run.convergence_rounds = r;
-      break;
-    }
-    sim.Run(scenario.churn_end() + (r + 1) * step);
-  }
-  sim.Run();  // drain the rest of the tail
-  if (run.convergence_rounds < 0 && scenario.VectorsConverged()) {
-    run.convergence_rounds = max_rounds;
-  }
-
-  run.stats = scenario.stats();
-  run.fingerprint = scenario.VectorFingerprint();
-  const auto& st = sim.stats();
-  auto by_kind = [&](const char* kind) -> uint64_t {
-    auto it = st.bytes_by_kind.find(kind);
-    return it == st.bytes_by_kind.end() ? 0 : it->second;
-  };
-  auto msgs_by_kind = [&](const char* kind) -> uint64_t {
-    auto it = st.messages_by_kind.find(kind);
-    return it == st.messages_by_kind.end() ? 0 : it->second;
-  };
-  run.gossip_bytes =
-      by_kind(wire::kSyncDigestKind) + by_kind(wire::kSyncDeltaKind);
-  run.gossip_messages =
-      msgs_by_kind(wire::kSyncDigestKind) + msgs_by_kind(wire::kSyncDeltaKind);
-  run.total_messages = st.messages;
-  run.total_bytes = st.bytes;
-  run.queries_shed = st.queries_shed;
-  run.mailbox_soft_overflows = st.mailbox_soft_overflows;
-  return run;
-}
-
-}  // namespace
-
 int main() {
   bench::Header("C7", "catalog convergence and query availability under "
                       "churn (gossip/anti-entropy vs full re-registration)");
-  for (size_t sellers : {12, 24, 48}) {
-    const uint64_t seed = 7000 + sellers;
-    ChurnRun a = RunOnce(seed, sellers, /*reliable=*/false);
-    ChurnRun b = RunOnce(seed, sellers, /*reliable=*/false);
-    ChurnRun rel = RunOnce(seed, sellers, /*reliable=*/true);
+  std::vector<std::string> failed;
+  for (const auto& size : workload::kChurnConvergenceSizes) {
+    const size_t sellers = size.sellers;
+    const auto a = workload::RunChurnConvergence(size.seed, sellers, false);
+    const auto b = workload::RunChurnConvergence(size.seed, sellers, false);
+    const auto rel = workload::RunChurnConvergence(size.seed, sellers, true);
+    for (const std::string& f :
+         workload::ChurnConvergenceShape(a, b, rel, size.max_rounds)) {
+      failed.push_back(std::to_string(sellers) + " sellers: " + f);
+    }
     const bool identical = a.fingerprint == b.fingerprint &&
                            !a.fingerprint.empty() &&
                            a.total_messages == b.total_messages &&
@@ -135,7 +41,7 @@ int main() {
                "depart=%zu join=%zu (%.0f%% of peers failed/departed)",
                sellers, a.peers_at_start, a.stats.fails, a.stats.recovers,
                a.stats.departs, a.stats.joins, 100 * fail_frac);
-    auto success = [](const ChurnRun& r) {
+    auto success = [](const workload::ChurnConvergence& r) {
       return r.stats.queries_submitted == 0
                  ? 0.0
                  : 100.0 * static_cast<double>(r.stats.queries_complete) /
@@ -176,5 +82,8 @@ int main() {
              "ships far fewer\nbytes than naive full re-registration "
              "(digests are vector-sized; deltas carry\nonly missing "
              "records); runs are bit-identical per seed.");
-  return 0;
+  for (const std::string& f : failed) {
+    bench::Row("SHAPE CHECK FAILED: %s", f.c_str());
+  }
+  return failed.empty() ? 0 : 1;
 }

@@ -1,92 +1,13 @@
 #include "catalog/versioned.h"
 
 #include <algorithm>
+#include <climits>
 
 #include "common/strings.h"
 #include "xml/token_reader.h"
 #include "xml/token_writer.h"
 
 namespace mqp::catalog {
-
-bool Dominates(const VersionVector& a, const VersionVector& b) {
-  for (const auto& [origin, seq] : b) {
-    auto it = a.find(origin);
-    if (it == a.end() || it->second < seq) return false;
-  }
-  return true;
-}
-
-namespace {
-
-// Shared "<v o='addr' s='7'/>" codec for digests and the delta piggyback,
-// emitted and consumed as tokens — gossip bodies never build a DOM.
-void EmitVectorElements(xml::TokenWriter* w, const VersionVector& vector) {
-  for (const auto& [origin, seq] : vector) {
-    w->Start("v");
-    w->Attr("o", origin);
-    w->Attr("s", std::to_string(seq));
-    w->End();
-  }
-}
-
-// Parses one <v .../> whose start token is current; `first` is the token
-// ReadAttrs stopped on.
-Status ParseVectorElement(xml::TokenReader* r, const xml::AttrList& attrs,
-                          const xml::Token& first, VersionVector* vector) {
-  const std::string origin = attrs.Get("o");
-  int64_t seq = 0;
-  if (origin.empty() || !mqp::ParseInt64(attrs.Get("s"), &seq) || seq < 0) {
-    return Status::ParseError("malformed version-vector element");
-  }
-  (*vector)[origin] = static_cast<uint64_t>(seq);
-  if (first.type != xml::TokenType::kEndElement) {
-    return r->SkipToElementEnd();
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-std::string DigestToXml(const VersionVector& vector) {
-  std::string out;
-  xml::TokenWriter w(&out);
-  w.Start("digest");
-  EmitVectorElements(&w, vector);
-  w.End();
-  return out;
-}
-
-Result<VersionVector> DigestFromXml(const std::string& text) {
-  xml::TokenReader r(text);
-  MQP_ASSIGN_OR_RETURN(xml::Token t, r.Next());
-  if (t.type != xml::TokenType::kStartElement) {
-    return r.Error("expected a root element");
-  }
-  if (t.name != "digest") {
-    return Status::ParseError("not a digest: <" + std::string(t.name) + ">");
-  }
-  xml::AttrList root_attrs;
-  MQP_ASSIGN_OR_RETURN(t, r.ReadAttrs(&root_attrs));
-  VersionVector vector;
-  while (t.type != xml::TokenType::kEndElement) {
-    if (t.type == xml::TokenType::kStartElement) {
-      if (t.name == "v") {
-        xml::AttrList attrs;
-        MQP_ASSIGN_OR_RETURN(xml::Token vt, r.ReadAttrs(&attrs));
-        MQP_RETURN_IF_ERROR(ParseVectorElement(&r, attrs, vt, &vector));
-      } else {
-        MQP_RETURN_IF_ERROR(r.SkipToElementEnd());
-      }
-    }
-    MQP_ASSIGN_OR_RETURN(t, r.Next());
-  }
-  // The DOM path rejected trailing content via Parse's one-root check.
-  MQP_ASSIGN_OR_RETURN(t, r.Next());
-  if (t.type != xml::TokenType::kEndOfInput) {
-    return Status::ParseError("expected exactly one root element, found 2");
-  }
-  return vector;
-}
 
 namespace {
 
@@ -107,14 +28,218 @@ Result<SyncEntryKind> KindFromName(std::string_view name) {
                             "'");
 }
 
-}  // namespace
+// Gossip bodies are emitted and consumed as tokens — they never build a
+// DOM. "<v o='addr' s='7'/>" is shared by digests and the delta piggyback.
+void EmitVectorElement(xml::TokenWriter* w, std::string_view origin,
+                       uint64_t seq) {
+  w->Start("v");
+  w->Attr("o", origin);
+  w->Attr("s", std::to_string(seq));
+  w->End();
+}
 
-std::string VersionedRecord::Key() const {
-  // origin|kind|urn|level|area|server|xpath — none of the identity fields
-  // may contain '|' (addresses, URNs and area strings never do).
-  std::string key = version.origin;
-  key += '|';
-  key += KindName(entry.kind);
+// A fact's fields with its area in printed form, as Key() and the wire
+// carry it; entry.entry.area is not read.
+struct FactRef {
+  const SyncEntry& entry;
+  std::string_view area;
+};
+
+void EmitRecord(xml::TokenWriter* w, std::string_view origin, uint64_t seq,
+                FactRef fact, bool tombstone, double ttl_seconds) {
+  const SyncEntry& entry = fact.entry;
+  w->Start("rec");
+  w->Attr("o", origin);
+  w->Attr("s", std::to_string(seq));
+  w->Attr("k", KindName(entry.kind));
+  if (tombstone) w->Attr("tomb", "1");
+  if (ttl_seconds != 0) {
+    w->Attr("ttl", std::to_string(static_cast<int64_t>(ttl_seconds)));
+  }
+  if (entry.kind != SyncEntryKind::kPresence) {
+    if (!entry.urn.empty()) w->Attr("urn", entry.urn);
+    w->Attr("level", HoldingLevelName(entry.entry.level));
+    w->Attr("area", fact.area);
+    w->Attr("server", entry.entry.server);
+    if (!entry.entry.xpath.empty()) w->Attr("xpath", entry.entry.xpath);
+    if (entry.entry.delay_minutes != 0) {
+      w->Attr("delay", std::to_string(entry.entry.delay_minutes));
+    }
+  }
+  w->End();
+}
+
+// What a presence record asserts: nothing but its kind.
+const SyncEntry& PresenceEntry() {
+  static const SyncEntry presence{SyncEntryKind::kPresence, {}, {}};
+  return presence;
+}
+
+// Decodes the attributes of one <rec .../> into `rec`.
+Status DecodeRecord(const xml::AttrList& attrs, VersionedRecord* rec) {
+  rec->version.origin.assign(attrs.GetView("o"));
+  int64_t seq = 0;
+  if (rec->version.origin.empty() ||
+      rec->version.origin.find('|') != std::string::npos ||
+      !mqp::ParseInt64(attrs.GetView("s"), &seq) || seq < 0) {
+    return Status::ParseError("malformed record version");
+  }
+  rec->version.sequence = static_cast<uint64_t>(seq);
+  MQP_ASSIGN_OR_RETURN(rec->entry.kind,
+                       KindFromName(attrs.GetView("k", "area")));
+  const std::string_view tomb = attrs.GetView("tomb", "0");
+  if (tomb != "0" && tomb != "1") {
+    return Status::ParseError("record tomb must be 0 or 1");
+  }
+  rec->tombstone = tomb == "1";
+  int64_t ttl = 0;
+  if (const std::string* v = attrs.Find("ttl");
+      v != nullptr && (!mqp::ParseInt64(*v, &ttl) || ttl < 0)) {
+    return Status::ParseError("record ttl must be an integer >= 0");
+  }
+  rec->ttl_seconds = static_cast<double>(ttl);
+  if (rec->entry.kind == SyncEntryKind::kPresence) return Status::OK();
+  const std::string_view urn = attrs.GetView("urn");
+  const std::string_view area_text = attrs.GetView("area");
+  const std::string_view server = attrs.GetView("server");
+  if (urn.find('|') != urn.npos || area_text.find('|') != area_text.npos ||
+      server.find('|') != server.npos) {
+    return Status::ParseError("record identity field contains '|'");
+  }
+  rec->entry.urn.assign(urn);
+  const std::string_view level = attrs.GetView("level", "base");
+  if (level == "base") {
+    rec->entry.entry.level = HoldingLevel::kBase;
+  } else if (level == "index") {
+    rec->entry.entry.level = HoldingLevel::kIndex;
+  } else {
+    return Status::ParseError("record level must be base or index");
+  }
+  auto area = ns::InterestArea::Parse(area_text);
+  if (!area.ok()) return area.status();
+  rec->entry.entry.area = std::move(area).value();
+  rec->entry.entry.server.assign(server);
+  rec->entry.entry.xpath.assign(attrs.GetView("xpath"));
+  int64_t delay = 0;
+  if (const std::string* v = attrs.Find("delay");
+      v != nullptr &&
+      (!mqp::ParseInt64(*v, &delay) || delay < INT_MIN || delay > INT_MAX)) {
+    return Status::ParseError("record delay must be an int");
+  }
+  rec->entry.entry.delay_minutes = static_cast<int>(delay);
+  if (rec->entry.entry.server.empty()) {
+    return Status::ParseError("record missing server");
+  }
+  return Status::OK();
+}
+
+// Walks "<root><v o s/>...<rec .../>...</root>", calling on_v(origin, seq)
+// per <v> and, `with_records`, on_rec(attrs) per <rec>. Other elements
+// are skipped.
+template <typename OnVector, typename OnRecord>
+Status ParseGossipBody(std::string_view text, std::string_view root,
+                       bool with_records, OnVector&& on_v,
+                       OnRecord&& on_rec) {
+  xml::TokenReader r(text);
+  MQP_ASSIGN_OR_RETURN(xml::Token t, r.Next());
+  if (t.type != xml::TokenType::kStartElement) {
+    return r.Error("expected a root element");
+  }
+  if (t.name != root) {
+    return Status::ParseError("not a " + std::string(root) + ": <" +
+                              std::string(t.name) + ">");
+  }
+  xml::AttrList attrs;  // ReadAttrs resets it: one list for every element
+  MQP_ASSIGN_OR_RETURN(t, r.ReadAttrs(&attrs));
+  while (t.type != xml::TokenType::kEndElement) {
+    if (t.type == xml::TokenType::kStartElement) {
+      const bool is_v = t.name == "v";
+      if (is_v || (with_records && t.name == "rec")) {
+        MQP_ASSIGN_OR_RETURN(xml::Token first, r.ReadAttrs(&attrs));
+        if (is_v) {
+          const std::string_view origin = attrs.GetView("o");
+          int64_t seq = 0;
+          if (origin.empty() || !mqp::ParseInt64(attrs.GetView("s"), &seq) ||
+              seq < 0) {
+            return Status::ParseError("malformed version-vector element");
+          }
+          on_v(origin, static_cast<uint64_t>(seq));
+        } else {
+          MQP_RETURN_IF_ERROR(on_rec(attrs));
+        }
+        if (first.type != xml::TokenType::kEndElement) {
+          MQP_RETURN_IF_ERROR(r.SkipToElementEnd());
+        }
+      } else {
+        MQP_RETURN_IF_ERROR(r.SkipToElementEnd());
+      }
+    }
+    MQP_ASSIGN_OR_RETURN(t, r.Next());
+  }
+  // The DOM path rejected trailing content via Parse's one-root check.
+  MQP_ASSIGN_OR_RETURN(t, r.Next());
+  if (t.type != xml::TokenType::kEndOfInput) {
+    return Status::ParseError("expected exactly one root element, found 2");
+  }
+  return Status::OK();
+}
+
+// A digest skips <rec> elements like any unknown element.
+Status NoRecords(const xml::AttrList&) { return Status::OK(); }
+
+// Three-way compare of a + '|' against b + '|': Key() order, one field
+// at a time (an origin, or a fact field before the xpath). Those hold no
+// '|' — the delta decoder rejects remote records whose fields do; were
+// one to, the shorter string sorts first so the order stays strict.
+int CompareKeyField(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  if (const int c = a.substr(0, n).compare(b.substr(0, n)); c != 0) return c;
+  if (a.size() == b.size()) return 0;
+  const auto ca = static_cast<unsigned char>(a.size() > n ? a[n] : '|');
+  const auto cb = static_cast<unsigned char>(b.size() > n ? b[n] : '|');
+  if (ca != cb) return ca < cb ? -1 : 1;
+  return a.size() < b.size() ? -1 : 1;
+}
+
+// FactKey(a) < FactKey(b), without building either key.
+bool FactKeyLess(FactRef a, FactRef b) {
+  int c = CompareKeyField(KindName(a.entry.kind), KindName(b.entry.kind));
+  if (c == 0) c = CompareKeyField(a.entry.urn, b.entry.urn);
+  if (c == 0) {
+    c = CompareKeyField(HoldingLevelName(a.entry.entry.level),
+                        HoldingLevelName(b.entry.entry.level));
+  }
+  if (c == 0) c = CompareKeyField(a.area, b.area);
+  if (c == 0) c = CompareKeyField(a.entry.entry.server, b.entry.entry.server);
+  if (c == 0) return a.entry.entry.xpath < b.entry.entry.xpath;
+  return c < 0;
+}
+
+// A free slot of `pool`, or a new one.
+template <typename T>
+uint32_t TakeSlot(std::deque<T>* pool, std::vector<uint32_t>* free) {
+  if (free->empty()) {
+    pool->emplace_back();
+    return static_cast<uint32_t>(pool->size() - 1);
+  }
+  const uint32_t id = free->back();
+  free->pop_back();
+  return id;
+}
+
+// The identity fields of two facts match, area aside.
+bool SameKeyButArea(const SyncEntry& a, const SyncEntry& b) {
+  return a.kind == b.kind && a.urn == b.urn &&
+         a.entry.level == b.entry.level && a.entry.server == b.entry.server &&
+         a.entry.xpath == b.entry.xpath;
+}
+
+// The fact part of VersionedRecord::Key().
+std::string FactKey(const SyncEntry& entry) {
+  // kind|urn|level|area|server|xpath — none of the fields before xpath
+  // may contain '|' for the key to be unambiguous (URNs, addresses and
+  // area strings never do; the delta decoder enforces it).
+  std::string key(KindName(entry.kind));
   if (entry.kind == SyncEntryKind::kPresence) return key;
   key += '|';
   key += entry.urn;
@@ -129,140 +254,343 @@ std::string VersionedRecord::Key() const {
   return key;
 }
 
+}  // namespace
+
+std::string DigestToXml(const VersionVector& vector) {
+  std::string out;
+  xml::TokenWriter w(&out);
+  w.Start("digest");
+  for (const auto& [origin, seq] : vector) EmitVectorElement(&w, origin, seq);
+  w.End();
+  return out;
+}
+
+Result<VersionVector> DigestFromXml(const std::string& text) {
+  VersionVector vector;
+  MQP_RETURN_IF_ERROR(ParseGossipBody(
+      text, "digest", /*with_records=*/false,
+      [&](std::string_view origin, uint64_t seq) {
+        vector[std::string(origin)] = seq;
+      },
+      NoRecords));
+  return vector;
+}
+
+std::string VersionedRecord::Key() const {
+  return version.origin + '|' + FactKey(entry);
+}
+
 std::string CatalogDelta::ToXml() const {
   std::string out;
   xml::TokenWriter w(&out);
   w.Start("delta");
-  EmitVectorElements(&w, sender_vector);
+  for (const auto& [origin, seq] : sender_vector) {
+    EmitVectorElement(&w, origin, seq);
+  }
   for (const auto& rec : records) {
-    w.Start("rec");
-    w.Attr("o", rec.version.origin);
-    w.Attr("s", std::to_string(rec.version.sequence));
-    w.Attr("k", KindName(rec.entry.kind));
-    if (rec.tombstone) w.Attr("tomb", "1");
-    if (rec.ttl_seconds != 0) {
-      w.Attr("ttl", std::to_string(static_cast<int64_t>(rec.ttl_seconds)));
-    }
-    if (rec.entry.kind != SyncEntryKind::kPresence) {
-      if (!rec.entry.urn.empty()) w.Attr("urn", rec.entry.urn);
-      w.Attr("level", HoldingLevelName(rec.entry.entry.level));
-      w.Attr("area", rec.entry.entry.area.ToString());
-      w.Attr("server", rec.entry.entry.server);
-      if (!rec.entry.entry.xpath.empty()) {
-        w.Attr("xpath", rec.entry.entry.xpath);
-      }
-      if (rec.entry.entry.delay_minutes != 0) {
-        w.Attr("delay", std::to_string(rec.entry.entry.delay_minutes));
-      }
-    }
-    w.End();
+    const std::string area = rec.entry.entry.area.ToString();
+    EmitRecord(&w, rec.version.origin, rec.version.sequence,
+               {rec.entry, area}, rec.tombstone, rec.ttl_seconds);
   }
   w.End();
   return out;
 }
 
 Result<CatalogDelta> CatalogDelta::FromXml(const std::string& text) {
-  xml::TokenReader r(text);
-  MQP_ASSIGN_OR_RETURN(xml::Token t, r.Next());
-  if (t.type != xml::TokenType::kStartElement) {
-    return r.Error("expected a root element");
-  }
-  if (t.name != "delta") {
-    return Status::ParseError("not a delta: <" + std::string(t.name) + ">");
-  }
-  xml::AttrList root_attrs;
-  MQP_ASSIGN_OR_RETURN(t, r.ReadAttrs(&root_attrs));
   CatalogDelta delta;
-  while (t.type != xml::TokenType::kEndElement) {
-    if (t.type == xml::TokenType::kStartElement) {
-      if (t.name == "v") {
-        xml::AttrList attrs;
-        MQP_ASSIGN_OR_RETURN(xml::Token vt, r.ReadAttrs(&attrs));
-        MQP_RETURN_IF_ERROR(
-            ParseVectorElement(&r, attrs, vt, &delta.sender_vector));
-      } else if (t.name == "rec") {
-        xml::AttrList attrs;
-        MQP_ASSIGN_OR_RETURN(xml::Token rt, r.ReadAttrs(&attrs));
-        VersionedRecord rec;
-        rec.version.origin = attrs.Get("o");
-        int64_t seq = 0;
-        if (rec.version.origin.empty() ||
-            !mqp::ParseInt64(attrs.Get("s"), &seq) || seq < 0) {
-          return Status::ParseError("malformed record version");
-        }
-        rec.version.sequence = static_cast<uint64_t>(seq);
-        MQP_ASSIGN_OR_RETURN(rec.entry.kind,
-                             KindFromName(attrs.Get("k", "area")));
-        rec.tombstone = attrs.Get("tomb", "0") == "1";
-        int64_t ttl = 0;
-        (void)mqp::ParseInt64(attrs.Get("ttl", "0"), &ttl);
-        rec.ttl_seconds = static_cast<double>(ttl);
-        if (rec.entry.kind != SyncEntryKind::kPresence) {
-          rec.entry.urn = attrs.Get("urn");
-          rec.entry.entry.level = attrs.Get("level", "base") == "index"
-                                      ? HoldingLevel::kIndex
-                                      : HoldingLevel::kBase;
-          auto area = ns::InterestArea::Parse(attrs.Get("area"));
-          if (!area.ok()) return area.status();
-          rec.entry.entry.area = std::move(area).value();
-          rec.entry.entry.server = attrs.Get("server");
-          rec.entry.entry.xpath = attrs.Get("xpath");
-          int64_t delay = 0;
-          (void)mqp::ParseInt64(attrs.Get("delay", "0"), &delay);
-          rec.entry.entry.delay_minutes = static_cast<int>(delay);
-          if (rec.entry.entry.server.empty()) {
-            return Status::ParseError("record missing server");
-          }
-        }
-        delta.records.push_back(std::move(rec));
-        if (rt.type != xml::TokenType::kEndElement) {
-          MQP_RETURN_IF_ERROR(r.SkipToElementEnd());
-        }
-      } else {
-        MQP_RETURN_IF_ERROR(r.SkipToElementEnd());
-      }
-    }
-    MQP_ASSIGN_OR_RETURN(t, r.Next());
-  }
-  // The DOM path rejected trailing content via Parse's one-root check.
-  MQP_ASSIGN_OR_RETURN(t, r.Next());
-  if (t.type != xml::TokenType::kEndOfInput) {
-    return Status::ParseError("expected exactly one root element, found 2");
-  }
+  MQP_RETURN_IF_ERROR(ParseGossipBody(
+      text, "delta", /*with_records=*/true,
+      [&](std::string_view origin, uint64_t seq) {
+        delta.sender_vector[std::string(origin)] = seq;
+      },
+      [&](const xml::AttrList& attrs) {
+        return DecodeRecord(attrs, &delta.records.emplace_back());
+      }));
   return delta;
 }
 
-// --- VersionedCatalog ----------------------------------------------------------
+// --- VersionedCatalog: the address table ----------------------------------------
+
+VersionedCatalog::VersionedCatalog(std::string self, Catalog* projection)
+    : self_(std::move(self)), projection_(projection) {
+  self_id_ = Intern(self_);
+}
+
+std::vector<uint32_t>::const_iterator VersionedCatalog::ByAddress(
+    std::string_view address) const {
+  return std::lower_bound(
+      by_address_.begin(), by_address_.end(), address,
+      [&](uint32_t id, std::string_view a) { return table_[id].address < a; });
+}
+
+uint32_t VersionedCatalog::Find(std::string_view address) const {
+  auto it = ByAddress(address);
+  if (it == by_address_.end() || table_[*it].address != address) return kNone;
+  return *it;
+}
+
+uint32_t VersionedCatalog::Intern(std::string_view address) {
+  auto it = ByAddress(address);
+  if (it != by_address_.end() && table_[*it].address == address) return *it;
+  auto kt = std::lower_bound(
+      by_key_.begin(), by_key_.end(), address,
+      [&](uint32_t id, std::string_view a) {
+        return CompareKeyField(table_[id].address, a) < 0;
+      });
+  const auto id = static_cast<uint32_t>(table_.size());
+  by_address_.insert(it, id);
+  by_key_.insert(kt, id);
+  table_.emplace_back().address.assign(address);
+  return id;
+}
+
+uint32_t VersionedCatalog::FindFact(const Row& row,
+                                    const SyncEntry& entry) const {
+  std::string area;  // printed only once a fact matches on everything else
+  bool printed = false;
+  for (uint32_t f = row.first_fact; f != kNone; f = facts_[f].next_of_origin) {
+    if (!SameKeyButArea(facts_[f].entry, entry)) continue;
+    if (!printed) {
+      area = entry.entry.area.ToString();
+      printed = true;
+    }
+    if (areas_[facts_[f].area].text == area) return f;
+  }
+  return kNone;
+}
+
+std::pair<std::vector<uint32_t>::iterator, std::vector<uint32_t>::iterator>
+VersionedCatalog::AreasPrintedAs(std::string_view text) {
+  auto lo = std::lower_bound(
+      area_order_.begin(), area_order_.end(), text,
+      [&](uint32_t id, std::string_view t) { return areas_[id].text < t; });
+  auto hi = std::upper_bound(
+      lo, area_order_.end(), text,
+      [&](std::string_view t, uint32_t id) { return t < areas_[id].text; });
+  return {lo, hi};
+}
+
+uint32_t VersionedCatalog::InternArea(const ns::InterestArea& cells) {
+  std::string text = cells.ToString();
+  auto parsed = ns::InterestArea::Parse(text);
+  const bool canonical = parsed.ok() && *parsed == cells;
+  auto [lo, hi] = AreasPrintedAs(text);
+  for (auto it = lo; it != hi; ++it) {
+    Area& a = areas_[*it];
+    if (canonical ? a.odd == nullptr : a.odd != nullptr && *a.odd == cells) {
+      ++a.refs;
+      return *it;
+    }
+  }
+  const uint32_t id = TakeSlot(&areas_, &free_areas_);
+  area_order_.insert(hi, id);
+  Area& a = areas_[id];
+  a.text = std::move(text);
+  if (!canonical) a.odd = std::make_unique<ns::InterestArea>(cells);
+  a.refs = 1;
+  return id;
+}
+
+void VersionedCatalog::ReleaseArea(uint32_t id) {
+  Area& a = areas_[id];
+  if (--a.refs > 0) return;
+  auto [lo, hi] = AreasPrintedAs(a.text);
+  area_order_.erase(std::find(lo, hi, id));
+  a = Area{};
+  free_areas_.push_back(id);
+}
+
+ns::InterestArea VersionedCatalog::CellsOf(uint32_t area) const {
+  const Area& a = areas_[area];
+  return a.odd != nullptr ? *a.odd : *ns::InterestArea::Parse(a.text);
+}
+
+bool VersionedCatalog::SameFact(const Fact& stored, const SyncEntry& entry,
+                                const ns::InterestArea& cells) const {
+  if (!SameKeyButArea(stored.entry, entry) ||
+      stored.entry.entry.delay_minutes != entry.entry.delay_minutes) {
+    return false;
+  }
+  return CellsOf(stored.area) == cells;
+}
+
+SyncEntry VersionedCatalog::EntryOf(const Fact& fact) const {
+  SyncEntry entry = fact.entry;
+  entry.entry.area = CellsOf(fact.area);
+  return entry;
+}
+
+VersionVector VersionedCatalog::vector() const {
+  VersionVector out;
+  for (const Row& row : table_) {
+    if (row.in_vector) out.emplace(row.address, row.seq);
+  }
+  return out;
+}
+
+std::map<std::string, VersionedRecord> VersionedCatalog::records() const {
+  std::map<std::string, VersionedRecord> out;
+  auto add = [&](const Row& row, const SyncEntry& entry, const Stamp& s) {
+    VersionedRecord rec{{row.address, s.sequence}, entry, s.tombstone,
+                        s.ttl_seconds, s.stamped_at};
+    out.emplace(rec.Key(), std::move(rec));
+  };
+  for (const Row& row : table_) {
+    for (uint32_t f = row.first_fact; f != kNone;
+         f = facts_[f].next_of_origin) {
+      add(row, EntryOf(facts_[f]), facts_[f].stamp);
+    }
+    if (row.has_presence) add(row, PresenceEntry(), row.presence);
+  }
+  return out;
+}
+
+// --- storage ---------------------------------------------------------------------
+
+void VersionedCatalog::MarkTombstone(Loc loc, Stamp* stamp) {
+  stamp->tomb_slot = static_cast<uint32_t>(tombs_.size());
+  tombs_.push_back(loc);
+}
+
+void VersionedCatalog::UnmarkTombstone(Stamp* stamp) {
+  const uint32_t slot = stamp->tomb_slot;
+  stamp->tomb_slot = kNone;
+  const Loc moved = tombs_.back();
+  tombs_.pop_back();
+  if (slot == tombs_.size()) return;
+  tombs_[slot] = moved;
+  Stamp& other = moved.fact == kNone ? table_[moved.origin].presence
+                                     : facts_[moved.fact].stamp;
+  other.tomb_slot = slot;
+}
+
+void VersionedCatalog::RecomputeTtl(Row* row) const {
+  double ttl = 0;
+  for (uint32_t f = row->first_fact; f != kNone; f = facts_[f].next_of_origin) {
+    ttl = std::max(ttl, facts_[f].stamp.ttl_seconds);
+  }
+  if (row->has_presence) ttl = std::max(ttl, row->presence.ttl_seconds);
+  row->ttl = ttl;
+}
+
+void VersionedCatalog::SetStamp(Loc loc, Stamp* slot, bool replaced,
+                                Stamp stamp) {
+  Row& row = table_[loc.origin];
+  const double old_ttl = slot->ttl_seconds;
+  if (replaced && slot->tombstone) UnmarkTombstone(slot);
+  *slot = stamp;
+  if (stamp.tombstone) MarkTombstone(loc, slot);
+  if (replaced && old_ttl >= row.ttl && stamp.ttl_seconds < row.ttl) {
+    RecomputeTtl(&row);  // the replaced record may have been the maximum
+  } else {
+    row.ttl = std::max(row.ttl, stamp.ttl_seconds);
+  }
+}
+
+void VersionedCatalog::PutPresence(uint32_t origin, Stamp stamp) {
+  Row& row = table_[origin];
+  const bool replaced = row.has_presence;
+  row.has_presence = true;
+  SetStamp({origin, kNone}, &row.presence, replaced, stamp);
+}
+
+uint32_t VersionedCatalog::PutFact(uint32_t origin, uint32_t fact,
+                                   SyncEntry entry, Stamp stamp) {
+  const bool replaced = fact != kNone;
+  const uint32_t area = InternArea(entry.entry.area);
+  entry.entry.area = ns::InterestArea();  // areas_ holds it
+  if (replaced) {
+    ReleaseArea(facts_[fact].area);
+  } else {
+    const uint32_t server = Intern(entry.entry.server);
+    fact = TakeSlot(&facts_, &free_facts_);
+    Fact& f = facts_[fact];
+    f.origin = origin;
+    f.server = server;
+    // Link into the origin's list in Key() order, and onto the server's.
+    const FactRef added{entry, areas_[area].text};
+    uint32_t* link = &table_[origin].first_fact;
+    while (*link != kNone) {
+      const Fact& next = facts_[*link];
+      if (FactKeyLess(added, {next.entry, AreaText(next)})) break;
+      link = &facts_[*link].next_of_origin;
+    }
+    f.next_of_origin = *link;
+    *link = fact;
+    f.next_naming = table_[server].first_naming;
+    table_[server].first_naming = fact;
+  }
+  // A replacement keeps the key, so the server and both lists stay.
+  Fact& f = facts_[fact];
+  f.entry = std::move(entry);
+  f.area = area;
+  SetStamp({origin, fact}, &f.stamp, replaced, stamp);
+  return fact;
+}
+
+void VersionedCatalog::Remove(Loc loc) {
+  Row& row = table_[loc.origin];
+  Stamp* stamp =
+      loc.fact == kNone ? &row.presence : &facts_[loc.fact].stamp;
+  const double ttl = stamp->ttl_seconds;
+  if (stamp->tombstone) UnmarkTombstone(stamp);
+  if (loc.fact == kNone) {
+    row.presence = Stamp{};
+    row.has_presence = false;
+  } else {
+    Fact& f = facts_[loc.fact];
+    uint32_t* link = &row.first_fact;
+    while (*link != loc.fact) link = &facts_[*link].next_of_origin;
+    *link = f.next_of_origin;
+    link = &table_[f.server].first_naming;
+    while (*link != loc.fact) link = &facts_[*link].next_naming;
+    *link = f.next_naming;
+    ReleaseArea(f.area);
+    f = Fact{};
+    free_facts_.push_back(loc.fact);
+  }
+  if (ttl >= row.ttl) RecomputeTtl(&row);
+}
+
+// --- local (own-origin) mutations ---------------------------------------------
+
+uint64_t VersionedCatalog::NextOwnSequence(double now) {
+  Row& self = table_[self_id_];
+  self.seq = ++next_sequence_;
+  self.in_vector = true;
+  self.last_heard = now;
+  return self.seq;
+}
 
 void VersionedCatalog::UpsertLocal(SyncEntry entry, double ttl_seconds,
                                    double now) {
-  VersionedRecord rec;
-  rec.version = {self_, ++next_sequence_};
-  rec.entry = std::move(entry);
-  rec.ttl_seconds = ttl_seconds;
-  rec.stamped_at = now;
-  vector_[self_] = rec.version.sequence;
-  last_heard_[self_] = now;
-  const std::string key = rec.Key();
-  RetireReplacedProjection(key, rec);
-  Project(rec, now);
-  records_[key] = std::move(rec);
+  const Stamp stamp{.sequence = NextOwnSequence(now),
+                    .ttl_seconds = ttl_seconds,
+                    .stamped_at = now};
+  if (entry.kind == SyncEntryKind::kPresence) {
+    PutPresence(self_id_, stamp);
+    return;
+  }
+  const uint32_t fact = FindFact(table_[self_id_], entry);
+  RetireReplacedProjection(self_id_, fact, entry, /*tombstone=*/false);
+  Project(entry, entry.entry.area, self_id_);
+  PutFact(self_id_, fact, std::move(entry), stamp);
 }
 
 void VersionedCatalog::TombstoneLocal(const SyncEntry& entry, double now) {
-  VersionedRecord rec;
-  rec.version = {self_, ++next_sequence_};
-  rec.entry = entry;
-  rec.tombstone = true;
-  rec.stamped_at = now;
-  vector_[self_] = rec.version.sequence;
-  last_heard_[self_] = now;
-  const std::string key = rec.Key();
+  const Stamp stamp{.sequence = NextOwnSequence(now),
+                    .stamped_at = now,
+                    .tombstone = true};
+  if (entry.kind == SyncEntryKind::kPresence) {
+    PutPresence(self_id_, stamp);
+    return;
+  }
+  uint32_t fact = FindFact(table_[self_id_], entry);
   // Withdraw the *stored* fact (it may differ from `entry` in non-key
   // fields like delay), then the one being tombstoned.
-  RetireReplacedProjection(key, rec);
-  records_[key] = rec;
-  Unproject(rec);
+  RetireReplacedProjection(self_id_, fact, entry, /*tombstone=*/true);
+  fact = PutFact(self_id_, fact, entry, stamp);
+  Unproject(entry, entry.entry.area, self_id_, fact);
 }
 
 void VersionedCatalog::BumpPresence(double ttl_seconds, double now) {
@@ -272,199 +600,355 @@ void VersionedCatalog::BumpPresence(double ttl_seconds, double now) {
 }
 
 void VersionedCatalog::RestampOwn(double now) {
-  for (auto& [key, rec] : records_) {
-    if (rec.version.origin != self_ || rec.tombstone) continue;
-    rec.version.sequence = ++next_sequence_;
-    rec.stamped_at = now;
-    vector_[self_] = rec.version.sequence;
+  Row& self = table_[self_id_];
+  auto restamp = [&](Stamp* stamp) {
+    if (stamp->tombstone) return false;
+    stamp->sequence = ++next_sequence_;
+    stamp->stamped_at = now;
+    self.seq = stamp->sequence;
+    self.in_vector = true;
+    return true;
+  };
+  // Key() order: the facts, then "presence".
+  for (uint32_t f = self.first_fact; f != kNone;
+       f = facts_[f].next_of_origin) {
     // Rejoin also reinstates the projection (a recovering peer republishes
     // its holdings); Project is idempotent for already-present entries.
-    Project(rec, now);
+    if (restamp(&facts_[f].stamp)) {
+      Project(facts_[f].entry, CellsOf(facts_[f].area), self_id_);
+    }
   }
-  last_heard_[self_] = now;
+  if (self.has_presence) restamp(&self.presence);
+  self.last_heard = now;
+}
+
+// --- anti-entropy --------------------------------------------------------------
+
+template <typename Fn>
+void VersionedCatalog::ForEachMissing(const RemoteVector& remote,
+                                      Fn&& fn) const {
+  for (uint32_t id : by_key_) {
+    const Row& row = table_[id];
+    const uint64_t seen = remote.Seen(id);
+    if (!row.in_vector || row.seq <= seen) continue;
+    for (uint32_t f = row.first_fact; f != kNone;
+         f = facts_[f].next_of_origin) {
+      if (facts_[f].stamp.sequence > seen) fn(row, f, facts_[f].stamp);
+    }
+    if (row.has_presence && row.presence.sequence > seen) {
+      fn(row, kNone, row.presence);
+    }
+  }
+}
+
+void VersionedCatalog::ReadInto(std::string_view origin, uint64_t seq,
+                                RemoteVector* out) const {
+  ++out->listed_;
+  const uint32_t id = Find(origin);
+  if (id == kNone) {
+    out->unknown_.emplace_back(origin, seq);
+  } else {
+    out->seen_[id] = seq;
+  }
+}
+
+Status VersionedCatalog::ReadDigest(std::string_view body,
+                                    RemoteVector* out) const {
+  out->Reset(table_.size());
+  return ParseGossipBody(
+      body, "digest", /*with_records=*/false,
+      [&](std::string_view origin, uint64_t seq) {
+        ReadInto(origin, seq, out);
+      },
+      NoRecords);
+}
+
+Status VersionedCatalog::ReadDelta(std::string_view body,
+                                   IncomingDelta* out) const {
+  RemoteVector& sender = out->sender;
+  sender.Reset(table_.size());
+  out->records.clear();
+  out->origins.clear();
+  return ParseGossipBody(
+      body, "delta", /*with_records=*/true,
+      [&](std::string_view origin, uint64_t seq) {
+        ReadInto(origin, seq, &sender);
+      },
+      [&](const xml::AttrList& attrs) {
+        return DecodeRecord(attrs, &out->records.emplace_back());
+      });
 }
 
 CatalogDelta VersionedCatalog::DeltaSince(const VersionVector& remote) const {
+  RemoteVector dense;
+  dense.Reset(table_.size());
+  for (const auto& [origin, seq] : remote) ReadInto(origin, seq, &dense);
   CatalogDelta delta;
-  for (const auto& [key, rec] : records_) {
-    auto it = remote.find(rec.version.origin);
-    const uint64_t seen = it == remote.end() ? 0 : it->second;
-    if (rec.version.sequence > seen) delta.records.push_back(rec);
-  }
+  ForEachMissing(dense, [&](const Row& row, uint32_t fact, const Stamp& s) {
+    delta.records.push_back(
+        {{row.address, s.sequence},
+         fact == kNone ? PresenceEntry() : EntryOf(facts_[fact]),
+         s.tombstone,
+         s.ttl_seconds,
+         s.stamped_at});
+  });
   return delta;
+}
+
+bool VersionedCatalog::Dominates(const RemoteVector& remote) const {
+  if (!remote.unknown_.empty()) return false;
+  for (size_t id = 0; id < remote.seen_.size(); ++id) {
+    const uint64_t seen = remote.seen_[id];
+    if (seen == RemoteVector::kUnlisted) continue;
+    if (!table_[id].in_vector || table_[id].seq < seen) return false;
+  }
+  return true;
+}
+
+void VersionedCatalog::EmitVector(xml::TokenWriter* w) const {
+  for (uint32_t id : by_address_) {
+    const Row& row = table_[id];
+    if (row.in_vector) EmitVectorElement(w, row.address, row.seq);
+  }
+}
+
+std::string VersionedCatalog::DigestXml() const {
+  std::string out;
+  xml::TokenWriter w(&out);
+  w.Start("digest");
+  EmitVector(&w);
+  w.End();
+  return out;
+}
+
+size_t VersionedCatalog::WriteDelta(const RemoteVector& remote,
+                                    bool attach_vector,
+                                    std::string* out) const {
+  bool any = false;
+  for (uint32_t id : by_key_) {
+    if (table_[id].in_vector && table_[id].seq > remote.Seen(id)) {
+      any = true;
+      break;
+    }
+  }
+  if (!any) return 0;
+  xml::TokenWriter w(out);
+  w.Start("delta");
+  if (attach_vector) EmitVector(&w);
+  size_t records = 0;
+  ForEachMissing(remote, [&](const Row& row, uint32_t fact, const Stamp& s) {
+    EmitRecord(&w, row.address, s.sequence,
+               fact == kNone
+                   ? FactRef{PresenceEntry(), {}}
+                   : FactRef{facts_[fact].entry, AreaText(facts_[fact])},
+               s.tombstone, s.ttl_seconds);
+    ++records;
+  });
+  w.End();
+  return records;
+}
+
+bool VersionedCatalog::ApplyRecord(const VersionedRecord& in, uint32_t origin,
+                                   double now) {
+  Row& row = table_[origin];
+  // Absorb the version even when the record itself loses LWW: the
+  // vector tracks everything *seen*, not everything *kept*.
+  row.in_vector = true;
+  if (in.version.sequence > row.seq) {
+    row.seq = in.version.sequence;
+    row.last_heard = now;
+    if (origin == self_id_) {
+      // Defensive: never re-issue a sequence an echo proved spent.
+      next_sequence_ = std::max(next_sequence_, row.seq);
+    }
+    if (row.expired) {
+      // The origin is refreshing again: reinstate its live records.
+      row.expired = false;
+      for (uint32_t f = row.first_fact; f != kNone;
+           f = facts_[f].next_of_origin) {
+        if (!facts_[f].stamp.tombstone) {
+          Project(facts_[f].entry, CellsOf(facts_[f].area), origin);
+        }
+      }
+    }
+  }
+  // Within one origin, Newer() reduces to a higher sequence.
+  const Stamp stamp{.sequence = in.version.sequence,
+                    .ttl_seconds = in.ttl_seconds,
+                    .stamped_at = now,
+                    .tombstone = in.tombstone};
+  if (in.entry.kind == SyncEntryKind::kPresence) {
+    if (row.has_presence && in.version.sequence <= row.presence.sequence) {
+      return false;  // stale or duplicate: idempotence
+    }
+    PutPresence(origin, stamp);
+    return true;
+  }
+  const uint32_t fact = FindFact(row, in.entry);
+  if (fact != kNone && in.version.sequence <= facts_[fact].stamp.sequence) {
+    return false;  // stale or duplicate: idempotence
+  }
+  RetireReplacedProjection(origin, fact, in.entry, in.tombstone);
+  if (in.tombstone) {
+    Unproject(in.entry, in.entry.entry.area, origin, fact);
+  } else {
+    Project(in.entry, in.entry.entry.area, origin);
+  }
+  PutFact(origin, fact, in.entry, stamp);
+  return true;
 }
 
 size_t VersionedCatalog::Apply(const CatalogDelta& delta, double now) {
   size_t changed = 0;
-  for (const VersionedRecord& incoming : delta.records) {
-    const std::string& origin = incoming.version.origin;
-    // Absorb the version even when the record itself loses LWW: the
-    // vector tracks everything *seen*, not everything *kept*.
-    uint64_t& high = vector_[origin];
-    const bool fresh = incoming.version.sequence > high;
-    if (fresh) {
-      high = incoming.version.sequence;
-      last_heard_[origin] = now;
-      if (origin == self_) {
-        // Defensive: never re-issue a sequence an echo proved spent.
-        next_sequence_ = std::max(next_sequence_, high);
-      }
-      if (expired_origins_.count(origin) > 0) {
-        // The origin is refreshing again: reinstate its live records.
-        expired_origins_.erase(origin);
-        for (const auto& [k, rec] : records_) {
-          if (rec.version.origin == origin && !rec.tombstone) {
-            Project(rec, now);
-          }
-        }
-      }
-    }
-    const std::string key = incoming.Key();
-    auto it = records_.find(key);
-    if (it != records_.end() &&
-        !incoming.version.Newer(it->second.version)) {
-      continue;  // stale or duplicate: idempotence
-    }
-    VersionedRecord rec = incoming;
-    rec.stamped_at = now;
-    RetireReplacedProjection(key, rec);
-    if (rec.tombstone) {
-      Unproject(rec);
-    } else {
-      Project(rec, now);
-    }
-    records_[key] = std::move(rec);
-    ++changed;
+  for (const VersionedRecord& in : delta.records) {
+    changed += ApplyRecord(in, Intern(in.version.origin), now) ? 1 : 0;
   }
   return changed;
 }
 
-double VersionedCatalog::LastHeard(const std::string& origin) const {
-  auto it = last_heard_.find(origin);
-  return it == last_heard_.end() ? 0 : it->second;
+size_t VersionedCatalog::Apply(IncomingDelta* delta, double now) {
+  size_t changed = 0;
+  uint32_t origin = kNone;
+  const std::string* last = nullptr;
+  for (const VersionedRecord& in : delta->records) {
+    // Deltas arrive in Key() order, so one origin's records are adjacent.
+    if (last == nullptr || in.version.origin != *last) {
+      origin = Intern(in.version.origin);
+      last = &in.version.origin;
+    }
+    delta->origins.push_back(origin);
+    changed += ApplyRecord(in, origin, now) ? 1 : 0;
+  }
+  RemoteVector& sender = delta->sender;
+  if (!sender.unknown_.empty()) {
+    sender.seen_.resize(table_.size(), RemoteVector::kUnlisted);
+    for (const auto& [address, seq] : sender.unknown_) {
+      const uint32_t id = Find(address);
+      if (id != kNone) sender.seen_[id] = seq;
+    }
+  }
+  return changed;
 }
 
-double VersionedCatalog::OriginTtl(const std::string& origin) const {
-  double ttl = 0;
-  for (const auto& [key, rec] : records_) {
-    if (rec.version.origin == origin) ttl = std::max(ttl, rec.ttl_seconds);
-  }
-  return ttl;
+// --- liveness ----------------------------------------------------------------
+
+double VersionedCatalog::LastHeard(const std::string& origin) const {
+  const uint32_t id = Find(origin);
+  return id == kNone ? 0 : table_[id].last_heard;
 }
 
 std::vector<std::string> VersionedCatalog::ExpireSilent(double now) {
-  // Single pass for the per-origin TTLs (this runs on every gossip tick).
-  std::map<std::string, double> ttls;
-  for (const auto& [key, rec] : records_) {
-    double& ttl = ttls[rec.version.origin];
-    ttl = std::max(ttl, rec.ttl_seconds);
-  }
   std::vector<std::string> newly_expired;
-  for (const auto& [origin, ttl] : ttls) {
-    if (origin == self_ || expired_origins_.count(origin) > 0) continue;
-    if (ttl <= 0) continue;
-    if (now - LastHeard(origin) <= ttl) continue;
-    expired_origins_.insert(origin);
-    newly_expired.push_back(origin);
-    for (const auto& [key, rec] : records_) {
-      if (rec.version.origin == origin && !rec.tombstone) Unproject(rec);
+  for (uint32_t id : by_address_) {
+    Row& row = table_[id];
+    if (!row.in_vector || id == self_id_ || row.expired) continue;
+    if (row.ttl <= 0) continue;
+    if (now - row.last_heard <= row.ttl) continue;
+    row.expired = true;
+    newly_expired.push_back(row.address);
+    for (uint32_t f = row.first_fact; f != kNone;
+         f = facts_[f].next_of_origin) {
+      if (!facts_[f].stamp.tombstone) {
+        Unproject(facts_[f].entry, CellsOf(facts_[f].area), id, f);
+      }
     }
   }
   return newly_expired;
 }
 
 std::vector<std::string> VersionedCatalog::LiveOrigins(double now) const {
-  std::set<std::string> origins{self_};
-  for (const auto& [key, rec] : records_) {
-    origins.insert(rec.version.origin);
-  }
   std::vector<std::string> live;
-  for (const std::string& origin : origins) {
-    if (origin != self_) {
-      const double ttl = OriginTtl(origin);
-      if (ttl > 0 && now - LastHeard(origin) > ttl) continue;
+  for (uint32_t id : by_address_) {
+    const Row& row = table_[id];
+    if (id != self_id_) {
+      if (!row.in_vector) continue;
+      if (row.ttl > 0 && now - row.last_heard > row.ttl) continue;
     }
-    live.push_back(origin);
+    live.push_back(row.address);
   }
   return live;
 }
 
 size_t VersionedCatalog::PurgeTombstones(double now, double min_age) {
-  // Each origin's highest sequence must stay carried by some record (see
-  // the header comment): find the per-origin maxima first.
-  std::map<std::string, uint64_t> max_seq;
-  for (const auto& [key, rec] : records_) {
-    uint64_t& high = max_seq[rec.version.origin];
-    high = std::max(high, rec.version.sequence);
-  }
   size_t purged = 0;
-  for (auto it = records_.begin(); it != records_.end();) {
-    const VersionedRecord& rec = it->second;
-    if (rec.tombstone && now - rec.stamped_at >= min_age &&
-        rec.version.sequence != max_seq[rec.version.origin]) {
-      it = records_.erase(it);
+  for (size_t i = 0; i < tombs_.size();) {
+    const Loc loc = tombs_[i];
+    const Stamp& rec = loc.fact == kNone ? table_[loc.origin].presence
+                                         : facts_[loc.fact].stamp;
+    // Each origin's newest record carries its vector entry (see the
+    // header comment): it stays.
+    if (now - rec.stamped_at >= min_age &&
+        rec.sequence != table_[loc.origin].seq) {
+      Remove(loc);  // moves the last tombstone into slot i
       ++purged;
     } else {
-      ++it;
+      ++i;
     }
   }
   return purged;
 }
 
-void VersionedCatalog::RetireReplacedProjection(const std::string& key,
-                                                const VersionedRecord& rec) {
+// --- projection ----------------------------------------------------------------
+
+void VersionedCatalog::RetireReplacedProjection(uint32_t origin, uint32_t fact,
+                                                const SyncEntry& entry,
+                                                bool tombstone) {
   // The record key covers identity fields only; a newer version of the
   // same key may carry a *different* fact payload (delay_minutes is not
   // part of identity). Projection add/remove works on full IndexEntry
   // equality, so the superseded shape must be withdrawn explicitly or it
   // would linger in the catalog forever.
-  auto it = records_.find(key);
-  if (it == records_.end() || it->second.tombstone) return;
-  if (it->second.entry == rec.entry && !rec.tombstone) return;
-  Unproject(it->second);
+  if (fact == kNone) return;
+  const Fact& stored = facts_[fact];
+  if (stored.stamp.tombstone) return;
+  if (SameFact(stored, entry, entry.entry.area) && !tombstone) return;
+  Unproject(stored.entry, CellsOf(stored.area), origin, fact);
 }
 
-void VersionedCatalog::Project(const VersionedRecord& rec, double now) {
-  (void)now;
+void VersionedCatalog::Project(const SyncEntry& entry,
+                               const ns::InterestArea& area, uint32_t origin) {
   if (projection_ == nullptr) return;
-  if (rec.entry.kind == SyncEntryKind::kPresence) return;
-  if (OriginExpired(rec.version.origin)) return;
-  if (rec.entry.kind == SyncEntryKind::kArea) {
-    projection_->AddEntry(rec.entry.entry);
-  } else if (rec.entry.entry.level == HoldingLevel::kBase) {
-    projection_->AddNamedMapping(rec.entry.urn, rec.entry.entry.server,
-                                 rec.entry.entry.xpath);
+  if (entry.kind == SyncEntryKind::kPresence) return;
+  if (table_[origin].expired) return;
+  if (entry.kind == SyncEntryKind::kArea) {
+    const IndexEntry& e = entry.entry;
+    projection_->AddEntry({e.level, area, e.server, e.xpath, e.delay_minutes});
+  } else if (entry.entry.level == HoldingLevel::kBase) {
+    projection_->AddNamedMapping(entry.urn, entry.entry.server,
+                                 entry.entry.xpath);
   } else {
-    projection_->AddNamedReferral(rec.entry.urn, rec.entry.entry.server);
+    projection_->AddNamedReferral(entry.urn, entry.entry.server);
   }
 }
 
-void VersionedCatalog::Unproject(const VersionedRecord& rec) {
+void VersionedCatalog::Unproject(const SyncEntry& entry,
+                                 const ns::InterestArea& area, uint32_t origin,
+                                 uint32_t under_key) {
   if (projection_ == nullptr) return;
-  if (rec.entry.kind == SyncEntryKind::kPresence) return;
-  // Another live record (different origin) may assert the identical fact;
-  // only the last asserter's withdrawal removes it from the projection.
-  const std::string& server = rec.entry.entry.server;
+  if (entry.kind == SyncEntryKind::kPresence) return;
+  // Every other live, unexpired fact naming the server is on its row's
+  // list. One from another origin asserting the identical fact keeps it
+  // projected: only the last asserter's withdrawal removes it.
+  const std::string& server = entry.entry.server;
   bool server_still_asserted = false;
-  for (const auto& [key, other] : records_) {
-    if (other.tombstone || other.entry.kind == SyncEntryKind::kPresence) {
-      continue;
-    }
-    if (OriginExpired(other.version.origin)) continue;
-    if (other.version.origin == rec.version.origin &&
-        other.Key() == rec.Key()) {
-      continue;  // the record being withdrawn itself
-    }
-    if (other.entry.entry.server == server) server_still_asserted = true;
-    if (other.version.origin != rec.version.origin &&
-        other.entry == rec.entry) {
-      return;
+  if (const uint32_t s = Find(server); s != kNone) {
+    for (uint32_t id = table_[s].first_naming; id != kNone;
+         id = facts_[id].next_naming) {
+      const Fact& other = facts_[id];
+      if (id == under_key || other.stamp.tombstone ||
+          table_[other.origin].expired) {
+        continue;
+      }
+      if (other.origin != origin && SameFact(other, entry, area)) return;
+      server_still_asserted = true;
     }
   }
-  if (rec.entry.kind == SyncEntryKind::kArea) {
-    projection_->RemoveEntry(rec.entry.entry);
+  const IndexEntry& e = entry.entry;
+  const IndexEntry removed{e.level, area, e.server, e.xpath, e.delay_minutes};
+  if (entry.kind == SyncEntryKind::kArea) {
+    projection_->RemoveEntry(removed);
   } else {
-    projection_->RemoveNamedEntry(rec.entry.urn, rec.entry.entry);
+    projection_->RemoveNamedEntry(entry.urn, removed);
   }
   // When the withdrawal/expiry removed the server's last live fact, any
   // intensional statement naming it would keep steering bindings at a

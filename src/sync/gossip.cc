@@ -6,7 +6,6 @@
 namespace mqp::sync {
 
 using catalog::CatalogDelta;
-using catalog::VersionVector;
 
 SyncAgent::SyncAgent(net::Transport* sim, net::PeerId id, std::string self,
                      catalog::Catalog* projection, SyncOptions options)
@@ -68,9 +67,10 @@ void SyncAgent::Leave() {
   for (const auto& [key, rec] : versioned_.records()) {
     if (rec.version.origin == self_) goodbye.records.push_back(rec);
   }
+  // No vector piggyback: a push-back would address a peer going dark.
+  const std::string body = goodbye.ToXml();
   for (const std::string& target : peers_) {
-    // No vector piggyback: a push-back would address a peer going dark.
-    SendDeltaRaw(target, goodbye, /*attach_vector=*/false);
+    SendDeltaBody(target, body, goodbye.size());
   }
   departed_ = true;
   Stop();
@@ -117,21 +117,29 @@ void SyncAgent::Tick() {
     // from the partner pool too (seeds stay), so rounds are not wasted
     // digesting them.
     for (const std::string& origin : versioned_.ExpireSilent(now)) {
-      if (seeds_.count(origin) == 0) peers_.erase(origin);
+      if (seeds_.count(origin) == 0) DropPeer(origin);
       ++counters_.origins_expired;
     }
     versioned_.PurgeTombstones(now, options_.tombstone_gc_seconds);
     if (!peers_.empty()) {
-      // Deterministic partner sample without replacement.
-      std::vector<std::string> pool(peers_.begin(), peers_.end());
-      rng_.Shuffle(&pool);
-      const size_t n = std::min(options_.fanout, pool.size());
+      // Deterministic partner sample without replacement: the draws
+      // depend only on the pool size, so shuffling pointers into the
+      // ordered set picks what shuffling copies of it would.
+      for (const std::string& p : peers_) pool_.push_back(&p);
+      rng_.Shuffle(&pool_);
+      const size_t n = std::min(options_.fanout, pool_.size());
       for (size_t i = 0; i < n; ++i) {
-        SendDigest(pool[i]);
+        SendDigest(*pool_[i]);
       }
+      pool_.clear();
     }
   }
   ScheduleTick();
+}
+
+void SyncAgent::DropPeer(const std::string& address) {
+  peers_.erase(address);
+  known_partner_.clear();
 }
 
 void SyncAgent::SendDigest(const std::string& target) {
@@ -140,32 +148,32 @@ void SyncAgent::SendDigest(const std::string& target) {
   ++counters_.digests_sent;
   wire::Send(sim_, id_, *pid,
              {wire::kSyncDigestKind, self_, 0,
-              net::MakePayload(catalog::DigestToXml(versioned_.vector()))});
+              net::MakePayload(versioned_.DigestXml())});
 }
 
 void SyncAgent::SendDelta(const std::string& target,
-                          const VersionVector& remote) {
-  SendDeltaRaw(target, versioned_.DeltaSince(remote), /*attach_vector=*/false);
+                          const catalog::RemoteVector& remote,
+                          bool attach_vector) {
+  std::string body;
+  const size_t records = versioned_.WriteDelta(remote, attach_vector, &body);
+  SendDeltaBody(target, std::move(body), records);
 }
 
-void SyncAgent::SendDeltaRaw(const std::string& target,
-                             const CatalogDelta& delta, bool attach_vector) {
-  if (delta.empty()) return;
+void SyncAgent::SendDeltaBody(const std::string& target, std::string body,
+                              size_t records) {
+  if (records == 0) return;
   auto pid = sim_->Lookup(target);
   if (!pid.ok() || *pid == id_) return;
   ++counters_.deltas_sent;
-  counters_.records_sent += delta.size();
-  CatalogDelta framed = delta;
-  if (attach_vector) framed.sender_vector = versioned_.vector();
+  counters_.records_sent += records;
   wire::Send(sim_, id_, *pid,
              {wire::kSyncDeltaKind, self_, 0,
-              net::MakePayload(framed.ToXml())});
+              net::MakePayload(std::move(body))});
 }
 
 bool SyncAgent::HandleDigest(const wire::Envelope& env, net::PeerId from) {
   ++counters_.digests_received;
-  auto remote = catalog::DigestFromXml(env.body());
-  if (!remote.ok()) return false;
+  if (!versioned_.ReadDigest(env.body(), &remote_).ok()) return false;
   // The envelope's query-id slot carries the sender's address; fall back
   // to the simulator id for raw messages.
   const std::string sender =
@@ -178,10 +186,11 @@ bool SyncAgent::HandleDigest(const wire::Envelope& env, net::PeerId from) {
   // trigger a duplicate send. With nothing to push, a plain digest-back
   // solicits their delta. Terminates: after their delta arrives, the
   // we-lack condition turns false.
-  const catalog::CatalogDelta missing = versioned_.DeltaSince(*remote);
-  const bool we_lack = !catalog::Dominates(versioned_.vector(), *remote);
-  if (!missing.empty()) {
-    SendDeltaRaw(sender, missing, /*attach_vector=*/we_lack);
+  const bool we_lack = !versioned_.Dominates(remote_);
+  std::string body;
+  const size_t missing = versioned_.WriteDelta(remote_, we_lack, &body);
+  if (missing > 0) {
+    SendDeltaBody(sender, std::move(body), missing);
   } else if (we_lack) {
     SendDigest(sender);
   }
@@ -190,28 +199,35 @@ bool SyncAgent::HandleDigest(const wire::Envelope& env, net::PeerId from) {
 
 bool SyncAgent::HandleDelta(const wire::Envelope& env, net::PeerId from) {
   ++counters_.deltas_received;
-  auto delta = CatalogDelta::FromXml(env.body());
-  if (!delta.ok()) return false;
+  catalog::IncomingDelta incoming;
+  if (!versioned_.ReadDelta(env.body(), &incoming).ok()) return false;
   const std::string sender =
       env.query_id.empty() ? sim_->Address(from) : env.query_id;
   AddPeer(sender);
-  counters_.records_applied += versioned_.Apply(*delta, sim_->now());
+  counters_.records_applied += versioned_.Apply(&incoming, sim_->now());
   // Record origins are gossip partner candidates too: membership grows
   // transitively with the catalog itself. A tombstoned presence record
   // is the origin's goodbye — drop it from the partner pool instead.
-  for (const auto& rec : delta->records) {
+  // Per record, in order: one delta can carry an origin's live record
+  // and its goodbye.
+  for (size_t i = 0; i < incoming.records.size(); ++i) {
+    const catalog::VersionedRecord& rec = incoming.records[i];
     if (rec.entry.kind == catalog::SyncEntryKind::kPresence &&
         rec.tombstone) {
       // A goodbye is authoritative: prune even a seed.
-      peers_.erase(rec.version.origin);
+      DropPeer(rec.version.origin);
       seeds_.erase(rec.version.origin);
     } else if (!rec.tombstone) {
+      const uint32_t origin = incoming.origins[i];
+      if (origin < known_partner_.size() && known_partner_[origin]) continue;
       AddPeer(rec.version.origin);
+      if (origin >= known_partner_.size()) known_partner_.resize(origin + 1);
+      known_partner_[origin] = true;
     }
   }
   // Push-back: the piggybacked vector shows what the sender is missing.
-  if (!delta->sender_vector.empty()) {
-    SendDelta(sender, delta->sender_vector);
+  if (!incoming.sender.empty()) {
+    SendDelta(sender, incoming.sender, /*attach_vector=*/false);
   }
   return true;
 }

@@ -21,12 +21,18 @@
 // Determinism: partner choice flows through mqp::Rng seeded per agent,
 // membership sets are ordered, and everything runs on simulator time, so
 // a seeded churn scenario is bit-reproducible.
+//
+// Cost: the agent reads digests and deltas against its catalog's address
+// table and writes deltas and digests straight from it, so handling a
+// message costs what the message carries, and a tick costs one pass over
+// the origins (DESIGN.md §3, Cost).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "catalog/versioned.h"
 #include "common/rng.h"
@@ -134,14 +140,18 @@ class SyncAgent {
  private:
   void Tick();
   void ScheduleTick();
+  /// Removes a learned partner (and forgets which partners are known).
+  void DropPeer(const std::string& address);
   void SendDigest(const std::string& target);
+  /// Sends what `remote` is missing, if anything. `attach_vector`
+  /// piggybacks our version vector on the delta so the receiver pushes
+  /// back what we lack; only worth its bytes when we actually lack
+  /// something (bidirectional gap).
   void SendDelta(const std::string& target,
-                 const catalog::VersionVector& remote);
-  /// `attach_vector` piggybacks our version vector on the delta so the
-  /// receiver pushes back what we lack; only worth its bytes when we
-  /// actually lack something (bidirectional gap).
-  void SendDeltaRaw(const std::string& target,
-                    const catalog::CatalogDelta& delta, bool attach_vector);
+                 const catalog::RemoteVector& remote, bool attach_vector);
+  /// Sends a delta body of `records` records (none: nothing is sent).
+  void SendDeltaBody(const std::string& target, std::string body,
+                     size_t records);
 
   net::Transport* sim_;
   net::PeerId id_;
@@ -152,6 +162,14 @@ class SyncAgent {
   std::set<std::string> seeds_;
   Rng rng_;
   SyncCounters counters_;
+  // Reused across digests and ticks: both stay sized by the membership.
+  // (A delta is read into a fresh IncomingDelta — one kept buffer would
+  // hold the largest delta ever received.)
+  catalog::RemoteVector remote_;
+  std::vector<const std::string*> pool_;  ///< Tick's partner sample
+  /// By the catalog's address id: true when the origin is known to be in
+  /// peers_. Cleared whenever peers_ loses a member.
+  std::vector<bool> known_partner_;
   double last_refresh_ = -1;
   bool running_ = false;
   bool departed_ = false;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "net/simulator.h"
+
 namespace mqp::workload {
 
 using peer::Peer;
@@ -170,7 +172,8 @@ std::vector<Peer*> ChurnScenario::LiveSyncedPeers() const {
 bool ChurnScenario::VectorsConverged() const {
   auto live = LiveSyncedPeers();
   if (live.empty()) return true;
-  const auto& reference = live[0]->sync()->versioned().vector();
+  const catalog::VersionVector reference =
+      live[0]->sync()->versioned().vector();
   for (size_t i = 1; i < live.size(); ++i) {
     if (live[i]->sync()->versioned().vector() != reference) return false;
   }
@@ -181,7 +184,117 @@ std::string ChurnScenario::VectorFingerprint() const {
   if (!VectorsConverged()) return "";
   auto live = LiveSyncedPeers();
   if (live.empty()) return "<no-peers>";
-  return catalog::DigestToXml(live[0]->sync()->versioned().vector());
+  return live[0]->sync()->versioned().DigestXml();
+}
+
+ChurnConvergence RunChurnConvergence(uint64_t seed, size_t sellers,
+                                     bool reliable_queries) {
+  net::Simulator sim;
+  GarageSaleNetworkParams params;
+  params.num_sellers = sellers;
+  params.items_per_seller = 4;
+  params.seed = seed;
+  auto net = BuildGarageSaleNetwork(&sim, params);
+
+  ChurnParams churn;
+  churn.reliable_queries = reliable_queries;
+  churn.seed = seed;
+  churn.duration_seconds = 240;
+  churn.event_interval_seconds = 8;
+  churn.downtime_seconds = 30;
+  churn.query_interval_seconds = 12;
+  churn.convergence_tail_seconds = 120;
+  churn.sync.gossip_interval_seconds = 5;
+  churn.sync.refresh_interval_seconds = 15;
+  churn.sync.entry_ttl_seconds = 60;
+  // One state's worth of sellers per query: the MQP visits each bound
+  // seller sequentially, so a network-wide query would be killed by any
+  // single mid-flight crash and measure nothing but plan width.
+  churn.query_area = *ns::InterestArea::Parse("(USA.OR,*)");
+  ChurnScenario scenario(&sim, &net, churn);
+  scenario.EnableSyncEverywhere();
+
+  ChurnConvergence run;
+  run.peers_at_start = sim.size();
+
+  // The naive baseline, measured on the same schedule: every gossip
+  // round, each live synced peer would re-push its *entire* record set to
+  // one partner (registration-style maintenance, no version vectors). The
+  // probe serializes that state without sending anything.
+  const double step = churn.sync.gossip_interval_seconds;
+  for (double t = step; t <= scenario.horizon(); t += step) {
+    sim.Schedule(t, [&scenario, &run]() {
+      for (Peer* p : scenario.LiveSyncedPeers()) {
+        run.naive_bytes +=
+            p->sync()->versioned().DeltaSince({}).ToXml().size();
+      }
+    });
+  }
+
+  scenario.Prepare();
+  sim.Run(scenario.churn_end());
+  // Step gossip-round-sized slices of the quiet tail until every live
+  // catalog reports the same version vector.
+  const int max_rounds =
+      static_cast<int>(churn.convergence_tail_seconds / step);
+  for (int r = 0; r <= max_rounds; ++r) {
+    if (scenario.VectorsConverged()) {
+      run.convergence_rounds = r;
+      break;
+    }
+    sim.Run(scenario.churn_end() + (r + 1) * step);
+  }
+  sim.Run();  // drain the rest of the tail
+  if (run.convergence_rounds < 0 && scenario.VectorsConverged()) {
+    run.convergence_rounds = max_rounds;
+  }
+
+  run.stats = scenario.stats();
+  run.fingerprint = scenario.VectorFingerprint();
+  const auto& st = sim.stats();
+  auto count = [](const auto& by_kind, const char* kind) -> uint64_t {
+    auto it = by_kind.find(kind);
+    return it == by_kind.end() ? 0 : it->second;
+  };
+  run.gossip_bytes = count(st.bytes_by_kind, wire::kSyncDigestKind) +
+                     count(st.bytes_by_kind, wire::kSyncDeltaKind);
+  run.gossip_messages = count(st.messages_by_kind, wire::kSyncDigestKind) +
+                        count(st.messages_by_kind, wire::kSyncDeltaKind);
+  run.total_messages = st.messages;
+  run.total_bytes = st.bytes;
+  run.queries_shed = st.queries_shed;
+  run.mailbox_soft_overflows = st.mailbox_soft_overflows;
+  return run;
+}
+
+std::vector<std::string> ChurnConvergenceShape(const ChurnConvergence& a,
+                                               const ChurnConvergence& b,
+                                               const ChurnConvergence& retries,
+                                               int max_rounds) {
+  std::vector<std::string> failed;
+  if (a.convergence_rounds < 0 || a.convergence_rounds > max_rounds) {
+    failed.push_back("converged in " + std::to_string(a.convergence_rounds) +
+                     " rounds, bound " + std::to_string(max_rounds));
+  }
+  // gossip <= naive / 2.5, in integers.
+  if (5 * a.gossip_bytes > 2 * a.naive_bytes) {
+    failed.push_back("gossip " + std::to_string(a.gossip_bytes) +
+                     " B is over naive " + std::to_string(a.naive_bytes) +
+                     " B / 2.5");
+  }
+  if (a.fingerprint.empty() || a.fingerprint != b.fingerprint ||
+      a.total_messages != b.total_messages || a.total_bytes != b.total_bytes) {
+    failed.push_back("two same-seed runs differ");
+  }
+  if (retries.stats.queries_complete != retries.stats.queries_submitted ||
+      retries.stats.queries_complete < a.stats.queries_complete) {
+    failed.push_back(
+        "with retries " + std::to_string(retries.stats.queries_complete) +
+        " of " + std::to_string(retries.stats.queries_submitted) +
+        " queries complete, without " +
+        std::to_string(a.stats.queries_complete));
+  }
+  return failed;
 }
 
 }  // namespace mqp::workload

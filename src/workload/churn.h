@@ -9,6 +9,7 @@
 // seed reproduces the exact same event trace, traffic and final catalogs.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -125,5 +126,51 @@ class ChurnScenario {
   size_t next_joiner_ = 0;
   bool prepared_ = false;
 };
+
+/// \brief One run of the C7 scenario (bench_c7_churn, DESIGN.md §3): a
+/// garage-sale network under seeded churn while a client queries one
+/// state, measured for gossip convergence after the churn window, gossip
+/// bytes against a naive full re-push, and query success.
+struct ChurnConvergence {
+  ChurnStats stats;
+  size_t peers_at_start = 0;
+  int convergence_rounds = -1;  ///< gossip rounds after churn; -1: never
+  uint64_t gossip_messages = 0;
+  uint64_t gossip_bytes = 0;
+  /// Every live synced peer re-pushing its entire record set to one
+  /// partner each gossip round, on the same schedule.
+  uint64_t naive_bytes = 0;
+  uint64_t total_messages = 0;
+  uint64_t total_bytes = 0;
+  uint64_t queries_shed = 0;
+  uint64_t mailbox_soft_overflows = 0;
+  std::string fingerprint;  ///< the converged vector ("" if diverged)
+};
+
+/// Runs the C7 scenario for `sellers` sellers on a fresh net::Simulator.
+/// `reliable_queries` routes the client's queries through the reliability
+/// layer (ChurnParams::reliable_queries).
+ChurnConvergence RunChurnConvergence(uint64_t seed, size_t sellers,
+                                     bool reliable_queries);
+
+/// \brief A C7 network size, its seed, and the most gossip rounds its
+/// convergence may take (the rounds measured when the claim was gated).
+struct ChurnConvergenceSize {
+  size_t sellers;
+  uint64_t seed;
+  int max_rounds;
+};
+inline constexpr ChurnConvergenceSize kChurnConvergenceSizes[] = {
+    {12, 7012, 7}, {24, 7024, 7}, {48, 7048, 11}};
+
+/// The C7 shape for one size, from two same-seed runs with retries off
+/// and one with them on: gossip converges within `max_rounds`, ships at
+/// most a 2.5th of the naive re-push, repeats bit-identically, and with
+/// retries every query completes — at least as many as without. Returns
+/// what failed; empty when the shape holds.
+std::vector<std::string> ChurnConvergenceShape(const ChurnConvergence& a,
+                                               const ChurnConvergence& b,
+                                               const ChurnConvergence& retries,
+                                               int max_rounds);
 
 }  // namespace mqp::workload

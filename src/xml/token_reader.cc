@@ -65,7 +65,11 @@ size_t CanonicalEntityLength(std::string_view s, bool in_attr) {
 
 }  // namespace
 
-size_t CanonicalRunEnd(std::string_view in, size_t pos) {
+// Pinned to a cache line: its byte-scanning loops are alignment-sensitive,
+// and without the pin unrelated code earlier in the link moves them (on a
+// 4-core Xeon container, a 48-byte shift cost mix-sim 11-15% qps with no
+// code path changed).
+[[gnu::aligned(64)]] size_t CanonicalRunEnd(std::string_view in, size_t pos) {
   constexpr size_t kNo = std::string_view::npos;
   constexpr size_t kMaxDepth = 64;
   constexpr size_t kMaxAttrs = 32;
