@@ -1,11 +1,12 @@
 #include "algebra/plan.h"
 
+#include <algorithm>
 #include <atomic>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "algebra/walk.h"
 #include "common/strings.h"
 #include "xml/token_reader.h"
+#include "xml/token_writer.h"
 
 namespace mqp::algebra {
 
@@ -96,16 +97,47 @@ PlanNodePtr PlanNode::XmlData(ItemSet items) {
 }
 
 PlanNodePtr PlanNode::VerbatimData(std::shared_ptr<const std::string> buffer,
-                                   std::string_view run) {
+                                   std::string_view run, size_t item_count) {
   auto n = New(OpType::kXmlData);
   n->verbatim_buffer_ = std::move(buffer);
   n->verbatim_ = run;
+  n->verbatim_count_ = item_count;
   return n;
 }
 
+bool PlanNode::IsFoldableUnion() const {
+  if (type_ != OpType::kUnion || distinct_ || annotations_.topk) return false;
+  return std::any_of(children_.begin(), children_.end(),
+                     [](const PlanNodePtr& c) {
+                       return c->IsConstant() && !c->verbatim_.empty();
+                     });
+}
+
+void PlanNode::FoldUnion(const std::vector<ItemSet>& evaluated) {
+  auto buffer = std::make_shared<std::string>();
+  xml::TokenWriter w(buffer.get());
+  size_t count = 0;
+  for (size_t i = 0; i < children_.size(); ++i) {
+    const PlanNode& c = *children_[i];
+    if (!c.verbatim_.empty()) {
+      w.Raw(c.verbatim_);
+      count += c.verbatim_count_;
+      continue;
+    }
+    const ItemSet& items = c.IsConstant() ? c.items_ : evaluated[i];
+    for (const Item& item : items) w.Write(*item);
+    count += items.size();
+  }
+  MorphToData({});
+  annotations_.cardinality = count;
+  verbatim_ = *buffer;
+  verbatim_buffer_ = std::move(buffer);
+  verbatim_count_ = count;
+}
+
 void PlanNode::BuildVerbatimItems() const {
-  // The run passed CanonicalRunEnd, so it tokenizes cleanly: a sequence
-  // of top-level elements, each one item.
+  // The run passed CanonicalRunEnd or was written by FoldUnion, so it
+  // tokenizes cleanly: a sequence of top-level elements, each one item.
   xml::TokenReader r(verbatim_);
   while (r.Advance() &&
          r.current().type == xml::TokenType::kStartElement) {
@@ -218,6 +250,7 @@ PlanNodePtr PlanNode::CloneInternal(
   n->items_ = items_;  // items are immutable shared_ptrs: shallow copy OK
   n->verbatim_buffer_ = verbatim_buffer_;
   n->verbatim_ = verbatim_;
+  n->verbatim_count_ = verbatim_count_;
   n->str_ = str_;
   n->str2_ = str2_;
   n->expr_ = expr_;  // expressions immutable
@@ -277,45 +310,25 @@ void PlanNode::MorphTo(const PlanNode& other) {
   annotations_ = copy->annotations_;
 }
 
-namespace {
-void CollectNodes(const PlanNode* node,
-                  std::unordered_set<const PlanNode*>* seen,
-                  std::vector<const PlanNode*>* order) {
-  if (seen->count(node) != 0) return;
-  seen->insert(node);
-  order->push_back(node);
-  for (const auto& c : node->children()) {
-    CollectNodes(c.get(), seen, order);
-  }
-}
-}  // namespace
-
 size_t PlanNode::NodeCount() const {
-  std::unordered_set<const PlanNode*> seen;
-  std::vector<const PlanNode*> order;
-  CollectNodes(this, &seen, &order);
-  return order.size();
+  size_t count = 0;
+  ForEachNode(this, [&count](const PlanNode*) { ++count; });
+  return count;
 }
 
 std::vector<const PlanNode*> PlanNode::UrnLeaves() const {
-  std::unordered_set<const PlanNode*> seen;
-  std::vector<const PlanNode*> order;
-  CollectNodes(this, &seen, &order);
   std::vector<const PlanNode*> out;
-  for (const PlanNode* n : order) {
+  ForEachNode(this, [&out](const PlanNode* n) {
     if (n->type() == OpType::kUrn) out.push_back(n);
-  }
+  });
   return out;
 }
 
 std::vector<const PlanNode*> PlanNode::UrlLeaves() const {
-  std::unordered_set<const PlanNode*> seen;
-  std::vector<const PlanNode*> order;
-  CollectNodes(this, &seen, &order);
   std::vector<const PlanNode*> out;
-  for (const PlanNode* n : order) {
+  ForEachNode(this, [&out](const PlanNode* n) {
     if (n->type() == OpType::kUrl) out.push_back(n);
-  }
+  });
   return out;
 }
 
@@ -475,9 +488,8 @@ struct Mixer {
   }
 };
 
-void MixNodes(const PlanNode* node, std::unordered_set<const PlanNode*>* seen,
-              Mixer* m) {
-  if (!seen->insert(node).second) {
+void MixNodes(const PlanNode* node, NodeMarks* seen, Mixer* m) {
+  if (!seen->Insert(node)) {
     m->Mix(0x9e3779b97f4a7c15ull);  // shared-reference marker
     return;
   }
@@ -493,7 +505,7 @@ void MixNodes(const PlanNode* node, std::unordered_set<const PlanNode*>* seen,
 uint64_t Plan::StructuralFingerprint() const {
   Mixer m;
   const std::hash<std::string> hash_str;
-  std::unordered_set<const PlanNode*> seen;
+  NodeMarks seen;
   if (root_ != nullptr) MixNodes(root_.get(), &seen, &m);
   m.Mix(0xfeedfacecafebeefull);
   if (original_ != nullptr) MixNodes(original_.get(), &seen, &m);

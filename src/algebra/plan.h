@@ -116,10 +116,11 @@ class PlanNode {
 
   /// A kXmlData leaf decoded from the wire whose items are still the
   /// canonical bytes they arrived as (xml::CanonicalRunEnd): `run`, a
-  /// non-empty view into `*buffer`, which the node keeps alive. The items
-  /// are built on first read; until a mutation they re-encode as `run`.
+  /// non-empty view into `*buffer`, which the node keeps alive, holding
+  /// `item_count` items (the recognizer's count). The items are built on
+  /// first read; until a mutation they re-encode as `run`.
   static PlanNodePtr VerbatimData(std::shared_ptr<const std::string> buffer,
-                                  std::string_view run);
+                                  std::string_view run, size_t item_count);
 
   static PlanNodePtr Url(std::string url, std::string xpath = "");
 
@@ -194,6 +195,11 @@ class PlanNode {
   /// empty when the items must be written out node by node.
   std::string_view verbatim_items() const { return verbatim_; }
 
+  /// kXmlData: the number of items, read without building them.
+  size_t item_count() const {
+    return verbatim_.empty() ? items_.size() : verbatim_count_;
+  }
+
   /// kUrl: "host:port" or "http://host:port/"; `xpath` is the collection id.
   const std::string& url() const { return str_; }
   const std::string& xpath() const { return str2_; }
@@ -257,6 +263,22 @@ class PlanNode {
   /// except staleness, which describes the data itself.
   void MorphToData(ItemSet items);
 
+  /// True for a bag union (not distinct, no top-k bound) with at least one
+  /// verbatim data input: FoldUnion can reduce it once its other inputs
+  /// are evaluated, without building the carried items.
+  bool IsFoldableUnion() const;
+
+  /// The reduction step for a union that IsFoldableUnion, done on bytes:
+  /// morphs it into one verbatim data leaf whose run is its inputs' items
+  /// in child order — a verbatim input's run, another data input's items
+  /// as TokenWriter::Write emits them, and for each remaining input
+  /// `evaluated[i]` (one entry per child) written likewise. A canonical
+  /// run is its items' serialization, so the leaf encodes exactly as the
+  /// evaluated union would after MorphToData; its items are built from
+  /// the bytes on first read. Annotations as MorphToData: cardinality
+  /// becomes the item count, staleness stays.
+  void FoldUnion(const std::vector<ItemSet>& evaluated);
+
   /// Morphs this node in place into a copy of `other` — the *resolution*
   /// step (URN replaced by its binding). Annotations on this node are
   /// replaced by `other`'s. The result re-encodes its items from DOM.
@@ -300,6 +322,7 @@ class PlanNode {
   void DropVerbatim() {
     verbatim_buffer_.reset();
     verbatim_ = {};
+    verbatim_count_ = 0;
   }
 
   OpType type_;
@@ -308,6 +331,7 @@ class PlanNode {
   mutable ItemSet items_;  // built lazily from verbatim_ (see items())
   std::shared_ptr<const std::string> verbatim_buffer_;  // owns verbatim_
   std::string_view verbatim_;
+  size_t verbatim_count_ = 0;  // items in verbatim_
   std::string str_;   // url / urn / agg field / order field / target
   std::string str2_;  // xpath / group_by
   ExprPtr expr_;

@@ -3,6 +3,7 @@
 #include <deque>
 #include <unordered_map>
 
+#include "algebra/walk.h"
 #include "common/strings.h"
 #include "xml/parser.h"
 #include "xml/token_reader.h"
@@ -43,40 +44,70 @@ void EmitTopKAttrs(const Annotations& a, AttrFn&& attr) {
   }
 }
 
-// `find` returns the attribute value or nullopt; shared by both decoders.
+// Integer attributes are outside input: a value that is not an integer
+// of its field's type (garbage, a negative count, a top-k leaf index past
+// uint32_t, a staleness past int) rejects the plan instead of wrapping or
+// narrowing into the field. `find` returns the attribute value or
+// nullopt; both decoders read every integer attribute through here, so
+// they accept, reject and report alike.
+template <typename T, typename FindFn>
+Status ReadIntAttr(std::string_view tag, std::string_view key,
+                   const FindFn& find, std::optional<T>* out) {
+  const auto s = find(key);
+  if (!s) return Status::OK();
+  T v = 0;
+  if (!mqp::ParseInteger(*s, &v)) {
+    return Status::ParseError("<" + std::string(tag) + "> has a bad " +
+                              std::string(key) + " attribute");
+  }
+  *out = v;
+  return Status::OK();
+}
+
 template <typename FindFn>
-void ParseTopKAttrs(Annotations* a, FindFn&& find) {
+Status ParseTopKAttrs(std::string_view tag, const FindFn& find,
+                      Annotations* a) {
   const auto field = find("tk-field");
-  if (!field) return;
+  if (!field) return Status::OK();
   TopKBound t;
   t.order_field = std::string(*field);
-  int64_t v = 0;
   if (const auto s = find("tk-order")) t.ascending = *s != "desc";
-  if (const auto s = find("tk-k"); s && mqp::ParseInt64(*s, &v) && v >= 0) {
-    t.k = static_cast<uint64_t>(v);
-  }
-  if (const auto s = find("tk-batch"); s && mqp::ParseInt64(*s, &v) && v >= 0) {
-    t.batch = static_cast<uint64_t>(v);
-  }
-  if (const auto s = find("tk-cont"); s && mqp::ParseInt64(*s, &v) && v >= 0) {
-    t.cont = static_cast<uint64_t>(v);
-  }
-  if (const auto s = find("tk-leaf"); s && mqp::ParseInt64(*s, &v) && v >= 0) {
-    t.leaf = static_cast<uint32_t>(v);
-  }
+  std::optional<uint64_t> k, batch, cont;
+  std::optional<uint32_t> leaf, bound_leaf;
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-k", find, &k));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-batch", find, &batch));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-cont", find, &cont));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-leaf", find, &leaf));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-bleaf", find, &bound_leaf));
+  t.k = k.value_or(0);
+  t.batch = batch.value_or(0);
+  t.cont = cont.value_or(0);
+  t.leaf = leaf.value_or(0);
+  t.bound_leaf = bound_leaf.value_or(0);
   if (const auto s = find("tk-bkey")) {
     t.has_bound = true;
     t.bound_key = std::string(*s);
   }
-  if (const auto s = find("tk-bleaf"); s && mqp::ParseInt64(*s, &v) && v >= 0) {
-    t.bound_leaf = static_cast<uint32_t>(v);
-  }
   a->topk = std::move(t);
+  return Status::OK();
 }
 
-// Counts how many times each node is referenced in the DAG.
-void CountRefs(const PlanNode* node,
-               std::unordered_map<const PlanNode*, int>* refs) {
+// The annotation attributes (§5.1, §4.3, DESIGN.md §10) of element <tag>.
+template <typename FindFn>
+Status ParseAnnotationAttrs(std::string_view tag, FindFn&& find,
+                            Annotations* a) {
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "card", find, &a->cardinality));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "bytes", find, &a->bytes));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "distinct", find, &a->distinct_keys));
+  MQP_RETURN_IF_ERROR(
+      ReadIntAttr(tag, "staleness", find, &a->staleness_minutes));
+  return ParseTopKAttrs(tag, find, a);
+}
+
+// Counts how many times each node is referenced in the DAG. The
+// serializers then replace a shared node's count with its negated id at
+// its first emission, so later references find the id in the same slot.
+void CountRefs(const PlanNode* node, NodeMarks* refs) {
   if (++(*refs)[node] > 1) return;  // only descend on first visit
   for (const auto& c : node->children()) {
     CountRefs(c.get(), refs);
@@ -92,17 +123,16 @@ class Serializer {
 
  private:
   std::unique_ptr<xml::Node> Emit(const PlanNode& node) {
-    auto it = ids_.find(&node);
-    if (it != ids_.end()) {
+    int& refs = refs_[&node];
+    if (refs < 0) {
       auto ref = xml::Node::Element("ref");
-      ref->SetAttr("id", std::to_string(it->second));
+      ref->SetAttr("id", std::to_string(-refs));
       return ref;
     }
     auto out = xml::Node::Element(std::string(OpTypeName(node.type())));
-    if (refs_[&node] > 1) {
-      const int id = next_id_++;
-      ids_[&node] = id;
-      out->SetAttr("node-id", std::to_string(id));
+    if (refs > 1) {
+      refs = -next_id_++;
+      out->SetAttr("node-id", std::to_string(-refs));
     }
     // Annotations. Union's distinct flag shares the "distinct" attribute
     // with the distinct_keys annotation (the flag wins); emitting it here
@@ -174,8 +204,7 @@ class Serializer {
     return out;
   }
 
-  std::unordered_map<const PlanNode*, int> refs_;
-  std::unordered_map<const PlanNode*, int> ids_;
+  NodeMarks refs_;  // see CountRefs
   int next_id_ = 1;
 };
 
@@ -194,22 +223,9 @@ class Deserializer {
 
     MQP_ASSIGN_OR_RETURN(auto node, ParseByTag(elem));
 
-    // Annotations.
     Annotations& a = node->annotations();
-    int64_t v;
-    if (auto s = elem.Attr("card"); s && mqp::ParseInt64(*s, &v)) {
-      a.cardinality = static_cast<uint64_t>(v);
-    }
-    if (auto s = elem.Attr("bytes"); s && mqp::ParseInt64(*s, &v)) {
-      a.bytes = static_cast<uint64_t>(v);
-    }
-    if (auto s = elem.Attr("distinct"); s && mqp::ParseInt64(*s, &v)) {
-      a.distinct_keys = static_cast<uint64_t>(v);
-    }
-    if (auto s = elem.Attr("staleness"); s && mqp::ParseInt64(*s, &v)) {
-      a.staleness_minutes = static_cast<int>(v);
-    }
-    ParseTopKAttrs(&a, [&](std::string_view key) { return elem.Attr(key); });
+    MQP_RETURN_IF_ERROR(ParseAnnotationAttrs(
+        tag, [&](std::string_view key) { return elem.Attr(key); }, &a));
     for (const xml::Node* h : elem.Children("histogram")) {
       MQP_ASSIGN_OR_RETURN(auto hist, FieldHistogram::FromXml(*h));
       a.histograms.push_back(std::move(hist));
@@ -323,13 +339,8 @@ class Deserializer {
     }
     if (tag == "topn") {
       std::optional<uint64_t> limit;
-      if (const auto s = elem.Attr("n")) {
-        int64_t n = 0;
-        if (!mqp::ParseInt64(*s, &n) || n < 0) {
-          return Status::ParseError("<topn> has a bad n attribute");
-        }
-        limit = static_cast<uint64_t>(n);
-      }
+      auto find = [&](std::string_view key) { return elem.Attr(key); };
+      MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "n", find, &limit));
       MQP_ASSIGN_OR_RETURN(auto inputs, ParseInputs(elem));
       MQP_RETURN_IF_ERROR(RequireInputs(tag, inputs, 1));
       return PlanNode::TopN(limit, elem.AttrOr("orderby", ""),
@@ -378,18 +389,17 @@ class StreamSerializer {
 
  private:
   void Emit(const PlanNode& node) {
-    auto it = ids_.find(&node);
-    if (it != ids_.end()) {
+    int& refs = refs_[&node];
+    if (refs < 0) {
       w_->Start("ref");
-      w_->Attr("id", std::to_string(it->second));
+      w_->Attr("id", std::to_string(-refs));
       w_->End();
       return;
     }
     w_->Start(OpTypeName(node.type()));
-    if (refs_[&node] > 1) {
-      const int id = next_id_++;
-      ids_[&node] = id;
-      w_->Attr("node-id", std::to_string(id));
+    if (refs > 1) {
+      refs = -next_id_++;
+      w_->Attr("node-id", std::to_string(-refs));
     }
     // Union's distinct flag shares the "distinct" attribute with the
     // distinct_keys annotation (the flag wins), emitted in the canonical
@@ -466,8 +476,7 @@ class StreamSerializer {
   }
 
   xml::TokenWriter* w_;
-  std::unordered_map<const PlanNode*, int> refs_;
-  std::unordered_map<const PlanNode*, int> ids_;
+  NodeMarks refs_;  // see CountRefs
   int next_id_ = 1;
 };
 
@@ -532,6 +541,15 @@ void EmitPlanTokens(const Plan& plan, xml::TokenWriter* w) {
   }
   w->End();  // plan
   w->End();  // mqp
+}
+
+// The `find` of ReadIntAttr / ParseAnnotationAttrs over a token AttrList.
+auto AttrFinder(const xml::AttrList& attrs) {
+  return [&attrs](std::string_view key) -> std::optional<std::string_view> {
+    const std::string* s = attrs.Find(key);
+    if (s == nullptr) return std::nullopt;
+    return std::string_view(*s);
+  };
 }
 
 // Streaming twin of Deserializer: consumes tokens directly into
@@ -627,6 +645,7 @@ class StreamDeserializer {
     std::vector<FieldHistogram> histograms;
     ItemSet items;
     std::string_view run;  // the canonical item run, when recognized
+    size_t run_items = 0;
     std::vector<PlanNodePtr>& inputs = InputsAt(depth);
     while (t.type != xml::TokenType::kEndElement) {
       if (t.type == xml::TokenType::kStartElement) {
@@ -638,7 +657,7 @@ class StreamDeserializer {
           // The first item tries to keep the whole run as bytes (the
           // reader then sits at </data>); a rejected run decodes item by
           // item.
-          if (items.empty()) run = r_->SkipCanonicalRun();
+          if (items.empty()) run = r_->SkipCanonicalRun(&run_items);
           if (run.empty()) {
             MQP_ASSIGN_OR_RETURN(auto item, r_->MaterializeSubtree());
             items.push_back(Item(item.release()));
@@ -662,7 +681,7 @@ class StreamDeserializer {
     }
     PlanNodePtr node;
     if (!run.empty()) {
-      node = VerbatimLeaf(run);
+      node = VerbatimLeaf(run, run_items);
     } else {
       MQP_ASSIGN_OR_RETURN(node, BuildByTag(tag, attrs, std::move(expr),
                                             std::move(items), &inputs));
@@ -671,30 +690,8 @@ class StreamDeserializer {
       node->annotations().histograms = std::move(histograms);
     }
     if (!attrs.empty()) {
-      Annotations& a = node->annotations();
-      int64_t v;
-      if (const std::string* s = attrs.Find("card");
-          s != nullptr && mqp::ParseInt64(*s, &v)) {
-        a.cardinality = static_cast<uint64_t>(v);
-      }
-      if (const std::string* s = attrs.Find("bytes");
-          s != nullptr && mqp::ParseInt64(*s, &v)) {
-        a.bytes = static_cast<uint64_t>(v);
-      }
-      if (const std::string* s = attrs.Find("distinct");
-          s != nullptr && mqp::ParseInt64(*s, &v)) {
-        a.distinct_keys = static_cast<uint64_t>(v);
-      }
-      if (const std::string* s = attrs.Find("staleness");
-          s != nullptr && mqp::ParseInt64(*s, &v)) {
-        a.staleness_minutes = static_cast<int>(v);
-      }
-      ParseTopKAttrs(&a, [&](std::string_view key)
-                             -> std::optional<std::string_view> {
-        const std::string* s = attrs.Find(key);
-        if (s == nullptr) return std::nullopt;
-        return std::string_view(*s);
-      });
+      MQP_RETURN_IF_ERROR(ParseAnnotationAttrs(
+          tag, AttrFinder(attrs), &node->annotations()));
       if (const std::string* id = attrs.Find("node-id")) {
         by_id_[*id] = node;
       }
@@ -764,13 +761,7 @@ class StreamDeserializer {
     }
     if (tag == "topn") {
       std::optional<uint64_t> limit;
-      if (const std::string* s = attrs.Find("n")) {
-        int64_t n = 0;
-        if (!mqp::ParseInt64(*s, &n) || n < 0) {
-          return Status::ParseError("<topn> has a bad n attribute");
-        }
-        limit = static_cast<uint64_t>(n);
-      }
+      MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "n", AttrFinder(attrs), &limit));
       MQP_RETURN_IF_ERROR(RequireInputs(tag, *inputs, 1));
       return PlanNode::TopN(limit, attrs.Get("orderby"),
                             attrs.GetView("order", "asc") != "desc",
@@ -790,13 +781,13 @@ class StreamDeserializer {
 
   // A leaf over `run` (a view into text_), re-pointed at the same bytes
   // inside the shared buffer.
-  PlanNodePtr VerbatimLeaf(std::string_view run) {
+  PlanNodePtr VerbatimLeaf(std::string_view run, size_t item_count) {
     if (buffer_ == nullptr) {
       buffer_ = std::make_shared<const std::string>(text_);
     }
     const std::string_view shared = std::string_view(*buffer_).substr(
         static_cast<size_t>(run.data() - text_.data()), run.size());
-    return PlanNode::VerbatimData(buffer_, shared);
+    return PlanNode::VerbatimData(buffer_, shared, item_count);
   }
 
   xml::TokenReader* r_;
@@ -838,11 +829,9 @@ Status ParsePolicyTokens(xml::TokenReader* r, PlanPolicy* p) {
     }
   }
   if (const std::string* pr = attrs.Find("priority")) {
-    int64_t v = 0;
-    if (!mqp::ParseInt64(*pr, &v) || v < 0) {
+    if (!mqp::ParseInteger(*pr, &p->priority)) {
       return Status::ParseError("bad priority");
     }
-    p->priority = static_cast<uint32_t>(v);
   }
   p->preference = attrs.GetView("prefer", "complete") == "current"
                       ? AnswerPreference::kCurrent
@@ -1037,11 +1026,9 @@ Result<Plan> PlanFromXml(const xml::Node& root) {
       }
     }
     if (auto pr = pol->Attr("priority")) {
-      int64_t v = 0;
-      if (!mqp::ParseInt64(*pr, &v) || v < 0) {
+      if (!mqp::ParseInteger(*pr, &p.priority)) {
         return Status::ParseError("bad priority");
       }
-      p.priority = static_cast<uint32_t>(v);
     }
     p.preference = pol->AttrOr("prefer", "complete") == "current"
                        ? AnswerPreference::kCurrent

@@ -102,13 +102,11 @@ Result<Provenance> Provenance::FromXml(const xml::Node& node) {
     MQP_ASSIGN_OR_RETURN(e.action,
                          ProvenanceActionFromName(v->AttrOr("action", "")));
     e.detail = v->AttrOr("detail", "");
-    int64_t staleness = 0;
     if (auto s = v->Attr("staleness")) {
-      if (!mqp::ParseInt64(*s, &staleness)) {
+      if (!mqp::ParseInteger(*s, &e.staleness_minutes)) {
         return Status::ParseError("bad provenance staleness");
       }
     }
-    e.staleness_minutes = static_cast<int>(staleness);
     prov.Add(std::move(e));
   }
   return prov;
@@ -147,13 +145,11 @@ Result<Provenance> Provenance::FromTokens(xml::TokenReader* r) {
         MQP_ASSIGN_OR_RETURN(
             e.action, ProvenanceActionFromName(attrs.Get("action")));
         e.detail = attrs.Get("detail");
-        int64_t staleness = 0;
         if (const std::string* s = attrs.Find("staleness")) {
-          if (!mqp::ParseInt64(*s, &staleness)) {
+          if (!mqp::ParseInteger(*s, &e.staleness_minutes)) {
             return Status::ParseError("bad provenance staleness");
           }
         }
-        e.staleness_minutes = static_cast<int>(staleness);
         prov.Add(std::move(e));
         if (vt.type != xml::TokenType::kEndElement) {
           MQP_RETURN_IF_ERROR(r->SkipToElementEnd());

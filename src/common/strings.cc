@@ -83,21 +83,32 @@ bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 
 }  // namespace
 
-bool ParseInt64(std::string_view s, int64_t* out) {
+template <typename T>
+bool ParseInteger(std::string_view s, T* out) {
   // from_chars: no temporary buffer, no locale — these run per numeric
   // attribute on the wire decode path. A leading '+' is accepted for
   // strtoll compatibility (from_chars alone rejects it), but only before
-  // a digit so "+-5" stays invalid.
+  // a digit so "+-5" stays invalid. from_chars reports a value outside
+  // T's range, and rejects any '-' for an unsigned T.
   s = Trim(s);
   if (s.size() >= 2 && s.front() == '+' && IsDigit(s[1])) {
     s.remove_prefix(1);
   }
   if (s.empty()) return false;
-  int64_t v = 0;
+  T v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc() || ptr != s.data() + s.size()) return false;
   *out = v;
   return true;
+}
+
+template bool ParseInteger(std::string_view, int*);
+template bool ParseInteger(std::string_view, uint32_t*);
+template bool ParseInteger(std::string_view, int64_t*);
+template bool ParseInteger(std::string_view, uint64_t*);
+
+bool ParseInt64(std::string_view s, int64_t* out) {
+  return ParseInteger(s, out);
 }
 
 bool ParseDouble(std::string_view s, double* out) {

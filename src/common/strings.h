@@ -1,6 +1,7 @@
 // Small string utilities shared across modules.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,7 +27,14 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 std::string ReplaceAll(std::string s, std::string_view from,
                        std::string_view to);
 
-/// Parses a decimal integer; returns false on garbage or overflow.
+/// Parses a decimal integer of type T (int, uint32_t, int64_t or
+/// uint64_t); returns false on garbage or a value outside T's range —
+/// for an unsigned T, any negative value. Surrounding whitespace and a
+/// leading '+' are accepted.
+template <typename T>
+bool ParseInteger(std::string_view s, T* out);
+
+/// ParseInteger for int64_t.
 bool ParseInt64(std::string_view s, int64_t* out);
 
 /// Parses a decimal floating-point number; returns false on garbage.

@@ -139,4 +139,14 @@ Result<OperatorPtr> BuildOperator(const algebra::PlanNode& plan,
 Result<algebra::ItemSet> Evaluate(const algebra::PlanNode& plan,
                                   DataSource* source = nullptr);
 
+/// \brief Evaluates the inputs of a union that PlanNode::FoldUnion will
+/// reduce: one ItemSet per child, holding what Evaluate yields for an
+/// input that is not constant data and nothing for a data input. Charges
+/// the active budget as Evaluate over the whole union would — a data
+/// input's item count in rows and its serialized size in bytes — without
+/// building a verbatim input's items, and fails where that evaluation
+/// fails.
+Result<std::vector<algebra::ItemSet>> EvaluateUnionInputs(
+    const algebra::PlanNode& bag_union, DataSource* source = nullptr);
+
 }  // namespace mqp::engine

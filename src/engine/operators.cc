@@ -56,15 +56,21 @@ Status ChargeRow() {
   return Status::OK();
 }
 
-// Charges a delivered item's serialized size against the byte limit.
-Status ChargeItemBytes(const algebra::Item& item) {
+// Charges delivered serialized bytes against the byte limit.
+Status ChargeBytes(uint64_t bytes) {
   internal::BudgetState& b = g_budget;
   if (!b.active || !b.bytes_limited) return Status::OK();
   if (b.exhausted) return Status::Timeout("evaluation budget exhausted");
-  const uint64_t bytes = xml::SerializedSize(*item);
   if (bytes > b.bytes_left) return BudgetExhausted();
   b.bytes_left -= bytes;
   return Status::OK();
+}
+
+// Charges a delivered item's serialized size against the byte limit.
+Status ChargeItemBytes(const algebra::Item& item) {
+  const internal::BudgetState& b = g_budget;
+  if (!b.active || !b.bytes_limited) return Status::OK();
+  return ChargeBytes(xml::SerializedSize(*item));
 }
 }  // namespace
 
@@ -705,27 +711,87 @@ Result<OperatorPtr> BuildOperator(const PlanNode& plan, DataSource* source) {
   return Status::Internal("unhandled operator type");
 }
 
-Result<algebra::ItemSet> Evaluate(const PlanNode& plan, DataSource* source) {
-  const auto start = std::chrono::steady_clock::now();
-  auto run = [&]() -> Result<algebra::ItemSet> {
-    MQP_ASSIGN_OR_RETURN(auto op, BuildOperator(plan, source));
-    MQP_RETURN_IF_ERROR(op->Open());
-    algebra::ItemSet out;
-    while (true) {
-      MQP_ASSIGN_OR_RETURN(auto item, op->Next());
-      if (!item) break;
-      MQP_RETURN_IF_ERROR(ChargeItemBytes(*item));
-      out.push_back(*item);
+namespace {
+
+// Pulls every item of an opened operator into `out`, charging each one's
+// bytes as it is delivered.
+Status Drain(Operator* op, ItemSet* out) {
+  while (true) {
+    MQP_ASSIGN_OR_RETURN(auto item, op->Next());
+    if (!item) return Status::OK();
+    MQP_RETURN_IF_ERROR(ChargeItemBytes(*item));
+    out->push_back(*item);
+  }
+}
+
+// Charges a data leaf as DataScan (a row per item) and the drain (its
+// bytes) would; a verbatim run's length is its items' serialized size.
+Status ChargeData(const PlanNode& leaf) {
+  if (leaf.verbatim_items().empty()) {
+    for (const Item& item : leaf.items()) {
+      MQP_RETURN_IF_ERROR(ChargeRow());
+      MQP_RETURN_IF_ERROR(ChargeItemBytes(item));
     }
-    op->Close();
-    return out;
-  };
-  auto result = run();
+    return Status::OK();
+  }
+  for (size_t i = 0; i < leaf.item_count(); ++i) {
+    MQP_RETURN_IF_ERROR(ChargeRow());
+  }
+  return ChargeBytes(leaf.verbatim_items().size());
+}
+
+// Runs `fn`, adding its wall time to engine_eval_ns.
+template <typename Fn>
+auto Timed(Fn&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  auto result = fn();
   g_stats.engine_eval_ns += static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
   return result;
+}
+
+}  // namespace
+
+Result<algebra::ItemSet> Evaluate(const PlanNode& plan, DataSource* source) {
+  return Timed([&]() -> Result<algebra::ItemSet> {
+    MQP_ASSIGN_OR_RETURN(auto op, BuildOperator(plan, source));
+    MQP_RETURN_IF_ERROR(op->Open());
+    algebra::ItemSet out;
+    MQP_RETURN_IF_ERROR(Drain(op.get(), &out));
+    op->Close();
+    return out;
+  });
+}
+
+Result<std::vector<algebra::ItemSet>> EvaluateUnionInputs(
+    const PlanNode& bag_union, DataSource* source) {
+  return Timed([&]() -> Result<std::vector<algebra::ItemSet>> {
+    // The same phases, in the same child order, as UnionAll under
+    // Evaluate: build every input, open every input, then drain.
+    const auto& inputs = bag_union.children();
+    std::vector<OperatorPtr> ops(inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (inputs[i]->IsConstant()) continue;
+      MQP_ASSIGN_OR_RETURN(ops[i], BuildOperator(*inputs[i], source));
+    }
+    for (const auto& op : ops) {
+      if (op != nullptr) MQP_RETURN_IF_ERROR(op->Open());
+    }
+    std::vector<algebra::ItemSet> out(inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (ops[i] == nullptr) {
+        MQP_RETURN_IF_ERROR(ChargeData(*inputs[i]));
+      } else {
+        MQP_RETURN_IF_ERROR(Drain(ops[i].get(), &out[i]));
+      }
+    }
+    for (const auto& op : ops) {
+      if (op != nullptr) op->Close();
+    }
+    return out;
+  });
 }
 
 }  // namespace mqp::engine

@@ -18,7 +18,9 @@
 //   algebra/    mutant query plans: operators, expressions, XML wire format
 //               (data leaves decoded from the wire keep their items as
 //               verbatim bytes, built on first read and re-sent
-//               unchanged — DESIGN.md §5)
+//               unchanged; a bag union over them folds as bytes —
+//               DESIGN.md §5), and the allocation-free, nesting-safe
+//               plan DAG walks (walk: NodeMarks, ForEachNode)
 //   engine/     the zero-copy query engine (DESIGN.md §6): physical
 //               operators over shared immutable items, compiled
 //               FieldAccessors, StructuralHash set semantics, the keyed
@@ -75,6 +77,7 @@
 #include "algebra/plan.h"
 #include "algebra/plan_xml.h"
 #include "algebra/provenance.h"
+#include "algebra/walk.h"
 #include "baseline/central_index.h"
 #include "baseline/coordinator.h"
 #include "baseline/flooding.h"

@@ -123,7 +123,13 @@ CostEstimate CostModel::Estimate(const PlanNode& node) const {
   switch (node.type()) {
     case OpType::kXmlData: {
       CostEstimate est;
-      est.rows = static_cast<double>(node.items().size());
+      est.rows = static_cast<double>(node.item_count());
+      if (!node.verbatim_items().empty()) {
+        // A canonical run is its items' serialization: price the bytes
+        // without building the items.
+        est.bytes = static_cast<double>(node.verbatim_items().size());
+        return est;
+      }
       double bytes = 0;
       for (const auto& item : node.items()) {
         bytes += static_cast<double>(xml::SerializedSize(*item));

@@ -1,38 +1,19 @@
 #include "optimizer/rewrites.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
+
+#include "algebra/walk.h"
 
 namespace mqp::optimizer {
 
 using algebra::Expr;
 using algebra::ExprPtr;
+using algebra::ForEachNodePostOrder;
 using algebra::OpType;
 using algebra::PlanNode;
 using algebra::PlanNodePtr;
 using algebra::Side;
-
-namespace {
-
-// Applies `fn` to every distinct node, children first (post-order).
-template <typename Fn>
-void ForEachNodePostOrder(PlanNode* node,
-                          std::unordered_set<const PlanNode*>* seen, Fn fn) {
-  if (!seen->insert(node).second) return;
-  for (const auto& c : node->children()) {
-    ForEachNodePostOrder(c.get(), seen, fn);
-  }
-  fn(node);
-}
-
-template <typename Fn>
-void ForEachNodePostOrder(PlanNode* root, Fn fn) {
-  std::unordered_set<const PlanNode*> seen;
-  ForEachNodePostOrder(root, &seen, fn);
-}
-
-}  // namespace
 
 int PushSelectThroughUnion(PlanNode* root) {
   int count = 0;
@@ -114,8 +95,13 @@ size_t ChooseOrBranch(const PlanNode& or_node, const Locality& locality,
       // More sources under the branch = the broader answer (e.g. R ∪ S
       // over R alone in §4.3's binding); ties go to the fresher branch.
       auto leaves = [&](size_t i) {
-        return alts[i]->UrlLeaves().size() + alts[i]->UrnLeaves().size() +
-               (alts[i]->IsConstant() ? 1 : 0);
+        size_t sources = alts[i]->IsConstant() ? 1 : 0;
+        algebra::ForEachNode(alts[i].get(), [&](const PlanNode* n) {
+          if (n->type() == OpType::kUrl || n->type() == OpType::kUrn) {
+            ++sources;
+          }
+        });
+        return sources;
       };
       auto staleness = [&](size_t i) { return MaxStalenessMinutes(*alts[i]); };
       for (size_t i = 1; i < alts.size(); ++i) {

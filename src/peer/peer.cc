@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "algebra/walk.h"
 #include "common/strings.h"
 #include "engine/field_accessor.h"
 #include "engine/operator.h"
@@ -605,28 +606,12 @@ void Peer::ProcessPlan(Plan plan, uint32_t hops, double deadline,
 
 namespace {
 
-void CollectMutableNodes(PlanNode* node,
-                         std::unordered_set<PlanNode*>* seen,
-                         std::vector<PlanNode*>* out) {
-  if (!seen->insert(node).second) return;
-  out->push_back(node);
-  for (const auto& c : node->children()) {
-    CollectMutableNodes(c.get(), seen, out);
-  }
-}
-
-std::vector<PlanNode*> MutableNodes(PlanNode* root) {
-  std::unordered_set<PlanNode*> seen;
-  std::vector<PlanNode*> out;
-  CollectMutableNodes(root, &seen, &out);
-  return out;
-}
-
 bool PlanContainsUrn(const PlanNode& root, const std::string& urn) {
-  for (const PlanNode* u : root.UrnLeaves()) {
-    if (u->urn() == urn) return true;
-  }
-  return false;
+  bool found = false;
+  algebra::ForEachNode(&root, [&](const PlanNode* n) {
+    found = found || (n->type() == OpType::kUrn && n->urn() == urn);
+  });
+  return found;
 }
 
 }  // namespace
@@ -637,11 +622,11 @@ void Peer::AnnotateLocalUrls(Plan* plan) {
   // facts instead of defaults.
   if (plan->root() == nullptr) return;
   const std::string self = address();
-  for (PlanNode* n : MutableNodes(plan->root().get())) {
-    if (n->type() != OpType::kUrl || n->url() != self) continue;
-    if (n->annotations().cardinality.has_value()) continue;
+  algebra::ForEachNode(plan->root().get(), [&](PlanNode* n) {
+    if (n->type() != OpType::kUrl || n->url() != self) return;
+    if (n->annotations().cardinality.has_value()) return;
     auto items = store_.Fetch(n->url(), n->xpath());
-    if (!items.ok()) continue;
+    if (!items.ok()) return;
     uint64_t bytes = 0;
     for (const auto& item : *items) {
       bytes += xml::SerializedSize(*item);
@@ -652,7 +637,7 @@ void Peer::AnnotateLocalUrls(Plan* plan) {
       auto h = algebra::FieldHistogram::Build(*items, field);
       if (h) n->annotations().histograms.push_back(std::move(*h));
     }
-  }
+  });
 }
 
 int Peer::ResolveUrns(Plan* plan) {
@@ -664,9 +649,9 @@ int Peer::ResolveUrns(Plan* plan) {
   // Snapshot the URN nodes up front; bindings may add new URN leaves
   // (referrals), which later servers resolve.
   std::vector<PlanNode*> urn_nodes;
-  for (PlanNode* n : MutableNodes(plan->root().get())) {
+  algebra::ForEachNode(plan->root().get(), [&](PlanNode* n) {
     if (n->type() == OpType::kUrn) urn_nodes.push_back(n);
-  }
+  });
   for (PlanNode* node : urn_nodes) {
     const std::string urn_text = node->urn();
     // §5.2 ordering policy: do not bind `then` while `first` is pending.
@@ -816,12 +801,8 @@ int Peer::EvaluateSubplans(Plan* plan) {
         }
         continue;
       }
-      auto items = engine::Evaluate(*decision.subplan, &store_);
-      if (!items.ok()) continue;  // leave the sub-plan for another server
-      algebra::ItemSet data = std::move(items).value();
-      TruncateForTopK(*decision.subplan, &data);
-      decision.subplan->MorphToData(std::move(data));
-      ++reduced;
+      // A failed sub-plan is left for another server.
+      if (ReduceSubplan(decision.subplan)) ++reduced;
     }
     worklist = std::move(next);
   }
@@ -838,15 +819,25 @@ int Peer::ForceEvaluate(Plan* plan) {
       optimizer::MaximalEvaluableSubplans(plan->root().get(), locality);
   int reduced = 0;
   for (PlanNode* node : candidates) {
-    auto items = engine::Evaluate(*node, &store_);
-    if (!items.ok()) continue;
-    algebra::ItemSet data = std::move(items).value();
-    TruncateForTopK(*node, &data);
-    node->MorphToData(std::move(data));
-    ++reduced;
+    if (ReduceSubplan(node)) ++reduced;
   }
   counters_.subplans_evaluated += reduced;
   return reduced;
+}
+
+bool Peer::ReduceSubplan(PlanNode* node) {
+  if (node->IsFoldableUnion()) {
+    auto inputs = engine::EvaluateUnionInputs(*node, &store_);
+    if (!inputs.ok()) return false;
+    node->FoldUnion(*inputs);
+    return true;
+  }
+  auto items = engine::Evaluate(*node, &store_);
+  if (!items.ok()) return false;
+  algebra::ItemSet data = std::move(items).value();
+  TruncateForTopK(*node, &data);
+  node->MorphToData(std::move(data));
+  return true;
 }
 
 optimizer::Locality Peer::LocalLocality() const {
@@ -903,12 +894,15 @@ namespace {
 std::string UnansweredSummary(const Plan& plan, const std::string& self) {
   std::vector<std::string> names;
   if (plan.root() != nullptr) {
-    for (const PlanNode* u : plan.root()->UrlLeaves()) {
-      if (u->url() != self) names.push_back(u->url());
-    }
-    for (const PlanNode* u : plan.root()->UrnLeaves()) {
-      names.push_back(u->urn());
-    }
+    const PlanNode* root = plan.root().get();
+    algebra::ForEachNode(root, [&](const PlanNode* n) {
+      if (n->type() == OpType::kUrl && n->url() != self) {
+        names.push_back(n->url());
+      }
+    });
+    algebra::ForEachNode(root, [&](const PlanNode* n) {
+      if (n->type() == OpType::kUrn) names.push_back(n->urn());
+    });
   }
   std::string out;
   const size_t shown = names.size() < 4 ? names.size() : 4;
@@ -978,16 +972,17 @@ void Peer::RouteOrDeliver(Plan plan, uint32_t hops, double deadline,
   std::map<std::string, int> candidates;
   const std::string self = address();
   bool has_unhinted_urn = false;
-  for (const PlanNode* u : plan.root()->UrlLeaves()) {
-    if (u->url() != self) candidates[u->url()] += 2;  // direct data: best
-  }
-  for (const PlanNode* u : plan.root()->UrnLeaves()) {
-    if (!u->urn_hint().empty()) {
-      if (u->urn_hint() != self) candidates[u->urn_hint()] += 1;
-    } else {
-      has_unhinted_urn = true;
+  algebra::ForEachNode(plan.root().get(), [&](const PlanNode* n) {
+    if (n->type() == OpType::kUrl) {
+      if (n->url() != self) candidates[n->url()] += 2;  // direct data: best
+    } else if (n->type() == OpType::kUrn) {
+      if (!n->urn_hint().empty()) {
+        if (n->urn_hint() != self) candidates[n->urn_hint()] += 1;
+      } else {
+        has_unhinted_urn = true;
+      }
     }
-  }
+  });
   if (has_unhinted_urn) {
     for (const auto& b : bootstraps_) {
       candidates[b] += 0;  // present, lowest priority
@@ -1272,14 +1267,14 @@ void Peer::SuspectUnansweredLeaves(const Plan& plan) {
   // The leaves still unresolved in a returned plan name exactly the
   // servers whose answers never arrived — the confirmed casualties, as
   // opposed to every server the route touched.
-  for (const PlanNode* u : plan.root()->UrlLeaves()) {
-    if (u->url() != address()) Suspect(u->url());
-  }
-  for (const PlanNode* u : plan.root()->UrnLeaves()) {
-    if (!u->urn_hint().empty() && u->urn_hint() != address()) {
-      Suspect(u->urn_hint());
+  algebra::ForEachNode(plan.root().get(), [&](const PlanNode* n) {
+    if (n->type() == OpType::kUrl && n->url() != address()) {
+      Suspect(n->url());
+    } else if (n->type() == OpType::kUrn && !n->urn_hint().empty() &&
+               n->urn_hint() != address()) {
+      Suspect(n->urn_hint());
     }
-  }
+  });
 }
 
 void Peer::ArmQueryTimer(const std::string& query_id, double when) {
@@ -1796,10 +1791,9 @@ namespace {
 // DFS through non-distinct unions, collecting the TopN input's frontier
 // in left-to-right order (the leaf numbering every participant shares).
 // False on a repeated node: DAG sharing makes leaf positions ambiguous.
-bool CollectTopKFrontier(const PlanNodePtr& node,
-                         std::unordered_set<const PlanNode*>* seen,
+bool CollectTopKFrontier(const PlanNodePtr& node, algebra::NodeMarks* seen,
                          std::vector<PlanNodePtr>* out) {
-  if (!seen->insert(node.get()).second) return false;
+  if (!seen->Insert(node.get())) return false;
   if (node->type() == OpType::kUnion && !node->distinct()) {
     for (const auto& c : node->children()) {
       if (!CollectTopKFrontier(c, seen, out)) return false;
@@ -1841,9 +1835,11 @@ bool Peer::MaybeStartTopKSession(Plan* plan, uint32_t hops, double deadline,
       topn->children().empty()) {
     return false;
   }
-  std::unordered_set<const PlanNode*> seen;
   std::vector<PlanNodePtr> frontier;
-  if (!CollectTopKFrontier(topn->child(0), &seen, &frontier)) return false;
+  {
+    algebra::NodeMarks seen;
+    if (!CollectTopKFrontier(topn->child(0), &seen, &frontier)) return false;
+  }
   // Classify the frontier: constants will pre-load the merge;
   // bound-stamped remote sub-plans become streamed sources; anything else
   // (an unresolved URN, an unstamped remote branch, a distinct union)
@@ -1874,14 +1870,20 @@ bool Peer::MaybeStartTopKSession(Plan* plan, uint32_t hops, double deadline,
       src.server = node->url();
       src.xpath = node->xpath();
     } else {
-      if (!node->UrnLeaves().empty()) return false;
-      for (const PlanNode* u : node->UrlLeaves()) {
-        if (src.server.empty()) {
-          src.server = u->url();
-        } else if (src.server != u->url()) {
-          return false;
+      // One server must answer the whole sub-plan: no URN, one URL host.
+      bool single_server = true;
+      algebra::ForEachNode(node.get(), [&](const PlanNode* n) {
+        if (n->type() == OpType::kUrn) {
+          single_server = false;
+        } else if (n->type() == OpType::kUrl) {
+          if (src.server.empty()) {
+            src.server = n->url();
+          } else if (src.server != n->url()) {
+            single_server = false;
+          }
         }
-      }
+      });
+      if (!single_server) return false;
     }
     if (src.server.empty()) return false;
     const auto& card = std::as_const(*node).annotations().cardinality;

@@ -429,6 +429,11 @@ class Peer : public net::PeerNode {
   /// Final-resort evaluation ignoring deferment (dead-ended plans).
   int ForceEvaluate(algebra::Plan* plan);
 
+  /// Evaluates one sub-plan and morphs it into its result; false leaves
+  /// it unreduced (an evaluation error or an exhausted budget). A bag
+  /// union over carried data folds as bytes (PlanNode::FoldUnion).
+  bool ReduceSubplan(algebra::PlanNode* node);
+
   /// Routes an unfinished plan onward, or delivers it if done/stuck.
   void RouteOrDeliver(algebra::Plan plan, uint32_t hops, double deadline = 0,
                       uint32_t attempt = 0);

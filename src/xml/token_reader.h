@@ -89,8 +89,10 @@ class AttrList {
 /// attributes, text between the run's elements, a top-level element
 /// named `histogram` (a plan annotation, not an item), nesting deeper
 /// than 64 elements and more than 32 attributes on one element. A
-/// rejected run still decodes, eagerly.
-size_t CanonicalRunEnd(std::string_view in, size_t begin);
+/// rejected run still decodes, eagerly. On acceptance `*items`, when
+/// given, receives the run's top-level element count: its item count.
+size_t CanonicalRunEnd(std::string_view in, size_t begin,
+                       size_t* items = nullptr);
 
 /// \brief The pull tokenizer. Create one per document; call Next() until
 /// kEndOfInput. Errors are sticky: after a failure every subsequent call
@@ -150,8 +152,9 @@ class TokenReader {
   /// the next Advance() then yields the enclosing element's kEndElement.
   /// Returns an empty view and leaves the reader unchanged when the run
   /// is not canonical. Precondition: current() is a kStartElement whose
-  /// attributes have not been read.
-  std::string_view SkipCanonicalRun();
+  /// attributes have not been read. `*items` receives the run's item
+  /// count (see CanonicalRunEnd).
+  std::string_view SkipCanonicalRun(size_t* items);
 
  private:
   bool AtEnd() const { return pos_ >= in_.size(); }

@@ -3,6 +3,7 @@
 #include "algebra/expr.h"
 #include "algebra/plan.h"
 #include "algebra/plan_xml.h"
+#include "algebra/walk.h"
 #include "common/rng.h"
 #include "xml/parser.h"
 
@@ -122,6 +123,49 @@ TEST(PlanTest, CloneIsDeepAndPreservesSharing) {
   // Mutating the clone must not affect the original.
   clone->mutable_children()[0] = PlanNode::XmlData({});
   EXPECT_EQ(u->child(0)->type(), OpType::kUrn);
+}
+
+// The walk primitive (algebra/walk.h): a walk started inside another
+// walk's callback keeps its own marks, so the outer walk still visits
+// each distinct node once and in order; tables grow past their first
+// size, and the serializers' shared-node ids ride on the same tables.
+TEST(PlanWalkTest, NestedWalksKeepTheirOwnMarks) {
+  auto shared = PlanNode::Union({PlanNode::Url("a:1"), PlanNode::Url("b:1")});
+  auto root = PlanNode::Union(
+      {shared, PlanNode::Select(FieldLess("p", "1"), shared)});
+  const PlanNode* const_root = root.get();
+  std::vector<std::string> post, pre;
+  ForEachNodePostOrder(root.get(), [&](PlanNode* n) {
+    post.push_back(n->Summary());
+    size_t inner = 0;
+    ForEachNode(const_root, [&](const PlanNode*) {
+      ++inner;
+      EXPECT_EQ(const_root->NodeCount(), 5u);  // a third level
+    });
+    EXPECT_EQ(inner, 5u);
+  });
+  EXPECT_EQ(post, (std::vector<std::string>{"url(a:1)", "url(b:1)", "union",
+                                            "select(p < '1')", "union"}));
+  ForEachNode(const_root, [&](const PlanNode* n) {
+    pre.push_back(n->Summary());
+    EXPECT_EQ(const_root->UrlLeaves().size(), 2u);
+  });
+  EXPECT_EQ(pre, (std::vector<std::string>{"union", "union", "url(a:1)",
+                                           "url(b:1)", "select(p < '1')"}));
+
+  std::vector<PlanNodePtr> leaves;
+  for (int i = 0; i < 200; ++i) {
+    leaves.push_back(PlanNode::Url("h" + std::to_string(i) + ":1"));
+  }
+  std::vector<PlanNodePtr> twice = leaves;
+  twice.insert(twice.end(), leaves.begin(), leaves.end());
+  Plan wide(PlanNode::Union(twice));
+  EXPECT_EQ(wide.root()->NodeCount(), 201u);
+  EXPECT_EQ(wide.root()->UrlLeaves().size(), 200u);
+  auto back = ParsePlan(SerializePlan(wide));
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->root()->NodeCount(), 201u);
+  EXPECT_EQ(SerializePlan(*back), SerializePlan(wide));
 }
 
 TEST(PlanTest, FullyEvaluatedDetection) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <functional>
 #include <optional>
 
 #include "algebra/plan.h"
@@ -14,7 +16,10 @@
 #include "catalog/versioned.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "engine/local_store.h"
+#include "engine/operator.h"
 #include "net/message.h"
+#include "optimizer/cost.h"
 #include "wire/body_codec.h"
 #include "xml/node.h"
 #include "xml/parser.h"
@@ -661,6 +666,24 @@ TEST(VerbatimDataTest, RecognizerSweep) {
       auto eager = algebra::PlanFromXml(**xml::Parse(doc));
       ASSERT_TRUE(eager.ok()) << "seed " << seed;
       EXPECT_TRUE(lazy->root()->Equals(*eager->root())) << "seed " << seed;
+      // The recognizer's item count and the run length are the leaf's
+      // item count and serialized size, which is what the cost model
+      // reads instead of building the items.
+      size_t run_items = 0;
+      xml::CanonicalRunEnd(r + "</data>", 0, &run_items);
+      size_t item_bytes = 0;
+      for (const Item& item : leaves[0]->items()) {
+        item_bytes += xml::SerializedSize(*item);
+      }
+      EXPECT_EQ(run_items, leaves[0]->items().size()) << "seed " << seed;
+      EXPECT_EQ(leaves[0]->item_count(), run_items) << "seed " << seed;
+      EXPECT_EQ(item_bytes, r.size()) << "seed " << seed;
+      const optimizer::CostModel cost;
+      const optimizer::CostEstimate from_bytes = cost.Estimate(*leaves[0]);
+      const optimizer::CostEstimate from_items =
+          cost.Estimate(*PlanNode::XmlData(leaves[0]->items()));
+      EXPECT_EQ(from_bytes.rows, from_items.rows) << "seed " << seed;
+      EXPECT_EQ(from_bytes.bytes, from_items.bytes) << "seed " << seed;
     }
     for (const auto& [rule, variant] : NonCanonicalVariants(run)) {
       EXPECT_EQ(xml::CanonicalRunEnd(variant + "</data>", 0),
@@ -865,6 +888,280 @@ TEST(NumberParsingTest, PlusSignHandling) {
   EXPECT_TRUE(mqp::ParseDouble("+.5", &d));
   EXPECT_EQ(d, 0.5);
   EXPECT_FALSE(mqp::ParseDouble("+-1.5", &d));
+}
+
+// Integer attributes are outside input (ROADMAP item 7). Each one decodes
+// at the edge of its field's range; one past it, a negative value for an
+// unsigned field, or a non-number rejects the plan, with the same status
+// through both decoders, instead of wrapping or narrowing silently.
+TEST(PlanCodecEquivalenceTest, IntegerAttributesAreRangeChecked) {
+  const std::string u64_max = "18446744073709551615";
+  const std::string u64_over = "18446744073709551616";
+  const std::string u32_max = "4294967295";
+  const std::string u32_over = "4294967296";
+  const std::string int_max = "2147483647";
+  const std::string int_min = "-2147483648";
+  const std::string int_over = "2147483648";
+  const std::string int_under = "-2147483649";
+  auto on_url = [](std::string attrs) {
+    return [attrs](const std::string& v) {
+      return "<mqp><plan><url href=\"h:1\" " + attrs + "\"" + v +
+             "\"/></plan></mqp>";
+    };
+  };
+  struct Case {
+    std::string key;  // as the status names it
+    std::function<std::string(const std::string&)> doc;
+    std::vector<std::string> in_range, rejected;
+  };
+  const std::vector<Case> cases = {
+      {"card",
+       [](const std::string& v) {
+         return "<mqp><plan><data card=\"" + v + "\"/></plan></mqp>";
+       },
+       {"0", u64_max},
+       {u64_over, "-1", "x"}},
+      {"bytes", on_url("bytes="), {u64_max}, {u64_over, "-7", "1.5"}},
+      {"distinct", on_url("distinct="), {u64_max}, {"-1", u64_over, ""}},
+      {"staleness", on_url("staleness="), {int_max, int_min},
+       {int_over, int_under, "soon"}},
+      {"tk-k", on_url("tk-field=\"p\" tk-k="), {u64_max}, {"-3", u64_over}},
+      {"tk-batch", on_url("tk-field=\"p\" tk-batch="), {u64_max},
+       {"-1", u64_over}},
+      {"tk-cont", on_url("tk-field=\"p\" tk-cont="), {u64_max},
+       {"-1", "x"}},
+      {"tk-leaf", on_url("tk-field=\"p\" tk-leaf="), {u32_max},
+       {u32_over, "-1"}},
+      {"tk-bleaf", on_url("tk-field=\"p\" tk-bkey=\"k\" tk-bleaf="),
+       {u32_max},
+       {u32_over, "-1"}},
+      {"n",
+       [](const std::string& v) {
+         return "<mqp><plan><topn n=\"" + v +
+                "\" orderby=\"p\" order=\"asc\"><data/></topn></plan></mqp>";
+       },
+       {u64_max},
+       {u64_over, "-1"}},
+      {"priority",
+       [](const std::string& v) {
+         return "<mqp><policy priority=\"" + v +
+                "\" prefer=\"complete\"/><plan><urn name=\"u\"/></plan></mqp>";
+       },
+       {u32_max},
+       {u32_over, "-1", "high"}},
+      {"staleness",  // a provenance visit's
+       [](const std::string& v) {
+         return "<mqp><provenance><visit server=\"s\" time=\"1\" "
+                "action=\"forwarded\" staleness=\"" +
+                v + "\"/></provenance><plan><urn name=\"u\"/></plan></mqp>";
+       },
+       {int_max, int_min},
+       {int_over, int_under, "x"}},
+  };
+  auto parse_both = [](const std::string& doc) {
+    std::pair<Result<Plan>, Result<Plan>> out{Status::OK(), Status::OK()};
+    {
+      ScopedCodecMode streaming(true);
+      out.first = algebra::ParsePlan(doc);
+    }
+    {
+      ScopedCodecMode dom(false);
+      out.second = algebra::ParsePlan(doc);
+    }
+    return out;
+  };
+  for (const Case& c : cases) {
+    for (const std::string& v : c.in_range) {
+      const std::string doc = c.doc(v);
+      auto [streamed, dom] = parse_both(doc);
+      ASSERT_TRUE(streamed.ok()) << doc << ": " << streamed.status();
+      ASSERT_TRUE(dom.ok()) << doc << ": " << dom.status();
+      const std::string encoded = algebra::SerializePlan(*streamed);
+      EXPECT_EQ(encoded, algebra::SerializePlan(*dom)) << doc;
+      EXPECT_NE(encoded.find(c.key + "=\"" + v + "\""), std::string::npos)
+          << doc << " re-encoded as " << encoded;
+    }
+    for (const std::string& v : c.rejected) {
+      const std::string doc = c.doc(v);
+      auto [streamed, dom] = parse_both(doc);
+      EXPECT_FALSE(streamed.ok()) << doc;
+      EXPECT_EQ(streamed.status().ToString(), dom.status().ToString())
+          << doc;
+      EXPECT_NE(streamed.status().message().find(c.key), std::string::npos)
+          << doc << ": " << streamed.status();
+    }
+  }
+}
+
+// --- union fold ------------------------------------------------------------------
+
+size_t EquivSeeds(size_t fallback) {
+  if (const char* env = std::getenv("MQP_EQUIV_SEEDS")) {
+    const unsigned long v = std::strtoul(env, nullptr, 10);
+    if (v > 0) return static_cast<size_t>(v);
+  }
+  return fallback;
+}
+
+// One reduction of a decoded union under an evaluation budget, as the
+// peer does it: the fold when the union IsFoldableUnion, else Evaluate
+// and MorphToData.
+struct Reduction {
+  bool ok = false;
+  uint64_t budget_aborts = 0;
+  uint64_t dom_nodes = 0;  // xml::Nodes built while reducing
+  engine::internal::BudgetState left;
+};
+
+Reduction Reduce(PlanNode* u, engine::LocalStore* store,
+                 const engine::EvalLimits& limits) {
+  Reduction r;
+  const uint64_t aborts = engine::Stats().budget_aborts;
+  const uint64_t nodes = xml::DomNodesBuilt();
+  {
+    const engine::ScopedEvalBudget budget(limits);
+    if (u->IsFoldableUnion()) {
+      auto inputs = engine::EvaluateUnionInputs(*u, store);
+      r.ok = inputs.ok();
+      if (r.ok) u->FoldUnion(*inputs);
+    } else {
+      auto items = engine::Evaluate(*u, store);
+      r.ok = items.ok();
+      if (r.ok) u->MorphToData(std::move(items).value());
+    }
+    r.left = engine::internal::Budget();
+  }
+  r.budget_aborts = engine::Stats().budget_aborts - aborts;
+  r.dom_nodes = xml::DomNodesBuilt() - nodes;
+  return r;
+}
+
+// Random bag unions mixing verbatim leaves, items leaves and local URL
+// sub-plans, folded as bytes, against the DOM path: the same decoded plan
+// with every data leaf forced through mutable_items(). The fold must
+// build no xml::Node and match the DOM path's encoded plan, items,
+// cardinality and staleness, and under random row and byte budgets its
+// abort outcome, budget_aborts and remaining allowance. Distinct and
+// top-k unions must not fold. MQP_EQUIV_SEEDS sets the seed count (CI
+// runs 1000).
+TEST(UnionFoldTest, FoldMatchesTheDomPathSweep) {
+  ScopedCodecMode streaming(true);
+  const std::string self = "10.0.0.9:9020";
+  const std::string xpath = engine::LocalStore::CollectionXPath("c");
+  size_t folded = 0, aborted = 0;
+  for (uint64_t seed = 0; seed < EquivSeeds(100); ++seed) {
+    Rng rng(seed + 91000);
+    engine::LocalStore store;
+    ItemSet local;
+    for (uint64_t i = rng.NextBelow(6); i > 0; --i) {
+      local.push_back(RandomItem(&rng));
+    }
+    store.AddCollection("c", local);
+    // Input kinds: 0 verbatim data, 1 items data, 2 local URL sub-plan;
+    // at least one input stays verbatim.
+    const size_t k = 1 + rng.NextBelow(6);
+    std::vector<uint64_t> kinds(k);
+    for (auto& kind : kinds) kind = rng.NextBelow(3);
+    kinds[rng.NextBelow(k)] = 0;
+    std::vector<PlanNodePtr> inputs;
+    for (uint64_t kind : kinds) {
+      if (kind == 2) {
+        PlanNodePtr url = PlanNode::Url(self, xpath);
+        inputs.push_back(
+            rng.NextBool()
+                ? url
+                : PlanNode::Select(
+                      Expr::Compare(algebra::CompareOp::kLt,
+                                    Expr::Field("price"),
+                                    Expr::Literal(std::to_string(
+                                        rng.NextBelow(500)))),
+                      url));
+        continue;
+      }
+      ItemSet items;
+      for (uint64_t i = 1 + rng.NextBelow(4); i > 0; --i) {
+        items.push_back(RandomItem(&rng));
+      }
+      inputs.push_back(PlanNode::XmlData(std::move(items)));
+    }
+    const bool distinct = rng.NextBool(0.15);
+    PlanNodePtr u = PlanNode::Union(std::move(inputs), distinct);
+    const bool topk = rng.NextBool(0.15);
+    if (topk) {
+      algebra::TopKBound bound;
+      bound.order_field = "price";
+      bound.k = 3;
+      u->annotations().topk = bound;
+    }
+    if (rng.NextBool()) {
+      u->annotations().staleness_minutes =
+          static_cast<int>(rng.NextBelow(60));
+    }
+    Plan plan(PlanNode::Display(self, u));
+    plan.set_query_id("q" + std::to_string(seed));
+    const net::Payload bytes = net::MakePayload(algebra::SerializePlan(plan));
+
+    auto fold_plan = algebra::ParsePlan(bytes);
+    auto dom_plan = algebra::ParsePlan(bytes);
+    ASSERT_TRUE(fold_plan.ok() && dom_plan.ok()) << "seed " << seed;
+    PlanNode* fold_u = fold_plan->root()->child(0).get();
+    PlanNode* dom_u = dom_plan->root()->child(0).get();
+    for (size_t i = 0; i < k; ++i) {
+      if (kinds[i] == 1) fold_u->child(i)->mutable_items();
+    }
+    for (PlanNode* leaf : DataLeaves(*dom_plan)) leaf->mutable_items();
+    ASSERT_EQ(fold_u->IsFoldableUnion(), !distinct && !topk)
+        << "seed " << seed;
+    ASSERT_FALSE(dom_u->IsFoldableUnion()) << "seed " << seed;
+    if (distinct || topk) continue;  // the DOM path reduces those
+
+    engine::EvalLimits limits;
+    if (rng.NextBool(0.6)) limits.max_rows = 1 + rng.NextBelow(40);
+    if (rng.NextBool(0.6)) limits.max_bytes = 1 + rng.NextBelow(6000);
+    const Reduction fold = Reduce(fold_u, &store, limits);
+    const Reduction dom = Reduce(dom_u, &store, limits);
+    EXPECT_EQ(fold.dom_nodes, 0u) << "seed " << seed;
+    ASSERT_EQ(fold.ok, dom.ok) << "seed " << seed;
+    EXPECT_EQ(fold.budget_aborts, dom.budget_aborts) << "seed " << seed;
+    EXPECT_EQ(fold.left.exhausted, dom.left.exhausted) << "seed " << seed;
+    if (!fold.left.exhausted) {
+      // Both charged the same rows and bytes (an exhausted budget refuses
+      // every later charge, so what was left at the trip is moot).
+      EXPECT_EQ(fold.left.rows_left, dom.left.rows_left) << "seed " << seed;
+      EXPECT_EQ(fold.left.bytes_left, dom.left.bytes_left)
+          << "seed " << seed;
+    }
+    if (!fold.ok) {
+      // All or nothing: an aborted fold leaves the union unreduced.
+      EXPECT_EQ(fold.budget_aborts, 1u) << "seed " << seed;
+      EXPECT_EQ(fold_u->type(), algebra::OpType::kUnion) << "seed " << seed;
+      EXPECT_EQ(algebra::SerializePlan(*fold_plan), *bytes)
+          << "seed " << seed;
+      ++aborted;
+      continue;
+    }
+    ++folded;
+    EXPECT_EQ(algebra::SerializePlan(*fold_plan),
+              algebra::SerializePlan(*dom_plan))
+        << "seed " << seed;
+    EXPECT_EQ(algebra::PlanWireSize(*fold_plan),
+              algebra::SerializePlan(*dom_plan).size())
+        << "seed " << seed;
+    EXPECT_FALSE(fold_u->verbatim_items().empty()) << "seed " << seed;
+    EXPECT_EQ(std::as_const(*fold_u).annotations(),
+              std::as_const(*dom_u).annotations())
+        << "seed " << seed;
+    EXPECT_EQ(fold_u->item_count(), dom_u->items().size()) << "seed " << seed;
+    ASSERT_EQ(fold_u->items().size(), dom_u->items().size())
+        << "seed " << seed;
+    for (size_t i = 0; i < dom_u->items().size(); ++i) {
+      EXPECT_TRUE(fold_u->items()[i]->Equals(*dom_u->items()[i]))
+          << "seed " << seed << " item " << i;
+    }
+  }
+  // Both outcomes occur.
+  EXPECT_GT(folded, 0u);
+  EXPECT_GT(aborted, 0u);
 }
 
 TEST(PlanCodecEquivalenceTest, IndentedSerializationStillReparses) {

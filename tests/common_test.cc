@@ -209,5 +209,29 @@ TEST(StringsTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(9.99), "9.99");
 }
 
+// The integer type decides the accepted range; the plan codec relies on
+// it to reject out-of-range attributes instead of narrowing them.
+TEST(StringsTest, ParseIntegerRangeChecksItsType) {
+  int i = 0;
+  EXPECT_TRUE(ParseInteger(" +2147483647 ", &i));
+  EXPECT_EQ(i, 2147483647);
+  EXPECT_TRUE(ParseInteger("-2147483648", &i));
+  EXPECT_FALSE(ParseInteger("2147483648", &i));
+  EXPECT_FALSE(ParseInteger("-2147483649", &i));
+  uint32_t u32 = 0;
+  EXPECT_TRUE(ParseInteger("4294967295", &u32));
+  EXPECT_EQ(u32, 4294967295u);
+  EXPECT_FALSE(ParseInteger("4294967296", &u32));
+  EXPECT_FALSE(ParseInteger("-1", &u32));
+  uint64_t u64 = 0;
+  EXPECT_TRUE(ParseInteger("18446744073709551615", &u64));
+  EXPECT_EQ(u64, 18446744073709551615ull);
+  EXPECT_FALSE(ParseInteger("18446744073709551616", &u64));
+  EXPECT_FALSE(ParseInteger("-5", &u64));
+  EXPECT_FALSE(ParseInteger("5x", &u64));
+  EXPECT_FALSE(ParseInteger("", &u64));
+  EXPECT_EQ(u64, 18446744073709551615ull);  // untouched on failure
+}
+
 }  // namespace
 }  // namespace mqp

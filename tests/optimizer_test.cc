@@ -228,6 +228,43 @@ TEST(RewriteTest, OrEliminationCheapestPicksFewestBytes) {
   EXPECT_EQ(wrapper->child(0)->annotations().staleness_minutes, 30);
 }
 
+// Walks nest: EliminateOrNodes' post-order walk asks ChooseOrBranch,
+// whose kPreferComplete rule walks each alternative to count its sources,
+// and here the alternative it picks is shared with a later branch and
+// holds a second Or. Each Or is eliminated once, and the shared
+// alternative stays shared under the select.
+TEST(RewriteTest, OrEliminationNestsWalksOverASharedAlternative) {
+  CostModel cost;
+  auto inner_or = PlanNode::Or(
+      {PlanNode::Url("c:1", ""),
+       PlanNode::Union({PlanNode::Url("d:1", ""), PlanNode::Url("e:1", "")})});
+  auto shared = PlanNode::Union(
+      {PlanNode::Url("b:1", ""), PlanNode::UrnRef("urn:x"), inner_or});
+  auto outer_or = PlanNode::Or({PlanNode::Url("a:1", ""), shared});
+  auto select = PlanNode::Select(FieldLess("p", "1"), shared);
+  auto root = PlanNode::Union({outer_or, select});
+  EXPECT_EQ(EliminateOrNodes(root.get(), Locality{}, cost,
+                             OrPreference::kPreferComplete),
+            2);
+  EXPECT_EQ(root->ToDebugString(),
+            "union\n"
+            "  union\n"
+            "    url(b:1)\n"
+            "    urn(urn:x)\n"
+            "    union\n"
+            "      url(d:1)\n"
+            "      url(e:1)\n"
+            "  select(p < '1')\n"
+            "    union\n"
+            "      url(b:1)\n"
+            "      urn(urn:x)\n"
+            "      union\n"
+            "        url(d:1)\n"
+            "        url(e:1)\n");
+  EXPECT_EQ(select->child(0), shared);
+  EXPECT_EQ(root->NodeCount(), 14u);
+}
+
 TEST(RewriteTest, MaxStalenessRecurses) {
   auto a = PlanNode::Url("a:1", "");
   a->annotations().staleness_minutes = 10;

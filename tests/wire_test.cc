@@ -344,5 +344,63 @@ TEST(WireRoutingTest, StateWalkForwardsCarriedItemsVerbatim) {
   EXPECT_GT(checked, 0u);
 }
 
+// The walk's last seller reduces union(carried data, select(local)) and
+// delivers the result. It folds the carried runs as bytes: the seller
+// builds no xml::Node, and the result payload holds every carried run
+// unchanged.
+TEST(WireRoutingTest, StateWalkLastSellerFoldsCarriedItemsAsBytes) {
+  net::Simulator sim;
+  workload::GarageSaleNetworkParams params;
+  params.num_sellers = 24;
+  params.items_per_seller = 5;
+  auto net = workload::BuildGarageSaleNetwork(&sim, params);
+  std::vector<net::Message> sent;
+  sim.set_on_send([&](const net::Message& m) {
+    if (m.kind == wire::kMqpKind || m.kind == wire::kResultKind) {
+      sent.push_back(m);
+    }
+  });
+  for (const char* state : {"USA/OR", "USA/WA", "USA/CA", "France"}) {
+    bool complete = false;
+    net.client->SubmitQuery(
+        workload::MakeAreaQueryPlan(ns::MakeArea({state, "*"})),
+        [&](const peer::QueryOutcome& o) { complete = o.complete; });
+    sim.Run();
+    EXPECT_TRUE(complete) << state;
+  }
+  size_t checked = 0;
+  for (size_t i = 0; i < sent.size(); ++i) {
+    if (sent[i].kind != wire::kMqpKind) continue;
+    const auto seller =
+        std::find_if(net.sellers.begin(), net.sellers.end(),
+                     [&](peer::Peer* p) { return p->id() == sent[i].to; });
+    if (seller == net.sellers.end()) continue;
+    auto env = wire::DecodeEnvelope(sent[i]);
+    ASSERT_TRUE(env.ok());
+    auto in = algebra::ParsePlan(env->payload);
+    ASSERT_TRUE(in.ok()) << in.status();
+    std::vector<std::string_view> carried;
+    std::vector<const PlanNode*> stack = {in->root().get()};
+    while (!stack.empty()) {
+      const PlanNode* n = stack.back();
+      stack.pop_back();
+      if (!n->verbatim_items().empty()) carried.push_back(n->verbatim_items());
+      for (const auto& c : n->children()) stack.push_back(c.get());
+    }
+    if (carried.size() < 2) continue;
+    const auto out = std::find_if(
+        sent.begin() + static_cast<std::ptrdiff_t>(i) + 1, sent.end(),
+        [&](const net::Message& m) { return m.from == sent[i].to; });
+    ASSERT_NE(out, sent.end());
+    if (out->kind != wire::kResultKind) continue;  // a forwarding hop
+    for (std::string_view run : carried) {
+      EXPECT_NE(out->payload->find(run), std::string::npos);
+    }
+    EXPECT_EQ((*seller)->counters().hop_dom_nodes_built, 0u);
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 }  // namespace
 }  // namespace mqp
