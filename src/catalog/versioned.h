@@ -196,6 +196,19 @@ class VersionedCatalog {
   VersionedCatalog(std::string self, Catalog* projection);
 
   const std::string& self() const { return self_; }
+
+  /// The dense id of `address` in this catalog's address table, interning
+  /// it when new. Ids are stable for the catalog's lifetime, so callers
+  /// may key their own per-address state by them (the gossip partner
+  /// pool does).
+  uint32_t InternAddress(std::string_view address) { return Intern(address); }
+  /// The id of `address`, or kNoAddress when the table lacks it.
+  uint32_t FindAddress(std::string_view address) const {
+    return Find(address);
+  }
+  const std::string& Address(uint32_t id) const { return table_[id].address; }
+  static constexpr uint32_t kNoAddress = UINT32_MAX;
+
   /// Snapshots for tests and convergence checks; the gossip path reads
   /// the table directly (DigestXml, WriteDelta).
   VersionVector vector() const;
@@ -268,7 +281,7 @@ class VersionedCatalog {
   size_t PurgeTombstones(double now, double min_age);
 
  private:
-  static constexpr uint32_t kNone = UINT32_MAX;
+  static constexpr uint32_t kNone = kNoAddress;
 
   /// The version and liveness fields of one stored record; its origin
   /// is the row that holds it.

@@ -18,13 +18,38 @@ SyncAgent::SyncAgent(net::Transport* sim, net::PeerId id, std::string self,
 
 void SyncAgent::AddPeer(const std::string& address) {
   if (address == self_ || address.empty()) return;
-  peers_.insert(address);
+  AddPartner(versioned_.InternAddress(address), /*seed=*/false);
 }
 
 void SyncAgent::AddSeed(const std::string& address) {
   if (address == self_ || address.empty()) return;
-  seeds_.insert(address);
-  peers_.insert(address);
+  AddPartner(versioned_.InternAddress(address), /*seed=*/true);
+}
+
+bool SyncAgent::HasPeer(const std::string& address) const {
+  const uint32_t id = versioned_.FindAddress(address);
+  return id < member_.size() && (member_[id] & kPeer) != 0;
+}
+
+void SyncAgent::AddPartner(uint32_t id, bool seed) {
+  if (id >= member_.size()) member_.resize(id + 1, 0);
+  if (seed) member_[id] |= kSeed;
+  if ((member_[id] & kPeer) != 0) return;
+  member_[id] |= kPeer;
+  const std::string& address = versioned_.Address(id);
+  peers_.insert(std::lower_bound(peers_.begin(), peers_.end(), address,
+                                 [&](uint32_t p, const std::string& a) {
+                                   return versioned_.Address(p) < a;
+                                 }),
+                id);
+}
+
+void SyncAgent::DropPartner(uint32_t id, bool unseed) {
+  if (id >= member_.size()) return;
+  if (unseed) member_[id] &= ~kSeed;
+  if ((member_[id] & kSeed) != 0 || (member_[id] & kPeer) == 0) return;
+  member_[id] &= ~kPeer;
+  peers_.erase(std::find(peers_.begin(), peers_.end(), id));
 }
 
 void SyncAgent::UpsertLocal(catalog::SyncEntry entry) {
@@ -69,8 +94,8 @@ void SyncAgent::Leave() {
   }
   // No vector piggyback: a push-back would address a peer going dark.
   const std::string body = goodbye.ToXml();
-  for (const std::string& target : peers_) {
-    SendDeltaBody(target, body, goodbye.size());
+  for (uint32_t id : peers_) {
+    SendDeltaBody(versioned_.Address(id), body, goodbye.size());
   }
   departed_ = true;
   Stop();
@@ -117,29 +142,22 @@ void SyncAgent::Tick() {
     // from the partner pool too (seeds stay), so rounds are not wasted
     // digesting them.
     for (const std::string& origin : versioned_.ExpireSilent(now)) {
-      if (seeds_.count(origin) == 0) DropPeer(origin);
+      DropPartner(versioned_.FindAddress(origin), /*unseed=*/false);
       ++counters_.origins_expired;
     }
     versioned_.PurgeTombstones(now, options_.tombstone_gc_seconds);
     if (!peers_.empty()) {
       // Deterministic partner sample without replacement: the draws
-      // depend only on the pool size, so shuffling pointers into the
-      // ordered set picks what shuffling copies of it would.
-      for (const std::string& p : peers_) pool_.push_back(&p);
+      // depend only on the pool size, and the pool is in address order.
+      pool_.assign(peers_.begin(), peers_.end());
       rng_.Shuffle(&pool_);
       const size_t n = std::min(options_.fanout, pool_.size());
       for (size_t i = 0; i < n; ++i) {
-        SendDigest(*pool_[i]);
+        SendDigest(versioned_.Address(pool_[i]));
       }
-      pool_.clear();
     }
   }
   ScheduleTick();
-}
-
-void SyncAgent::DropPeer(const std::string& address) {
-  peers_.erase(address);
-  known_partner_.clear();
 }
 
 void SyncAgent::SendDigest(const std::string& target) {
@@ -212,17 +230,13 @@ bool SyncAgent::HandleDelta(const wire::Envelope& env, net::PeerId from) {
   // and its goodbye.
   for (size_t i = 0; i < incoming.records.size(); ++i) {
     const catalog::VersionedRecord& rec = incoming.records[i];
+    const uint32_t origin = incoming.origins[i];
     if (rec.entry.kind == catalog::SyncEntryKind::kPresence &&
         rec.tombstone) {
       // A goodbye is authoritative: prune even a seed.
-      DropPeer(rec.version.origin);
-      seeds_.erase(rec.version.origin);
-    } else if (!rec.tombstone) {
-      const uint32_t origin = incoming.origins[i];
-      if (origin < known_partner_.size() && known_partner_[origin]) continue;
-      AddPeer(rec.version.origin);
-      if (origin >= known_partner_.size()) known_partner_.resize(origin + 1);
-      known_partner_[origin] = true;
+      DropPartner(origin, /*unseed=*/true);
+    } else if (!rec.tombstone && rec.version.origin != self_) {
+      AddPartner(origin, /*seed=*/false);
     }
   }
   // Push-back: the piggybacked vector shows what the sender is missing.

@@ -19,8 +19,8 @@
 //     re-stamps everything on recovery (Rejoin).
 //
 // Determinism: partner choice flows through mqp::Rng seeded per agent,
-// membership sets are ordered, and everything runs on simulator time, so
-// a seeded churn scenario is bit-reproducible.
+// the partner pool is walked in address order, and everything runs on
+// simulator time, so a seeded churn scenario is bit-reproducible.
 //
 // Cost: the agent reads digests and deltas against its catalog's address
 // table and writes deltas and digests straight from it, so handling a
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -98,8 +97,8 @@ class SyncAgent {
   /// gossip mesh instead of isolating itself.
   void AddSeed(const std::string& address);
 
-  const std::set<std::string>& peers() const { return peers_; }
-  const std::set<std::string>& seeds() const { return seeds_; }
+  /// True when `address` is in the partner pool.
+  bool HasPeer(const std::string& address) const;
 
   // --- own holdings ------------------------------------------------------------
 
@@ -140,8 +139,10 @@ class SyncAgent {
  private:
   void Tick();
   void ScheduleTick();
-  /// Removes a learned partner (and forgets which partners are known).
-  void DropPeer(const std::string& address);
+  /// Adds the catalog address `id` to the partner pool (seed: for good).
+  void AddPartner(uint32_t id, bool seed);
+  /// Removes a partner; a seed stays unless `unseed` (a goodbye).
+  void DropPartner(uint32_t id, bool unseed);
   void SendDigest(const std::string& target);
   /// Sends what `remote` is missing, if anything. `attach_vector`
   /// piggybacks our version vector on the delta so the receiver pushes
@@ -158,18 +159,18 @@ class SyncAgent {
   std::string self_;
   SyncOptions options_;
   catalog::VersionedCatalog versioned_;
-  std::set<std::string> peers_;
-  std::set<std::string> seeds_;
+  // The partner pool, keyed by catalog address id: a flag per id, plus
+  // the members in address order for the tick to sample.
+  enum : uint8_t { kPeer = 1, kSeed = 2 };
+  std::vector<uint8_t> member_;  ///< by address id: kPeer | kSeed bits
+  std::vector<uint32_t> peers_;  ///< ids flagged kPeer, ascending address
   Rng rng_;
   SyncCounters counters_;
   // Reused across digests and ticks: both stay sized by the membership.
   // (A delta is read into a fresh IncomingDelta — one kept buffer would
   // hold the largest delta ever received.)
   catalog::RemoteVector remote_;
-  std::vector<const std::string*> pool_;  ///< Tick's partner sample
-  /// By the catalog's address id: true when the origin is known to be in
-  /// peers_. Cleared whenever peers_ loses a member.
-  std::vector<bool> known_partner_;
+  std::vector<uint32_t> pool_;  ///< Tick's partner sample
   double last_refresh_ = -1;
   bool running_ = false;
   bool departed_ = false;

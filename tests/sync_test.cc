@@ -431,7 +431,7 @@ TEST(SyncAgentTest, GracefulDepartureTombstonesPropagate) {
   for (const auto& e : b.catalog().entries()) {
     EXPECT_NE(e.server, a.address());
   }
-  EXPECT_EQ(b.sync()->peers().count(a.address()), 0u);
+  EXPECT_FALSE(b.sync()->HasPeer(a.address()));
   // A rejoins: it still holds its data, so the rejoin re-asserts it with
   // fresh stamps that overwrite the tombstones key-for-key.
   a.RejoinNetwork();
