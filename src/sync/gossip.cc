@@ -144,6 +144,7 @@ void SyncAgent::Tick() {
     for (const std::string& origin : versioned_.ExpireSilent(now)) {
       DropPartner(versioned_.FindAddress(origin), /*unseed=*/false);
       ++counters_.origins_expired;
+      if (expiry_hook_) expiry_hook_(origin);
     }
     versioned_.PurgeTombstones(now, options_.tombstone_gc_seconds);
     if (!peers_.empty()) {

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -99,6 +100,12 @@ class SyncAgent {
 
   /// True when `address` is in the partner pool.
   bool HasPeer(const std::string& address) const;
+
+  /// Called with each origin a tick expires (the churn answer oracle
+  /// counts false expiries through it).
+  void set_expiry_hook(std::function<void(const std::string&)> hook) {
+    expiry_hook_ = std::move(hook);
+  }
 
   // --- own holdings ------------------------------------------------------------
 
@@ -171,6 +178,7 @@ class SyncAgent {
   // hold the largest delta ever received.)
   catalog::RemoteVector remote_;
   std::vector<uint32_t> pool_;  ///< Tick's partner sample
+  std::function<void(const std::string&)> expiry_hook_;
   double last_refresh_ = -1;
   bool running_ = false;
   bool departed_ = false;

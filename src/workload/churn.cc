@@ -1,6 +1,7 @@
 #include "workload/churn.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "net/simulator.h"
 
@@ -9,6 +10,51 @@ namespace mqp::workload {
 using peer::Peer;
 using peer::PeerOptions;
 
+namespace {
+
+constexpr double kForever = std::numeric_limits<double>::infinity();
+
+// Fills `rec` from the outcome the client delivered.
+void Record(const peer::QueryOutcome& o, QueryRecord* rec) {
+  rec->answered = o.completed_at;
+  rec->complete = o.complete;
+  rec->items.clear();
+  for (const algebra::Item& item : o.items) {
+    rec->items.push_back(ChurnScenario::ItemId(item));
+  }
+  std::sort(rec->items.begin(), rec->items.end());
+  rec->returned_plan = !o.provenance.empty();
+  rec->names_unanswered = false;
+  for (const auto& e : o.provenance.entries()) {
+    const size_t colon = e.detail.find("unanswered:");
+    if (e.action == algebra::ProvenanceAction::kShed ||
+        (colon != std::string::npos &&
+         colon + 11 < e.detail.size())) {
+      rec->names_unanswered = true;
+    }
+  }
+}
+
+}  // namespace
+
+bool SellerHistory::UpThroughout(double from, double to) const {
+  for (const auto& [a, b] : up) {
+    if (a <= from && to < b) return true;
+  }
+  return false;
+}
+
+bool SellerHistory::UpDuring(double from, double to) const {
+  for (const auto& [a, b] : up) {
+    if (a <= to && from < b) return true;
+  }
+  return false;
+}
+
+std::string ChurnScenario::ItemId(const algebra::Item& item) {
+  return item->ChildText("image");
+}
+
 ChurnScenario::ChurnScenario(net::Transport* sim, GarageSaleNetwork* net,
                              ChurnParams params)
     : sim_(sim), net_(net), params_(std::move(params)), rng_(params_.seed) {
@@ -16,6 +62,20 @@ ChurnScenario::ChurnScenario(net::Transport* sim, GarageSaleNetwork* net,
     params_.query_area = *ns::InterestArea::Parse("(USA,*)");
   }
   up_sellers_ = net_->sellers;
+  // The membership log: the builder gave seller i the i-th run of
+  // items_per_seller items, in all_items order.
+  const size_t per = net_->sellers.empty()
+                         ? 0
+                         : net_->all_items.size() / net_->sellers.size();
+  for (size_t i = 0; i < net_->sellers.size(); ++i) {
+    SellerHistory h;
+    h.address = net_->sellers[i]->address();
+    const auto first = net_->all_items.begin() + static_cast<long>(i * per);
+    h.items.assign(first, first + static_cast<long>(per));
+    h.up.emplace_back(-kForever, kForever);
+    seller_index_.emplace(h.address, sellers_.size());
+    sellers_.push_back(std::move(h));
+  }
   // One knob for the whole fleet: the ablation is only meaningful when
   // forwarding peers stop failing over too, not just the client. The
   // deadline (and the pending-reap it drives) stays either way.
@@ -46,9 +106,38 @@ std::vector<Peer*> ChurnScenario::AllPeers() const {
   return all;
 }
 
+void ChurnScenario::EnableSync(Peer* peer) {
+  peer->EnableSync(OptionsFor(*peer));
+  peer->sync()->set_expiry_hook(
+      [this, peer](const std::string& origin) { OnExpire(*peer, origin); });
+}
+
 void ChurnScenario::EnableSyncEverywhere() {
-  for (Peer* p : AllPeers()) {
-    p->EnableSync(OptionsFor(*p));
+  for (Peer* p : AllPeers()) EnableSync(p);
+}
+
+SellerHistory& ChurnScenario::HistoryOf(const Peer* peer) {
+  return sellers_[seller_index_.at(peer->address())];
+}
+
+bool ChurnScenario::UpThroughout(const std::string& address, double from,
+                                 double to) const {
+  // Only sellers churn: any other peer has been up all along.
+  auto it = seller_index_.find(address);
+  return it == seller_index_.end() ||
+         sellers_[it->second].UpThroughout(from, to);
+}
+
+void ChurnScenario::OnExpire(const Peer& observer, const std::string& origin) {
+  ++expiries_;
+  // False: both ends were up for the whole TTL, so the origin's refreshes
+  // were there to be heard. Heartbeats stop with the churn window (the
+  // quiet tail), so only expiries inside it count.
+  const double now = sim_->now();
+  const double from = now - params_.sync.entry_ttl_seconds;
+  if (now <= churn_end() && UpThroughout(observer.address(), from, now) &&
+      UpThroughout(origin, from, now)) {
+    ++false_expiries_;
   }
 }
 
@@ -59,9 +148,11 @@ void ChurnScenario::DoFail(double now) {
   up_sellers_.erase(up_sellers_.begin() + static_cast<long>(pick));
   crashed_sellers_.push_back(victim);
   sim_->Fail(victim->id());
+  HistoryOf(victim).up.back().second = now;
   ++stats_.fails;
   sim_->Schedule(now + params_.downtime_seconds, [this, victim]() {
     sim_->Recover(victim->id());
+    HistoryOf(victim).up.emplace_back(sim_->now(), kForever);
     // A recovering node re-announces: re-stamp own records so catalogs
     // whose vectors dominate the pre-crash stamps pull them again.
     victim->RejoinNetwork();
@@ -73,7 +164,6 @@ void ChurnScenario::DoFail(double now) {
 }
 
 void ChurnScenario::DoDepart(double now) {
-  (void)now;
   if (up_sellers_.size() < 2) return;  // keep the network queryable
   const size_t pick = static_cast<size_t>(rng_.NextBelow(up_sellers_.size()));
   Peer* leaver = up_sellers_[pick];
@@ -83,11 +173,11 @@ void ChurnScenario::DoDepart(double now) {
   // goes dark for good.
   leaver->LeaveNetwork();
   sim_->Fail(leaver->id());
+  HistoryOf(leaver).up.back().second = now;
   ++stats_.departs;
 }
 
 void ChurnScenario::DoJoin(double now) {
-  (void)now;
   auto specs = net_->generator.MakeSellers(1);
   const Seller& spec = specs[0];
   PeerOptions opts;
@@ -103,8 +193,10 @@ void ChurnScenario::DoJoin(double now) {
   joiner->PublishCollection("c-" + opts.name, ns::InterestArea(spec.cell),
                             items);
   joiner->AddBootstrap(net_->IndexFor(spec.cell)->address());
-  joiner->EnableSync(OptionsFor(*joiner));
+  EnableSync(joiner);
   joiner->JoinNetwork();  // classic §3.3 registration rides along
+  seller_index_.emplace(joiner->address(), sellers_.size());
+  sellers_.push_back({joiner->address(), items, {{now, kForever}}});
   net_->sellers.push_back(joiner);
   up_sellers_.push_back(joiner);
   ++stats_.joins;
@@ -132,14 +224,17 @@ void ChurnScenario::ScheduleQueries() {
        t < params_.duration_seconds; t += params_.query_interval_seconds) {
     sim_->Schedule(t, [this]() {
       ++stats_.queries_submitted;
+      const size_t q = queries_.size();
+      queries_.emplace_back().submitted = sim_->now();
       net_->client->SubmitQuery(MakeAreaQueryPlan(params_.query_area),
-                                [this](const peer::QueryOutcome& o) {
+                                [this, q](const peer::QueryOutcome& o) {
                                   ++stats_.queries_returned;
                                   if (o.complete) ++stats_.queries_complete;
                                   if (!o.complete && !o.items.empty()) {
                                     ++stats_.queries_partial;
                                   }
                                   if (o.timed_out) ++stats_.queries_timed_out;
+                                  Record(o, &queries_[q]);
                                 });
     });
   }
@@ -185,6 +280,66 @@ std::string ChurnScenario::VectorFingerprint() const {
   auto live = LiveSyncedPeers();
   if (live.empty()) return "<no-peers>";
   return live[0]->sync()->versioned().DigestXml();
+}
+
+double ChurnScenario::ConvergenceBoundSeconds() const {
+  int rounds = 0;
+  for (const auto& size : kChurnConvergenceSizes) {
+    rounds = std::max(rounds, size.max_rounds);
+  }
+  return rounds * params_.sync.gossip_interval_seconds;
+}
+
+std::vector<std::string> ChurnScenario::CheckAnswers() const {
+  const double c = ConvergenceBoundSeconds();
+  const double ttl = params_.sync.entry_ttl_seconds;
+  // Each seller's in-area item ids, once.
+  std::vector<std::vector<std::string>> in_area(sellers_.size());
+  for (size_t s = 0; s < sellers_.size(); ++s) {
+    for (const algebra::Item& item : sellers_[s].items) {
+      if (GarageSaleGenerator::ItemInArea(*item, params_.query_area)) {
+        in_area[s].push_back(ItemId(item));
+      }
+    }
+  }
+  std::vector<std::string> violations;
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    const QueryRecord& rec = queries_[q];
+    if (rec.answered < 0) continue;
+    const double t0 = rec.submitted;
+    const double t1 = rec.answered;
+    const std::string where = "query " + std::to_string(q) + " [" +
+                              std::to_string(t0) + ", " + std::to_string(t1) +
+                              "]" + (rec.complete ? " complete" : " partial");
+    auto answered = [&](const std::string& id) {
+      return std::binary_search(rec.items.begin(), rec.items.end(), id);
+    };
+    std::vector<std::string> possible;
+    for (size_t s = 0; s < sellers_.size(); ++s) {
+      const SellerHistory& h = sellers_[s];
+      if (h.UpDuring(t0 - ttl, t1)) {
+        possible.insert(possible.end(), in_area[s].begin(), in_area[s].end());
+      }
+      if (!rec.complete || !h.UpThroughout(t0 - c, t1)) continue;
+      for (const std::string& id : in_area[s]) {
+        if (!answered(id)) {
+          violations.push_back(where + ": misses " + id + " of " + h.address +
+                               ", up and registered throughout");
+        }
+      }
+    }
+    std::sort(possible.begin(), possible.end());
+    for (const std::string& id : rec.items) {
+      if (!std::binary_search(possible.begin(), possible.end(), id)) {
+        violations.push_back(where + ": holds " + id +
+                             ", not a possible answer");
+      }
+    }
+    if (!rec.complete && rec.returned_plan && !rec.names_unanswered) {
+      violations.push_back(where + ": provenance names nothing unanswered");
+    }
+  }
+  return violations;
 }
 
 ChurnConvergence RunChurnConvergence(uint64_t seed, size_t sellers,

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/transport.h"
@@ -63,8 +65,45 @@ struct ChurnStats {
   size_t query_retries = 0;     ///< client retry attempts launched
 };
 
+/// \brief One seller's membership history (ChurnScenario's log), initial
+/// sellers and joiners alike.
+struct SellerHistory {
+  std::string address;
+  algebra::ItemSet items;  ///< what the seller holds, all of it
+  /// The [from, to) intervals in which the seller was up and registered;
+  /// `to` is +infinity while it still is. Initial sellers registered
+  /// before the scenario began, so their first interval opens at
+  /// -infinity.
+  std::vector<std::pair<double, double>> up;
+
+  /// Up and registered throughout [from, to].
+  bool UpThroughout(double from, double to) const;
+  /// Up at some time in [from, to].
+  bool UpDuring(double from, double to) const;
+};
+
+/// \brief One scenario query as the client saw it.
+struct QueryRecord {
+  double submitted = 0;  ///< t0
+  double answered = -1;  ///< t1; -1 while no outcome has arrived
+  bool complete = false;
+  /// The answer's item ids (ChurnScenario::ItemId), ascending.
+  std::vector<std::string> items;
+  /// For an incomplete answer: the provenance names what went
+  /// unanswered (a dead-end or deadline marker listing the leaves, or a
+  /// shed refusal). Meaningless when nothing came back at all.
+  bool names_unanswered = false;
+  bool returned_plan = false;  ///< some attempt came back with a plan
+};
+
 /// \brief Drives churn over a built GarageSaleNetwork (not owned; joined
 /// peers are appended to its `owned` vector).
+///
+/// It also keeps the log the churn answer oracle reads (CheckAnswers):
+/// every seller's items and up intervals, every scenario query's submit
+/// and answer times and outcome, and every expiry a peer declared of an
+/// origin while both had been up for the whole TTL before (a false
+/// expiry).
 class ChurnScenario {
  public:
   ChurnScenario(net::Transport* sim, GarageSaleNetwork* net,
@@ -103,6 +142,37 @@ class ChurnScenario {
   /// benches compare fingerprints across same-seed runs.
   std::string VectorFingerprint() const;
 
+  // --- the churn answer oracle ------------------------------------------------
+
+  /// The convergence bound C of the oracle: the most gossip rounds any
+  /// kChurnConvergenceSizes network may take, times the gossip interval.
+  double ConvergenceBoundSeconds() const;
+
+  /// Checks every answered scenario query against the membership log.
+  /// For a query submitted at t0 and answered at t1, with C the
+  /// convergence bound and TTL the declared entry TTL:
+  ///   L = the in-area items of sellers up and registered throughout
+  ///       [t0 - C, t1] (the certain answers),
+  ///   U = the in-area items of sellers up at any time in
+  ///       [t0 - TTL, t1] (the possible answers).
+  /// A complete answer must satisfy L ⊆ answer ⊆ U; an incomplete one
+  /// answer ⊆ U, and when a plan came back its provenance must name
+  /// what went unanswered. Returns one line per violation; empty when
+  /// every answer is within bounds.
+  std::vector<std::string> CheckAnswers() const;
+
+  const std::vector<SellerHistory>& sellers_log() const { return sellers_; }
+  const std::vector<QueryRecord>& queries_log() const { return queries_; }
+  /// Expiries declared by a peer of an origin, both of which had been up
+  /// for the whole TTL before.
+  size_t false_expiries() const { return false_expiries_; }
+  /// Every expiry a live peer declared.
+  size_t expiries() const { return expiries_; }
+
+  /// The identity the oracle compares items by (a seller-unique image
+  /// reference).
+  static std::string ItemId(const algebra::Item& item);
+
  private:
   /// Every peer of the network, in a stable order (client, meta,
   /// indexes, sellers including joiners).
@@ -114,6 +184,15 @@ class ChurnScenario {
   void DoDepart(double now);
   void DoJoin(double now);
   sync::SyncOptions OptionsFor(const peer::Peer& peer) const;
+  /// Enables sync on `peer` and hooks its expiries into the log.
+  void EnableSync(peer::Peer* peer);
+  void OnExpire(const peer::Peer& observer, const std::string& origin);
+  /// Seller `address` was up and registered throughout [from, to]; any
+  /// other peer always was.
+  bool UpThroughout(const std::string& address, double from,
+                    double to) const;
+  /// The log entry of seller `peer`.
+  SellerHistory& HistoryOf(const peer::Peer* peer);
 
   net::Transport* sim_;
   GarageSaleNetwork* net_;
@@ -125,6 +204,13 @@ class ChurnScenario {
   std::vector<peer::Peer*> departed_;
   size_t next_joiner_ = 0;
   bool prepared_ = false;
+  // The oracle's log. Churn events, ticks and expiries run as timers,
+  // and query outcomes on the client, all serialized by the transport.
+  std::vector<SellerHistory> sellers_;  ///< initial sellers, then joiners
+  std::map<std::string, size_t> seller_index_;  ///< address → sellers_
+  std::vector<QueryRecord> queries_;
+  size_t false_expiries_ = 0;
+  size_t expiries_ = 0;
 };
 
 /// \brief One run of the C7 scenario (bench_c7_churn, DESIGN.md §3): a
