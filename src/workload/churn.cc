@@ -52,7 +52,13 @@ bool SellerHistory::UpDuring(double from, double to) const {
 }
 
 std::string ChurnScenario::ItemId(const algebra::Item& item) {
-  return item->ChildText("image");
+  std::string id;
+  for (const char* field : {"seller", "image", "location", "category", "name",
+                            "price", "condition", "quantity"}) {
+    id += item->ChildText(field);
+    id += '|';
+  }
+  return id;
 }
 
 ChurnScenario::ChurnScenario(net::Transport* sim, GarageSaleNetwork* net,
@@ -320,7 +326,9 @@ std::vector<std::string> ChurnScenario::CheckAnswers() const {
       if (h.UpDuring(t0 - ttl, t1)) {
         possible.insert(possible.end(), in_area[s].begin(), in_area[s].end());
       }
-      if (!rec.complete || !h.UpThroughout(t0 - c, t1)) continue;
+      if (!rec.complete || t1 > churn_end() || !h.UpThroughout(t0 - c, t1)) {
+        continue;
+      }
       for (const std::string& id : in_area[s]) {
         if (!answered(id)) {
           violations.push_back(where + ": misses " + id + " of " + h.address +

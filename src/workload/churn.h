@@ -152,7 +152,9 @@ class ChurnScenario {
   /// For a query submitted at t0 and answered at t1, with C the
   /// convergence bound and TTL the declared entry TTL:
   ///   L = the in-area items of sellers up and registered throughout
-  ///       [t0 - C, t1] (the certain answers),
+  ///       [t0 - C, t1] (the certain answers); heartbeats stop with the
+  ///       churn window, so registrations lapse after it by design and
+  ///       L is empty for an answer given later,
   ///   U = the in-area items of sellers up at any time in
   ///       [t0 - TTL, t1] (the possible answers).
   /// A complete answer must satisfy L ⊆ answer ⊆ U; an incomplete one
@@ -169,8 +171,8 @@ class ChurnScenario {
   /// Every expiry a live peer declared.
   size_t expiries() const { return expiries_; }
 
-  /// The identity the oracle compares items by (a seller-unique image
-  /// reference).
+  /// The identity the oracle compares items by: the item's fields.
+  /// Joiners reuse seller names, so no single field is unique.
   static std::string ItemId(const algebra::Item& item);
 
  private:
