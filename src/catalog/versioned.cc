@@ -29,12 +29,15 @@ Result<SyncEntryKind> KindFromName(std::string_view name) {
 }
 
 // Gossip bodies are emitted and consumed as tokens — they never build a
-// DOM. "<v o='addr' s='7'/>" is shared by digests and the delta piggyback.
-void EmitVectorElement(xml::TokenWriter* w, std::string_view origin,
-                       uint64_t seq) {
-  w->Start("v");
+// DOM. "<v o='addr' s='7' f='3'/>" is a digest entry (f omitted when it
+// equals s), "<v o='addr' s='7'/>" a delta's heartbeat entry, and
+// "<want o='addr' s='2'/>" a delta's fact-gap request.
+void EmitEntry(xml::TokenWriter* w, std::string_view name,
+               std::string_view origin, uint64_t seq, uint64_t fact_seq) {
+  w->Start(name);
   w->Attr("o", origin);
   w->Attr("s", std::to_string(seq));
+  if (fact_seq != seq) w->Attr("f", std::to_string(fact_seq));
   w->End();
 }
 
@@ -73,6 +76,15 @@ void EmitRecord(xml::TokenWriter* w, std::string_view origin, uint64_t seq,
 const SyncEntry& PresenceEntry() {
   static const SyncEntry presence{SyncEntryKind::kPresence, {}, {}};
   return presence;
+}
+
+// Reads an attribute holding an integer >= 0.
+bool ReadCount(const xml::AttrList& attrs, std::string_view name,
+               uint64_t* out) {
+  int64_t v = 0;
+  if (!mqp::ParseInt64(attrs.GetView(name), &v) || v < 0) return false;
+  *out = static_cast<uint64_t>(v);
+  return true;
 }
 
 // Decodes the attributes of one <rec .../> into `rec`.
@@ -133,12 +145,13 @@ Status DecodeRecord(const xml::AttrList& attrs, VersionedRecord* rec) {
   return Status::OK();
 }
 
-// Walks "<root><v o s/>...<rec .../>...</root>", calling on_v(origin, seq)
-// per <v> and, `with_records`, on_rec(attrs) per <rec>. Other elements
-// are skipped.
-template <typename OnVector, typename OnRecord>
+// Walks "<root><v o s f/>...<want o s/>...<rec .../>...</root>", calling
+// on_v(origin, seq, fact_seq) per <v> (fact_seq = seq when f is absent)
+// and, `in_delta`, on_want(origin, seq) per <want> and on_rec(attrs) per
+// <rec>. Other elements are skipped.
+template <typename OnVector, typename OnWant, typename OnRecord>
 Status ParseGossipBody(std::string_view text, std::string_view root,
-                       bool with_records, OnVector&& on_v,
+                       bool in_delta, OnVector&& on_v, OnWant&& on_want,
                        OnRecord&& on_rec) {
   xml::TokenReader r(text);
   MQP_ASSIGN_OR_RETURN(xml::Token t, r.Next());
@@ -154,16 +167,26 @@ Status ParseGossipBody(std::string_view text, std::string_view root,
   while (t.type != xml::TokenType::kEndElement) {
     if (t.type == xml::TokenType::kStartElement) {
       const bool is_v = t.name == "v";
-      if (is_v || (with_records && t.name == "rec")) {
+      const bool is_want = in_delta && t.name == "want";
+      if (is_v || is_want || (in_delta && t.name == "rec")) {
         MQP_ASSIGN_OR_RETURN(xml::Token first, r.ReadAttrs(&attrs));
-        if (is_v) {
+        if (is_v || is_want) {
           const std::string_view origin = attrs.GetView("o");
-          int64_t seq = 0;
-          if (origin.empty() || !mqp::ParseInt64(attrs.GetView("s"), &seq) ||
-              seq < 0) {
+          uint64_t seq = 0;
+          if (origin.empty() || !ReadCount(attrs, "s", &seq)) {
             return Status::ParseError("malformed version-vector element");
           }
-          on_v(origin, static_cast<uint64_t>(seq));
+          uint64_t fact_seq = seq;
+          if (is_v && attrs.Find("f") != nullptr &&
+              (!ReadCount(attrs, "f", &fact_seq) || fact_seq > seq)) {
+            return Status::ParseError(
+                "version-vector f must be an integer in [0, s]");
+          }
+          if (is_v) {
+            on_v(origin, seq, fact_seq);
+          } else {
+            on_want(origin, seq);
+          }
         } else {
           MQP_RETURN_IF_ERROR(on_rec(attrs));
         }
@@ -184,7 +207,8 @@ Status ParseGossipBody(std::string_view text, std::string_view root,
   return Status::OK();
 }
 
-// A digest skips <rec> elements like any unknown element.
+// A digest skips <want> and <rec> elements like any unknown element.
+void NoWants(std::string_view, uint64_t) {}
 Status NoRecords(const xml::AttrList&) { return Status::OK(); }
 
 // Three-way compare of a + '|' against b + '|': Key() order, one field
@@ -256,24 +280,26 @@ std::string FactKey(const SyncEntry& entry) {
 
 }  // namespace
 
-std::string DigestToXml(const VersionVector& vector) {
+std::string DigestToXml(const Digest& digest) {
   std::string out;
   xml::TokenWriter w(&out);
   w.Start("digest");
-  for (const auto& [origin, seq] : vector) EmitVectorElement(&w, origin, seq);
+  for (const auto& [origin, e] : digest) {
+    EmitEntry(&w, "v", origin, e.seq, e.fact_seq);
+  }
   w.End();
   return out;
 }
 
-Result<VersionVector> DigestFromXml(const std::string& text) {
-  VersionVector vector;
+Result<Digest> DigestFromXml(const std::string& text) {
+  Digest digest;
   MQP_RETURN_IF_ERROR(ParseGossipBody(
-      text, "digest", /*with_records=*/false,
-      [&](std::string_view origin, uint64_t seq) {
-        vector[std::string(origin)] = seq;
+      text, "digest", /*in_delta=*/false,
+      [&](std::string_view origin, uint64_t seq, uint64_t fact_seq) {
+        digest[std::string(origin)] = {seq, fact_seq};
       },
-      NoRecords));
-  return vector;
+      NoWants, NoRecords));
+  return digest;
 }
 
 std::string VersionedRecord::Key() const {
@@ -284,8 +310,11 @@ std::string CatalogDelta::ToXml() const {
   std::string out;
   xml::TokenWriter w(&out);
   w.Start("delta");
-  for (const auto& [origin, seq] : sender_vector) {
-    EmitVectorElement(&w, origin, seq);
+  for (const auto& [origin, seq] : heartbeats) {
+    EmitEntry(&w, "v", origin, seq, seq);
+  }
+  for (const auto& [origin, seq] : wants) {
+    EmitEntry(&w, "want", origin, seq, seq);
   }
   for (const auto& rec : records) {
     const std::string area = rec.entry.entry.area.ToString();
@@ -299,9 +328,12 @@ std::string CatalogDelta::ToXml() const {
 Result<CatalogDelta> CatalogDelta::FromXml(const std::string& text) {
   CatalogDelta delta;
   MQP_RETURN_IF_ERROR(ParseGossipBody(
-      text, "delta", /*with_records=*/true,
+      text, "delta", /*in_delta=*/true,
+      [&](std::string_view origin, uint64_t seq, uint64_t) {
+        delta.heartbeats[std::string(origin)] = seq;
+      },
       [&](std::string_view origin, uint64_t seq) {
-        delta.sender_vector[std::string(origin)] = seq;
+        delta.wants[std::string(origin)] = seq;
       },
       [&](const xml::AttrList& attrs) {
         return DecodeRecord(attrs, &delta.records.emplace_back());
@@ -350,6 +382,7 @@ uint32_t VersionedCatalog::FindFact(const Row& row,
   bool printed = false;
   for (uint32_t f = row.first_fact; f != kNone; f = facts_[f].next_of_origin) {
     if (!SameKeyButArea(facts_[f].entry, entry)) continue;
+    if (entry.kind == SyncEntryKind::kPresence) return f;  // no area
     if (!printed) {
       area = entry.entry.area.ToString();
       printed = true;
@@ -401,6 +434,7 @@ void VersionedCatalog::ReleaseArea(uint32_t id) {
 }
 
 ns::InterestArea VersionedCatalog::CellsOf(uint32_t area) const {
+  if (area == kNone) return {};
   const Area& a = areas_[area];
   return a.odd != nullptr ? *a.odd : *ns::InterestArea::Parse(a.text);
 }
@@ -428,40 +462,38 @@ VersionVector VersionedCatalog::vector() const {
   return out;
 }
 
+Digest VersionedCatalog::digest() const {
+  Digest out;
+  for (const Row& row : table_) {
+    if (row.in_vector) out.emplace(row.address, VectorEntry{row.seq, row.fact_seq});
+  }
+  return out;
+}
+
 std::map<std::string, VersionedRecord> VersionedCatalog::records() const {
   std::map<std::string, VersionedRecord> out;
-  auto add = [&](const Row& row, const SyncEntry& entry, const Stamp& s) {
-    VersionedRecord rec{{row.address, s.sequence}, entry, s.tombstone,
-                        s.ttl_seconds, s.stamped_at};
-    out.emplace(rec.Key(), std::move(rec));
-  };
   for (const Row& row : table_) {
     for (uint32_t f = row.first_fact; f != kNone;
          f = facts_[f].next_of_origin) {
-      add(row, EntryOf(facts_[f]), facts_[f].stamp);
+      const Stamp& s = facts_[f].stamp;
+      VersionedRecord rec{{row.address, s.sequence}, EntryOf(facts_[f]),
+                          s.tombstone, s.ttl_seconds, s.stamped_at};
+      out.emplace(rec.Key(), std::move(rec));
     }
-    if (row.has_presence) add(row, PresenceEntry(), row.presence);
   }
   return out;
 }
 
 // --- storage ---------------------------------------------------------------------
 
-void VersionedCatalog::MarkTombstone(Loc loc, Stamp* stamp) {
-  stamp->tomb_slot = static_cast<uint32_t>(tombs_.size());
-  tombs_.push_back(loc);
-}
-
 void VersionedCatalog::UnmarkTombstone(Stamp* stamp) {
   const uint32_t slot = stamp->tomb_slot;
   stamp->tomb_slot = kNone;
-  const Loc moved = tombs_.back();
+  const uint32_t moved = tombs_.back();
   tombs_.pop_back();
   if (slot == tombs_.size()) return;
   tombs_[slot] = moved;
-  Stamp& other = moved.fact == kNone ? table_[moved.origin].presence
-                                     : facts_[moved.fact].stamp;
-  other.tomb_slot = slot;
+  facts_[moved].stamp.tomb_slot = slot;
 }
 
 void VersionedCatalog::RecomputeTtl(Row* row) const {
@@ -469,17 +501,19 @@ void VersionedCatalog::RecomputeTtl(Row* row) const {
   for (uint32_t f = row->first_fact; f != kNone; f = facts_[f].next_of_origin) {
     ttl = std::max(ttl, facts_[f].stamp.ttl_seconds);
   }
-  if (row->has_presence) ttl = std::max(ttl, row->presence.ttl_seconds);
   row->ttl = ttl;
 }
 
-void VersionedCatalog::SetStamp(Loc loc, Stamp* slot, bool replaced,
-                                Stamp stamp) {
-  Row& row = table_[loc.origin];
+void VersionedCatalog::SetStamp(uint32_t id, bool replaced, Stamp stamp) {
+  Stamp* slot = &facts_[id].stamp;
+  Row& row = table_[facts_[id].origin];
   const double old_ttl = slot->ttl_seconds;
   if (replaced && slot->tombstone) UnmarkTombstone(slot);
   *slot = stamp;
-  if (stamp.tombstone) MarkTombstone(loc, slot);
+  if (stamp.tombstone) {
+    slot->tomb_slot = static_cast<uint32_t>(tombs_.size());
+    tombs_.push_back(id);
+  }
   if (replaced && old_ttl >= row.ttl && stamp.ttl_seconds < row.ttl) {
     RecomputeTtl(&row);  // the replaced record may have been the maximum
   } else {
@@ -487,28 +521,24 @@ void VersionedCatalog::SetStamp(Loc loc, Stamp* slot, bool replaced,
   }
 }
 
-void VersionedCatalog::PutPresence(uint32_t origin, Stamp stamp) {
-  Row& row = table_[origin];
-  const bool replaced = row.has_presence;
-  row.has_presence = true;
-  SetStamp({origin, kNone}, &row.presence, replaced, stamp);
-}
-
 uint32_t VersionedCatalog::PutFact(uint32_t origin, uint32_t fact,
                                    SyncEntry entry, Stamp stamp) {
   const bool replaced = fact != kNone;
-  const uint32_t area = InternArea(entry.entry.area);
+  // A presence record names no area and no server.
+  const bool presence = entry.kind == SyncEntryKind::kPresence;
+  const uint32_t area = presence ? kNone : InternArea(entry.entry.area);
   entry.entry.area = ns::InterestArea();  // areas_ holds it
   if (replaced) {
-    ReleaseArea(facts_[fact].area);
+    if (facts_[fact].area != kNone) ReleaseArea(facts_[fact].area);
   } else {
-    const uint32_t server = Intern(entry.entry.server);
+    const uint32_t server = presence ? kNone : Intern(entry.entry.server);
     fact = TakeSlot(&facts_, &free_facts_);
     Fact& f = facts_[fact];
     f.origin = origin;
     f.server = server;
     // Link into the origin's list in Key() order, and onto the server's.
-    const FactRef added{entry, areas_[area].text};
+    const FactRef added{entry, area == kNone ? std::string_view()
+                                             : areas_[area].text};
     uint32_t* link = &table_[origin].first_fact;
     while (*link != kNone) {
       const Fact& next = facts_[*link];
@@ -517,46 +547,44 @@ uint32_t VersionedCatalog::PutFact(uint32_t origin, uint32_t fact,
     }
     f.next_of_origin = *link;
     *link = fact;
-    f.next_naming = table_[server].first_naming;
-    table_[server].first_naming = fact;
+    if (server != kNone) {
+      f.next_naming = table_[server].first_naming;
+      table_[server].first_naming = fact;
+    }
   }
   // A replacement keeps the key, so the server and both lists stay.
   Fact& f = facts_[fact];
   f.entry = std::move(entry);
   f.area = area;
-  SetStamp({origin, fact}, &f.stamp, replaced, stamp);
+  SetStamp(fact, replaced, stamp);
   return fact;
 }
 
-void VersionedCatalog::Remove(Loc loc) {
-  Row& row = table_[loc.origin];
-  Stamp* stamp =
-      loc.fact == kNone ? &row.presence : &facts_[loc.fact].stamp;
-  const double ttl = stamp->ttl_seconds;
-  if (stamp->tombstone) UnmarkTombstone(stamp);
-  if (loc.fact == kNone) {
-    row.presence = Stamp{};
-    row.has_presence = false;
-  } else {
-    Fact& f = facts_[loc.fact];
-    uint32_t* link = &row.first_fact;
-    while (*link != loc.fact) link = &facts_[*link].next_of_origin;
-    *link = f.next_of_origin;
+void VersionedCatalog::Remove(uint32_t fact) {
+  Fact& f = facts_[fact];
+  Row& row = table_[f.origin];
+  const double ttl = f.stamp.ttl_seconds;
+  if (f.stamp.tombstone) UnmarkTombstone(&f.stamp);
+  uint32_t* link = &row.first_fact;
+  while (*link != fact) link = &facts_[*link].next_of_origin;
+  *link = f.next_of_origin;
+  if (f.server != kNone) {
     link = &table_[f.server].first_naming;
-    while (*link != loc.fact) link = &facts_[*link].next_naming;
+    while (*link != fact) link = &facts_[*link].next_naming;
     *link = f.next_naming;
-    ReleaseArea(f.area);
-    f = Fact{};
-    free_facts_.push_back(loc.fact);
   }
+  if (f.area != kNone) ReleaseArea(f.area);
+  f = Fact{};
+  free_facts_.push_back(fact);
   if (ttl >= row.ttl) RecomputeTtl(&row);
 }
 
 // --- local (own-origin) mutations ---------------------------------------------
 
-uint64_t VersionedCatalog::NextOwnSequence(double now) {
+uint64_t VersionedCatalog::NextOwnSequence(double now, bool record) {
   Row& self = table_[self_id_];
   self.seq = ++next_sequence_;
+  if (record) self.fact_seq = self.seq;
   self.in_vector = true;
   self.last_heard = now;
   return self.seq;
@@ -564,13 +592,9 @@ uint64_t VersionedCatalog::NextOwnSequence(double now) {
 
 void VersionedCatalog::UpsertLocal(SyncEntry entry, double ttl_seconds,
                                    double now) {
-  const Stamp stamp{.sequence = NextOwnSequence(now),
+  const Stamp stamp{.sequence = NextOwnSequence(now, /*record=*/true),
                     .ttl_seconds = ttl_seconds,
                     .stamped_at = now};
-  if (entry.kind == SyncEntryKind::kPresence) {
-    PutPresence(self_id_, stamp);
-    return;
-  }
   const uint32_t fact = FindFact(table_[self_id_], entry);
   RetireReplacedProjection(self_id_, fact, entry, /*tombstone=*/false);
   Project(entry, entry.entry.area, self_id_);
@@ -578,13 +602,9 @@ void VersionedCatalog::UpsertLocal(SyncEntry entry, double ttl_seconds,
 }
 
 void VersionedCatalog::TombstoneLocal(const SyncEntry& entry, double now) {
-  const Stamp stamp{.sequence = NextOwnSequence(now),
+  const Stamp stamp{.sequence = NextOwnSequence(now, /*record=*/true),
                     .stamped_at = now,
                     .tombstone = true};
-  if (entry.kind == SyncEntryKind::kPresence) {
-    PutPresence(self_id_, stamp);
-    return;
-  }
   uint32_t fact = FindFact(table_[self_id_], entry);
   // Withdraw the *stored* fact (it may differ from `entry` in non-key
   // fields like delay), then the one being tombstoned.
@@ -593,32 +613,33 @@ void VersionedCatalog::TombstoneLocal(const SyncEntry& entry, double now) {
   Unproject(entry, entry.entry.area, self_id_, fact);
 }
 
+bool VersionedCatalog::Greet(double ttl_seconds, double now) {
+  for (uint32_t f = table_[self_id_].first_fact; f != kNone;
+       f = facts_[f].next_of_origin) {
+    if (!facts_[f].stamp.tombstone) return false;
+  }
+  UpsertLocal(PresenceEntry(), ttl_seconds, now);
+  return true;
+}
+
 void VersionedCatalog::BumpPresence(double ttl_seconds, double now) {
-  SyncEntry presence;
-  presence.kind = SyncEntryKind::kPresence;
-  UpsertLocal(std::move(presence), ttl_seconds, now);
+  if (!Greet(ttl_seconds, now)) NextOwnSequence(now, /*record=*/false);
 }
 
 void VersionedCatalog::RestampOwn(double now) {
   Row& self = table_[self_id_];
-  auto restamp = [&](Stamp* stamp) {
-    if (stamp->tombstone) return false;
-    stamp->sequence = ++next_sequence_;
-    stamp->stamped_at = now;
-    self.seq = stamp->sequence;
-    self.in_vector = true;
-    return true;
-  };
-  // Key() order: the facts, then "presence".
   for (uint32_t f = self.first_fact; f != kNone;
        f = facts_[f].next_of_origin) {
+    Stamp& stamp = facts_[f].stamp;
+    if (stamp.tombstone) continue;
+    stamp.sequence = ++next_sequence_;
+    stamp.stamped_at = now;
+    self.seq = self.fact_seq = stamp.sequence;
+    self.in_vector = true;
     // Rejoin also reinstates the projection (a recovering peer republishes
     // its holdings); Project is idempotent for already-present entries.
-    if (restamp(&facts_[f].stamp)) {
-      Project(facts_[f].entry, CellsOf(facts_[f].area), self_id_);
-    }
+    Project(facts_[f].entry, CellsOf(facts_[f].area), self_id_);
   }
-  if (self.has_presence) restamp(&self.presence);
   self.last_heard = now;
 }
 
@@ -626,53 +647,101 @@ void VersionedCatalog::RestampOwn(double now) {
 
 template <typename Fn>
 void VersionedCatalog::ForEachMissing(const RemoteVector& remote,
-                                      Fn&& fn) const {
+                                      bool listed_only, Fn&& fn) const {
   for (uint32_t id : by_key_) {
     const Row& row = table_[id];
+    if (!row.in_vector || (listed_only && !remote.Lists(id))) continue;
     const uint64_t seen = remote.Seen(id);
-    if (!row.in_vector || row.seq <= seen) continue;
+    if (row.fact_seq <= seen) continue;  // no stored record is newer
     for (uint32_t f = row.first_fact; f != kNone;
          f = facts_[f].next_of_origin) {
-      if (facts_[f].stamp.sequence > seen) fn(row, f, facts_[f].stamp);
-    }
-    if (row.has_presence && row.presence.sequence > seen) {
-      fn(row, kNone, row.presence);
+      if (facts_[f].stamp.sequence > seen) fn(row, f);
     }
   }
 }
 
+template <typename Fn>
+void VersionedCatalog::ForEachHeartbeat(const RemoteVector& remote,
+                                        bool listed_only, Fn&& fn) const {
+  for (uint32_t id : by_address_) {
+    const Row& row = table_[id];
+    if (!row.in_vector || (listed_only && !remote.Lists(id))) continue;
+    if (row.seq > remote.Seen(id) && row.seq > row.fact_seq) fn(row);
+  }
+}
+
+template <typename Fn>
+void VersionedCatalog::ForEachWant(const RemoteVector& remote,
+                                   Fn&& fn) const {
+  // Listed origins the table knows, merged in address order with the
+  // ones it does not (kept aside, ascending).
+  auto unknown = remote.unknown_.begin();
+  const auto end = remote.unknown_.end();
+  for (uint32_t id : by_address_) {
+    if (!remote.Lists(id) || remote.seen_[id].seq <= table_[id].seq) continue;
+    for (; unknown != end && unknown->origin < table_[id].address; ++unknown) {
+      if (unknown->seq > 0) fn(std::string_view(unknown->origin), uint64_t{0});
+    }
+    fn(std::string_view(table_[id].address), table_[id].seq);
+  }
+  for (; unknown != end; ++unknown) {
+    if (unknown->seq > 0) fn(std::string_view(unknown->origin), uint64_t{0});
+  }
+}
+
 void VersionedCatalog::ReadInto(std::string_view origin, uint64_t seq,
-                                RemoteVector* out) const {
+                                uint64_t fact_seq, RemoteVector* out) const {
   ++out->listed_;
   const uint32_t id = Find(origin);
-  if (id == kNone) {
-    out->unknown_.emplace_back(origin, seq);
-  } else {
-    out->seen_[id] = seq;
+  if (id != kNone) {
+    out->seen_[id] = {seq, fact_seq};
+    return;
   }
+  // Kept ascending and unique: the last listing wins, as by id.
+  auto& unknown = out->unknown_;
+  auto it = std::lower_bound(
+      unknown.begin(), unknown.end(), origin,
+      [](const RemoteVector::Unknown& u, std::string_view o) {
+        return u.origin < o;
+      });
+  if (it == unknown.end() || it->origin != origin) {
+    it = unknown.insert(it, {std::string(origin), 0, 0});
+  }
+  it->seq = seq;
+  it->fact_seq = fact_seq;
+}
+
+RemoteVector VersionedCatalog::Dense(const VersionVector& remote) const {
+  RemoteVector dense;
+  dense.Reset(table_.size());
+  for (const auto& [origin, seq] : remote) ReadInto(origin, seq, seq, &dense);
+  return dense;
 }
 
 Status VersionedCatalog::ReadDigest(std::string_view body,
                                     RemoteVector* out) const {
   out->Reset(table_.size());
   return ParseGossipBody(
-      body, "digest", /*with_records=*/false,
-      [&](std::string_view origin, uint64_t seq) {
-        ReadInto(origin, seq, out);
+      body, "digest", /*in_delta=*/false,
+      [&](std::string_view origin, uint64_t seq, uint64_t fact_seq) {
+        ReadInto(origin, seq, fact_seq, out);
       },
-      NoRecords);
+      NoWants, NoRecords);
 }
 
 Status VersionedCatalog::ReadDelta(std::string_view body,
                                    IncomingDelta* out) const {
-  RemoteVector& sender = out->sender;
-  sender.Reset(table_.size());
+  out->heartbeats.Reset(table_.size());
+  out->wants.Reset(table_.size());
   out->records.clear();
   out->origins.clear();
   return ParseGossipBody(
-      body, "delta", /*with_records=*/true,
+      body, "delta", /*in_delta=*/true,
+      [&](std::string_view origin, uint64_t seq, uint64_t) {
+        ReadInto(origin, seq, seq, &out->heartbeats);
+      },
       [&](std::string_view origin, uint64_t seq) {
-        ReadInto(origin, seq, &sender);
+        ReadInto(origin, seq, seq, &out->wants);
       },
       [&](const xml::AttrList& attrs) {
         return DecodeRecord(attrs, &out->records.emplace_back());
@@ -680,72 +749,107 @@ Status VersionedCatalog::ReadDelta(std::string_view body,
 }
 
 CatalogDelta VersionedCatalog::DeltaSince(const VersionVector& remote) const {
-  RemoteVector dense;
-  dense.Reset(table_.size());
-  for (const auto& [origin, seq] : remote) ReadInto(origin, seq, &dense);
+  const RemoteVector dense = Dense(remote);
   CatalogDelta delta;
-  ForEachMissing(dense, [&](const Row& row, uint32_t fact, const Stamp& s) {
-    delta.records.push_back(
-        {{row.address, s.sequence},
-         fact == kNone ? PresenceEntry() : EntryOf(facts_[fact]),
-         s.tombstone,
-         s.ttl_seconds,
-         s.stamped_at});
+  ForEachHeartbeat(dense, /*listed_only=*/false, [&](const Row& row) {
+    delta.heartbeats.emplace(row.address, row.seq);
+  });
+  ForEachMissing(dense, /*listed_only=*/false, [&](const Row& row, uint32_t f) {
+    const Stamp& s = facts_[f].stamp;
+    delta.records.push_back({{row.address, s.sequence},
+                             EntryOf(facts_[f]),
+                             s.tombstone,
+                             s.ttl_seconds,
+                             s.stamped_at});
   });
   return delta;
 }
 
-bool VersionedCatalog::Dominates(const RemoteVector& remote) const {
-  if (!remote.unknown_.empty()) return false;
-  for (size_t id = 0; id < remote.seen_.size(); ++id) {
-    const uint64_t seen = remote.seen_[id];
-    if (seen == RemoteVector::kUnlisted) continue;
-    if (!table_[id].in_vector || table_[id].seq < seen) return false;
-  }
-  return true;
-}
-
-void VersionedCatalog::EmitVector(xml::TokenWriter* w) const {
+size_t VersionedCatalog::Absorb(const RemoteVector& remote, double now,
+                                std::vector<uint32_t>* advanced) {
+  const size_t before = advanced->size();
   for (uint32_t id : by_address_) {
+    if (!remote.Lists(id)) continue;
+    const RemoteVector::Listed& e = remote.seen_[id];
     const Row& row = table_[id];
-    if (row.in_vector) EmitVectorElement(w, row.address, row.seq);
+    if (row.in_vector && e.seq > row.seq && e.fact_seq <= row.seq) {
+      Advance(id, e.seq, now);
+      advanced->push_back(id);
+    }
   }
+  return advanced->size() - before;
 }
 
 std::string VersionedCatalog::DigestXml() const {
   std::string out;
   xml::TokenWriter w(&out);
   w.Start("digest");
-  EmitVector(&w);
+  for (uint32_t id : by_address_) {
+    const Row& row = table_[id];
+    if (row.in_vector) EmitEntry(&w, "v", row.address, row.seq, row.fact_seq);
+  }
   w.End();
   return out;
 }
 
 size_t VersionedCatalog::WriteDelta(const RemoteVector& remote,
-                                    bool attach_vector,
+                                    bool listed_only, bool wants,
                                     std::string* out) const {
+  const size_t start = out->size();
   bool any = false;
-  for (uint32_t id : by_key_) {
-    if (table_[id].in_vector && table_[id].seq > remote.Seen(id)) {
-      any = true;
-      break;
-    }
-  }
-  if (!any) return 0;
   xml::TokenWriter w(out);
   w.Start("delta");
-  if (attach_vector) EmitVector(&w);
+  ForEachHeartbeat(remote, listed_only, [&](const Row& row) {
+    EmitEntry(&w, "v", row.address, row.seq, row.seq);
+    any = true;
+  });
+  if (wants) {
+    ForEachWant(remote, [&](std::string_view origin, uint64_t seq) {
+      EmitEntry(&w, "want", origin, seq, seq);
+      any = true;
+    });
+  }
   size_t records = 0;
-  ForEachMissing(remote, [&](const Row& row, uint32_t fact, const Stamp& s) {
-    EmitRecord(&w, row.address, s.sequence,
-               fact == kNone
-                   ? FactRef{PresenceEntry(), {}}
-                   : FactRef{facts_[fact].entry, AreaText(facts_[fact])},
-               s.tombstone, s.ttl_seconds);
+  ForEachMissing(remote, listed_only, [&](const Row& row, uint32_t f) {
+    const Fact& fact = facts_[f];
+    EmitRecord(&w, row.address, fact.stamp.sequence,
+               {fact.entry, AreaText(fact)}, fact.stamp.tombstone,
+               fact.stamp.ttl_seconds);
     ++records;
   });
   w.End();
+  if (!any && records == 0) out->resize(start);
   return records;
+}
+
+size_t VersionedCatalog::WriteReply(const RemoteVector& remote,
+                                    std::string* out) const {
+  return WriteDelta(remote, /*listed_only=*/false, /*wants=*/true, out);
+}
+
+size_t VersionedCatalog::WritePushBack(const RemoteVector& wants,
+                                       std::string* out) const {
+  return WriteDelta(wants, /*listed_only=*/true, /*wants=*/false, out);
+}
+
+void VersionedCatalog::Advance(uint32_t id, uint64_t seq, double now) {
+  Row& row = table_[id];
+  row.seq = seq;
+  row.last_heard = now;
+  if (id == self_id_) {
+    // Defensive: never re-issue a sequence an echo proved spent.
+    next_sequence_ = std::max(next_sequence_, seq);
+  }
+  if (row.expired) {
+    // The origin is refreshing again: reinstate its live records.
+    row.expired = false;
+    for (uint32_t f = row.first_fact; f != kNone;
+         f = facts_[f].next_of_origin) {
+      if (!facts_[f].stamp.tombstone) {
+        Project(facts_[f].entry, CellsOf(facts_[f].area), id);
+      }
+    }
+  }
 }
 
 bool VersionedCatalog::ApplyRecord(const VersionedRecord& in, uint32_t origin,
@@ -754,36 +858,9 @@ bool VersionedCatalog::ApplyRecord(const VersionedRecord& in, uint32_t origin,
   // Absorb the version even when the record itself loses LWW: the
   // vector tracks everything *seen*, not everything *kept*.
   row.in_vector = true;
-  if (in.version.sequence > row.seq) {
-    row.seq = in.version.sequence;
-    row.last_heard = now;
-    if (origin == self_id_) {
-      // Defensive: never re-issue a sequence an echo proved spent.
-      next_sequence_ = std::max(next_sequence_, row.seq);
-    }
-    if (row.expired) {
-      // The origin is refreshing again: reinstate its live records.
-      row.expired = false;
-      for (uint32_t f = row.first_fact; f != kNone;
-           f = facts_[f].next_of_origin) {
-        if (!facts_[f].stamp.tombstone) {
-          Project(facts_[f].entry, CellsOf(facts_[f].area), origin);
-        }
-      }
-    }
-  }
+  if (in.version.sequence > row.seq) Advance(origin, in.version.sequence, now);
+  row.fact_seq = std::max(row.fact_seq, in.version.sequence);
   // Within one origin, Newer() reduces to a higher sequence.
-  const Stamp stamp{.sequence = in.version.sequence,
-                    .ttl_seconds = in.ttl_seconds,
-                    .stamped_at = now,
-                    .tombstone = in.tombstone};
-  if (in.entry.kind == SyncEntryKind::kPresence) {
-    if (row.has_presence && in.version.sequence <= row.presence.sequence) {
-      return false;  // stale or duplicate: idempotence
-    }
-    PutPresence(origin, stamp);
-    return true;
-  }
   const uint32_t fact = FindFact(row, in.entry);
   if (fact != kNone && in.version.sequence <= facts_[fact].stamp.sequence) {
     return false;  // stale or duplicate: idempotence
@@ -794,7 +871,11 @@ bool VersionedCatalog::ApplyRecord(const VersionedRecord& in, uint32_t origin,
   } else {
     Project(in.entry, in.entry.entry.area, origin);
   }
-  PutFact(origin, fact, in.entry, stamp);
+  PutFact(origin, fact, in.entry,
+          {.sequence = in.version.sequence,
+           .ttl_seconds = in.ttl_seconds,
+           .stamped_at = now,
+           .tombstone = in.tombstone});
   return true;
 }
 
@@ -802,6 +883,13 @@ size_t VersionedCatalog::Apply(const CatalogDelta& delta, double now) {
   size_t changed = 0;
   for (const VersionedRecord& in : delta.records) {
     changed += ApplyRecord(in, Intern(in.version.origin), now) ? 1 : 0;
+  }
+  // The delta carries every record up to each heartbeat entry.
+  for (const auto& [origin, seq] : delta.heartbeats) {
+    const uint32_t id = Find(origin);
+    if (id != kNone && table_[id].in_vector && seq > table_[id].seq) {
+      Advance(id, seq, now);
+    }
   }
   return changed;
 }
@@ -819,12 +907,22 @@ size_t VersionedCatalog::Apply(IncomingDelta* delta, double now) {
     delta->origins.push_back(origin);
     changed += ApplyRecord(in, origin, now) ? 1 : 0;
   }
-  RemoteVector& sender = delta->sender;
-  if (!sender.unknown_.empty()) {
-    sender.seen_.resize(table_.size(), RemoteVector::kUnlisted);
-    for (const auto& [address, seq] : sender.unknown_) {
-      const uint32_t id = Find(address);
-      if (id != kNone) sender.seen_[id] = seq;
+  // Entries of origins the records just introduced.
+  for (RemoteVector* entries : {&delta->heartbeats, &delta->wants}) {
+    entries->seen_.resize(table_.size());
+    for (const RemoteVector::Unknown& u : entries->unknown_) {
+      const uint32_t id = Find(u.origin);
+      if (id != kNone) entries->seen_[id] = {u.seq, u.fact_seq};
+    }
+  }
+  const RemoteVector& heartbeats = delta->heartbeats;
+  // The delta carries every record up to each heartbeat entry.
+  delta->advanced.clear();
+  for (uint32_t id : by_address_) {
+    if (heartbeats.Lists(id) && table_[id].in_vector &&
+        heartbeats.seen_[id].seq > table_[id].seq) {
+      Advance(id, heartbeats.seen_[id].seq, now);
+      delta->advanced.push_back(id);
     }
   }
   return changed;
@@ -872,14 +970,11 @@ std::vector<std::string> VersionedCatalog::LiveOrigins(double now) const {
 size_t VersionedCatalog::PurgeTombstones(double now, double min_age) {
   size_t purged = 0;
   for (size_t i = 0; i < tombs_.size();) {
-    const Loc loc = tombs_[i];
-    const Stamp& rec = loc.fact == kNone ? table_[loc.origin].presence
-                                         : facts_[loc.fact].stamp;
-    // Each origin's newest record carries its vector entry (see the
-    // header comment): it stays.
-    if (now - rec.stamped_at >= min_age &&
-        rec.sequence != table_[loc.origin].seq) {
-      Remove(loc);  // moves the last tombstone into slot i
+    const Fact& f = facts_[tombs_[i]];
+    // Each origin's newest record stays (see the header comment).
+    if (now - f.stamp.stamped_at >= min_age &&
+        f.stamp.sequence != table_[f.origin].fact_seq) {
+      Remove(tombs_[i]);  // moves the last tombstone into slot i
       ++purged;
     } else {
       ++i;

@@ -10,27 +10,41 @@
 // identity, ordered by sequence, which makes CatalogDelta application
 // idempotent and commutative: any gossip exchange order converges.
 //
-// A VersionVector (origin → highest sequence seen) summarizes everything a
-// catalog has absorbed; anti-entropy peers exchange vectors as compact
-// digests and pull only the records the vector proves missing
-// (see sync/gossip.h).
+// A version vector summarizes everything a catalog has absorbed. Each
+// entry is (seq, fact_seq): seq is the highest sequence absorbed from the
+// origin, fact_seq the origin's newest sequence that stamped a record
+// (fact_seq <= seq). Everything rests on one invariant:
 //
-// Liveness is TTL-based: each origin periodically re-stamps a tiny
-// presence record; a catalog that stops hearing *any* new version from an
-// origin for longer than the origin's declared TTL drops that origin's
-// entries from the queryable projection (they reappear the moment the
-// origin refreshes again). Tombstones are purged only after a long quiet
-// period, bounding memory.
+//   If a catalog's vector lists seq s for origin o, the catalog holds
+//   every record of o with sequence <= s (that record, or a newer one
+//   under the same key; tombstones may since have been purged).
+//
+// A heartbeat advances its origin's seq and creates no record. So a
+// catalog whose own seq for o is at least a remote fact_seq lacks no
+// record of o up to the remote seq, and absorbs the remote seq straight
+// from a digest (Absorb). Everything else travels as records in deltas,
+// with heartbeat entries for the sequences no record carries (see
+// sync/gossip.h).
+//
+// Liveness is TTL-based: each origin periodically advances its sequence;
+// a catalog that stops absorbing *any* new sequence of an origin for
+// longer than the origin's TTL (the largest TTL its stored records
+// declare) drops that origin's entries from the queryable projection
+// (they reappear the moment the origin refreshes again). Membership
+// itself is a presence record: a goodbye (tombstoned) when the origin
+// departs, and a hello (live) only while the origin holds no other live
+// record of its own, so every member is interned by the catalogs that
+// hear of it. Tombstones are purged only after a long quiet period,
+// bounding memory.
 //
 // Storage follows the operations, not the records (DESIGN.md §3, Cost).
 // Each catalog interns every origin and server address it stores once, to
 // a dense id; the table is per catalog and peer-confined like the catalog
 // itself (DESIGN.md §8). A row holds the origin's vector entry, last-heard
-// time, TTL and expiry flag, its presence record as a slot, its facts in
-// Key() order, and the stored facts that name the address as their
-// server. A gossip tick then reads one row per origin, a digest costs the
-// origin count, a delta costs its own records, and a withdrawal costs the
-// few facts that name one server.
+// time, TTL and expiry flag, its records in Key() order, and the stored
+// facts that name the address as their server. A gossip tick then reads
+// one row per origin, a digest costs the origin count, a delta costs its
+// own records, and a withdrawal costs the few facts that name one server.
 #pragma once
 
 #include <cstdint>
@@ -67,21 +81,36 @@ struct EntryVersion {
   bool operator==(const EntryVersion& other) const = default;
 };
 
-/// \brief origin → highest sequence absorbed from that origin. The digest
-/// peers exchange during anti-entropy; VersionedCatalog::vector() returns
-/// one as a snapshot.
+/// \brief origin → highest sequence absorbed from that origin;
+/// VersionedCatalog::vector() returns one as a snapshot.
 using VersionVector = std::map<std::string, uint64_t>;
 
-/// Digest wire format: "<digest><v o='addr' s='7'/>...</digest>". When an
-/// origin is listed twice, the last <v> wins.
-std::string DigestToXml(const VersionVector& vector);
-Result<VersionVector> DigestFromXml(const std::string& text);
+/// \brief One version-vector entry as digests carry it.
+struct VectorEntry {
+  uint64_t seq = 0;       ///< highest sequence absorbed from the origin
+  uint64_t fact_seq = 0;  ///< the origin's newest record sequence, <= seq
+
+  bool operator==(const VectorEntry& other) const = default;
+};
+
+/// \brief origin → (seq, fact_seq): what peers exchange as a digest.
+using Digest = std::map<std::string, VectorEntry>;
+
+/// Digest wire format: "<digest><v o='addr' s='7' f='3'/>...</digest>",
+/// `f` omitted when it equals `s` (the conservative reading of a bare
+/// <v>: a receiver behind on it pulls). Rejects an `f` that is not an
+/// integer >= 0 or exceeds `s`. When an origin is listed twice, the last
+/// <v> wins.
+std::string DigestToXml(const Digest& digest);
+Result<Digest> DigestFromXml(const std::string& text);
 
 /// \brief What kind of catalog fact a record carries.
 enum class SyncEntryKind {
   kArea,      ///< an interest-area IndexEntry
   kNamed,     ///< a named mapping/referral (urn + IndexEntry)
-  kPresence,  ///< origin heartbeat; never projected into the catalog
+  /// The origin's membership: a goodbye when tombstoned, else a hello.
+  /// Never projected into the catalog.
+  kPresence,
 };
 
 /// \brief One syncable catalog fact.
@@ -107,7 +136,7 @@ struct VersionedRecord {
   double stamped_at = 0;
 
   /// Stable record identity, "origin|" + the fact's own identity —
-  /// "presence" for a heartbeat, else "kind|urn|level|area|server|xpath"
+  /// "presence" for membership, else "kind|urn|level|area|server|xpath"
   /// (delay is not identity) — so one origin's tombstone can never
   /// clobber another origin's assertion. Only the trailing xpath may
   /// contain '|' (the delta decoder rejects any other field that does),
@@ -125,55 +154,70 @@ struct VersionedRecord {
 /// through VersionedCatalog::Apply is idempotent and commutative.
 struct CatalogDelta {
   std::vector<VersionedRecord> records;
-  /// The sender's own version vector, piggybacked so the receiver can
-  /// push back what the sender is missing without a digest round-trip
-  /// (a small digest would overtake the large delta on a
-  /// bandwidth-limited link and trigger a duplicate send). Empty when
-  /// not attached.
-  VersionVector sender_vector;
+  /// Heartbeat entries: the sender's seq for each origin where it is
+  /// ahead of what the receiver listed and no record here carries that
+  /// seq. Every record of the origin above the receiver's listed seq is
+  /// in `records`, so the receiver absorbs the entry as it is.
+  VersionVector heartbeats;
+  /// Fact-gap requests: origins whose records the sender lacks, each with
+  /// the sender's seq; the receiver pushes back what is newer.
+  VersionVector wants;
 
-  bool empty() const { return records.empty(); }
+  bool empty() const {
+    return records.empty() && heartbeats.empty() && wants.empty();
+  }
   size_t size() const { return records.size(); }
 
-  /// "<delta><v .../>...<rec .../>...</delta>".
+  /// "<delta><v o s/>...<want o s/>...<rec .../>...</delta>".
   std::string ToXml() const;
   /// Rejects a record whose origin is empty, whose origin, urn, area or
   /// server contains '|' (Key() would be ambiguous), whose sequence or
   /// ttl is not an integer >= 0, whose tomb is not 0 or 1, whose level is
-  /// not base or index, or whose delay is not an int.
+  /// not base or index, or whose delay is not an int; and an entry whose
+  /// origin is empty or whose `s` (or `f`, as in digests) is malformed.
   static Result<CatalogDelta> FromXml(const std::string& text);
 };
 
-/// \brief A remote version vector read against one catalog's address
-/// table (VersionedCatalog::ReadDigest / ReadDelta): dense by address id,
-/// so reading one builds no map node per entry. Origins the catalog does
-/// not know are kept aside and never interned — they only tell Dominates
-/// that something is missing here — so a hostile digest cannot grow the
-/// catalog. Reuse one across messages to keep reads allocation-free.
+/// \brief A remote vector read against one catalog's address table
+/// (VersionedCatalog::ReadDigest / ReadDelta): dense by address id, so
+/// reading one builds no map node per entry. Origins the catalog does not
+/// know are kept aside and never interned, so a hostile digest cannot
+/// grow the catalog. Reuse one across messages to keep reads
+/// allocation-free.
 class RemoteVector {
  public:
-  /// True when the body listed no <v> element.
+  /// True when the body listed no entry.
   bool empty() const { return listed_ == 0; }
 
  private:
   friend class VersionedCatalog;
   /// Marks an id the body did not list (decoded sequences are < 2^63).
   static constexpr uint64_t kUnlisted = UINT64_MAX;
+  struct Listed {
+    uint64_t seq = kUnlisted;
+    uint64_t fact_seq = 0;
+  };
+  struct Unknown {
+    std::string origin;
+    uint64_t seq = 0;
+    uint64_t fact_seq = 0;
+  };
 
   void Reset(size_t ids) {
-    seen_.assign(ids, kUnlisted);
+    seen_.assign(ids, Listed{});
     unknown_.clear();
     listed_ = 0;
   }
-  /// The sequence listed for address `id` (0 when unlisted).
-  uint64_t Seen(uint32_t id) const {
-    return id < seen_.size() && seen_[id] != kUnlisted ? seen_[id] : 0;
+  bool Lists(uint32_t id) const {
+    return id < seen_.size() && seen_[id].seq != kUnlisted;
   }
+  /// The sequence listed for address `id` (0 when unlisted).
+  uint64_t Seen(uint32_t id) const { return Lists(id) ? seen_[id].seq : 0; }
 
-  std::vector<uint64_t> seen_;  ///< by address id; kUnlisted if absent
-  /// Origins not in the table when read, in body order.
-  std::vector<std::pair<std::string, uint64_t>> unknown_;
-  size_t listed_ = 0;  ///< <v> elements read, unknown origins included
+  std::vector<Listed> seen_;  ///< by address id
+  /// Origins not in the table when read, ascending, each listed once.
+  std::vector<Unknown> unknown_;
+  size_t listed_ = 0;  ///< entries read, unknown origins included
 };
 
 /// \brief A delta body read against one catalog (ReadDelta) and consumed
@@ -182,7 +226,10 @@ struct IncomingDelta {
   std::vector<VersionedRecord> records;
   /// Per record, its origin's address id; filled in by Apply.
   std::vector<uint32_t> origins;
-  RemoteVector sender;  ///< the piggybacked sender vector
+  RemoteVector heartbeats;  ///< the delta's heartbeat entries
+  RemoteVector wants;       ///< the delta's fact-gap requests
+  /// The origins a heartbeat entry advanced; filled in by Apply.
+  std::vector<uint32_t> advanced;
 };
 
 /// \brief Versioned overlay over a plain Catalog. Owns the records and the
@@ -210,8 +257,9 @@ class VersionedCatalog {
   static constexpr uint32_t kNoAddress = UINT32_MAX;
 
   /// Snapshots for tests and convergence checks; the gossip path reads
-  /// the table directly (DigestXml, WriteDelta).
+  /// the table directly (DigestXml, WriteReply).
   VersionVector vector() const;
+  Digest digest() const;
   std::map<std::string, VersionedRecord> records() const;
 
   // --- local (own-origin) mutations -------------------------------------------
@@ -222,8 +270,15 @@ class VersionedCatalog {
   /// Tombstones a fact originated here (graceful withdrawal).
   void TombstoneLocal(const SyncEntry& entry, double now);
 
-  /// Re-stamps the presence heartbeat (and nothing else): the cheap
-  /// periodic refresh that keeps this origin's entries alive remotely.
+  /// Stamps a hello — a live presence record declaring `ttl_seconds` —
+  /// when this origin holds no live record of its own, so catalogs that
+  /// hear of it intern it and no goodbye stays its newest record. Returns
+  /// whether it stamped one.
+  bool Greet(double ttl_seconds, double now);
+
+  /// The periodic refresh that keeps this origin alive remotely: a
+  /// heartbeat, which advances the sequence and stamps no record — or a
+  /// hello, when Greet needs one.
   void BumpPresence(double ttl_seconds, double now);
 
   /// Re-stamps *all* live own records with fresh sequences. Called on
@@ -234,30 +289,42 @@ class VersionedCatalog {
   // --- anti-entropy ------------------------------------------------------------
 
   /// Every record whose version the remote vector has not absorbed, in
-  /// ascending Key() order.
+  /// ascending Key() order, plus a heartbeat entry for every origin where
+  /// this catalog is ahead and no record carries its seq.
   CatalogDelta DeltaSince(const VersionVector& remote) const;
 
-  /// Merges `delta`; returns how many records changed. Fresher versions
-  /// win per key; stale or duplicate records are no-ops (idempotence).
+  /// Merges `delta`'s records, then absorbs its heartbeat entries of
+  /// origins this vector lists; returns how many records changed. Fresher
+  /// versions win per key; stale or duplicate records are no-ops
+  /// (idempotence).
   size_t Apply(const CatalogDelta& delta, double now);
 
   // The wire path: the same operations over the dense RemoteVector.
 
-  /// DigestToXml(vector()), written straight from the table.
+  /// DigestToXml(digest()), written straight from the table.
   std::string DigestXml() const;
   /// Reads a digest body into `out`.
   Status ReadDigest(std::string_view body, RemoteVector* out) const;
   /// Reads a delta body into `out` (same checks as CatalogDelta::FromXml).
   Status ReadDelta(std::string_view body, IncomingDelta* out) const;
-  /// True iff this catalog has absorbed everything `remote` lists.
-  bool Dominates(const RemoteVector& remote) const;
-  /// Appends DeltaSince(remote).ToXml() to `out` — with vector() attached
-  /// as the sender vector when `attach_vector` — and returns its record
-  /// count. Writes nothing when no record is missing.
-  size_t WriteDelta(const RemoteVector& remote, bool attach_vector,
-                    std::string* out) const;
-  /// Apply for a read delta. Also fills `delta->origins`, and resolves
-  /// the sender-vector origins that the delta's own records introduced.
+  /// Absorbs the heartbeat-only advances a digest lists: the remote seq
+  /// of every origin this vector lists whose remote seq is newer and
+  /// whose remote fact_seq is at most the local seq. By the invariant no
+  /// record of the origin lies in between. Refreshes last-heard and
+  /// reinstates an expired origin, as a record would. Appends the ids of
+  /// the origins advanced to `advanced`, and returns how many.
+  size_t Absorb(const RemoteVector& remote, double now,
+                std::vector<uint32_t>* advanced);
+  /// Appends the reply to digest `remote` and returns its record count;
+  /// writes nothing when there is nothing to say. The reply is
+  /// DeltaSince(remote) plus a want for every origin the digest lists
+  /// newer than this vector (unknown origins at 0), in address order.
+  /// Call it after Absorb, so the wants are the fact gaps.
+  size_t WriteReply(const RemoteVector& remote, std::string* out) const;
+  /// Appends the push-back for `wants` (a delta's fact-gap requests) and
+  /// returns its record count: DeltaSince over the listed origins only.
+  size_t WritePushBack(const RemoteVector& wants, std::string* out) const;
+  /// Apply for a read delta. Also fills `delta->origins`.
   size_t Apply(IncomingDelta* delta, double now);
 
   // --- liveness ----------------------------------------------------------------
@@ -273,10 +340,10 @@ class VersionedCatalog {
   std::vector<std::string> LiveOrigins(double now) const;
 
   /// Purges tombstoned records older than `min_age`, except each origin's
-  /// newest record: that one must stay transferable, because version
-  /// vectors only grow through records — without it a peer joining after
-  /// the purge could never absorb the origin's final sequence and every
-  /// digest exchange would chase the gap forever. Returns the number
+  /// newest record (the one stamped fact_seq): a peer joining after the
+  /// purge interns the origin from that record only, and absorbs its seq
+  /// from the heartbeat entry that travels with it; it also keeps every
+  /// catalog's fact_seq the same for the same seq. Returns the number
   /// purged (memory stays bounded at one record per dead origin).
   size_t PurgeTombstones(double now, double min_age);
 
@@ -292,8 +359,9 @@ class VersionedCatalog {
     uint32_t tomb_slot = kNone;  ///< index in tombs_ while a tombstone
     bool tombstone = false;
   };
-  /// A stored fact (non-presence record). Lists thread through the pool
-  /// by id: a row costs two ids, not two containers.
+  /// A stored record. Lists thread through the pool by id: a row costs
+  /// two ids, not two containers. A presence record names no area and no
+  /// server (both kNone).
   struct Fact {
     SyncEntry entry;  ///< entry.entry.area stays empty: see `area`
     Stamp stamp;
@@ -306,19 +374,17 @@ class VersionedCatalog {
   /// One interned address.
   struct Row {
     std::string address;
-    /// The vector entry. Also the newest stored sequence: a fresh version
-    /// is always stored and only a newer one replaces it.
-    uint64_t seq = 0;
+    uint64_t seq = 0;       ///< the vector entry's seq
+    /// The vector entry's fact_seq: the newest sequence of any record
+    /// applied here. The record stamped with it stays stored (purges keep
+    /// it), so it is also the newest stored sequence.
+    uint64_t fact_seq = 0;
     double last_heard = 0;
     double ttl = 0;  ///< max declared TTL over stored records (floor 0)
-    /// The presence record. It carries no fact (the codec decodes none),
-    /// so its stamp is all there is to store.
-    Stamp presence;
-    uint32_t first_fact = kNone;    ///< the origin's facts, Key() order
+    uint32_t first_fact = kNone;    ///< the origin's records, Key() order
     uint32_t first_naming = kNone;  ///< stored facts naming this address
     bool in_vector = false;  ///< vector() lists it (it has stored records)
     bool expired = false;
-    bool has_presence = false;
   };
   /// A fact area, shared by the facts that carry it and kept as Key()
   /// and the wire print it: a printed area is a fraction of the parsed
@@ -329,11 +395,6 @@ class VersionedCatalog {
     std::string text;
     std::unique_ptr<ns::InterestArea> odd;
     uint32_t refs = 0;
-  };
-  /// Where a tombstone lives: a fact, or `origin`'s presence slot.
-  struct Loc {
-    uint32_t origin = kNone;
-    uint32_t fact = kNone;  ///< kNone: the presence slot
   };
 
   /// The first row id in by_address_ not below `address`.
@@ -349,7 +410,7 @@ class VersionedCatalog {
   std::pair<std::vector<uint32_t>::iterator, std::vector<uint32_t>::iterator>
   AreasPrintedAs(std::string_view text);
   std::string_view AreaText(const Fact& fact) const {
-    return areas_[fact.area].text;
+    return fact.area == kNone ? std::string_view() : areas_[fact.area].text;
   }
   ns::InterestArea CellsOf(uint32_t area) const;
   /// SyncEntry equality between a stored fact and `entry` with `cells`.
@@ -357,31 +418,49 @@ class VersionedCatalog {
                 const ns::InterestArea& cells) const;
   /// The stored fact as a SyncEntry, its area filled in.
   SyncEntry EntryOf(const Fact& fact) const;
-  /// Stamps a new own sequence into the self row.
-  uint64_t NextOwnSequence(double now);
+  /// Stamps a new own sequence into the self row; `record`: a record
+  /// carries it, so it is the new fact_seq too.
+  uint64_t NextOwnSequence(double now, bool record);
+  /// Advances row `id`'s seq to `seq`: refreshes last-heard and
+  /// reinstates the origin if it had expired.
+  void Advance(uint32_t id, uint64_t seq, double now);
   /// Applies one incoming record of row `origin`; true when it changed.
   bool ApplyRecord(const VersionedRecord& in, uint32_t origin, double now);
-  /// Stores `stamp` as row `origin`'s presence record.
-  void PutPresence(uint32_t origin, Stamp stamp);
   /// Stores a fact of row `origin` over `fact`, or (kNone) as a new one.
   /// Returns its id.
   uint32_t PutFact(uint32_t origin, uint32_t fact, SyncEntry entry,
                    Stamp stamp);
-  /// Overwrites `*slot` (a stored record when `replaced`) with `stamp`,
-  /// keeping tombs_ and the row's TTL current.
-  void SetStamp(Loc loc, Stamp* slot, bool replaced, Stamp stamp);
+  /// Overwrites fact `id`'s stamp (a stored record when `replaced`) with
+  /// `stamp`, keeping tombs_ and the row's TTL current.
+  void SetStamp(uint32_t id, bool replaced, Stamp stamp);
   /// Removes a purged tombstone.
-  void Remove(Loc loc);
-  void MarkTombstone(Loc loc, Stamp* stamp);
+  void Remove(uint32_t fact);
   void UnmarkTombstone(Stamp* stamp);
   void RecomputeTtl(Row* row) const;
-  /// Calls fn(row, fact id, stamp) for every record newer than `remote`
-  /// lists, in ascending Key() order; the id is kNone for presence.
+  /// Calls fn(row, fact id) for every record newer than `remote` lists,
+  /// in ascending Key() order; `listed_only` skips unlisted origins.
   template <typename Fn>
-  void ForEachMissing(const RemoteVector& remote, Fn&& fn) const;
-  void EmitVector(xml::TokenWriter* w) const;
-  void ReadInto(std::string_view origin, uint64_t seq,
+  void ForEachMissing(const RemoteVector& remote, bool listed_only,
+                      Fn&& fn) const;
+  /// Calls fn(row) for every origin that needs a heartbeat entry against
+  /// `remote` (it is ahead, and no record carries its seq), in address
+  /// order; `listed_only` skips unlisted origins.
+  template <typename Fn>
+  void ForEachHeartbeat(const RemoteVector& remote, bool listed_only,
+                        Fn&& fn) const;
+  /// Calls fn(address, local seq) for every origin `remote` lists newer
+  /// than this vector, in address order.
+  template <typename Fn>
+  void ForEachWant(const RemoteVector& remote, Fn&& fn) const;
+  /// Writes a <delta> of ForEachHeartbeat, ForEachWant when `wants`, and
+  /// ForEachMissing; returns the record count, or writes nothing.
+  size_t WriteDelta(const RemoteVector& remote, bool listed_only, bool wants,
+                    std::string* out) const;
+  /// Reads one listed entry into `out`: by id, or aside when unknown.
+  void ReadInto(std::string_view origin, uint64_t seq, uint64_t fact_seq,
                 RemoteVector* out) const;
+  /// A dense RemoteVector of `remote` (fact_seq = seq).
+  RemoteVector Dense(const VersionVector& remote) const;
 
   /// Withdraws the projection of `fact` (stored under the key an incoming
   /// `entry` is about to replace) when its fact payload differs — the key
@@ -413,7 +492,7 @@ class VersionedCatalog {
   std::deque<Area> areas_;            ///< pool; free ids in free_areas_
   std::vector<uint32_t> free_areas_;
   std::vector<uint32_t> area_order_;  ///< live area ids, ascending text
-  std::vector<Loc> tombs_;            ///< every stored tombstone
+  std::vector<uint32_t> tombs_;       ///< every stored tombstone's fact id
 };
 
 }  // namespace mqp::catalog

@@ -14,6 +14,7 @@ SyncAgent::SyncAgent(net::Transport* sim, net::PeerId id, std::string self,
       self_(std::move(self)),
       options_(options),
       versioned_(self_, projection),
+      self_id_(versioned_.InternAddress(self_)),
       rng_(options.seed) {}
 
 void SyncAgent::AddPeer(const std::string& address) {
@@ -32,6 +33,7 @@ bool SyncAgent::HasPeer(const std::string& address) const {
 }
 
 void SyncAgent::AddPartner(uint32_t id, bool seed) {
+  if (id == self_id_) return;
   if (id >= member_.size()) member_.resize(id + 1, 0);
   if (seed) member_[id] |= kSeed;
   if ((member_[id] & kPeer) != 0) return;
@@ -65,7 +67,9 @@ void SyncAgent::Start() {
   if (running_) return;
   running_ = true;
   ++epoch_;
-  versioned_.BumpPresence(options_.entry_ttl_seconds, sim_->now());
+  // The facts just stamped announce this peer; one that has none says
+  // hello instead.
+  versioned_.Greet(options_.entry_ttl_seconds, sim_->now());
   last_refresh_ = sim_->now();
   ScheduleTick();
 }
@@ -76,15 +80,18 @@ void SyncAgent::Stop() {
 }
 
 void SyncAgent::Leave() {
-  // Withdraw everything we ever asserted, then push one final delta of
-  // *our own* records (now tombstones) so the withdrawal starts
+  // Withdraw everything we ever asserted and say goodbye (a tombstoned
+  // presence record, over a hello if there is one), then push one final
+  // delta of *our own* records (now tombstones) so the withdrawal starts
   // propagating before we go dark.
   std::vector<catalog::SyncEntry> own;
   for (const auto& [key, rec] : versioned_.records()) {
-    if (rec.version.origin == self_ && !rec.tombstone) {
+    if (rec.version.origin == self_ && !rec.tombstone &&
+        rec.entry.kind != catalog::SyncEntryKind::kPresence) {
       own.push_back(rec.entry);
     }
   }
+  own.push_back({catalog::SyncEntryKind::kPresence, {}, {}});
   for (const auto& entry : own) {
     versioned_.TombstoneLocal(entry, sim_->now());
   }
@@ -92,7 +99,8 @@ void SyncAgent::Leave() {
   for (const auto& [key, rec] : versioned_.records()) {
     if (rec.version.origin == self_) goodbye.records.push_back(rec);
   }
-  // No vector piggyback: a push-back would address a peer going dark.
+  // Every own record, so it needs no heartbeat entry and asks for
+  // nothing: a push-back would address a peer going dark.
   const std::string body = goodbye.ToXml();
   for (uint32_t id : peers_) {
     SendDeltaBody(versioned_.Address(id), body, goodbye.size());
@@ -102,14 +110,20 @@ void SyncAgent::Leave() {
 }
 
 void SyncAgent::Rejoin() {
-  departed_ = false;
   versioned_.RestampOwn(sim_->now());
+  // A departed peer holds only tombstones: its hello overwrites the
+  // goodbye, so no catalog prunes it again from a late copy.
+  versioned_.Greet(options_.entry_ttl_seconds, sim_->now());
+  departed_ = false;
   if (!running_) {
     running_ = true;
     ++epoch_;
     last_refresh_ = sim_->now();
     ScheduleTick();
   }
+  // The re-stamped records are the freshest news there is: gossip them
+  // now rather than up to a whole interval later.
+  if (!sim_->IsFailed(id_)) SendDigests();
 }
 
 void SyncAgent::ScheduleTick() {
@@ -147,18 +161,19 @@ void SyncAgent::Tick() {
       if (expiry_hook_) expiry_hook_(origin);
     }
     versioned_.PurgeTombstones(now, options_.tombstone_gc_seconds);
-    if (!peers_.empty()) {
-      // Deterministic partner sample without replacement: the draws
-      // depend only on the pool size, and the pool is in address order.
-      pool_.assign(peers_.begin(), peers_.end());
-      rng_.Shuffle(&pool_);
-      const size_t n = std::min(options_.fanout, pool_.size());
-      for (size_t i = 0; i < n; ++i) {
-        SendDigest(versioned_.Address(pool_[i]));
-      }
-    }
+    SendDigests();
   }
   ScheduleTick();
+}
+
+void SyncAgent::SendDigests() {
+  if (peers_.empty()) return;
+  // Deterministic partner sample without replacement: the draws depend
+  // only on the pool size, and the pool is in address order.
+  pool_.assign(peers_.begin(), peers_.end());
+  rng_.Shuffle(&pool_);
+  const size_t n = std::min(options_.fanout, pool_.size());
+  for (size_t i = 0; i < n; ++i) SendDigest(versioned_.Address(pool_[i]));
 }
 
 void SyncAgent::SendDigest(const std::string& target) {
@@ -170,17 +185,9 @@ void SyncAgent::SendDigest(const std::string& target) {
               net::MakePayload(versioned_.DigestXml())});
 }
 
-void SyncAgent::SendDelta(const std::string& target,
-                          const catalog::RemoteVector& remote,
-                          bool attach_vector) {
-  std::string body;
-  const size_t records = versioned_.WriteDelta(remote, attach_vector, &body);
-  SendDeltaBody(target, std::move(body), records);
-}
-
 void SyncAgent::SendDeltaBody(const std::string& target, std::string body,
                               size_t records) {
-  if (records == 0) return;
+  if (body.empty()) return;
   auto pid = sim_->Lookup(target);
   if (!pid.ok() || *pid == id_) return;
   ++counters_.deltas_sent;
@@ -198,21 +205,20 @@ bool SyncAgent::HandleDigest(const wire::Envelope& env, net::PeerId from) {
   const std::string sender =
       env.query_id.empty() ? sim_->Address(from) : env.query_id;
   AddPeer(sender);
-  // Push: everything the sender's vector proves it is missing. When the
-  // sender also has versions we lack (bidirectional gap), piggyback our
-  // vector on the delta so it pushes back without a digest round-trip —
-  // a small digest-back would overtake the large delta on the wire and
-  // trigger a duplicate send. With nothing to push, a plain digest-back
-  // solicits their delta. Terminates: after their delta arrives, the
-  // we-lack condition turns false.
-  const bool we_lack = !versioned_.Dominates(remote_);
+  // Pull heartbeats: take every newer seq the digest proves covers no
+  // record we lack. Then reply with what the sender lacks — records, and
+  // heartbeat entries for the seqs no record carries — and with a want
+  // per origin whose records we lack, which the sender pushes back. One
+  // exchange converges both sides; the push-back asks for nothing, so it
+  // ends there.
+  advanced_.clear();
+  counters_.heartbeats_absorbed +=
+      versioned_.Absorb(remote_, sim_->now(), &advanced_);
+  // A heartbeat proves its origin alive: back into the partner pool.
+  for (uint32_t id : advanced_) AddPartner(id, /*seed=*/false);
   std::string body;
-  const size_t missing = versioned_.WriteDelta(remote_, we_lack, &body);
-  if (missing > 0) {
-    SendDeltaBody(sender, std::move(body), missing);
-  } else if (we_lack) {
-    SendDigest(sender);
-  }
+  const size_t records = versioned_.WriteReply(remote_, &body);
+  SendDeltaBody(sender, std::move(body), records);
   return true;
 }
 
@@ -236,13 +242,16 @@ bool SyncAgent::HandleDelta(const wire::Envelope& env, net::PeerId from) {
         rec.tombstone) {
       // A goodbye is authoritative: prune even a seed.
       DropPartner(origin, /*unseed=*/true);
-    } else if (!rec.tombstone && rec.version.origin != self_) {
+    } else if (!rec.tombstone) {
       AddPartner(origin, /*seed=*/false);
     }
   }
-  // Push-back: the piggybacked vector shows what the sender is missing.
-  if (!incoming.sender.empty()) {
-    SendDelta(sender, incoming.sender, /*attach_vector=*/false);
+  for (uint32_t id : incoming.advanced) AddPartner(id, /*seed=*/false);
+  // Push-back: the records of the origins the sender asked for.
+  if (!incoming.wants.empty()) {
+    std::string body;
+    const size_t records = versioned_.WritePushBack(incoming.wants, &body);
+    SendDeltaBody(sender, std::move(body), records);
   }
   return true;
 }

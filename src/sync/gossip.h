@@ -7,16 +7,22 @@
 //   * owns a catalog::VersionedCatalog mirroring live records into the
 //     peer's plain Catalog,
 //   * every gossip interval picks a few known peers (deterministic,
-//     seeded) and sends its version vector as a `sync-digest`,
-//   * answers digests with a `sync-delta` carrying exactly the records
-//     the digest proves missing — and with its *own* digest when the
-//     sender's vector shows news, so one exchange converges both sides
-//     (push-pull anti-entropy),
-//   * re-stamps a tiny presence record every refresh interval; catalogs
-//     that stop hearing fresh versions from an origin for longer than its
-//     declared TTL expire that origin's entries from the projection,
-//   * tombstones its own records on graceful departure (Leave) and
-//     re-stamps everything on recovery (Rejoin).
+//     seeded) and sends its version vector as a `sync-digest`, each entry
+//     (seq, fact_seq),
+//   * on a digest, absorbs every newer seq the digest proves covers no
+//     record it lacks (remote fact_seq <= its own seq), then replies with
+//     one `sync-delta`: the records the digest proves missing, a
+//     heartbeat entry per origin where it is ahead and no record carries
+//     the seq, and a want per origin whose records it lacks — so one
+//     exchange converges both sides (push-pull anti-entropy),
+//   * answers a delta's wants with a push-back delta of those origins'
+//     records, which asks for nothing in turn,
+//   * heartbeats every refresh interval: the origin's seq advances and no
+//     record is stamped; catalogs that stop absorbing fresh seqs from an
+//     origin for longer than its TTL expire that origin's entries from
+//     the projection,
+//   * tombstones its own records and says goodbye on graceful departure
+//     (Leave), and re-stamps everything on recovery (Rejoin).
 //
 // Determinism: partner choice flows through mqp::Rng seeded per agent,
 // the partner pool is walked in address order, and everything runs on
@@ -68,6 +74,8 @@ struct SyncCounters {
   uint64_t deltas_received = 0;
   uint64_t records_sent = 0;
   uint64_t records_applied = 0;
+  /// Vector entries advanced straight from a digest (no record).
+  uint64_t heartbeats_absorbed = 0;
   uint64_t origins_expired = 0;
 };
 
@@ -133,7 +141,7 @@ class SyncAgent {
   bool departed() const { return departed_; }
 
   /// Recovery: re-stamps all own records (remote vectors already dominate
-  /// the old stamps) and resumes gossip if stopped.
+  /// the old stamps), resumes gossip if stopped, and gossips at once.
   void Rejoin();
 
   // --- wire handlers (called by the owning peer) --------------------------------
@@ -150,14 +158,10 @@ class SyncAgent {
   void AddPartner(uint32_t id, bool seed);
   /// Removes a partner; a seed stays unless `unseed` (a goodbye).
   void DropPartner(uint32_t id, bool unseed);
+  /// Sends a digest to `fanout` partners drawn from the pool.
+  void SendDigests();
   void SendDigest(const std::string& target);
-  /// Sends what `remote` is missing, if anything. `attach_vector`
-  /// piggybacks our version vector on the delta so the receiver pushes
-  /// back what we lack; only worth its bytes when we actually lack
-  /// something (bidirectional gap).
-  void SendDelta(const std::string& target,
-                 const catalog::RemoteVector& remote, bool attach_vector);
-  /// Sends a delta body of `records` records (none: nothing is sent).
+  /// Sends a delta body of `records` records (an empty body: nothing).
   void SendDeltaBody(const std::string& target, std::string body,
                      size_t records);
 
@@ -166,6 +170,7 @@ class SyncAgent {
   std::string self_;
   SyncOptions options_;
   catalog::VersionedCatalog versioned_;
+  uint32_t self_id_;  ///< this peer's own address id
   // The partner pool, keyed by catalog address id: a flag per id, plus
   // the members in address order for the tick to sample.
   enum : uint8_t { kPeer = 1, kSeed = 2 };
@@ -178,6 +183,7 @@ class SyncAgent {
   // hold the largest delta ever received.)
   catalog::RemoteVector remote_;
   std::vector<uint32_t> pool_;  ///< Tick's partner sample
+  std::vector<uint32_t> advanced_;  ///< origins a digest's heartbeats advanced
   std::function<void(const std::string&)> expiry_hook_;
   double last_refresh_ = -1;
   bool running_ = false;

@@ -1,13 +1,15 @@
 // Differential sweep for the sync layer's bookkeeping: VersionedCatalog,
 // which keeps its state in a per-catalog address table (DESIGN.md §3,
-// Cost), against ReferenceCatalog below — the record-scanning
-// implementation it replaced, kept here as the oracle. Both sides share
-// the codec (VersionedRecord, CatalogDelta, digests), so only the
-// bookkeeping is compared. Seeded op sequences drive both sides; after
+// Cost), against ReferenceCatalog below — a record-scanning
+// implementation of the same protocol, kept here as the oracle. Both
+// sides share the codec (VersionedRecord, CatalogDelta, digests), so only
+// the bookkeeping is compared. Seeded op sequences drive both sides; after
 // every op the records, vector, liveness, projection and the bytes of
-// every delta and digest must match exactly. This is the only oracle
-// that exercises TTL expiry exactly: the runtime churn equivalence
-// keeps TTL boundaries out of reach on purpose.
+// every delta, digest, digest reply and push-back must match exactly, and
+// the vector invariant must hold: a vector that lists seq s for origin o
+// comes with every record of o up to s. This is the only oracle that
+// exercises TTL expiry exactly: the runtime churn equivalence keeps TTL
+// boundaries out of reach on purpose.
 //
 // MQP_EQUIV_SEEDS sets the seed count (CI runs 1000).
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@ namespace {
 
 using catalog::Catalog;
 using catalog::CatalogDelta;
+using catalog::Digest;
 using catalog::HoldingLevel;
 using catalog::SyncEntry;
 using catalog::SyncEntryKind;
@@ -47,14 +50,6 @@ size_t EquivSeeds(size_t fallback) {
 
 // --- the reference: record-scanning bookkeeping ----------------------------------
 
-bool RefDominates(const VersionVector& a, const VersionVector& b) {
-  for (const auto& [origin, seq] : b) {
-    auto it = a.find(origin);
-    if (it == a.end() || it->second < seq) return false;
-  }
-  return true;
-}
-
 class ReferenceCatalog {
  public:
   ReferenceCatalog(std::string self, Catalog* projection)
@@ -62,18 +57,23 @@ class ReferenceCatalog {
 
   const std::string& self() const { return self_; }
   const VersionVector& vector() const { return vector_; }
+  Digest digest() const {
+    Digest out;
+    for (const auto& [origin, seq] : vector_) {
+      out[origin] = {seq, fact_seq_.at(origin)};
+    }
+    return out;
+  }
   const std::map<std::string, VersionedRecord>& records() const {
     return records_;
   }
 
   void UpsertLocal(SyncEntry entry, double ttl_seconds, double now) {
     VersionedRecord rec;
-    rec.version = {self_, ++next_sequence_};
+    rec.version = {self_, StampOwn(now)};
     rec.entry = std::move(entry);
     rec.ttl_seconds = ttl_seconds;
     rec.stamped_at = now;
-    vector_[self_] = rec.version.sequence;
-    last_heard_[self_] = now;
     const std::string key = rec.Key();
     RetireReplacedProjection(key, rec);
     Project(rec);
@@ -82,22 +82,28 @@ class ReferenceCatalog {
 
   void TombstoneLocal(const SyncEntry& entry, double now) {
     VersionedRecord rec;
-    rec.version = {self_, ++next_sequence_};
+    rec.version = {self_, StampOwn(now)};
     rec.entry = entry;
     rec.tombstone = true;
     rec.stamped_at = now;
-    vector_[self_] = rec.version.sequence;
-    last_heard_[self_] = now;
     const std::string key = rec.Key();
     RetireReplacedProjection(key, rec);
     records_[key] = rec;
     Unproject(rec);
   }
 
+  bool Greet(double ttl_seconds, double now) {
+    for (const auto& [key, rec] : records_) {
+      if (rec.version.origin == self_ && !rec.tombstone) return false;
+    }
+    UpsertLocal(Presence(), ttl_seconds, now);
+    return true;
+  }
+
   void BumpPresence(double ttl_seconds, double now) {
-    SyncEntry presence;
-    presence.kind = SyncEntryKind::kPresence;
-    UpsertLocal(std::move(presence), ttl_seconds, now);
+    if (Greet(ttl_seconds, now)) return;
+    vector_[self_] = ++next_sequence_;  // a heartbeat: no record
+    last_heard_[self_] = now;
   }
 
   void RestampOwn(double now) {
@@ -105,39 +111,73 @@ class ReferenceCatalog {
       if (rec.version.origin != self_ || rec.tombstone) continue;
       rec.version.sequence = ++next_sequence_;
       rec.stamped_at = now;
-      vector_[self_] = rec.version.sequence;
+      vector_[self_] = fact_seq_[self_] = rec.version.sequence;
       Project(rec);
     }
     last_heard_[self_] = now;
   }
 
-  CatalogDelta DeltaSince(const VersionVector& remote) const {
+  // Records above `remote`, and a heartbeat entry wherever this vector is
+  // ahead of `remote` past its newest record.
+  CatalogDelta DeltaSince(const VersionVector& remote,
+                          bool listed_only = false) const {
+    auto seen = [&](const std::string& origin, uint64_t* out) {
+      auto it = remote.find(origin);
+      *out = it == remote.end() ? 0 : it->second;
+      return it != remote.end() || !listed_only;
+    };
     CatalogDelta delta;
+    uint64_t at = 0;
+    for (const auto& [origin, seq] : vector_) {
+      if (seen(origin, &at) && seq > at && seq > fact_seq_.at(origin)) {
+        delta.heartbeats[origin] = seq;
+      }
+    }
     for (const auto& [key, rec] : records_) {
-      auto it = remote.find(rec.version.origin);
-      const uint64_t seen = it == remote.end() ? 0 : it->second;
-      if (rec.version.sequence > seen) delta.records.push_back(rec);
+      if (seen(rec.version.origin, &at) && rec.version.sequence > at) {
+        delta.records.push_back(rec);
+      }
     }
     return delta;
+  }
+
+  // The digest exchange: absorb, then reply.
+  size_t Absorb(const Digest& remote, double now) {
+    size_t absorbed = 0;
+    for (const auto& [origin, e] : remote) {
+      auto it = vector_.find(origin);
+      if (it != vector_.end() && e.seq > it->second &&
+          e.fact_seq <= it->second) {
+        Advance(origin, e.seq, now);
+        ++absorbed;
+      }
+    }
+    return absorbed;
+  }
+  CatalogDelta ReplyTo(const Digest& remote) const {
+    VersionVector seqs;
+    for (const auto& [origin, e] : remote) seqs[origin] = e.seq;
+    CatalogDelta reply = DeltaSince(seqs);
+    for (const auto& [origin, e] : remote) {
+      auto it = vector_.find(origin);
+      const uint64_t local = it == vector_.end() ? 0 : it->second;
+      if (e.seq > local) reply.wants[origin] = local;
+    }
+    return reply;
+  }
+  CatalogDelta PushBack(const VersionVector& wants) const {
+    return DeltaSince(wants, /*listed_only=*/true);
   }
 
   size_t Apply(const CatalogDelta& delta, double now) {
     size_t changed = 0;
     for (const VersionedRecord& incoming : delta.records) {
       const std::string& origin = incoming.version.origin;
-      uint64_t& high = vector_[origin];
-      const bool fresh = incoming.version.sequence > high;
-      if (fresh) {
-        high = incoming.version.sequence;
-        last_heard_[origin] = now;
-        if (origin == self_) next_sequence_ = std::max(next_sequence_, high);
-        if (expired_origins_.count(origin) > 0) {
-          expired_origins_.erase(origin);
-          for (const auto& [k, rec] : records_) {
-            if (rec.version.origin == origin && !rec.tombstone) Project(rec);
-          }
-        }
+      if (incoming.version.sequence > vector_[origin]) {
+        Advance(origin, incoming.version.sequence, now);
       }
+      uint64_t& fact_seq = fact_seq_[origin];
+      fact_seq = std::max(fact_seq, incoming.version.sequence);
       const std::string key = incoming.Key();
       auto it = records_.find(key);
       if (it != records_.end() &&
@@ -154,6 +194,10 @@ class ReferenceCatalog {
       }
       records_[key] = std::move(rec);
       ++changed;
+    }
+    for (const auto& [origin, seq] : delta.heartbeats) {
+      auto it = vector_.find(origin);
+      if (it != vector_.end() && seq > it->second) Advance(origin, seq, now);
     }
     return changed;
   }
@@ -197,17 +241,13 @@ class ReferenceCatalog {
     return live;
   }
 
+  // Keeps each origin's newest record: the one stamped fact_seq.
   size_t PurgeTombstones(double now, double min_age) {
-    std::map<std::string, uint64_t> max_seq;
-    for (const auto& [key, rec] : records_) {
-      uint64_t& high = max_seq[rec.version.origin];
-      high = std::max(high, rec.version.sequence);
-    }
     size_t purged = 0;
     for (auto it = records_.begin(); it != records_.end();) {
       const VersionedRecord& rec = it->second;
       if (rec.tombstone && now - rec.stamped_at >= min_age &&
-          rec.version.sequence != max_seq[rec.version.origin]) {
+          rec.version.sequence != fact_seq_[rec.version.origin]) {
         it = records_.erase(it);
         ++purged;
       } else {
@@ -225,7 +265,27 @@ class ReferenceCatalog {
     return ttl;
   }
 
+  static SyncEntry Presence() { return {SyncEntryKind::kPresence, {}, {}}; }
+
  private:
+  uint64_t StampOwn(double now) {
+    const uint64_t seq = ++next_sequence_;
+    vector_[self_] = fact_seq_[self_] = seq;
+    last_heard_[self_] = now;
+    return seq;
+  }
+
+  void Advance(const std::string& origin, uint64_t seq, double now) {
+    vector_[origin] = seq;
+    last_heard_[origin] = now;
+    if (origin == self_) next_sequence_ = std::max(next_sequence_, seq);
+    if (expired_origins_.erase(origin) > 0) {
+      for (const auto& [k, rec] : records_) {
+        if (rec.version.origin == origin && !rec.tombstone) Project(rec);
+      }
+    }
+  }
+
   void RetireReplacedProjection(const std::string& key,
                                 const VersionedRecord& rec) {
     auto it = records_.find(key);
@@ -280,6 +340,7 @@ class ReferenceCatalog {
   Catalog* projection_;
   std::map<std::string, VersionedRecord> records_;
   VersionVector vector_;
+  std::map<std::string, uint64_t> fact_seq_;
   uint64_t next_sequence_ = 0;
   std::map<std::string, double> last_heard_;
   std::set<std::string> expired_origins_;
@@ -328,8 +389,8 @@ double RandomTtl(Rng* rng) {
 }
 
 // A vector the test catalog might be asked about: its own (the common
-// digest), a random cut below a source's, or either plus origins nobody
-// knows.
+// digest), a random cut of a source's, or either plus origins nobody
+// knows. Probes only: nothing delivered is computed against it.
 VersionVector RandomVector(Rng* rng, const VersionVector& mine,
                            const VersionVector& theirs) {
   VersionVector v;
@@ -350,6 +411,27 @@ VersionVector RandomVector(Rng* rng, const VersionVector& mine,
   return v;
 }
 
+// A vector at or below `held` per origin (plus origins nobody knows): one
+// the holder had at some point, so a delta computed against it is
+// complete above what the holder holds.
+VersionVector RandomCut(Rng* rng, const VersionVector& held) {
+  VersionVector v;
+  for (const auto& [o, s] : held) {
+    if (rng->NextBool(0.7)) v[o] = rng->NextBool(0.5) ? s : rng->NextBelow(s + 1);
+  }
+  if (rng->NextBool(0.3)) v["zz"] = rng->NextBelow(5);
+  return v;
+}
+
+// `v` as a digest, each entry with a random fact_seq <= its seq.
+Digest WithFactSeqs(Rng* rng, const VersionVector& v) {
+  Digest d;
+  for (const auto& [o, s] : v) {
+    d[o] = {s, rng->NextBool(0.3) ? s : rng->NextBelow(s + 1)};
+  }
+  return d;
+}
+
 void SeedStatements(Catalog* catalog) {
   for (const auto& text : kStatements) {
     catalog->AddStatement(*catalog::IntensionalStatement::Parse(text));
@@ -357,7 +439,8 @@ void SeedStatements(Catalog* catalog) {
 }
 
 // Everything observable must match: records (stamps included), vector,
-// liveness, projection, and the bytes of deltas and digests.
+// liveness, projection, and the bytes of deltas, digests, digest replies
+// and push-backs.
 void ExpectSame(const ReferenceCatalog& ref, const Catalog& ref_proj,
                 const VersionedCatalog& impl, const Catalog& impl_proj,
                 double now, Rng* rng) {
@@ -371,31 +454,38 @@ void ExpectSame(const ReferenceCatalog& ref, const Catalog& ref_proj,
     ++it;
   }
   ASSERT_EQ(impl.vector(), ref.vector());
+  ASSERT_EQ(impl.digest(), ref.digest());
   for (const auto& name : kNames) {
     ASSERT_EQ(impl.LastHeard(name), ref.LastHeard(name)) << name;
   }
   for (double at : {now, now + 3, now + 7}) {
     ASSERT_EQ(impl.LiveOrigins(at), ref.LiveOrigins(at)) << at;
   }
-  ASSERT_EQ(impl.DigestXml(), catalog::DigestToXml(ref.vector()));
+  ASSERT_EQ(impl.DigestXml(), catalog::DigestToXml(ref.digest()));
 
   std::vector<VersionVector> probes = {{}, ref.vector()};
   for (int i = 0; i < 3; ++i) {
     probes.push_back(RandomVector(rng, ref.vector(), ref.vector()));
   }
   catalog::RemoteVector remote;
+  catalog::IncomingDelta asked;
   for (const auto& v : probes) {
-    const CatalogDelta want = ref.DeltaSince(v);
-    ASSERT_EQ(impl.DeltaSince(v).ToXml(), want.ToXml());
-    // The wire path: the same delta from the dense vector, attached or not.
-    ASSERT_TRUE(impl.ReadDigest(catalog::DigestToXml(v), &remote).ok());
-    ASSERT_EQ(impl.Dominates(remote), RefDominates(ref.vector(), v));
-    const bool attach = rng->NextBool();
-    CatalogDelta framed = want;
-    if (attach) framed.sender_vector = ref.vector();
+    ASSERT_EQ(impl.DeltaSince(v).ToXml(), ref.DeltaSince(v).ToXml());
+    // The wire path: the reply to `v` as a digest...
+    const Digest d = WithFactSeqs(rng, v);
+    ASSERT_TRUE(impl.ReadDigest(catalog::DigestToXml(d), &remote).ok());
+    const CatalogDelta reply = ref.ReplyTo(d);
     std::string body;
-    ASSERT_EQ(impl.WriteDelta(remote, attach, &body), want.size());
-    ASSERT_EQ(body, want.empty() ? "" : framed.ToXml());
+    ASSERT_EQ(impl.WriteReply(remote, &body), reply.size());
+    ASSERT_EQ(body, reply.empty() ? "" : reply.ToXml());
+    // ...and the push-back for `v` as wants.
+    CatalogDelta asks;
+    asks.wants = v;
+    ASSERT_TRUE(impl.ReadDelta(asks.ToXml(), &asked).ok());
+    const CatalogDelta push = ref.PushBack(v);
+    body.clear();
+    ASSERT_EQ(impl.WritePushBack(asked.wants, &body), push.size());
+    ASSERT_EQ(body, push.empty() ? "" : push.ToXml());
   }
 
   ASSERT_EQ(impl_proj.entries(), ref_proj.entries());
@@ -406,6 +496,32 @@ void ExpectSame(const ReferenceCatalog& ref, const Catalog& ref_proj,
     ASSERT_EQ(a.ok(), b.ok()) << urn;
     if (a.ok()) {
       ASSERT_EQ(a->ToString(), b->ToString()) << urn;
+    }
+  }
+}
+
+// The vector invariant (catalog/versioned.h): if the catalog lists seq s
+// for an origin, it holds every record the origin stamped up to s — the
+// record, or a newer one under its key. Keys the catalog purged a
+// tombstone under are exempt: an older copy may have arrived since.
+void ExpectInvariant(const VersionedCatalog& impl,
+                     const std::vector<ReferenceCatalog>& sources,
+                     const std::set<std::string>& purged) {
+  const auto held = impl.records();
+  const VersionVector vector = impl.vector();
+  for (const ReferenceCatalog& src : sources) {
+    auto listed = vector.find(src.self());
+    if (listed == vector.end()) continue;
+    for (const auto& [key, rec] : src.records()) {
+      if (rec.version.origin != src.self() ||
+          rec.version.sequence > listed->second || purged.count(key) > 0) {
+        continue;
+      }
+      auto h = held.find(key);
+      ASSERT_TRUE(h != held.end() &&
+                  h->second.version.sequence >= rec.version.sequence)
+          << "lists " << src.self() << " at " << listed->second
+          << " without " << key << " @" << rec.version.sequence;
     }
   }
 }
@@ -423,26 +539,33 @@ void RunSeed(uint64_t seed, int ops) {
   std::vector<ReferenceCatalog> sources;
   for (const auto& o : kSources) sources.emplace_back(o, nullptr);
   std::vector<CatalogDelta> sent;  // every delta delivered so far
+  std::set<std::string> purged;    // keys the test catalog purged
   catalog::IncomingDelta incoming;
+  catalog::RemoteVector remote;
+  std::vector<uint32_t> advanced;
   double now = 0;
 
-  auto deliver = [&](const CatalogDelta& delta) {
+  // Delivers `delta` to both sides; a delta that asks for records gets
+  // the push-back compared, and returned to `asker` when given.
+  auto deliver = [&](const CatalogDelta& delta, ReferenceCatalog* asker) {
     if (rng.NextBool()) {
       ASSERT_EQ(impl.Apply(delta, now), ref.Apply(delta, now));
-      return;
+    } else {
+      // The wire path. Both sides apply what the bytes carry: an area
+      // that does not parse back to itself arrives parsed.
+      const std::string body = delta.ToXml();
+      const size_t want = ref.Apply(*CatalogDelta::FromXml(body), now);
+      ASSERT_TRUE(impl.ReadDelta(body, &incoming).ok());
+      ASSERT_EQ(impl.Apply(&incoming, now), want);
+      ASSERT_EQ(incoming.origins.size(), delta.size());
+      std::string pushed;
+      const CatalogDelta back = ref.PushBack(delta.wants);
+      ASSERT_EQ(impl.WritePushBack(incoming.wants, &pushed), back.size());
+      ASSERT_EQ(pushed, back.empty() ? "" : back.ToXml());
     }
-    // The wire path, pushing back against the piggybacked vector after.
-    // Both sides apply what the bytes carry: an area that does not parse
-    // back to itself arrives parsed.
-    const std::string body = delta.ToXml();
-    const size_t want = ref.Apply(*CatalogDelta::FromXml(body), now);
-    ASSERT_TRUE(impl.ReadDelta(body, &incoming).ok());
-    ASSERT_EQ(impl.Apply(&incoming, now), want);
-    ASSERT_EQ(incoming.origins.size(), delta.size());
-    std::string pushed;
-    const CatalogDelta back = ref.DeltaSince(delta.sender_vector);
-    ASSERT_EQ(impl.WriteDelta(incoming.sender, false, &pushed), back.size());
-    ASSERT_EQ(pushed, back.empty() ? "" : back.ToXml());
+    if (asker != nullptr && !delta.wants.empty()) {
+      asker->Apply(ref.PushBack(delta.wants), now);
+    }
   };
 
   for (int op = 0; op < ops; ++op) {
@@ -450,7 +573,7 @@ void RunSeed(uint64_t seed, int ops) {
                  std::to_string(op));
     now += 0.25 * static_cast<double>(rng.NextBelow(9));
     ReferenceCatalog& src = sources[rng.NextBelow(sources.size())];
-    switch (rng.NextBelow(16)) {
+    switch (rng.NextBelow(18)) {
       case 0: {  // own assertion, on both sides
         const SyncEntry fact = RandomFact(&rng);
         const double ttl = RandomTtl(&rng);
@@ -472,7 +595,7 @@ void RunSeed(uint64_t seed, int ops) {
         impl.TombstoneLocal(fact, now);
         break;
       }
-      case 2: {
+      case 2: {  // a heartbeat, or a hello
         const double ttl = RandomTtl(&rng);
         ref.BumpPresence(ttl, now);
         impl.BumpPresence(ttl, now);
@@ -489,13 +612,15 @@ void RunSeed(uint64_t seed, int ops) {
       case 6: {  // a source withdraws one fact, or says goodbye
         std::vector<SyncEntry> own;
         for (const auto& [key, rec] : src.records()) {
-          if (rec.version.origin == src.self() && !rec.tombstone) {
+          if (rec.version.origin == src.self() && !rec.tombstone &&
+              rec.entry.kind != SyncEntryKind::kPresence) {
             own.push_back(rec.entry);
           }
         }
         if (rng.NextBool(0.25)) {
-          // Goodbye: every own live record, presence included.
+          // Goodbye: every own live fact, then the presence record.
           for (const auto& entry : own) src.TombstoneLocal(entry, now);
+          src.TombstoneLocal(ReferenceCatalog::Presence(), now);
         } else if (own.empty() || rng.NextBool(0.2)) {
           src.TombstoneLocal(RandomFact(&rng), now);
         } else {
@@ -508,6 +633,7 @@ void RunSeed(uint64_t seed, int ops) {
         break;
       case 8:
         src.RestampOwn(now);
+        if (rng.NextBool(0.5)) src.Greet(RandomTtl(&rng), now);
         break;
       case 9: {  // sources gossip: third-party records and echoes
         ReferenceCatalog& other = sources[rng.NextBelow(sources.size())];
@@ -515,23 +641,19 @@ void RunSeed(uint64_t seed, int ops) {
         if (rng.NextBool(0.5)) src.Apply(ref.DeltaSince(src.vector()), now);
         break;
       }
-      case 10:  // a fresh delta
+      case 10:  // a fresh delta, sometimes asking for records back
       case 11: {
-        CatalogDelta delta =
-            src.DeltaSince(RandomVector(&rng, ref.vector(), src.vector()));
-        if (rng.NextBool(0.4)) {
-          delta.sender_vector = src.vector();
-          if (rng.NextBool(0.3)) delta.sender_vector["zz"] = 3;
-        }
+        CatalogDelta delta = src.DeltaSince(RandomCut(&rng, ref.vector()));
+        if (rng.NextBool(0.4)) delta.wants = RandomCut(&rng, src.vector());
         sent.push_back(delta);
-        deliver(delta);
+        deliver(delta, &src);
         break;
       }
       case 12: {  // a stale, duplicated or reordered delta
         if (sent.empty()) break;
         CatalogDelta delta = sent[rng.NextBelow(sent.size())];
         if (rng.NextBool(0.5)) rng.Shuffle(&delta.records);
-        deliver(delta);
+        deliver(delta, nullptr);
         break;
       }
       case 13: {  // a gossip tick: on, just past, or beside a TTL boundary
@@ -555,8 +677,39 @@ void RunSeed(uint64_t seed, int ops) {
       }
       case 14: {
         const double min_age = static_cast<double>(rng.NextBelow(4));
+        const auto before = impl.records();
         ASSERT_EQ(impl.PurgeTombstones(now, min_age),
                   ref.PurgeTombstones(now, min_age));
+        const auto after = impl.records();
+        for (const auto& [key, rec] : before) {
+          if (after.count(key) == 0) purged.insert(key);
+        }
+        break;
+      }
+      case 16: {  // a source digests the test catalog: absorb, then reply
+        const Digest d = src.digest();
+        ASSERT_TRUE(impl.ReadDigest(catalog::DigestToXml(d), &remote).ok());
+        advanced.clear();
+        ASSERT_EQ(impl.Absorb(remote, now, &advanced), ref.Absorb(d, now));
+        const CatalogDelta reply = ref.ReplyTo(d);
+        std::string body;
+        ASSERT_EQ(impl.WriteReply(remote, &body), reply.size());
+        ASSERT_EQ(body, reply.empty() ? "" : reply.ToXml());
+        if (reply.empty()) break;
+        src.Apply(*CatalogDelta::FromXml(body), now);
+        if (!reply.wants.empty()) {
+          sent.push_back(src.PushBack(reply.wants));
+          deliver(sent.back(), nullptr);
+        }
+        break;
+      }
+      case 17: {  // the test catalog digests a source
+        const Digest d = ref.digest();
+        src.Absorb(d, now);
+        const CatalogDelta reply = src.ReplyTo(d);
+        if (reply.empty()) break;
+        sent.push_back(reply);
+        deliver(reply, &src);
         break;
       }
       default:  // statements come back by re-registration
@@ -569,6 +722,8 @@ void RunSeed(uint64_t seed, int ops) {
     }
     if (::testing::Test::HasFatalFailure()) return;
     ExpectSame(ref, ref_proj, impl, impl_proj, now, &rng);
+    if (::testing::Test::HasFatalFailure()) return;
+    ExpectInvariant(impl, sources, purged);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }

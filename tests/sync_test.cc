@@ -47,8 +47,17 @@ SyncEntry NamedEntry(const std::string& urn, const std::string& server,
 }
 
 TEST(VersionedCatalogTest, DigestXmlRoundTrip) {
-  VersionVector v{{"10.0.0.1:9020", 7}, {"10.0.0.2:9020", 123}};
-  auto back = catalog::DigestFromXml(catalog::DigestToXml(v));
+  // One entry a heartbeat moved past its newest record, one whose newest
+  // sequence is a record (f is then left out), one with no record at all.
+  const catalog::Digest v{{"10.0.0.1:9020", {7, 3}},
+                          {"10.0.0.2:9020", {123, 123}},
+                          {"10.0.0.3:9020", {5, 0}}};
+  const std::string xml = catalog::DigestToXml(v);
+  EXPECT_EQ(xml,
+            "<digest><v o=\"10.0.0.1:9020\" s=\"7\" f=\"3\"/>"
+            "<v o=\"10.0.0.2:9020\" s=\"123\"/>"
+            "<v o=\"10.0.0.3:9020\" s=\"5\" f=\"0\"/></digest>");
+  auto back = catalog::DigestFromXml(xml);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(*back, v);
   auto empty = catalog::DigestFromXml(catalog::DigestToXml({}));
@@ -59,19 +68,26 @@ TEST(VersionedCatalogTest, DigestXmlRoundTrip) {
 }
 
 TEST(VersionedCatalogTest, DeltaXmlRoundTrip) {
+  // Every record kind — an area fact (tombstoned), a named fact and a
+  // goodbye — plus a heartbeat entry and a want.
   VersionedCatalog origin("A", nullptr);
   origin.UpsertLocal(AreaEntry("A", "(USA.OR,*)", "/data[id=c0]", 15), 60, 0);
   origin.UpsertLocal(NamedEntry("urn:CD:Tracks", "A", "/data[id=c1]"), 60, 0);
-  origin.BumpPresence(60, 0);
   origin.TombstoneLocal(AreaEntry("A", "(USA.OR,*)", "/data[id=c0]", 15), 1);
+  origin.TombstoneLocal({SyncEntryKind::kPresence, {}, {}}, 1);
+  origin.BumpPresence(60, 2);
   CatalogDelta delta = origin.DeltaSince({});
   ASSERT_EQ(delta.size(), 3u);
+  EXPECT_EQ(delta.heartbeats, (VersionVector{{"A", 5}}));
+  delta.wants = {{"B", 2}};
   auto back = CatalogDelta::FromXml(delta.ToXml());
   ASSERT_TRUE(back.ok()) << back.status();
   ASSERT_EQ(back->size(), delta.size());
   for (size_t i = 0; i < delta.size(); ++i) {
     EXPECT_EQ(back->records[i], delta.records[i]) << i;
   }
+  EXPECT_EQ(back->heartbeats, delta.heartbeats);
+  EXPECT_EQ(back->wants, delta.wants);
   EXPECT_FALSE(CatalogDelta::FromXml("<digest/>").ok());
 }
 
@@ -151,26 +167,28 @@ TEST(VersionedCatalogTest, DigestListingAnOriginTwiceKeepsTheLast) {
   auto v = catalog::DigestFromXml(
       "<digest><v o='A' s='5'/><v o='A' s='2'/></digest>");
   ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, (VersionVector{{"A", 2}}));
-  // The catalog's dense read means the same: A's records past 2 are
-  // missing there; listed the other way round, nothing is.
+  EXPECT_EQ(*v, (catalog::Digest{{"A", {2, 2}}}));
+  // The catalog's dense read means the same: A's records and heartbeats
+  // past 2 are missing there; listed the other way round, nothing is.
   VersionedCatalog a("A", nullptr);
-  for (int i = 0; i < 5; ++i) a.BumpPresence(60, i);
+  a.UpsertLocal(AreaEntry("A", "(USA.OR,*)", "/data[id=c0]"), 60, 0);
+  a.UpsertLocal(AreaEntry("A", "(USA.WA,*)", "/data[id=c1]"), 60, 0);
+  a.UpsertLocal(AreaEntry("A", "(France,*)", "/data[id=c2]"), 60, 0);
+  for (int i = 1; i < 3; ++i) a.BumpPresence(60, i);
   catalog::RemoteVector remote;
   std::string body;
   ASSERT_TRUE(a.ReadDigest("<digest><v o='A' s='5'/><v o='A' s='2'/>"
                            "</digest>",
                            &remote)
                   .ok());
-  EXPECT_EQ(a.WriteDelta(remote, false, &body), 1u);
+  EXPECT_EQ(a.WriteReply(remote, &body), 1u);
   EXPECT_EQ(body, a.DeltaSince({{"A", 2}}).ToXml());
   ASSERT_TRUE(a.ReadDigest("<digest><v o='A' s='2'/><v o='A' s='5'/>"
                            "</digest>",
                            &remote)
                   .ok());
-  EXPECT_TRUE(a.Dominates(remote));
   body.clear();
-  EXPECT_EQ(a.WriteDelta(remote, false, &body), 0u);
+  EXPECT_EQ(a.WriteReply(remote, &body), 0u);
   EXPECT_TRUE(body.empty());
 }
 
@@ -264,6 +282,34 @@ TEST(VersionedCatalogTest, TombstoneRemovesProjectionThenPurges) {
   EXPECT_EQ(late.vector().at("A"), replica.vector().at("A"));
 }
 
+TEST(VersionedCatalogTest, PurgeKeepsTheNewestRecordBelowHeartbeats) {
+  // Heartbeats move A's sequence past its newest record. The purge keeps
+  // that record (it is stamped fact_seq), and the heartbeat entry that
+  // travels with it carries the rest of the sequence.
+  VersionedCatalog origin("A", nullptr);
+  origin.UpsertLocal(AreaEntry("A", "(USA.OR,*)", "/data[id=c0]"), 60, 0);
+  origin.UpsertLocal(AreaEntry("A", "(USA.WA,*)", "/data[id=c1]"), 60, 0);
+  origin.UpsertLocal(AreaEntry("A", "(France,*)", "/data[id=c2]"), 60, 0);
+  origin.TombstoneLocal(AreaEntry("A", "(USA.OR,*)", "/data[id=c0]"), 1);
+  origin.TombstoneLocal(AreaEntry("A", "(USA.WA,*)", "/data[id=c1]"), 1);
+  origin.BumpPresence(60, 2);
+  origin.BumpPresence(60, 3);
+  VersionedCatalog replica("B", nullptr);
+  replica.Apply(origin.DeltaSince({}), 3);
+  EXPECT_EQ(replica.digest().at("A"), (catalog::VectorEntry{7, 5}));
+  EXPECT_EQ(replica.PurgeTombstones(/*now=*/700, /*min_age=*/600), 1u);
+  const auto records = replica.records();
+  ASSERT_EQ(records.size(), 2u);
+  size_t newest = 0;
+  for (const auto& [key, rec] : records) {
+    newest = std::max<size_t>(newest, rec.version.sequence);
+  }
+  EXPECT_EQ(newest, 5u);
+  VersionedCatalog late("L", nullptr);
+  late.Apply(replica.DeltaSince({}), 701);
+  EXPECT_EQ(late.digest().at("A"), replica.digest().at("A"));
+}
+
 TEST(VersionedCatalogTest, ChangedDelayReplacesProjectedEntry) {
   // Regression: delay_minutes is not part of record identity, but it IS
   // part of IndexEntry equality — a re-assertion with a new delay must
@@ -354,6 +400,148 @@ TEST(VersionedCatalogTest, SharedFactSurvivesOneOriginsTombstone) {
   EXPECT_TRUE(proj.entries().empty());
 }
 
+// --- heartbeats ride the version vector -----------------------------------------
+
+TEST(VersionedCatalogTest, HeartbeatIsAbsorbedFromADigestWithNoDelta) {
+  VersionedCatalog origin("A", nullptr);
+  origin.UpsertLocal(AreaEntry("A", "(USA.OR,*)", "/data[id=c0]"), 60, 0);
+  Catalog proj;
+  VersionedCatalog replica("B", &proj);
+  replica.Apply(origin.DeltaSince({}), 0);
+  // A heartbeat stamps no record, so there is nothing new to ship.
+  origin.BumpPresence(60, 10);
+  EXPECT_EQ(origin.records(), replica.records());
+  EXPECT_EQ(origin.digest().at("A"), (catalog::VectorEntry{2, 1}));
+  catalog::RemoteVector remote;
+  ASSERT_TRUE(replica.ReadDigest(origin.DigestXml(), &remote).ok());
+  std::vector<uint32_t> advanced;
+  EXPECT_EQ(replica.Absorb(remote, 10, &advanced), 1u);
+  EXPECT_EQ(replica.vector(), origin.vector());
+  EXPECT_EQ(replica.LastHeard("A"), 10);
+  // Nothing is left to send either way: the reply is empty.
+  std::string body;
+  EXPECT_EQ(replica.WriteReply(remote, &body), 0u);
+  EXPECT_TRUE(body.empty());
+  // An expired origin comes back from a heartbeat alone.
+  EXPECT_EQ(replica.ExpireSilent(71), std::vector<std::string>{"A"});
+  EXPECT_TRUE(proj.entries().empty());
+  origin.BumpPresence(60, 80);
+  ASSERT_TRUE(replica.ReadDigest(origin.DigestXml(), &remote).ok());
+  EXPECT_EQ(replica.Absorb(remote, 80, &advanced), 1u);
+  EXPECT_EQ(proj.entries().size(), 1u);
+}
+
+TEST(VersionedCatalogTest, FactGapPullsTheFacts) {
+  VersionedCatalog origin("A", nullptr);
+  origin.UpsertLocal(AreaEntry("A", "(USA.OR,*)", "/data[id=c0]"), 60, 0);
+  VersionedCatalog replica("B", nullptr);
+  replica.Apply(origin.DeltaSince({}), 0);
+  // A new fact, then a heartbeat: the digest's f is above B's seq.
+  origin.UpsertLocal(AreaEntry("A", "(USA.WA,*)", "/data[id=c1]"), 60, 1);
+  origin.BumpPresence(60, 2);
+  catalog::RemoteVector remote;
+  ASSERT_TRUE(replica.ReadDigest(origin.DigestXml(), &remote).ok());
+  std::vector<uint32_t> advanced;
+  EXPECT_EQ(replica.Absorb(remote, 2, &advanced), 0u);
+  EXPECT_EQ(replica.vector().at("A"), 1u);
+  // B's reply asks for A's records past its seq 1...
+  std::string reply;
+  EXPECT_EQ(replica.WriteReply(remote, &reply), 0u);
+  EXPECT_EQ(reply, "<delta><want o=\"A\" s=\"1\"/></delta>");
+  // ...and A's push-back carries the fact and the heartbeat past it.
+  catalog::IncomingDelta incoming;
+  ASSERT_TRUE(origin.ReadDelta(reply, &incoming).ok());
+  origin.Apply(&incoming, 2);
+  std::string push;
+  EXPECT_EQ(origin.WritePushBack(incoming.wants, &push), 1u);
+  ASSERT_TRUE(replica.ReadDelta(push, &incoming).ok());
+  EXPECT_EQ(replica.Apply(&incoming, 3), 1u);
+  EXPECT_EQ(replica.records(), origin.records());
+  EXPECT_EQ(replica.digest(), origin.digest());
+}
+
+TEST(VersionedCatalogTest, RemoteFactSeqAboveLocalSeqIsNeverAbsorbed) {
+  VersionedCatalog origin("A", nullptr);
+  origin.UpsertLocal(AreaEntry("A", "(USA.OR,*)", "/data[id=c0]"), 60, 0);
+  origin.UpsertLocal(AreaEntry("A", "(USA.WA,*)", "/data[id=c1]"), 60, 0);
+  VersionedCatalog replica("B", nullptr);
+  replica.Apply(origin.DeltaSince({}), 0);  // B holds A up to 2
+  catalog::RemoteVector remote;
+  std::vector<uint32_t> advanced;
+  // f = 3 > 2: a record of A in (2, 9] may be missing here.
+  ASSERT_TRUE(
+      replica.ReadDigest("<digest><v o='A' s='9' f='3'/></digest>", &remote)
+          .ok());
+  EXPECT_EQ(replica.Absorb(remote, 1, &advanced), 0u);
+  EXPECT_EQ(replica.vector().at("A"), 2u);
+  // f = 2 proves none is.
+  ASSERT_TRUE(
+      replica.ReadDigest("<digest><v o='A' s='9' f='2'/></digest>", &remote)
+          .ok());
+  EXPECT_EQ(replica.Absorb(remote, 1, &advanced), 1u);
+  EXPECT_EQ(replica.vector().at("A"), 9u);
+  // A bare <v> claims a record at s: never absorbed past the local seq.
+  ASSERT_TRUE(
+      replica.ReadDigest("<digest><v o='A' s='12'/></digest>", &remote).ok());
+  EXPECT_EQ(replica.Absorb(remote, 1, &advanced), 0u);
+  // An origin the catalog does not know is neither absorbed nor interned.
+  ASSERT_TRUE(
+      replica.ReadDigest("<digest><v o='Z' s='4' f='0'/></digest>", &remote)
+          .ok());
+  EXPECT_EQ(replica.Absorb(remote, 1, &advanced), 0u);
+  EXPECT_EQ(replica.vector().count("Z"), 0u);
+  EXPECT_EQ(replica.FindAddress("Z"), VersionedCatalog::kNoAddress);
+}
+
+// Both decoders of a digest body — the map-based codec and the catalog's
+// wire read — accept or reject the same bytes.
+void ExpectDigestDecodes(const std::string& body, bool ok) {
+  EXPECT_EQ(catalog::DigestFromXml(body).ok(), ok) << body;
+  VersionedCatalog catalog("B", nullptr);
+  catalog::RemoteVector remote;
+  EXPECT_EQ(catalog.ReadDigest(body, &remote).ok(), ok) << body;
+}
+
+TEST(VersionedCatalogTest, VectorFactSeqMustBeAnIntegerNotAboveS) {
+  ExpectDigestDecodes("<digest><v o='A' s='5' f='x'/></digest>", false);
+  ExpectDigestDecodes("<digest><v o='A' s='5' f='3'/></digest>", true);
+  ExpectDigestDecodes("<digest><v o='A' s='5' f='-1'/></digest>", false);
+  ExpectDigestDecodes("<digest><v o='A' s='5' f='0'/></digest>", true);
+  ExpectDigestDecodes("<digest><v o='A' s='5' f='6'/></digest>", false);
+  ExpectDigestDecodes("<digest><v o='A' s='5' f='5'/></digest>", true);
+  // The same element in a delta, through both delta decoders.
+  ExpectDecodes("<delta><v o='A' s='5' f='x'/></delta>", false);
+  ExpectDecodes("<delta><v o='A' s='5' f='6'/></delta>", false);
+  ExpectDecodes("<delta><v o='A' s='5' f='4'/></delta>", true);
+  ExpectDecodes("<delta><want o='A' s='-1'/></delta>", false);
+  ExpectDecodes("<delta><want o='A' s='1'/></delta>", true);
+}
+
+TEST(VersionedCatalogTest, FactlessOriginSaysHelloAndExpiresByItsTtl) {
+  // A client asserts no fact: its first refresh stamps a hello, which
+  // interns it in the catalogs that hear of it and declares its TTL.
+  VersionedCatalog client("C", nullptr);
+  client.BumpPresence(30, 0);
+  ASSERT_EQ(client.records().size(), 1u);
+  EXPECT_EQ(client.records().begin()->second.entry.kind,
+            SyncEntryKind::kPresence);
+  client.BumpPresence(30, 10);  // the hello is live: a heartbeat now
+  EXPECT_EQ(client.records().size(), 1u);
+  EXPECT_EQ(client.digest().at("C"), (catalog::VectorEntry{2, 1}));
+  VersionedCatalog replica("B", nullptr);
+  replica.Apply(client.DeltaSince({}), 10);
+  EXPECT_EQ(replica.vector(), client.vector());
+  // Its TTL is the hello's, as a seller's is its facts'.
+  EXPECT_TRUE(replica.ExpireSilent(40).empty());
+  EXPECT_EQ(replica.ExpireSilent(41), std::vector<std::string>{"C"});
+  // A goodbye tombstones the hello; Greet over it says hello again.
+  client.TombstoneLocal({SyncEntryKind::kPresence, {}, {}}, 50);
+  EXPECT_TRUE(client.records().begin()->second.tombstone);
+  EXPECT_TRUE(client.Greet(30, 60));
+  EXPECT_FALSE(client.records().begin()->second.tombstone);
+  EXPECT_FALSE(client.Greet(30, 61));
+}
+
 sync::SyncOptions FastSync(uint64_t seed, double horizon) {
   sync::SyncOptions o;
   o.gossip_interval_seconds = 5;
@@ -441,6 +629,60 @@ TEST(SyncAgentTest, GracefulDepartureTombstonesPropagate) {
     if (e.server == a.address()) b_knows_a_again = true;
   }
   EXPECT_TRUE(b_knows_a_again);
+  EXPECT_TRUE(b.sync()->HasPeer(a.address()));
+}
+
+TEST(SyncAgentTest, GoodbyePrunesASeed) {
+  net::Simulator sim;
+  PeerOptions ao;
+  ao.name = "a";
+  ao.roles.base = true;
+  Peer a(&sim, ao);
+  a.PublishCollection("c0", ns::MakeArea({"USA/OR/Portland", "Music"}),
+                      algebra::ItemSet{});
+  PeerOptions bo;
+  bo.name = "b";
+  bo.roles.index = true;
+  bo.interest = ns::MakeArea({"USA/OR", "*"});
+  Peer b(&sim, bo);
+  a.AddBootstrap(b.address());
+  b.AddBootstrap(a.address());  // a is b's seed: expiry never prunes it
+  a.EnableSync(FastSync(5, 40));
+  b.EnableSync(FastSync(6, 40));
+  sim.Run(20);
+  ASSERT_TRUE(b.sync()->HasPeer(a.address()));
+  a.LeaveNetwork();
+  sim.Run(25);
+  EXPECT_FALSE(b.sync()->HasPeer(a.address()));
+}
+
+TEST(SyncAgentTest, HostileFactSeqIsOneDecodeRejectPerMessage) {
+  net::Simulator sim;
+  PeerOptions so;
+  so.name = "server";
+  so.roles.index = true;
+  Peer server(&sim, so);
+  sync::SyncOptions gossip;
+  gossip.horizon_seconds = 1;
+  server.EnableSync(gossip);
+  PeerOptions co;
+  co.name = "client";
+  Peer client(&sim, co);
+  auto send = [&](const char* kind, const std::string& body) {
+    wire::Send(&sim, client.id(), server.id(),
+               {kind, client.address(), 0, net::MakePayload(body)});
+  };
+  send(wire::kSyncDigestKind, "<digest><v o='A' s='5' f='x'/></digest>");
+  send(wire::kSyncDigestKind, "<digest><v o='A' s='5' f='-1'/></digest>");
+  send(wire::kSyncDigestKind, "<digest><v o='A' s='5' f='6'/></digest>");
+  send(wire::kSyncDeltaKind, "<delta><v o='A' s='5' f='6'/></delta>");
+  sim.Run();
+  EXPECT_EQ(server.counters().decode_rejects, 4u);
+  // Their well-formed twins decode.
+  send(wire::kSyncDigestKind, "<digest><v o='A' s='5' f='4'/></digest>");
+  send(wire::kSyncDeltaKind, "<delta><v o='A' s='5' f='4'/></delta>");
+  sim.Run();
+  EXPECT_EQ(server.counters().decode_rejects, 4u);
 }
 
 // Builds a garage-sale network with sync enabled on every peer.
