@@ -695,38 +695,39 @@ void VersionedCatalog::ReadInto(std::string_view origin, uint64_t seq,
   const uint32_t id = Find(origin);
   if (id != kNone) {
     out->seen_[id] = {seq, fact_seq};
-    return;
+  } else {
+    out->unknown_.push_back({std::string(origin), seq, fact_seq});
   }
-  // Kept ascending and unique: the last listing wins, as by id.
-  auto& unknown = out->unknown_;
-  auto it = std::lower_bound(
-      unknown.begin(), unknown.end(), origin,
-      [](const RemoteVector::Unknown& u, std::string_view o) {
-        return u.origin < o;
-      });
-  if (it == unknown.end() || it->origin != origin) {
-    it = unknown.insert(it, {std::string(origin), 0, 0});
-  }
-  it->seq = seq;
-  it->fact_seq = fact_seq;
 }
 
-RemoteVector VersionedCatalog::Dense(const VersionVector& remote) const {
-  RemoteVector dense;
-  dense.Reset(table_.size());
-  for (const auto& [origin, seq] : remote) ReadInto(origin, seq, seq, &dense);
-  return dense;
+void RemoteVector::SortUnknown() {
+  // The last listing wins, as it does by id.
+  std::stable_sort(unknown_.begin(), unknown_.end(),
+                   [](const Unknown& a, const Unknown& b) {
+                     return a.origin < b.origin;
+                   });
+  size_t kept = 0;
+  for (size_t i = 0; i < unknown_.size(); ++i) {
+    const bool superseded = i + 1 < unknown_.size() &&
+                            unknown_[i + 1].origin == unknown_[i].origin;
+    if (superseded) continue;
+    if (kept != i) unknown_[kept] = std::move(unknown_[i]);
+    ++kept;
+  }
+  unknown_.resize(kept);
 }
 
 Status VersionedCatalog::ReadDigest(std::string_view body,
                                     RemoteVector* out) const {
   out->Reset(table_.size());
-  return ParseGossipBody(
+  MQP_RETURN_IF_ERROR(ParseGossipBody(
       body, "digest", /*in_delta=*/false,
       [&](std::string_view origin, uint64_t seq, uint64_t fact_seq) {
         ReadInto(origin, seq, fact_seq, out);
       },
-      NoWants, NoRecords);
+      NoWants, NoRecords));
+  out->SortUnknown();
+  return Status::OK();
 }
 
 Status VersionedCatalog::ReadDelta(std::string_view body,
@@ -735,7 +736,7 @@ Status VersionedCatalog::ReadDelta(std::string_view body,
   out->wants.Reset(table_.size());
   out->records.clear();
   out->origins.clear();
-  return ParseGossipBody(
+  MQP_RETURN_IF_ERROR(ParseGossipBody(
       body, "delta", /*in_delta=*/true,
       [&](std::string_view origin, uint64_t seq, uint64_t) {
         ReadInto(origin, seq, seq, &out->heartbeats);
@@ -745,11 +746,16 @@ Status VersionedCatalog::ReadDelta(std::string_view body,
       },
       [&](const xml::AttrList& attrs) {
         return DecodeRecord(attrs, &out->records.emplace_back());
-      });
+      }));
+  out->heartbeats.SortUnknown();
+  out->wants.SortUnknown();
+  return Status::OK();
 }
 
 CatalogDelta VersionedCatalog::DeltaSince(const VersionVector& remote) const {
-  const RemoteVector dense = Dense(remote);
+  RemoteVector dense;  // a map lists each origin once, ascending
+  dense.Reset(table_.size());
+  for (const auto& [origin, seq] : remote) ReadInto(origin, seq, seq, &dense);
   CatalogDelta delta;
   ForEachHeartbeat(dense, /*listed_only=*/false, [&](const Row& row) {
     delta.heartbeats.emplace(row.address, row.seq);

@@ -213,9 +213,12 @@ class RemoteVector {
   }
   /// The sequence listed for address `id` (0 when unlisted).
   uint64_t Seen(uint32_t id) const { return Lists(id) ? seen_[id].seq : 0; }
+  /// Puts unknown_ in address order, keeping each origin's last listing.
+  void SortUnknown();
 
   std::vector<Listed> seen_;  ///< by address id
-  /// Origins not in the table when read, ascending, each listed once.
+  /// Origins not in the table when read: in body order while reading,
+  /// then ascending, each listed once.
   std::vector<Unknown> unknown_;
   size_t listed_ = 0;  ///< entries read, unknown origins included
 };
@@ -324,7 +327,8 @@ class VersionedCatalog {
   /// Appends the push-back for `wants` (a delta's fact-gap requests) and
   /// returns its record count: DeltaSince over the listed origins only.
   size_t WritePushBack(const RemoteVector& wants, std::string* out) const;
-  /// Apply for a read delta. Also fills `delta->origins`.
+  /// Apply for a read delta. Also fills `delta->origins` and
+  /// `delta->advanced`.
   size_t Apply(IncomingDelta* delta, double now);
 
   // --- liveness ----------------------------------------------------------------
@@ -459,8 +463,6 @@ class VersionedCatalog {
   /// Reads one listed entry into `out`: by id, or aside when unknown.
   void ReadInto(std::string_view origin, uint64_t seq, uint64_t fact_seq,
                 RemoteVector* out) const;
-  /// A dense RemoteVector of `remote` (fact_seq = seq).
-  RemoteVector Dense(const VersionVector& remote) const;
 
   /// Withdraws the projection of `fact` (stored under the key an incoming
   /// `entry` is about to replace) when its fact payload differs — the key

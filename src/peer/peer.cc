@@ -293,6 +293,11 @@ void Peer::LeaveNetwork() {
   if (sync_ != nullptr) sync_->Leave();
 }
 
+void Peer::Retire() {
+  if (sync_ != nullptr) sync_->Retire();
+  catalog_ = catalog::Catalog();
+}
+
 void Peer::RejoinNetwork() {
   if (sync_ == nullptr) return;
   const bool was_departed = sync_->departed();

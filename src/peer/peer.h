@@ -302,6 +302,12 @@ class Peer : public net::PeerNode {
   /// them to the gossip partners. The caller then fails the peer.
   void LeaveNetwork();
 
+  /// For a peer that left for good (the caller failed it and never
+  /// recovers it): frees its catalog and gossip state, which nothing reads
+  /// again. Without this a long churn run keeps every departed peer's
+  /// full catalog.
+  void Retire();
+
   /// Recovery hook for churn drivers: re-stamps all own records so other
   /// catalogs (whose vectors dominate the pre-failure stamps) re-learn
   /// them, and resumes gossip.

@@ -109,6 +109,15 @@ void SyncAgent::Leave() {
   Stop();
 }
 
+void SyncAgent::Retire() {
+  versioned_ = catalog::VersionedCatalog(self_, nullptr);
+  member_ = {};
+  peers_ = {};
+  pool_ = {};
+  advanced_ = {};
+  remote_ = {};
+}
+
 void SyncAgent::Rejoin() {
   versioned_.RestampOwn(sim_->now());
   // A departed peer holds only tombstones: its hello overwrites the

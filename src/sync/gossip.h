@@ -135,6 +135,10 @@ class SyncAgent {
   /// delta to the gossip partners before the peer goes dark.
   void Leave();
 
+  /// After Leave(), for a peer gone for good: frees the catalog and the
+  /// partner pool. The agent stays only so that pending ticks find it.
+  void Retire();
+
   /// True after Leave() until the next Rejoin(): the peer withdrew its
   /// assertions, so a rejoin must re-assert them (Peer::RejoinNetwork
   /// does) rather than just re-stamp.

@@ -179,6 +179,7 @@ void ChurnScenario::DoDepart(double now) {
   // goes dark for good.
   leaver->LeaveNetwork();
   sim_->Fail(leaver->id());
+  leaver->Retire();
   HistoryOf(leaver).up.back().second = now;
   ++stats_.departs;
 }

@@ -190,6 +190,15 @@ TEST(VersionedCatalogTest, DigestListingAnOriginTwiceKeepsTheLast) {
   body.clear();
   EXPECT_EQ(a.WriteReply(remote, &body), 0u);
   EXPECT_TRUE(body.empty());
+  // So for an origin the catalog does not know: one want, at 0.
+  ASSERT_TRUE(a.ReadDigest("<digest><v o='Z' s='5'/><v o='A' s='5'/>"
+                           "<v o='B' s='1'/><v o='Z' s='2'/></digest>",
+                           &remote)
+                  .ok());
+  EXPECT_EQ(a.WriteReply(remote, &body), 0u);
+  EXPECT_EQ(body,
+            "<delta><want o=\"B\" s=\"0\"/><want o=\"Z\" s=\"0\"/>"
+            "</delta>");
 }
 
 TEST(VersionedCatalogTest, ApplyIsIdempotent) {
@@ -588,6 +597,10 @@ TEST(SyncAgentTest, TwoPeerGossipConverges) {
   EXPECT_TRUE(a_knows_b);
   EXPECT_GT(a.sync()->counters().digests_sent, 0u);
   EXPECT_GT(b.sync()->counters().records_applied, 0u);
+  // Refreshes are heartbeats, taken straight from the digests.
+  EXPECT_GT(a.sync()->counters().heartbeats_absorbed +
+                b.sync()->counters().heartbeats_absorbed,
+            0u);
 }
 
 TEST(SyncAgentTest, GracefulDepartureTombstonesPropagate) {
