@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
 
 #include "net/simulator.h"
 
@@ -24,12 +25,13 @@ void Record(const peer::QueryOutcome& o, QueryRecord* rec) {
   }
   std::sort(rec->items.begin(), rec->items.end());
   rec->returned_plan = !o.provenance.empty();
+  // The dead-end and deadline markers end in "unanswered:<leaves>".
+  constexpr std::string_view kMarker = "unanswered:";
   rec->names_unanswered = false;
   for (const auto& e : o.provenance.entries()) {
-    const size_t colon = e.detail.find("unanswered:");
+    const size_t at = e.detail.find(kMarker);
     if (e.action == algebra::ProvenanceAction::kShed ||
-        (colon != std::string::npos &&
-         colon + 11 < e.detail.size())) {
+        (at != std::string::npos && at + kMarker.size() < e.detail.size())) {
       rec->names_unanswered = true;
     }
   }
