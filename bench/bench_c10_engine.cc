@@ -4,8 +4,8 @@
 // semantics from xml::Serialize strings to StructuralHash+equality,
 // compiled field accessors for key extraction, and bounded-heap top-N.
 // This experiment prices each kernel against the behavior it replaced:
-//   * fetch      — shared refs vs the cloning reference
-//                  (set_use_shared_store(false)),
+//   * fetch      — shared refs vs the cloning store kept as the
+//                  reference in tests/support/cloning_store.h,
 //   * distinct / difference — hash-keyed vs the old serialize-keyed
 //                  dedup (reference implemented here, as the engine
 //                  no longer contains a serializing path),
@@ -26,6 +26,7 @@
 #include <unordered_set>
 
 #include "mqp/mqp.h"
+#include "support/cloning_store.h"
 
 using namespace mqp;
 
@@ -69,17 +70,25 @@ engine::LocalStore& StoreWith(size_t n) {
   return it->second;
 }
 
+dom::CloningStore& CloningStoreWith(size_t n) {
+  static std::unordered_map<size_t, dom::CloningStore> stores;
+  auto it = stores.find(n);
+  if (it == stores.end()) {
+    it = stores.emplace(n, dom::CloningStore()).first;
+    it->second.AddCollection("c0", MakeItems(n, 1.0));
+  }
+  return it->second;
+}
+
 const std::string kCollection = engine::LocalStore::CollectionXPath("c0");
 
 void BM_FetchCloning(benchmark::State& state) {
-  engine::LocalStore& store = StoreWith(static_cast<size_t>(state.range(0)));
-  engine::set_use_shared_store(false);
-  (void)store.Fetch("", kCollection);  // build the DOM view once
+  dom::CloningStore& store =
+      CloningStoreWith(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto items = store.Fetch("", kCollection);
+    auto items = store.Fetch(kCollection);
     benchmark::DoNotOptimize(items);
   }
-  engine::set_use_shared_store(true);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
@@ -87,7 +96,6 @@ BENCHMARK(BM_FetchCloning)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_FetchShared(benchmark::State& state) {
   engine::LocalStore& store = StoreWith(static_cast<size_t>(state.range(0)));
-  engine::set_use_shared_store(true);
   for (auto _ : state) {
     auto items = store.Fetch("", kCollection);
     benchmark::DoNotOptimize(items);
@@ -212,6 +220,7 @@ BENCHMARK(BM_TopNHeap)->Arg(1000)->Arg(10000)->Arg(100000);
 
 struct PipelineFixture {
   engine::LocalStore store;
+  dom::CloningStore cloning;  // the same collections
   algebra::PlanNodePtr plan;
 
   explicit PipelineFixture(size_t n) {
@@ -220,6 +229,8 @@ struct PipelineFixture {
     ItemSet b(base.begin() + static_cast<long>(n / 4), base.end());
     store.AddCollection("a", a);
     store.AddCollection("b", b);
+    cloning.AddCollection("a", a);
+    cloning.AddCollection("b", b);
     plan = PlanNode::Union(
         {PlanNode::Url("local:9020", engine::LocalStore::CollectionXPath("a")),
          PlanNode::Url("local:9020",
@@ -228,15 +239,12 @@ struct PipelineFixture {
   }
 
   ItemSet RunReference() {
-    engine::set_use_shared_store(false);
-    auto a = store.Fetch("", engine::LocalStore::CollectionXPath("a"));
-    auto b = store.Fetch("", engine::LocalStore::CollectionXPath("b"));
+    auto a = cloning.Fetch(engine::LocalStore::CollectionXPath("a"));
+    auto b = cloning.Fetch(engine::LocalStore::CollectionXPath("b"));
     ItemSet all = std::move(a).value();
     ItemSet bs = std::move(b).value();
     all.insert(all.end(), bs.begin(), bs.end());
-    auto out = SerializeKeyedDistinct(all);
-    engine::set_use_shared_store(true);
-    return out;
+    return SerializeKeyedDistinct(all);
   }
 
   ItemSet RunShared() {
@@ -246,7 +254,6 @@ struct PipelineFixture {
 
 void BM_FetchDistinctReference(benchmark::State& state) {
   PipelineFixture fx(static_cast<size_t>(state.range(0)));
-  (void)fx.RunReference();  // build the DOM view once
   for (auto _ : state) {
     auto out = fx.RunReference();
     benchmark::DoNotOptimize(out);

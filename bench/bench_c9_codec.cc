@@ -2,11 +2,13 @@
 //
 // Every hop re-examines the MQP's XML; PR 1 removed re-*serialization*
 // from routing hops, this experiment prices the remaining decode (and the
-// first-time encode) in both codec modes:
-//   * dom       — the reference: xml::Parse → Node tree → PlanFromXml
-//                 (decode), PlanToXml → xml::Serialize (encode),
-//   * streaming — the token codec: bytes → PlanNodes directly, and
-//                 PlanNodes → bytes through the emitting sink.
+// first-time encode) in both codecs:
+//   * dom       — the reference in tests/support/dom_plan_codec.h:
+//                 xml::Parse → Node tree → PlanFromXml (decode),
+//                 PlanToXml → xml::Serialize (encode),
+//   * streaming — the library's token codec (algebra/plan_xml.h): bytes →
+//                 PlanNodes directly, and PlanNodes → bytes through the
+//                 emitting sink.
 // Plans are measured at operator depths 2/8/32, with and without inline
 // <data> items. The streaming decode keeps canonical items as verbatim
 // bytes, so its dom_nodes/decode is zero either way; the DOM decode's
@@ -25,6 +27,7 @@
 #include <string>
 
 #include "mqp/mqp.h"
+#include "support/dom_plan_codec.h"
 
 using namespace mqp;
 
@@ -80,21 +83,23 @@ Plan MakePlan(int depth, size_t items_per_leaf) {
   return plan;
 }
 
-// Decodes take the shared wire buffer, like wire::ParsePlanShared.
+// Streaming decodes take the shared wire buffer, like
+// wire::ParsePlanShared; the DOM reference reads the same bytes.
+Result<Plan> Decode(const net::Payload& wire, bool streaming) {
+  return streaming ? algebra::ParsePlan(wire) : dom::ParsePlan(*wire);
+}
+
 void DecodeLoop(benchmark::State& state, bool streaming,
                 size_t items_per_leaf) {
-  algebra::set_use_streaming_plan_codec(true);
   const net::Payload wire = net::MakePayload(algebra::SerializePlan(
       MakePlan(static_cast<int>(state.range(0)), items_per_leaf)));
-  algebra::set_use_streaming_plan_codec(streaming);
   const uint64_t nodes_before = xml::DomNodesBuilt();
   uint64_t decodes = 0;
   for (auto _ : state) {
-    auto plan = algebra::ParsePlan(wire);
+    auto plan = Decode(wire, streaming);
     benchmark::DoNotOptimize(plan);
     ++decodes;
   }
-  algebra::set_use_streaming_plan_codec(true);
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(wire->size()));
   state.counters["dom_nodes/decode"] = benchmark::Counter(
@@ -126,14 +131,13 @@ void EncodeLoop(benchmark::State& state, bool streaming,
                 size_t items_per_leaf) {
   const Plan plan =
       MakePlan(static_cast<int>(state.range(0)), items_per_leaf);
-  algebra::set_use_streaming_plan_codec(streaming);
   size_t bytes = 0;
   for (auto _ : state) {
-    std::string wire = algebra::SerializePlan(plan);
+    std::string wire = streaming ? algebra::SerializePlan(plan)
+                                 : dom::SerializePlan(plan);
     bytes = wire.size();
     benchmark::DoNotOptimize(wire);
   }
-  algebra::set_use_streaming_plan_codec(true);
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(bytes));
 }
@@ -172,29 +176,24 @@ BENCHMARK(BM_PlanWireSizeStreaming)->Arg(8);
 
 double SecondsPerDecode(const net::Payload& wire, bool streaming,
                         size_t iters) {
-  algebra::set_use_streaming_plan_codec(streaming);
   const auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < iters; ++i) {
-    auto plan = algebra::ParsePlan(wire);
+    auto plan = Decode(wire, streaming);
     benchmark::DoNotOptimize(plan);
   }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
-  algebra::set_use_streaming_plan_codec(true);
   return elapsed.count() / static_cast<double>(iters);
 }
 
 // One shape-check row; prints the reason and returns false on a failure.
 bool CheckRow(int depth, size_t items_per_leaf) {
-  algebra::set_use_streaming_plan_codec(true);
   const net::Payload wire =
       net::MakePayload(algebra::SerializePlan(MakePlan(depth, items_per_leaf)));
   const uint64_t nodes_before = xml::DomNodesBuilt();
-  auto via_stream = algebra::ParsePlan(wire);
+  auto via_stream = Decode(wire, /*streaming=*/true);
   const uint64_t stream_nodes = xml::DomNodesBuilt() - nodes_before;
-  algebra::set_use_streaming_plan_codec(false);
-  auto via_dom = algebra::ParsePlan(wire);
-  algebra::set_use_streaming_plan_codec(true);
+  auto via_dom = Decode(wire, /*streaming=*/false);
   // Equivalence: both decodes re-encode to the input bytes (carried items
   // verbatim), and agree once the streaming decode builds its items.
   if (!via_stream.ok() || !via_dom.ok() ||

@@ -199,11 +199,9 @@ void BM_PipelinePerQueryWireWork(benchmark::State& state) {
       static_cast<double>(by_kind("mqp") + by_kind("result")));
   state.counters["bytes/query"] =
       benchmark::Counter(static_cast<double>(stats.bytes));
-  // Streaming-codec visibility: plan decodes via the token reader, and
-  // DOM nodes built while decoding (only result items should count —
-  // every pure routing hop must contribute zero).
-  state.counters["token_decodes/query"] =
-      benchmark::Counter(static_cast<double>(stats.token_decodes));
+  // Streaming-codec visibility: DOM nodes built while decoding plans
+  // (only result items should count — every pure routing hop must
+  // contribute zero).
   state.counters["dom_nodes_built/query"] =
       benchmark::Counter(static_cast<double>(stats.dom_nodes_built));
   // Engine visibility (PR 5): items deep-copied during evaluation (zero

@@ -197,48 +197,6 @@ bool Expr::EvalBool(const xml::Node& left, const xml::Node* right) const {
   return false;
 }
 
-std::unique_ptr<xml::Node> Expr::ToXml() const {
-  switch (kind_) {
-    case Kind::kField: {
-      auto n = xml::Node::Element("field");
-      n->SetAttr("path", text_);
-      if (side_ == Side::kRight) n->SetAttr("side", "right");
-      return n;
-    }
-    case Kind::kLiteral: {
-      auto n = xml::Node::Element("literal");
-      n->SetAttr("value", text_);
-      return n;
-    }
-    case Kind::kCompare: {
-      auto n = xml::Node::Element("compare");
-      n->SetAttr("op", std::string(CompareOpName(op_)));
-      n->AddChild(children_[0]->ToXml());
-      n->AddChild(children_[1]->ToXml());
-      return n;
-    }
-    case Kind::kAnd:
-    case Kind::kOr: {
-      auto n = xml::Node::Element(kind_ == Kind::kAnd ? "and" : "or-expr");
-      n->AddChild(children_[0]->ToXml());
-      n->AddChild(children_[1]->ToXml());
-      return n;
-    }
-    case Kind::kNot: {
-      auto n = xml::Node::Element("not");
-      n->AddChild(children_[0]->ToXml());
-      return n;
-    }
-    case Kind::kExists: {
-      auto n = xml::Node::Element("exists");
-      n->SetAttr("path", text_);
-      if (side_ == Side::kRight) n->SetAttr("side", "right");
-      return n;
-    }
-  }
-  return xml::Node::Element("invalid");
-}
-
 void Expr::EmitTokens(xml::TokenWriter* w) const {
   switch (kind_) {
     case Kind::kField:
@@ -287,8 +245,7 @@ Result<ExprPtr> ExprFromTokensAt(xml::TokenReader* r,
   // the child-token walk.
   const std::string_view tag = r->current().name;
   // Arity by tag: how many leading element children are operands. Any
-  // further element children are skipped unparsed, matching FromXml
-  // (whose parse_child only ever touches the operands it needs).
+  // further element children are skipped unparsed.
   size_t arity = 0;
   if (tag == "compare" || tag == "and" || tag == "or-expr") {
     arity = 2;
@@ -359,50 +316,6 @@ Result<ExprPtr> Expr::FromTokens(xml::TokenReader* r,
                                  std::deque<xml::AttrList>* pool,
                                  size_t depth) {
   return ExprFromTokensAt(r, pool, depth);
-}
-
-Result<ExprPtr> Expr::FromXml(const xml::Node& node) {
-  const std::string& tag = node.name();
-  auto parse_child = [&](size_t i) -> Result<ExprPtr> {
-    size_t seen = 0;
-    for (const auto& c : node.children()) {
-      if (!c->is_element()) continue;
-      if (seen == i) return FromXml(*c);
-      ++seen;
-    }
-    return Status::ParseError("expression <" + tag + "> missing operand " +
-                              std::to_string(i));
-  };
-  if (tag == "field") {
-    return Field(node.AttrOr("path", ""),
-                 node.AttrOr("side", "left") == "right" ? Side::kRight
-                                                        : Side::kLeft);
-  }
-  if (tag == "literal") {
-    return Literal(node.AttrOr("value", ""));
-  }
-  if (tag == "compare") {
-    MQP_ASSIGN_OR_RETURN(auto op, CompareOpFromName(node.AttrOr("op", "")));
-    MQP_ASSIGN_OR_RETURN(auto lhs, parse_child(0));
-    MQP_ASSIGN_OR_RETURN(auto rhs, parse_child(1));
-    return Compare(op, std::move(lhs), std::move(rhs));
-  }
-  if (tag == "and" || tag == "or-expr") {
-    MQP_ASSIGN_OR_RETURN(auto lhs, parse_child(0));
-    MQP_ASSIGN_OR_RETURN(auto rhs, parse_child(1));
-    return tag == "and" ? And(std::move(lhs), std::move(rhs))
-                        : Or(std::move(lhs), std::move(rhs));
-  }
-  if (tag == "not") {
-    MQP_ASSIGN_OR_RETURN(auto inner, parse_child(0));
-    return Not(std::move(inner));
-  }
-  if (tag == "exists") {
-    return Exists(node.AttrOr("path", ""),
-                  node.AttrOr("side", "left") == "right" ? Side::kRight
-                                                         : Side::kLeft);
-  }
-  return Status::ParseError("unknown expression element <" + tag + ">");
 }
 
 std::string Expr::ToString() const {

@@ -84,18 +84,13 @@ class Expr {
 
   // --- serialization ----------------------------------------------------------
 
-  /// Expression as an XML element (see plan_xml.cc for the format).
-  std::unique_ptr<xml::Node> ToXml() const;
-
-  /// Parses an expression element produced by ToXml().
-  static Result<ExprPtr> FromXml(const xml::Node& node);
-
-  /// Streaming twin of ToXml: emits the same bytes without building a DOM.
+  /// Emits the expression as an XML element (the plan wire format,
+  /// algebra/plan_xml.h) without building a DOM.
   void EmitTokens(xml::TokenWriter* w) const;
 
-  /// Streaming twin of FromXml. Precondition: the reader's current token
-  /// is the expression element's kStartElement; returns with its
-  /// kEndElement consumed.
+  /// Parses an expression element produced by EmitTokens. Precondition:
+  /// the reader's current token is the expression element's
+  /// kStartElement; returns with its kEndElement consumed.
   static Result<ExprPtr> FromTokens(xml::TokenReader* r);
 
   /// Pool-sharing variant for callers decoding many expressions (the

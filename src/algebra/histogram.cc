@@ -77,46 +77,6 @@ double FieldHistogram::FractionEquals(double v) const {
   return bucket_fraction / std::max(1.0, width);
 }
 
-std::unique_ptr<xml::Node> FieldHistogram::ToXml() const {
-  auto node = xml::Node::Element("histogram");
-  node->SetAttr("field", field);
-  node->SetAttr("min", mqp::FormatDouble(min));
-  node->SetAttr("max", mqp::FormatDouble(max));
-  node->SetAttr("total", std::to_string(total));
-  for (uint64_t c : counts) {
-    node->AddElement("b")->SetAttr("c", std::to_string(c));
-  }
-  return node;
-}
-
-Result<FieldHistogram> FieldHistogram::FromXml(const xml::Node& node) {
-  FieldHistogram h;
-  h.field = node.AttrOr("field", "");
-  if (h.field.empty()) {
-    return Status::ParseError("<histogram> missing field attribute");
-  }
-  if (!mqp::ParseDouble(node.AttrOr("min", ""), &h.min) ||
-      !mqp::ParseDouble(node.AttrOr("max", ""), &h.max)) {
-    return Status::ParseError("<histogram> has bad min/max");
-  }
-  int64_t total = 0;
-  if (!mqp::ParseInt64(node.AttrOr("total", ""), &total) || total < 0) {
-    return Status::ParseError("<histogram> has bad total");
-  }
-  h.total = static_cast<uint64_t>(total);
-  for (const xml::Node* b : node.Children("b")) {
-    int64_t c = 0;
-    if (!mqp::ParseInt64(b->AttrOr("c", ""), &c) || c < 0) {
-      return Status::ParseError("<histogram> has a bad bucket");
-    }
-    h.counts.push_back(static_cast<uint64_t>(c));
-  }
-  if (h.counts.empty()) {
-    return Status::ParseError("<histogram> has no buckets");
-  }
-  return h;
-}
-
 void FieldHistogram::EmitTokens(xml::TokenWriter* w) const {
   w->Start("histogram");
   w->Attr("field", field);

@@ -48,17 +48,12 @@ struct FieldHistogram {
   /// over the bucket's width).
   double FractionEquals(double v) const;
 
-  /// Serializes as a <histogram> element.
-  std::unique_ptr<xml::Node> ToXml() const;
-
-  /// Parses a <histogram> element produced by ToXml().
-  static Result<FieldHistogram> FromXml(const xml::Node& node);
-
-  /// Streaming twin of ToXml: emits the same bytes without building a DOM.
+  /// Emits a <histogram> element without building a DOM.
   void EmitTokens(xml::TokenWriter* w) const;
 
-  /// Streaming twin of FromXml. Precondition: current token is the
-  /// <histogram> kStartElement; returns with its kEndElement consumed.
+  /// Parses a <histogram> element produced by EmitTokens. Precondition:
+  /// current token is the <histogram> kStartElement; returns with its
+  /// kEndElement consumed.
   static Result<FieldHistogram> FromTokens(xml::TokenReader* r);
 
   bool operator==(const FieldHistogram& other) const = default;

@@ -5,10 +5,8 @@
 
 #include "algebra/walk.h"
 #include "common/strings.h"
-#include "xml/parser.h"
 #include "xml/token_reader.h"
 #include "xml/token_writer.h"
-#include "xml/writer.h"
 
 namespace mqp::algebra {
 
@@ -22,39 +20,36 @@ bool IsExprTag(std::string_view tag) {
 // Annotation child elements that are not operator inputs.
 bool IsAnnotationTag(std::string_view tag) { return tag == "histogram"; }
 
-// The distributed top-k bound rides as tk-* attributes (DESIGN.md §10).
-// Both encoders emit through this helper in the same canonical position,
-// keeping the DOM and streaming codecs byte-identical.
-template <typename AttrFn>
-void EmitTopKAttrs(const Annotations& a, AttrFn&& attr) {
+// The distributed top-k bound rides as tk-* attributes (DESIGN.md §10),
+// after the other annotation attributes.
+void EmitTopKAttrs(const Annotations& a, xml::TokenWriter* w) {
   if (!a.topk) return;
   const TopKBound& t = *a.topk;
-  attr("tk-field", t.order_field);
-  attr("tk-order", std::string(t.ascending ? "asc" : "desc"));
-  attr("tk-k", std::to_string(t.k));
-  if (t.batch != 0) attr("tk-batch", std::to_string(t.batch));
-  if (t.cont != 0) attr("tk-cont", std::to_string(t.cont));
-  if (t.leaf != 0) attr("tk-leaf", std::to_string(t.leaf));
+  w->Attr("tk-field", t.order_field);
+  w->Attr("tk-order", t.ascending ? "asc" : "desc");
+  w->Attr("tk-k", std::to_string(t.k));
+  if (t.batch != 0) w->Attr("tk-batch", std::to_string(t.batch));
+  if (t.cont != 0) w->Attr("tk-cont", std::to_string(t.cont));
+  if (t.leaf != 0) w->Attr("tk-leaf", std::to_string(t.leaf));
   if (t.has_bound) {
     // tk-bkey may legitimately be the empty string (a missing order
     // field evaluates to ""), so presence — not non-emptiness — flags
     // the bound.
-    attr("tk-bkey", t.bound_key);
-    attr("tk-bleaf", std::to_string(t.bound_leaf));
+    w->Attr("tk-bkey", t.bound_key);
+    w->Attr("tk-bleaf", std::to_string(t.bound_leaf));
   }
 }
 
 // Integer attributes are outside input: a value that is not an integer
 // of its field's type (garbage, a negative count, a top-k leaf index past
 // uint32_t, a staleness past int) rejects the plan instead of wrapping or
-// narrowing into the field. `find` returns the attribute value or
-// nullopt; both decoders read every integer attribute through here, so
-// they accept, reject and report alike.
-template <typename T, typename FindFn>
+// narrowing into the field. The decoder reads every integer attribute
+// through here.
+template <typename T>
 Status ReadIntAttr(std::string_view tag, std::string_view key,
-                   const FindFn& find, std::optional<T>* out) {
-  const auto s = find(key);
-  if (!s) return Status::OK();
+                   const xml::AttrList& attrs, std::optional<T>* out) {
+  const std::string* s = attrs.Find(key);
+  if (s == nullptr) return Status::OK();
   T v = 0;
   if (!mqp::ParseInteger(*s, &v)) {
     return Status::ParseError("<" + std::string(tag) + "> has a bad " +
@@ -64,48 +59,48 @@ Status ReadIntAttr(std::string_view tag, std::string_view key,
   return Status::OK();
 }
 
-template <typename FindFn>
-Status ParseTopKAttrs(std::string_view tag, const FindFn& find,
+Status ParseTopKAttrs(std::string_view tag, const xml::AttrList& attrs,
                       Annotations* a) {
-  const auto field = find("tk-field");
-  if (!field) return Status::OK();
+  const std::string* field = attrs.Find("tk-field");
+  if (field == nullptr) return Status::OK();
   TopKBound t;
-  t.order_field = std::string(*field);
-  if (const auto s = find("tk-order")) t.ascending = *s != "desc";
+  t.order_field = *field;
+  if (const std::string* s = attrs.Find("tk-order")) {
+    t.ascending = *s != "desc";
+  }
   std::optional<uint64_t> k, batch, cont;
   std::optional<uint32_t> leaf, bound_leaf;
-  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-k", find, &k));
-  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-batch", find, &batch));
-  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-cont", find, &cont));
-  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-leaf", find, &leaf));
-  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-bleaf", find, &bound_leaf));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-k", attrs, &k));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-batch", attrs, &batch));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-cont", attrs, &cont));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-leaf", attrs, &leaf));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "tk-bleaf", attrs, &bound_leaf));
   t.k = k.value_or(0);
   t.batch = batch.value_or(0);
   t.cont = cont.value_or(0);
   t.leaf = leaf.value_or(0);
   t.bound_leaf = bound_leaf.value_or(0);
-  if (const auto s = find("tk-bkey")) {
+  if (const std::string* s = attrs.Find("tk-bkey")) {
     t.has_bound = true;
-    t.bound_key = std::string(*s);
+    t.bound_key = *s;
   }
   a->topk = std::move(t);
   return Status::OK();
 }
 
 // The annotation attributes (§5.1, §4.3, DESIGN.md §10) of element <tag>.
-template <typename FindFn>
-Status ParseAnnotationAttrs(std::string_view tag, FindFn&& find,
+Status ParseAnnotationAttrs(std::string_view tag, const xml::AttrList& attrs,
                             Annotations* a) {
-  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "card", find, &a->cardinality));
-  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "bytes", find, &a->bytes));
-  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "distinct", find, &a->distinct_keys));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "card", attrs, &a->cardinality));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "bytes", attrs, &a->bytes));
+  MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "distinct", attrs, &a->distinct_keys));
   MQP_RETURN_IF_ERROR(
-      ReadIntAttr(tag, "staleness", find, &a->staleness_minutes));
-  return ParseTopKAttrs(tag, find, a);
+      ReadIntAttr(tag, "staleness", attrs, &a->staleness_minutes));
+  return ParseTopKAttrs(tag, attrs, a);
 }
 
 // Counts how many times each node is referenced in the DAG. The
-// serializers then replace a shared node's count with its negated id at
+// serializer then replaces a shared node's count with its negated id at
 // its first emission, so later references find the id in the same slot.
 void CountRefs(const PlanNode* node, NodeMarks* refs) {
   if (++(*refs)[node] > 1) return;  // only descend on first visit
@@ -114,270 +109,7 @@ void CountRefs(const PlanNode* node, NodeMarks* refs) {
   }
 }
 
-class Serializer {
- public:
-  std::unique_ptr<xml::Node> NodeToXml(const PlanNode& node) {
-    CountRefs(&node, &refs_);
-    return Emit(node);
-  }
-
- private:
-  std::unique_ptr<xml::Node> Emit(const PlanNode& node) {
-    int& refs = refs_[&node];
-    if (refs < 0) {
-      auto ref = xml::Node::Element("ref");
-      ref->SetAttr("id", std::to_string(-refs));
-      return ref;
-    }
-    auto out = xml::Node::Element(std::string(OpTypeName(node.type())));
-    if (refs > 1) {
-      refs = -next_id_++;
-      out->SetAttr("node-id", std::to_string(-refs));
-    }
-    // Annotations. Union's distinct flag shares the "distinct" attribute
-    // with the distinct_keys annotation (the flag wins); emitting it here
-    // keeps the attribute order canonical across re-encodes.
-    const Annotations& a = node.annotations();
-    const bool union_distinct =
-        node.type() == OpType::kUnion && node.distinct();
-    if (a.cardinality) out->SetAttr("card", std::to_string(*a.cardinality));
-    if (a.bytes) out->SetAttr("bytes", std::to_string(*a.bytes));
-    if (union_distinct) {
-      out->SetAttr("distinct", "1");
-    } else if (a.distinct_keys) {
-      out->SetAttr("distinct", std::to_string(*a.distinct_keys));
-    }
-    if (a.staleness_minutes) {
-      out->SetAttr("staleness", std::to_string(*a.staleness_minutes));
-    }
-    EmitTopKAttrs(a, [&](std::string_view key, std::string value) {
-      out->SetAttr(key, std::move(value));
-    });
-    for (const auto& h : a.histograms) {
-      out->AddChild(h.ToXml());
-    }
-    switch (node.type()) {
-      case OpType::kXmlData:
-        for (const Item& item : node.items()) {
-          out->AddChild(item->Clone());
-        }
-        break;
-      case OpType::kUrl:
-        out->SetAttr("href", node.url());
-        if (!node.xpath().empty()) out->SetAttr("xpath", node.xpath());
-        break;
-      case OpType::kUrn:
-        out->SetAttr("name", node.urn());
-        if (!node.urn_hint().empty()) out->SetAttr("hint", node.urn_hint());
-        break;
-      case OpType::kSelect:
-      case OpType::kJoin:
-      case OpType::kLeftOuterJoin:
-        if (node.expr() != nullptr) out->AddChild(node.expr()->ToXml());
-        break;
-      case OpType::kProject:
-        out->SetAttr("fields", mqp::Join(node.fields(), ","));
-        break;
-      case OpType::kAggregate:
-        out->SetAttr("func", std::string(AggFuncName(node.agg_func())));
-        if (!node.agg_field().empty()) {
-          out->SetAttr("field", node.agg_field());
-        }
-        if (!node.group_by().empty()) {
-          out->SetAttr("groupby", node.group_by());
-        }
-        break;
-      case OpType::kTopN:
-        if (node.has_limit()) out->SetAttr("n", std::to_string(node.limit()));
-        out->SetAttr("orderby", node.order_field());
-        out->SetAttr("order", node.ascending() ? "asc" : "desc");
-        break;
-      case OpType::kDisplay:
-        out->SetAttr("target", node.target());
-        break;
-      default:
-        break;
-    }
-    for (const auto& c : node.children()) {
-      out->AddChild(Emit(*c));
-    }
-    return out;
-  }
-
-  NodeMarks refs_;  // see CountRefs
-  int next_id_ = 1;
-};
-
-class Deserializer {
- public:
-  Result<PlanNodePtr> Parse(const xml::Node& elem) {
-    const std::string& tag = elem.name();
-    if (tag == "ref") {
-      const std::string id = elem.AttrOr("id", "");
-      auto it = by_id_.find(id);
-      if (it == by_id_.end()) {
-        return Status::ParseError("dangling <ref id=\"" + id + "\"/>");
-      }
-      return it->second;
-    }
-
-    MQP_ASSIGN_OR_RETURN(auto node, ParseByTag(elem));
-
-    Annotations& a = node->annotations();
-    MQP_RETURN_IF_ERROR(ParseAnnotationAttrs(
-        tag, [&](std::string_view key) { return elem.Attr(key); }, &a));
-    for (const xml::Node* h : elem.Children("histogram")) {
-      MQP_ASSIGN_OR_RETURN(auto hist, FieldHistogram::FromXml(*h));
-      a.histograms.push_back(std::move(hist));
-    }
-    if (auto id = elem.Attr("node-id")) {
-      by_id_[std::string(*id)] = node;
-    }
-    return node;
-  }
-
- private:
-  // Child operator elements (skipping the leading expression, if any).
-  Result<std::vector<PlanNodePtr>> ParseInputs(const xml::Node& elem) {
-    std::vector<PlanNodePtr> inputs;
-    for (const auto& c : elem.children()) {
-      if (!c->is_element() || IsExprTag(c->name()) ||
-          IsAnnotationTag(c->name())) {
-        continue;
-      }
-      MQP_ASSIGN_OR_RETURN(auto input, Parse(*c));
-      inputs.push_back(std::move(input));
-    }
-    return inputs;
-  }
-
-  Result<ExprPtr> ParseExprChild(const xml::Node& elem) {
-    for (const auto& c : elem.children()) {
-      if (c->is_element() && IsExprTag(c->name())) {
-        return Expr::FromXml(*c);
-      }
-    }
-    return Status::ParseError("<" + elem.name() +
-                              "> is missing its expression");
-  }
-
-  Status RequireInputs(const std::string& tag,
-                       const std::vector<PlanNodePtr>& inputs, size_t n) {
-    if (inputs.size() != n) {
-      return Status::ParseError("<" + tag + "> expects " + std::to_string(n) +
-                                " input(s), found " +
-                                std::to_string(inputs.size()));
-    }
-    return Status::OK();
-  }
-
-  Result<PlanNodePtr> ParseByTag(const xml::Node& elem) {
-    const std::string& tag = elem.name();
-    if (tag == "data") {
-      ItemSet items;
-      for (const auto& c : elem.children()) {
-        if (c->is_element() && !IsAnnotationTag(c->name())) {
-          items.push_back(Item(c->Clone().release()));
-        }
-      }
-      return PlanNode::XmlData(std::move(items));
-    }
-    if (tag == "url") {
-      return PlanNode::Url(elem.AttrOr("href", ""), elem.AttrOr("xpath", ""));
-    }
-    if (tag == "urn") {
-      return PlanNode::UrnRef(elem.AttrOr("name", ""),
-                              elem.AttrOr("hint", ""));
-    }
-    if (tag == "select") {
-      MQP_ASSIGN_OR_RETURN(auto expr, ParseExprChild(elem));
-      MQP_ASSIGN_OR_RETURN(auto inputs, ParseInputs(elem));
-      MQP_RETURN_IF_ERROR(RequireInputs(tag, inputs, 1));
-      return PlanNode::Select(std::move(expr), std::move(inputs[0]));
-    }
-    if (tag == "project") {
-      MQP_ASSIGN_OR_RETURN(auto inputs, ParseInputs(elem));
-      MQP_RETURN_IF_ERROR(RequireInputs(tag, inputs, 1));
-      return PlanNode::Project(
-          mqp::SplitSkipEmpty(elem.AttrOr("fields", ""), ','),
-          std::move(inputs[0]));
-    }
-    if (tag == "join" || tag == "leftouterjoin") {
-      MQP_ASSIGN_OR_RETURN(auto expr, ParseExprChild(elem));
-      MQP_ASSIGN_OR_RETURN(auto inputs, ParseInputs(elem));
-      MQP_RETURN_IF_ERROR(RequireInputs(tag, inputs, 2));
-      return tag == "join"
-                 ? PlanNode::Join(std::move(expr), std::move(inputs[0]),
-                                  std::move(inputs[1]))
-                 : PlanNode::LeftOuterJoin(std::move(expr),
-                                           std::move(inputs[0]),
-                                           std::move(inputs[1]));
-    }
-    if (tag == "union" || tag == "or") {
-      MQP_ASSIGN_OR_RETURN(auto inputs, ParseInputs(elem));
-      if (inputs.empty()) {
-        return Status::ParseError("<" + tag + "> needs at least one input");
-      }
-      return tag == "union"
-                 ? PlanNode::Union(std::move(inputs),
-                                   elem.AttrOr("distinct", "") == "1")
-                 : PlanNode::Or(std::move(inputs));
-    }
-    if (tag == "difference") {
-      MQP_ASSIGN_OR_RETURN(auto inputs, ParseInputs(elem));
-      MQP_RETURN_IF_ERROR(RequireInputs(tag, inputs, 2));
-      return PlanNode::Difference(std::move(inputs[0]), std::move(inputs[1]));
-    }
-    if (tag == "aggregate") {
-      MQP_ASSIGN_OR_RETURN(auto func,
-                           AggFuncFromName(elem.AttrOr("func", "count")));
-      MQP_ASSIGN_OR_RETURN(auto inputs, ParseInputs(elem));
-      MQP_RETURN_IF_ERROR(RequireInputs(tag, inputs, 1));
-      return PlanNode::Aggregate(func, elem.AttrOr("field", ""),
-                                 elem.AttrOr("groupby", ""),
-                                 std::move(inputs[0]));
-    }
-    if (tag == "topn") {
-      std::optional<uint64_t> limit;
-      auto find = [&](std::string_view key) { return elem.Attr(key); };
-      MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "n", find, &limit));
-      MQP_ASSIGN_OR_RETURN(auto inputs, ParseInputs(elem));
-      MQP_RETURN_IF_ERROR(RequireInputs(tag, inputs, 1));
-      return PlanNode::TopN(limit, elem.AttrOr("orderby", ""),
-                            elem.AttrOr("order", "asc") != "desc",
-                            std::move(inputs[0]));
-    }
-    return Status::ParseError("unknown operator element <" + tag + ">");
-  }
-
-  std::unordered_map<std::string, PlanNodePtr> by_id_;
-
- public:
-  Result<PlanNodePtr> ParseOp(const xml::Node& elem) {
-    if (elem.name() == "display") {
-      std::vector<PlanNodePtr> inputs;
-      for (const auto& c : elem.children()) {
-        if (!c->is_element()) continue;
-        MQP_ASSIGN_OR_RETURN(auto input, Parse(*c));
-        inputs.push_back(std::move(input));
-      }
-      MQP_RETURN_IF_ERROR(RequireInputs("display", inputs, 1));
-      return PlanNode::Display(elem.AttrOr("target", ""),
-                               std::move(inputs[0]));
-    }
-    return Parse(elem);
-  }
-};
-
-// --- streaming codec -------------------------------------------------------------
-//
-// The wire hot path. Byte-identical to the DOM pair above (the reference
-// implementation behind the ablation knob); tests/codec_test.cc pins the
-// equivalence across randomized plans.
-
-bool g_use_streaming_plan_codec = true;
-
-// Streaming twin of Serializer: same ref-counting pass, emits tokens.
+// Emits one operator DAG as tokens; shared nodes are written once.
 class StreamSerializer {
  public:
   explicit StreamSerializer(xml::TokenWriter* w) : w_(w) {}
@@ -403,7 +135,7 @@ class StreamSerializer {
     }
     // Union's distinct flag shares the "distinct" attribute with the
     // distinct_keys annotation (the flag wins), emitted in the canonical
-    // annotation position — byte-identical to the DOM encoder.
+    // annotation position so re-encodes are stable.
     const Annotations& a = node.annotations();
     const bool union_distinct =
         node.type() == OpType::kUnion && node.distinct();
@@ -417,9 +149,7 @@ class StreamSerializer {
     if (a.staleness_minutes) {
       w_->Attr("staleness", std::to_string(*a.staleness_minutes));
     }
-    EmitTopKAttrs(a, [&](std::string_view key, std::string value) {
-      w_->Attr(key, value);
-    });
+    EmitTopKAttrs(a, w_);
     switch (node.type()) {
       case OpType::kUrl:
         w_->Attr("href", node.url());
@@ -529,8 +259,8 @@ void EmitPlanTokens(const Plan& plan, xml::TokenWriter* w) {
   if (plan.root() != nullptr) {
     StreamSerializer s(w);
     if (plan.root()->type() == OpType::kDisplay) {
-      // display carries the target and one input; like the DOM path, the
-      // shared-node id space starts below it.
+      // display carries the target and one input; the shared-node id
+      // space starts below it.
       w->Start("display");
       w->Attr("target", plan.root()->target());
       s.EmitTree(*plan.root()->child(0));
@@ -543,19 +273,9 @@ void EmitPlanTokens(const Plan& plan, xml::TokenWriter* w) {
   w->End();  // mqp
 }
 
-// The `find` of ReadIntAttr / ParseAnnotationAttrs over a token AttrList.
-auto AttrFinder(const xml::AttrList& attrs) {
-  return [&attrs](std::string_view key) -> std::optional<std::string_view> {
-    const std::string* s = attrs.Find(key);
-    if (s == nullptr) return std::nullopt;
-    return std::string_view(*s);
-  };
-}
-
-// Streaming twin of Deserializer: consumes tokens directly into
-// PlanNodes. A <data> element's canonical item run is skipped and kept as
-// bytes (PlanNode::VerbatimData); only a rejected run materializes
-// xml::Nodes here.
+// Consumes tokens directly into PlanNodes. A <data> element's canonical
+// item run is skipped and kept as bytes (PlanNode::VerbatimData); only a
+// rejected run materializes xml::Nodes here.
 class StreamDeserializer {
  public:
   /// `buffer` owns `text` when non-null; otherwise the first verbatim
@@ -565,8 +285,7 @@ class StreamDeserializer {
       : r_(r), text_(text), buffer_(std::move(buffer)) {}
 
   /// Starts a fresh node-id space (each <original>/<plan> section has its
-  /// own, like the DOM path's per-section Deserializer). The attribute
-  /// pool is deliberately retained across sections.
+  /// own). The attribute pool is deliberately retained across sections.
   void ResetIds() { by_id_.clear(); }
 
   // Top-level operator element (display allowed). Precondition: current()
@@ -632,11 +351,10 @@ class StreamDeserializer {
       }
       return it->second;
     }
-    // Child policy mirrors the DOM Deserializer: histograms are
-    // annotations everywhere; <data> treats every other element child as
-    // a verbatim item; select/join parse the first expression child and
-    // skip later ones; other operators skip expression children; url/urn
-    // ignore children entirely.
+    // Child policy: histograms are annotations everywhere; <data> treats
+    // every other element child as a verbatim item; select/join parse the
+    // first expression child and skip later ones; other operators skip
+    // expression children; url/urn ignore children entirely.
     const bool is_data = tag == "data";
     const bool wants_expr =
         tag == "select" || tag == "join" || tag == "leftouterjoin";
@@ -691,7 +409,7 @@ class StreamDeserializer {
     }
     if (!attrs.empty()) {
       MQP_RETURN_IF_ERROR(ParseAnnotationAttrs(
-          tag, AttrFinder(attrs), &node->annotations()));
+          tag, attrs, &node->annotations()));
       if (const std::string* id = attrs.Find("node-id")) {
         by_id_[*id] = node;
       }
@@ -761,7 +479,7 @@ class StreamDeserializer {
     }
     if (tag == "topn") {
       std::optional<uint64_t> limit;
-      MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "n", AttrFinder(attrs), &limit));
+      MQP_RETURN_IF_ERROR(ReadIntAttr(tag, "n", attrs, &limit));
       MQP_RETURN_IF_ERROR(RequireInputs(tag, *inputs, 1));
       return PlanNode::TopN(limit, attrs.Get("orderby"),
                             attrs.GetView("order", "asc") != "desc",
@@ -799,8 +517,7 @@ class StreamDeserializer {
 };
 
 // Parses an <original>/<plan> section: the first element child becomes the
-// operator tree, the rest is skipped (the DOM path breaks after the first
-// element too). Returns null for an empty section.
+// operator tree, the rest is skipped. Returns null for an empty section.
 Result<PlanNodePtr> ParseSection(xml::TokenReader* r, StreamDeserializer* d) {
   xml::AttrList attrs;
   MQP_ASSIGN_OR_RETURN(xml::Token t, r->ReadAttrs(&attrs));
@@ -880,8 +597,8 @@ Result<Plan> ParsePlanStreaming(std::string_view text,
     }
     plan.set_submitted_at(ts);
   }
-  // First occurrence of each section wins, like the DOM path's Child()
-  // lookups; duplicates and unknown elements are skipped.
+  // First occurrence of each section wins; duplicates and unknown
+  // elements are skipped.
   bool saw_policy = false, saw_prov = false, saw_orig = false,
        saw_plan = false, plan_has_root = false;
   StreamDeserializer d(&r, text, std::move(buffer));
@@ -912,8 +629,8 @@ Result<Plan> ParsePlanStreaming(std::string_view text,
     if (!r.Advance()) return r.status();
     t = r.current();
   }
-  // The DOM path parses the entire document before looking at it; keep
-  // the well-formedness guarantee by consuming to the end.
+  // A plan is one well-formed document: consume to the end, so trailing
+  // content is rejected too.
   MQP_ASSIGN_OR_RETURN(t, r.Next());
   if (t.type != xml::TokenType::kEndOfInput) {
     return Status::ParseError("expected exactly one root element, found 2");
@@ -929,168 +646,23 @@ Result<Plan> ParsePlanStreaming(std::string_view text,
 
 }  // namespace
 
-void set_use_streaming_plan_codec(bool on) {
-  g_use_streaming_plan_codec = on;
-}
-
-bool use_streaming_plan_codec() { return g_use_streaming_plan_codec; }
-
-std::unique_ptr<xml::Node> PlanToXml(const Plan& plan) {
-  auto root = xml::Node::Element("mqp");
-  if (!plan.query_id().empty()) root->SetAttr("query-id", plan.query_id());
-  if (plan.submitted_at() != 0) {
-    root->SetAttr("submitted", mqp::FormatDouble(plan.submitted_at()));
-  }
-  if (!plan.policy().Empty()) {
-    const PlanPolicy& pol = plan.policy();
-    auto p = xml::Node::Element("policy");
-    if (pol.time_budget_seconds != 0) {
-      p->SetAttr("time-budget", mqp::FormatDouble(pol.time_budget_seconds));
-    }
-    if (pol.priority != 0) {
-      p->SetAttr("priority", std::to_string(pol.priority));
-    }
-    p->SetAttr("prefer", pol.preference == AnswerPreference::kCurrent
-                             ? "current"
-                             : "complete");
-    for (const auto& s : pol.route_allow) {
-      p->AddElement("route-allow")->SetAttr("server", s);
-    }
-    for (const auto& s : pol.route_avoid) {
-      p->AddElement("route-avoid")->SetAttr("server", s);
-    }
-    for (const auto& [first, then] : pol.bind_after) {
-      auto* ba = p->AddElement("bind-after");
-      ba->SetAttr("first", first);
-      ba->SetAttr("then", then);
-    }
-    root->AddChild(std::move(p));
-  }
-  if (!plan.provenance().empty()) {
-    root->AddChild(plan.provenance().ToXml());
-  }
-  if (plan.original() != nullptr) {
-    auto orig = xml::Node::Element("original");
-    Serializer s;
-    orig->AddChild(s.NodeToXml(*plan.original()));
-    root->AddChild(std::move(orig));
-  }
-  auto body = xml::Node::Element("plan");
-  if (plan.root() != nullptr) {
-    Serializer s;
-    if (plan.root()->type() == OpType::kDisplay) {
-      // display carries the target and one input.
-      auto disp = xml::Node::Element("display");
-      disp->SetAttr("target", plan.root()->target());
-      disp->AddChild(s.NodeToXml(*plan.root()->child(0)));
-      body->AddChild(std::move(disp));
-    } else {
-      body->AddChild(s.NodeToXml(*plan.root()));
-    }
-  }
-  root->AddChild(std::move(body));
-  return root;
-}
-
-std::string SerializePlan(const Plan& plan, bool indent) {
-  if (indent || !g_use_streaming_plan_codec) {
-    xml::WriteOptions opts;
-    opts.indent = indent;
-    return xml::Serialize(*PlanToXml(plan), opts);
-  }
+std::string SerializePlan(const Plan& plan) {
   std::string out;
   xml::TokenWriter w(&out);
   EmitPlanTokens(plan, &w);
   return out;
 }
 
-Result<Plan> PlanFromXml(const xml::Node& root) {
-  if (root.name() != "mqp") {
-    return Status::ParseError("expected <mqp> root, found <" + root.name() +
-                              ">");
-  }
-  Plan plan;
-  plan.set_query_id(root.AttrOr("query-id", ""));
-  if (auto s = root.Attr("submitted")) {
-    double t = 0;
-    if (!mqp::ParseDouble(*s, &t)) {
-      return Status::ParseError("bad submitted timestamp");
-    }
-    plan.set_submitted_at(t);
-  }
-  if (const xml::Node* pol = root.Child("policy")) {
-    PlanPolicy& p = plan.policy();
-    if (auto tb = pol->Attr("time-budget")) {
-      if (!mqp::ParseDouble(*tb, &p.time_budget_seconds)) {
-        return Status::ParseError("bad time-budget");
-      }
-    }
-    if (auto pr = pol->Attr("priority")) {
-      if (!mqp::ParseInteger(*pr, &p.priority)) {
-        return Status::ParseError("bad priority");
-      }
-    }
-    p.preference = pol->AttrOr("prefer", "complete") == "current"
-                       ? AnswerPreference::kCurrent
-                       : AnswerPreference::kComplete;
-    for (const xml::Node* ra : pol->Children("route-allow")) {
-      p.route_allow.push_back(ra->AttrOr("server", ""));
-    }
-    for (const xml::Node* ra : pol->Children("route-avoid")) {
-      p.route_avoid.push_back(ra->AttrOr("server", ""));
-    }
-    for (const xml::Node* ba : pol->Children("bind-after")) {
-      p.bind_after.emplace_back(ba->AttrOr("first", ""),
-                                ba->AttrOr("then", ""));
-    }
-  }
-  if (const xml::Node* prov = root.Child("provenance")) {
-    MQP_ASSIGN_OR_RETURN(auto p, Provenance::FromXml(*prov));
-    plan.provenance() = std::move(p);
-  }
-  if (const xml::Node* orig = root.Child("original")) {
-    Deserializer d;
-    for (const auto& c : orig->children()) {
-      if (c->is_element()) {
-        MQP_ASSIGN_OR_RETURN(auto node, d.ParseOp(*c));
-        plan.set_original(std::move(node));
-        break;
-      }
-    }
-  }
-  const xml::Node* body = root.Child("plan");
-  if (body == nullptr) {
-    return Status::ParseError("<mqp> is missing its <plan>");
-  }
-  Deserializer d;
-  for (const auto& c : body->children()) {
-    if (c->is_element()) {
-      MQP_ASSIGN_OR_RETURN(auto node, d.ParseOp(*c));
-      plan.set_root(std::move(node));
-      return plan;
-    }
-  }
-  return Status::ParseError("<plan> is empty");
-}
-
 Result<Plan> ParsePlan(std::string_view text) {
-  if (!g_use_streaming_plan_codec) {
-    MQP_ASSIGN_OR_RETURN(auto doc, xml::Parse(text));
-    return PlanFromXml(*doc);
-  }
   return ParsePlanStreaming(text, nullptr);
 }
 
 Result<Plan> ParsePlan(std::shared_ptr<const std::string> bytes) {
-  if (!g_use_streaming_plan_codec) return ParsePlan(std::string_view(*bytes));
   const std::string_view text = *bytes;
   return ParsePlanStreaming(text, std::move(bytes));
 }
 
 size_t PlanWireSize(const Plan& plan) {
-  if (!g_use_streaming_plan_codec) {
-    return xml::SerializedSize(*PlanToXml(plan));
-  }
   xml::TokenWriter w;
   EmitPlanTokens(plan, &w);
   return w.size();

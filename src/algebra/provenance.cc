@@ -76,42 +76,6 @@ int Provenance::MaxStalenessMinutes() const {
   return max;
 }
 
-std::unique_ptr<xml::Node> Provenance::ToXml() const {
-  auto node = xml::Node::Element("provenance");
-  for (const auto& e : entries_) {
-    xml::Node* v = node->AddElement("visit");
-    v->SetAttr("server", e.server);
-    v->SetAttr("time", mqp::FormatDouble(e.time));
-    v->SetAttr("action", std::string(ProvenanceActionName(e.action)));
-    if (!e.detail.empty()) v->SetAttr("detail", e.detail);
-    if (e.staleness_minutes != 0) {
-      v->SetAttr("staleness", std::to_string(e.staleness_minutes));
-    }
-  }
-  return node;
-}
-
-Result<Provenance> Provenance::FromXml(const xml::Node& node) {
-  Provenance prov;
-  for (const xml::Node* v : node.Children("visit")) {
-    ProvenanceEntry e;
-    e.server = v->AttrOr("server", "");
-    if (!mqp::ParseDouble(v->AttrOr("time", "0"), &e.time)) {
-      return Status::ParseError("bad provenance time");
-    }
-    MQP_ASSIGN_OR_RETURN(e.action,
-                         ProvenanceActionFromName(v->AttrOr("action", "")));
-    e.detail = v->AttrOr("detail", "");
-    if (auto s = v->Attr("staleness")) {
-      if (!mqp::ParseInteger(*s, &e.staleness_minutes)) {
-        return Status::ParseError("bad provenance staleness");
-      }
-    }
-    prov.Add(std::move(e));
-  }
-  return prov;
-}
-
 void Provenance::EmitTokens(xml::TokenWriter* w) const {
   w->Start("provenance");
   for (const auto& e : entries_) {

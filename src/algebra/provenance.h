@@ -7,13 +7,11 @@
 // detection.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
-#include "xml/node.h"
 
 namespace mqp::xml {
 class TokenReader;
@@ -70,16 +68,10 @@ class Provenance {
   /// final answer (§5.1 "judging the quality of an answer").
   int MaxStalenessMinutes() const;
 
-  /// Serializes as a <provenance> element.
-  std::unique_ptr<xml::Node> ToXml() const;
-
-  /// Parses a <provenance> element.
-  static Result<Provenance> FromXml(const xml::Node& node);
-
-  /// Streaming twin of ToXml: emits the same bytes without building a DOM.
+  /// Emits a <provenance> element without building a DOM.
   void EmitTokens(xml::TokenWriter* w) const;
 
-  /// Streaming twin of FromXml. Precondition: current token is the
+  /// Parses a <provenance> element. Precondition: current token is the
   /// <provenance> kStartElement; returns with its kEndElement consumed.
   static Result<Provenance> FromTokens(xml::TokenReader* r);
 

@@ -48,7 +48,6 @@
   X(plan_serializations)          /* plan bodies serialized */                \
   X(plan_parses)                  /* plan bodies parsed */                    \
   X(forwards_without_reserialize) /* cache hits: arrival buffer reused */     \
-  X(token_decodes)                /* plans decoded by the token reader */     \
   X(dom_nodes_built)              /* xml::Nodes built while decoding plans */ \
   X(plan_decode_ns)               /* steady-clock plan decode time */
 

@@ -90,14 +90,8 @@ std::vector<std::string> LocalStore::CollectionIds() const {
 algebra::ItemSet LocalStore::ItemsOf(const std::string& id) const {
   auto it = collections_.find(id);
   if (it == collections_.end()) return {};
-  const Collection& coll = it->second;
-  if (use_shared_store() && !coll.has_non_element_item) return coll.items;
   ItemSet out;
-  out.reserve(coll.items.size());
-  for (const Item& item : coll.items) {
-    if (!item->is_element()) continue;
-    out.push_back(use_shared_store() ? item : CloneItem(*item));
-  }
+  AppendItems(it->second, &out);
   return out;
 }
 
@@ -133,15 +127,13 @@ const xml::Node& LocalStore::View() const {
   return *view_;
 }
 
-void LocalStore::AppendItems(const Collection& coll, bool clone,
-                             algebra::ItemSet* out) {
-  if (!clone && !coll.has_non_element_item) {
+void LocalStore::AppendItems(const Collection& coll, algebra::ItemSet* out) {
+  if (!coll.has_non_element_item) {
     out->insert(out->end(), coll.items.begin(), coll.items.end());
     return;
   }
   for (const Item& item : coll.items) {
-    if (!item->is_element()) continue;
-    out->push_back(clone ? CloneItem(*item) : item);
+    if (item->is_element()) out->push_back(item);
   }
 }
 
@@ -191,7 +183,7 @@ bool LocalStore::FetchFast(const xml::XPath& xp,
   }
   if (xp.StepCount() == 1) {
     for (const auto& [id, coll] : selected) {
-      AppendItems(*coll, /*clone=*/false, out);
+      AppendItems(*coll, out);
     }
     return true;
   }
@@ -227,22 +219,17 @@ bool LocalStore::FetchFast(const xml::XPath& xp,
 Result<algebra::ItemSet> LocalStore::Fetch(const std::string& url,
                                            const std::string& xpath) {
   (void)url;
-  const bool shared = use_shared_store();
   algebra::ItemSet out;
   if (xpath.empty()) {
-    for (const auto& [id, coll] : Ordered()) {
-      AppendItems(*coll, /*clone=*/!shared, &out);
-    }
+    for (const auto& [id, coll] : Ordered()) AppendItems(*coll, &out);
     return out;
   }
-  if (shared) {
-    auto parsed = xml::XPath::Parse(xpath);
-    if (parsed.ok() && FetchFast(*parsed, &out)) return out;
-  }
-  // The reference path: the store document root is <store>; collection
-  // XPaths in the paper are written relative to it ("/data[id=245]"), so
-  // evaluate each step against the children of <store>. Matches are
-  // deep-copied out, as the pre-shared-store engine did.
+  auto parsed = xml::XPath::Parse(xpath);
+  if (parsed.ok() && FetchFast(*parsed, &out)) return out;
+  // Every other shape evaluates against the view: the store document root
+  // is <store>; collection XPaths in the paper are written relative to it
+  // ("/data[id=245]"), so evaluate each step against the children of
+  // <store>. Matches are deep-copied out of the view.
   const std::string full =
       xpath.front() == '/' ? "/store" + xpath : "/store/" + xpath;
   MQP_ASSIGN_OR_RETURN(auto xp, xml::XPath::Parse(full));

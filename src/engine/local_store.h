@@ -14,9 +14,9 @@
 // answers straight from the map with shared refs — zero deep clones,
 // zero DOM construction. XPaths outside that shape (wildcards, '//',
 // exotic predicates) fall back to a lazily materialized DOM view of the
-// document above, rebuilt only after mutations, where the old clone-out
-// semantics apply unchanged. set_use_shared_store(false) (operator.h)
-// restores the cloning reference everywhere for ablation.
+// document above, rebuilt only after mutations, whose matches are
+// deep-copied out. The store this one replaced, which answered every
+// fetch that way, is the reference in tests/support/cloning_store.h.
 #pragma once
 
 #include <memory>
@@ -92,9 +92,8 @@ class LocalStore : public DataSource {
   std::vector<std::pair<const std::string*, const Collection*>> Ordered()
       const;
 
-  /// Appends `coll`'s element items to `out`, shared or cloned.
-  static void AppendItems(const Collection& coll, bool clone,
-                          algebra::ItemSet* out);
+  /// Appends `coll`'s element items to `out`, shared.
+  static void AppendItems(const Collection& coll, algebra::ItemSet* out);
 
   /// Answers a collection-shaped xpath from the keyed map with shared
   /// refs; returns false when the shape doesn't apply (caller falls back

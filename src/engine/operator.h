@@ -38,13 +38,6 @@ namespace internal {
 EngineStats& MutableStats();
 }  // namespace internal
 
-/// Ablation knob (the PR 3/4 pattern): false restores the cloning
-/// reference — LocalStore::Fetch materializes a DOM view and deep-copies
-/// every returned item, as the pre-shared-store engine did. Equivalence
-/// tests and bench C10 compare the two modes.
-void set_use_shared_store(bool on);
-bool use_shared_store();
-
 /// \brief Per-evaluation resource budget (DESIGN.md §11). The peer
 /// installs one thread-locally (ScopedEvalBudget) around each engine
 /// entry — sub-plan evaluation, fetch/subquery service — after

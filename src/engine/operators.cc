@@ -18,10 +18,8 @@ namespace mqp::engine {
 namespace {
 // Thread-local (see EngineStats): evaluations on different handler
 // threads tally independently; every consumer reads deltas on its own
-// thread. The shared-store knob stays a plain global — it is a test
-// ablation flipped only while the whole process is quiescent.
+// thread.
 thread_local EngineStats g_stats;
-bool g_use_shared_store = true;
 // The active evaluation budget (DESIGN.md §11); inactive by default so
 // unbudgeted evaluations pay one boolean test per checkpoint.
 thread_local internal::BudgetState g_budget;
@@ -81,9 +79,6 @@ EngineStats& MutableStats() { return g_stats; }
 
 BudgetState& Budget() { return g_budget; }
 }  // namespace internal
-
-void set_use_shared_store(bool on) { g_use_shared_store = on; }
-bool use_shared_store() { return g_use_shared_store; }
 
 ScopedEvalBudget::ScopedEvalBudget(const EvalLimits& limits)
     : saved_(g_budget) {

@@ -66,6 +66,10 @@
 //               churn and flash-crowd scenario drivers, and topology
 //               builders (garage-sale tree, super-peer hierarchies)
 //
+// Outside the library, tests/support/ (the mqp_test_support target) keeps
+// the implementations the library replaced as references that tests and
+// benches compare against: the DOM plan codec and the cloning store.
+//
 // Layering is strictly:
 //   common/xml/ns → algebra → net → wire → runtime → sync →
 //   peer/baseline → workload

@@ -28,7 +28,6 @@ Result<algebra::Plan> ParsePlanShared(net::Payload bytes,
   plan.AttachWireCache(std::move(bytes));
   if (stats != nullptr) {
     ++stats->plan_parses;
-    if (algebra::use_streaming_plan_codec()) ++stats->token_decodes;
     stats->dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
     stats->plan_decode_ns += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)

@@ -11,11 +11,12 @@
 // built, and carried <data> items stay verbatim views into the shared
 // incoming buffer until read, so a hop re-sends them without decoding
 // or re-encoding them. ParsePlanShared instruments the decode
-// (token_decodes, dom_nodes_built via xml::DomNodesBuilt deltas — only
-// the items of non-canonical runs, which decode eagerly — and
-// plan_decode_ns on the steady clock). Both helpers count into the wire group of the counter
-// table (common/counters.h): pass a NetStats shard directly, or a local
-// PeerReportedCounters that the peer then reports through Peer::Count.
+// (plan_parses, dom_nodes_built via xml::DomNodesBuilt deltas — only the
+// items of non-canonical runs, which decode eagerly — and plan_decode_ns
+// on the steady clock). Both helpers count into the wire group of the
+// counter table (common/counters.h): pass a NetStats shard directly, or a
+// local PeerReportedCounters that the peer then reports through
+// Peer::Count.
 #pragma once
 
 #include "algebra/plan.h"

@@ -8,24 +8,11 @@ namespace mqp::xml {
 
 namespace {
 
-bool HasTextChild(const Node& node) {
-  for (const auto& c : node.children()) {
-    if (c->is_text()) return true;
-  }
-  return false;
-}
-
-void WriteNode(const Node& node, const WriteOptions& opts, int depth,
-               std::string* out) {
+void WriteNode(const Node& node, std::string* out) {
   if (node.is_text()) {
     *out += EscapeText(node.text());
     return;
   }
-  const bool pretty = opts.indent && !HasTextChild(node);
-  auto pad = [&](int d) {
-    if (opts.indent) out->append(static_cast<size_t>(d) * 2, ' ');
-  };
-  pad(depth);
   *out += '<';
   *out += node.name();
   for (const auto& [k, v] : node.attrs()) {
@@ -37,25 +24,15 @@ void WriteNode(const Node& node, const WriteOptions& opts, int depth,
   }
   if (node.children().empty()) {
     *out += "/>";
-    if (opts.indent) *out += '\n';
     return;
   }
   *out += '>';
-  if (pretty) *out += '\n';
   for (const auto& c : node.children()) {
-    if (pretty) {
-      WriteNode(*c, opts, depth + 1, out);
-    } else {
-      WriteOptions flat;
-      flat.indent = false;
-      WriteNode(*c, flat, 0, out);
-    }
+    WriteNode(*c, out);
   }
-  if (pretty) pad(depth);
   *out += "</";
   *out += node.name();
   *out += '>';
-  if (opts.indent) *out += '\n';
 }
 
 size_t EscapedTextSize(const std::string& s) {
@@ -106,10 +83,10 @@ namespace {
 thread_local uint64_t g_serialize_calls = 0;
 }
 
-std::string Serialize(const Node& node, const WriteOptions& opts) {
+std::string Serialize(const Node& node) {
   ++g_serialize_calls;
   std::string out;
-  WriteNode(node, opts, 0, &out);
+  WriteNode(node, &out);
   return out;
 }
 

@@ -7,15 +7,8 @@
 
 namespace mqp::xml {
 
-/// Serialization options.
-struct WriteOptions {
-  /// Pretty-print with 2-space indentation and newlines. Text nodes force
-  /// their parent element onto a single line so content round-trips exactly.
-  bool indent = false;
-};
-
-/// \brief Serializes `node` (and subtree) to XML text.
-std::string Serialize(const Node& node, const WriteOptions& opts = {});
+/// \brief Serializes `node` (and subtree) to compact XML text.
+std::string Serialize(const Node& node);
 
 /// \brief Process-wide count of Serialize() calls. The engine's
 /// evaluation path must never serialize items (set semantics key on

@@ -6,6 +6,8 @@
 #include "algebra/walk.h"
 #include "common/rng.h"
 #include "xml/parser.h"
+#include "xml/token_reader.h"
+#include "xml/token_writer.h"
 
 namespace mqp::algebra {
 namespace {
@@ -76,8 +78,12 @@ TEST(ExprTest, XmlRoundTrip) {
                     Expr::Literal("v")),
   };
   for (const auto& e : exprs) {
-    auto xml_node = e->ToXml();
-    auto back = Expr::FromXml(*xml_node);
+    std::string text;
+    xml::TokenWriter w(&text);
+    e->EmitTokens(&w);
+    xml::TokenReader r(text);
+    ASSERT_TRUE(r.Advance()) << r.status();
+    auto back = Expr::FromTokens(&r);
     ASSERT_TRUE(back.ok()) << back.status();
     EXPECT_TRUE(e->Equals(**back)) << e->ToString();
   }
@@ -290,8 +296,8 @@ TEST(PlanXmlTest, AllOperatorsRoundTrip) {
   auto back = ParsePlan(SerializePlan(p));
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_TRUE(p.root()->Equals(*back->root()))
-      << SerializePlan(p, true) << "\nvs\n"
-      << SerializePlan(*back, true);
+      << p.root()->ToDebugString() << "vs\n"
+      << back->root()->ToDebugString();
 }
 
 TEST(PlanXmlTest, ParseErrors) {

@@ -1,9 +1,10 @@
 // Streaming XML codec: token reader/writer equivalence with the DOM
-// reference, randomized plan decode/encode equivalence (1000 seeds),
-// wire-size pinning, entity round-trip properties, byte-offset errors on
-// malformed inputs from both paths, and verbatim data leaves (the
-// canonical-run recognizer, items built on first read, and which plan
-// changes keep the carried bytes).
+// parser and serializer, randomized plan decode/encode equivalence with
+// the DOM plan codec in tests/support (1000 seeds), wire-size pinning,
+// entity round-trip properties, byte-offset errors on malformed inputs
+// from both codecs, and verbatim data leaves (the canonical-run
+// recognizer, items built on first read, and which plan changes keep the
+// carried bytes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "engine/operator.h"
 #include "net/message.h"
 #include "optimizer/cost.h"
+#include "support/dom_plan_codec.h"
 #include "wire/body_codec.h"
 #include "xml/node.h"
 #include "xml/parser.h"
@@ -41,19 +43,6 @@ using algebra::Plan;
 using algebra::PlanNode;
 using algebra::PlanNodePtr;
 using algebra::ProvenanceAction;
-
-// RAII knob flip: the codec knob is process-global state.
-class ScopedCodecMode {
- public:
-  explicit ScopedCodecMode(bool streaming)
-      : saved_(algebra::use_streaming_plan_codec()) {
-    algebra::set_use_streaming_plan_codec(streaming);
-  }
-  ~ScopedCodecMode() { algebra::set_use_streaming_plan_codec(saved_); }
-
- private:
-  bool saved_;
-};
 
 // --- randomized inputs ----------------------------------------------------------
 
@@ -377,44 +366,35 @@ TEST(SerializedSizeTest, MatchesSerializeAcrossRandomTrees) {
 
 // --- plan codec equivalence ------------------------------------------------------
 
-// S3 + S1 (second half): 1000 seeds; streaming and DOM paths agree
-// byte-for-byte on encode, sizes match real bytes on both paths, decode
-// agrees (checked by re-serializing both parses), and round trips are
-// stable. Plans cover shared sub-DAGs, annotations, histograms, verbatim
-// data sections, provenance, policy, and retained originals.
+// S3 + S1 (second half): 1000 seeds; the streaming codec and the DOM
+// reference agree byte-for-byte on encode, sizes match real bytes on
+// both, decode agrees (checked by re-serializing both parses), and round
+// trips are stable. Plans cover shared sub-DAGs, annotations,
+// histograms, verbatim data sections, provenance, policy, and retained
+// originals.
 TEST(PlanCodecEquivalenceTest, RandomizedPlansAcrossBothPaths) {
   for (uint64_t seed = 0; seed < 1000; ++seed) {
     const Plan plan = RandomPlan(seed);
-    std::string stream_bytes, dom_bytes;
-    size_t stream_size = 0, dom_size = 0;
-    {
-      ScopedCodecMode streaming(true);
-      stream_bytes = algebra::SerializePlan(plan);
-      stream_size = algebra::PlanWireSize(plan);
-    }
-    {
-      ScopedCodecMode dom(false);
-      dom_bytes = algebra::SerializePlan(plan);
-      dom_size = algebra::PlanWireSize(plan);
-    }
+    const std::string stream_bytes = algebra::SerializePlan(plan);
+    const size_t stream_size = algebra::PlanWireSize(plan);
+    const std::string dom_bytes = dom::SerializePlan(plan);
+    const size_t dom_size = dom::PlanWireSize(plan);
     ASSERT_EQ(stream_bytes, dom_bytes) << "seed " << seed;
     EXPECT_EQ(stream_size, stream_bytes.size()) << "seed " << seed;
     EXPECT_EQ(dom_size, dom_bytes.size()) << "seed " << seed;
 
-    // Decode through both paths; re-serialize to compare full fidelity
+    // Decode through both codecs; re-serialize to compare full fidelity
     // (structure, sharing, annotations, items, provenance, policy).
     std::string stream_reserialized, dom_reserialized;
     {
-      ScopedCodecMode streaming(true);
       auto parsed = algebra::ParsePlan(stream_bytes);
       ASSERT_TRUE(parsed.ok()) << "seed " << seed << ": " << parsed.status();
       stream_reserialized = algebra::SerializePlan(*parsed);
     }
     {
-      ScopedCodecMode dom(false);
-      auto parsed = algebra::ParsePlan(dom_bytes);
+      auto parsed = dom::ParsePlan(dom_bytes);
       ASSERT_TRUE(parsed.ok()) << "seed " << seed << ": " << parsed.status();
-      dom_reserialized = algebra::SerializePlan(*parsed);
+      dom_reserialized = dom::SerializePlan(*parsed);
     }
     EXPECT_EQ(stream_reserialized, dom_reserialized) << "seed " << seed;
     // Round-trip stability: canonical bytes reproduce themselves.
@@ -423,7 +403,6 @@ TEST(PlanCodecEquivalenceTest, RandomizedPlansAcrossBothPaths) {
 }
 
 TEST(PlanCodecEquivalenceTest, StreamingDecodeBuildsZeroDomNodesWithoutItems) {
-  ScopedCodecMode streaming(true);
   for (uint64_t seed = 0; seed < 50; ++seed) {
     const Plan plan = RandomPlan(seed, /*with_items=*/false);
     const std::string bytes = algebra::SerializePlan(plan);
@@ -435,7 +414,6 @@ TEST(PlanCodecEquivalenceTest, StreamingDecodeBuildsZeroDomNodesWithoutItems) {
 }
 
 TEST(PlanCodecEquivalenceTest, StreamingDecodeMaterializesOnlyDataItems) {
-  ScopedCodecMode streaming(true);
   // One data leaf with two items, each a single element with one text
   // child (price) — count exactly those nodes and nothing else. The
   // decode keeps the canonical items as bytes; the first read builds
@@ -465,7 +443,7 @@ TEST(PlanCodecEquivalenceTest, StreamingDecodeMaterializesOnlyDataItems) {
   EXPECT_EQ(xml::DomNodesBuilt() - before, 0u);
 }
 
-// S3 (malformed half): lexically broken inputs error on both paths, with
+// S3 (malformed half): lexically broken inputs error on both codecs, with
 // byte offsets where the DOM parser reports them.
 TEST(PlanCodecEquivalenceTest, MalformedInputsErrorOnBothPathsWithOffsets) {
   struct Case {
@@ -503,15 +481,8 @@ TEST(PlanCodecEquivalenceTest, MalformedInputsErrorOnBothPathsWithOffsets) {
       {"empty-plan", "<mqp><plan>  </plan></mqp>", false},
   };
   for (const auto& c : cases) {
-    Status stream_status = Status::OK(), dom_status = Status::OK();
-    {
-      ScopedCodecMode streaming(true);
-      stream_status = algebra::ParsePlan(c.input).status();
-    }
-    {
-      ScopedCodecMode dom(false);
-      dom_status = algebra::ParsePlan(c.input).status();
-    }
+    const Status stream_status = algebra::ParsePlan(c.input).status();
+    const Status dom_status = dom::ParsePlan(c.input).status();
     EXPECT_FALSE(stream_status.ok()) << c.name;
     EXPECT_FALSE(dom_status.ok()) << c.name;
     if (c.offset_expected) {
@@ -633,11 +604,10 @@ std::vector<std::pair<std::string, std::string>> NonCanonicalVariants(
 // The recognizer accepts exactly TokenWriter's compact form. Over 1000
 // seeds: RandomItem runs (plus nested <data> elements) are accepted and
 // equal the eager decode's re-encoding; one variant per rejection rule
-// is rejected and still decodes to the DOM path's plan, re-encoded
+// is rejected and still decodes to the DOM codec's plan, re-encoded
 // canonically; truncated and malformed runs fail with the eager path's
 // status and offset.
 TEST(VerbatimDataTest, RecognizerSweep) {
-  ScopedCodecMode streaming(true);
   for (uint64_t seed = 0; seed < 1000; ++seed) {
     Rng rng(seed + 77000);
     ItemSet items;
@@ -663,7 +633,7 @@ TEST(VerbatimDataTest, RecognizerSweep) {
       EXPECT_EQ(leaves[0]->verbatim_items(), r) << "seed " << seed;
       EXPECT_EQ(algebra::SerializePlan(*lazy), doc) << "seed " << seed;
       EXPECT_EQ(algebra::PlanWireSize(*lazy), doc.size()) << "seed " << seed;
-      auto eager = algebra::PlanFromXml(**xml::Parse(doc));
+      auto eager = dom::ParsePlan(doc);
       ASSERT_TRUE(eager.ok()) << "seed " << seed;
       EXPECT_TRUE(lazy->root()->Equals(*eager->root())) << "seed " << seed;
       // The recognizer's item count and the run length are the leaf's
@@ -694,7 +664,7 @@ TEST(VerbatimDataTest, RecognizerSweep) {
       ASSERT_TRUE(lazy.ok()) << "seed " << seed << " " << rule << ": "
                              << lazy.status();
       EXPECT_TRUE(DataLeaves(*lazy)[0]->verbatim_items().empty()) << rule;
-      auto eager = algebra::PlanFromXml(**xml::Parse(doc));
+      auto eager = dom::ParsePlan(doc);
       ASSERT_TRUE(eager.ok()) << "seed " << seed << " " << rule;
       EXPECT_TRUE(lazy->root()->Equals(*eager->root()))
           << "seed " << seed << " " << rule;
@@ -743,7 +713,6 @@ TEST(VerbatimDataTest, RecognizerSweep) {
 // Fixed malformed items fail with the exact status text and offset the
 // eager decoder reported.
 TEST(VerbatimDataTest, MalformedItemsKeepTheEagerErrors) {
-  ScopedCodecMode streaming(true);
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"<mqp><plan><data><i>&bogus;</i></data></plan></mqp>",
        "ParseError: unknown entity &bogus; (at byte 27)"},
@@ -766,13 +735,11 @@ TEST(VerbatimDataTest, RandomizedPlansWithItemsForced) {
     const Plan plan = RandomPlan(seed);
     std::string bytes, dom_reserialized;
     {
-      ScopedCodecMode dom(false);
-      bytes = algebra::SerializePlan(plan);
-      auto parsed = algebra::ParsePlan(bytes);
+      bytes = dom::SerializePlan(plan);
+      auto parsed = dom::ParsePlan(bytes);
       ASSERT_TRUE(parsed.ok()) << "seed " << seed;
-      dom_reserialized = algebra::SerializePlan(*parsed);
+      dom_reserialized = dom::SerializePlan(*parsed);
     }
-    ScopedCodecMode streaming(true);
     auto parsed = algebra::ParsePlan(net::MakePayload(bytes));
     ASSERT_TRUE(parsed.ok()) << "seed " << seed << ": " << parsed.status();
     for (PlanNode* leaf : DataLeaves(*parsed)) {
@@ -789,7 +756,6 @@ TEST(VerbatimDataTest, RandomizedPlansWithItemsForced) {
 // Which changes keep a leaf's verbatim bytes and which re-encode it from
 // DOM, and where the bytes live.
 TEST(VerbatimDataTest, MutationsKeepOrDropTheBytes) {
-  ScopedCodecMode streaming(true);
   Rng rng(5);
   ItemSet items;
   for (int i = 0; i < 3; ++i) items.push_back(RandomItem(&rng));
@@ -893,7 +859,8 @@ TEST(NumberParsingTest, PlusSignHandling) {
 // Integer attributes are outside input (ROADMAP item 7). Each one decodes
 // at the edge of its field's range; one past it, a negative value for an
 // unsigned field, or a non-number rejects the plan, with the same status
-// through both decoders, instead of wrapping or narrowing silently.
+// through the streaming and the DOM decoder, instead of wrapping or
+// narrowing silently.
 TEST(PlanCodecEquivalenceTest, IntegerAttributesAreRangeChecked) {
   const std::string u64_max = "18446744073709551615";
   const std::string u64_over = "18446744073709551616";
@@ -959,16 +926,8 @@ TEST(PlanCodecEquivalenceTest, IntegerAttributesAreRangeChecked) {
        {int_over, int_under, "x"}},
   };
   auto parse_both = [](const std::string& doc) {
-    std::pair<Result<Plan>, Result<Plan>> out{Status::OK(), Status::OK()};
-    {
-      ScopedCodecMode streaming(true);
-      out.first = algebra::ParsePlan(doc);
-    }
-    {
-      ScopedCodecMode dom(false);
-      out.second = algebra::ParsePlan(doc);
-    }
-    return out;
+    return std::pair<Result<Plan>, Result<Plan>>{algebra::ParsePlan(doc),
+                                                 dom::ParsePlan(doc)};
   };
   for (const Case& c : cases) {
     for (const std::string& v : c.in_range) {
@@ -977,7 +936,7 @@ TEST(PlanCodecEquivalenceTest, IntegerAttributesAreRangeChecked) {
       ASSERT_TRUE(streamed.ok()) << doc << ": " << streamed.status();
       ASSERT_TRUE(dom.ok()) << doc << ": " << dom.status();
       const std::string encoded = algebra::SerializePlan(*streamed);
-      EXPECT_EQ(encoded, algebra::SerializePlan(*dom)) << doc;
+      EXPECT_EQ(encoded, dom::SerializePlan(*dom)) << doc;
       EXPECT_NE(encoded.find(c.key + "=\"" + v + "\""), std::string::npos)
           << doc << " re-encoded as " << encoded;
     }
@@ -1045,7 +1004,6 @@ Reduction Reduce(PlanNode* u, engine::LocalStore* store,
 // top-k unions must not fold. MQP_EQUIV_SEEDS sets the seed count (CI
 // runs 1000).
 TEST(UnionFoldTest, FoldMatchesTheDomPathSweep) {
-  ScopedCodecMode streaming(true);
   const std::string self = "10.0.0.9:9020";
   const std::string xpath = engine::LocalStore::CollectionXPath("c");
   size_t folded = 0, aborted = 0;
@@ -1164,15 +1122,24 @@ TEST(UnionFoldTest, FoldMatchesTheDomPathSweep) {
   EXPECT_GT(aborted, 0u);
 }
 
+// The decoder ignores whitespace between elements: the compact form with
+// a line break and indentation after every tag still decodes to the plan.
 TEST(PlanCodecEquivalenceTest, IndentedSerializationStillReparses) {
-  // indent=true is the DOM debugging path; its output must stay
-  // parseable by the streaming decoder (whitespace-insensitivity).
   const Plan plan = RandomPlan(7);
-  const std::string pretty = algebra::SerializePlan(plan, /*indent=*/true);
-  ScopedCodecMode streaming(true);
+  const std::string compact = algebra::SerializePlan(plan);
+  std::string pretty;
+  for (size_t i = 0; i < compact.size(); ++i) {
+    pretty += compact[i];
+    // Text and attribute values escape '<' and '>', so "><" only ever
+    // separates two tags.
+    if (compact[i] == '>' && i + 1 < compact.size() && compact[i + 1] == '<') {
+      pretty += "\n  ";
+    }
+  }
+  ASSERT_NE(pretty, compact);
   auto parsed = algebra::ParsePlan(pretty);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(algebra::SerializePlan(*parsed), algebra::SerializePlan(plan));
+  EXPECT_EQ(algebra::SerializePlan(*parsed), compact);
 }
 
 }  // namespace

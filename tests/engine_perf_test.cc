@@ -2,8 +2,7 @@
 //
 // Every optimized path is compared against the behavior it replaced over
 // 1000 seeded inputs:
-//   * shared-item LocalStore vs. the cloning reference
-//     (set_use_shared_store(false)),
+//   * shared-item LocalStore vs. the cloning store in tests/support,
 //   * StructuralHash-keyed distinct/difference vs. serialize-keyed
 //     references implemented here,
 //   * accessor-keyed hash join vs. the old string-keyed algorithm,
@@ -23,6 +22,7 @@
 #include "engine/field_accessor.h"
 #include "engine/local_store.h"
 #include "engine/operator.h"
+#include "support/cloning_store.h"
 #include "xml/writer.h"
 #include "xml/xpath.h"
 
@@ -34,11 +34,6 @@ using algebra::Item;
 using algebra::ItemSet;
 using algebra::PlanNode;
 using algebra::PlanNodePtr;
-
-/// Restores the shared-store knob on scope exit.
-struct KnobGuard {
-  ~KnobGuard() { set_use_shared_store(true); }
-};
 
 std::vector<std::string> SerializeAll(const ItemSet& items) {
   std::vector<std::string> out;
@@ -91,18 +86,20 @@ ItemSet RandomItems(Rng* rng, size_t max_n) {
 }
 
 TEST(EnginePerfTest, SharedStoreMatchesCloningReference) {
-  KnobGuard guard;
   const std::vector<std::string> id_pool = {
       "c0", "c1", "245", "0245", "a]b", "it's", "with space",
       "replica:10.0.0.5:9020"};
   for (uint64_t seed = 0; seed < 1000; ++seed) {
     Rng rng(seed);
     LocalStore store;
+    dom::CloningStore cloning;
     std::vector<std::string> ids;
     const size_t n_colls = 1 + rng.NextBelow(4);
     for (size_t i = 0; i < n_colls; ++i) {
       const std::string& id = rng.Pick(id_pool);
-      store.AddCollection(id, RandomItems(&rng, 8));
+      const ItemSet items = RandomItems(&rng, 8);
+      store.AddCollection(id, items);
+      cloning.AddCollection(id, items);
       ids.push_back(id);
     }
     std::vector<std::string> xpaths = {
@@ -137,11 +134,8 @@ TEST(EnginePerfTest, SharedStoreMatchesCloningReference) {
       }
     }
     const std::string& xpath = xpaths[rng.NextBelow(xpaths.size())];
-    set_use_shared_store(true);
     auto fast = store.Fetch("", xpath);
-    set_use_shared_store(false);
-    auto reference = store.Fetch("", xpath);
-    set_use_shared_store(true);
+    auto reference = cloning.Fetch(xpath);
     ASSERT_EQ(fast.ok(), reference.ok()) << "seed " << seed << " " << xpath;
     if (!fast.ok()) continue;
     ASSERT_EQ(SerializeAll(*fast), SerializeAll(*reference))

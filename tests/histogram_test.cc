@@ -8,7 +8,8 @@
 #include "algebra/plan_xml.h"
 #include "common/rng.h"
 #include "optimizer/cost.h"
-#include "xml/parser.h"
+#include "xml/token_reader.h"
+#include "xml/token_writer.h"
 
 namespace mqp::algebra {
 namespace {
@@ -82,22 +83,45 @@ TEST(HistogramTest, SkewedDistributionCaptured) {
 TEST(HistogramTest, XmlRoundTrip) {
   auto items = UniformItems(100, 5, 25, 5);
   auto h = *FieldHistogram::Build(items, "price", 6);
-  auto node = h.ToXml();
-  auto back = FieldHistogram::FromXml(*node);
+  std::string text;
+  xml::TokenWriter w(&text);
+  h.EmitTokens(&w);
+  xml::TokenReader r(text);
+  ASSERT_TRUE(r.Advance()) << r.status();
+  auto back = FieldHistogram::FromTokens(&r);
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_EQ(*back, h);
 }
 
+// A plan whose one operator, a URN leaf, carries `histogram`.
+std::string PlanCarrying(const std::string& histogram) {
+  return "<mqp><plan><urn name=\"urn:a:b\">" + histogram +
+         "</urn></plan></mqp>";
+}
+
 TEST(HistogramTest, MalformedXmlRejected) {
-  auto no_field = xml::Parse("<histogram min=\"0\" max=\"1\" total=\"2\"/>");
-  EXPECT_FALSE(FieldHistogram::FromXml(**no_field).ok());
-  auto no_buckets = xml::Parse(
-      "<histogram field=\"p\" min=\"0\" max=\"1\" total=\"2\"/>");
-  EXPECT_FALSE(FieldHistogram::FromXml(**no_buckets).ok());
-  auto bad_bucket = xml::Parse(
-      "<histogram field=\"p\" min=\"0\" max=\"1\" total=\"2\">"
-      "<b c=\"x\"/></histogram>");
-  EXPECT_FALSE(FieldHistogram::FromXml(**bad_bucket).ok());
+  // Each malformed histogram beside its well-formed twin.
+  const std::pair<std::string, std::string> cases[] = {
+      // no field
+      {"<histogram field=\"p\" min=\"0\" max=\"1\" total=\"2\">"
+       "<b c=\"2\"/></histogram>",
+       "<histogram min=\"0\" max=\"1\" total=\"2\"><b c=\"2\"/></histogram>"},
+      // no buckets
+      {"<histogram field=\"p\" min=\"0\" max=\"1\" total=\"2\">"
+       "<b c=\"2\"/></histogram>",
+       "<histogram field=\"p\" min=\"0\" max=\"1\" total=\"2\"/>"},
+      // bad bucket
+      {"<histogram field=\"p\" min=\"0\" max=\"1\" total=\"2\">"
+       "<b c=\"2\"/></histogram>",
+       "<histogram field=\"p\" min=\"0\" max=\"1\" total=\"2\">"
+       "<b c=\"x\"/></histogram>"},
+  };
+  for (const auto& [good, bad] : cases) {
+    auto plan = ParsePlan(PlanCarrying(good));
+    ASSERT_TRUE(plan.ok()) << good << ": " << plan.status();
+    EXPECT_EQ(plan->root()->annotations().histograms.size(), 1u) << good;
+    EXPECT_FALSE(ParsePlan(PlanCarrying(bad)).ok()) << bad;
+  }
 }
 
 TEST(HistogramTest, TravelsWithThePlan) {

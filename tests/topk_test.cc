@@ -34,6 +34,7 @@
 #include "peer/peer.h"
 #include "query/parser.h"
 #include "runtime/threaded_runtime.h"
+#include "support/dom_plan_codec.h"
 #include "wire/envelope.h"
 #include "workload/garage_sale.h"
 #include "workload/network_builder.h"
@@ -310,20 +311,18 @@ TEST(TopKCodecTest, AnnotationRoundTripsOnBothCodecs) {
   auto node = PlanNode::Url("10.0.0.9:9020", "/data[id=c0]");
   node->annotations().topk = tk;
   algebra::Plan plan(PlanNode::Display("10.0.0.1:9020", std::move(node)));
-  std::string bytes[2];
-  for (int streaming = 0; streaming < 2; ++streaming) {
-    const bool saved = algebra::use_streaming_plan_codec();
-    algebra::set_use_streaming_plan_codec(streaming == 1);
-    bytes[streaming] = algebra::SerializePlan(plan);
-    auto back = algebra::ParsePlan(bytes[streaming]);
-    algebra::set_use_streaming_plan_codec(saved);
-    ASSERT_TRUE(back.ok());
+  // The streaming codec and the DOM reference (tests/support).
+  const std::string bytes = algebra::SerializePlan(plan);
+  EXPECT_EQ(dom::SerializePlan(plan), bytes);  // byte-identical across codecs
+  const Result<algebra::Plan> decoded[] = {algebra::ParsePlan(bytes),
+                                           dom::ParsePlan(bytes)};
+  for (const auto& back : decoded) {
+    ASSERT_TRUE(back.ok()) << back.status();
     const auto& got =
         std::as_const(*back->root()->child(0)).annotations().topk;
-    ASSERT_TRUE(got.has_value()) << "streaming=" << streaming;
-    EXPECT_EQ(*got, tk) << "streaming=" << streaming;
+    ASSERT_TRUE(got.has_value()) << bytes;
+    EXPECT_EQ(*got, tk) << bytes;
   }
-  EXPECT_EQ(bytes[0], bytes[1]);  // byte-identical across codecs
 }
 
 // --- end-to-end equivalence ---------------------------------------------------

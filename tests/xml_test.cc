@@ -157,21 +157,6 @@ TEST(WriterTest, SerializedSizeMatchesActual) {
   EXPECT_EQ(SerializedSize(*n), Serialize(*n).size());
 }
 
-TEST(WriterTest, IndentedOutputReparsesEqual) {
-  auto doc = Parse("<a><b><c x=\"1\"/></b><d/></a>");
-  ASSERT_TRUE(doc.ok());
-  WriteOptions opts;
-  opts.indent = true;
-  const std::string pretty = Serialize(**doc, opts);
-  EXPECT_NE(pretty.find('\n'), std::string::npos);
-  auto again = Parse(pretty);
-  ASSERT_TRUE(again.ok()) << again.status();
-  // Pretty printing introduces whitespace text nodes only around elements
-  // without text children; structural equality holds after re-parse for
-  // element names/attrs. Compare compact forms.
-  EXPECT_EQ(Serialize(**doc), Serialize(**again));
-}
-
 // Round-trip property: parse(serialize(t)) == t for random trees.
 class XmlRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 
