@@ -172,7 +172,6 @@ class ChurnScenario {
   size_t expiries() const { return expiries_; }
 
   /// The identity the oracle compares items by: the item's fields.
-  /// Joiners reuse seller names, so no single field is unique.
   static std::string ItemId(const algebra::Item& item);
 
  private:

@@ -26,7 +26,7 @@ std::vector<Seller> GarageSaleGenerator::MakeSellers(size_t n) {
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     Seller s;
-    s.name = "seller-" + std::to_string(i);
+    s.name = "seller-" + std::to_string(next_seller_++);
     const auto& loc = locations_[rng_.NextBelow(locations_.size())];
     // Zipf-skewed category choice: some categories are much hotter.
     const auto& cat = categories_[rng_.NextZipf(categories_.size(), 0.8)];

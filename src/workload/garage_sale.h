@@ -32,6 +32,8 @@ class GarageSaleGenerator {
 
   /// Draws `n` sellers; each picks a random leaf location and a random
   /// merchandise category (Zipf-skewed so some categories are hot).
+  /// Names number on across calls ("seller-0", "seller-1", ...), so no
+  /// two sellers of one generator share a name.
   std::vector<Seller> MakeSellers(size_t n);
 
   /// Generates `count` items for one seller. Every item carries:
@@ -52,6 +54,7 @@ class GarageSaleGenerator {
   ns::MultiHierarchy ns_;
   std::vector<ns::CategoryPath> locations_;   // leaf cities
   std::vector<ns::CategoryPath> categories_;  // leaf merchandise
+  size_t next_seller_ = 0;                    // number of the next name
 };
 
 }  // namespace mqp::workload

@@ -2,6 +2,10 @@
 // semantics, gossip/anti-entropy convergence, TTL expiry and churn.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+
 #include "net/simulator.h"
 #include "catalog/versioned.h"
 #include "peer/peer.h"
@@ -793,6 +797,38 @@ TEST(ChurnScenarioTest, ConvergesAndStaysDeterministic) {
   EXPECT_EQ(a.stats.fails, b.stats.fails);
   EXPECT_EQ(a.stats.joins, b.stats.joins);
   EXPECT_EQ(a.stats.queries_complete, b.stats.queries_complete);
+}
+
+// Every joiner publishes under a seller name, and image refs, that no
+// other seller of the run holds.
+TEST(ChurnScenarioTest, JoinersGetFreshSellerNames) {
+  net::Simulator sim;
+  workload::GarageSaleNetworkParams params;
+  params.num_sellers = 6;
+  params.items_per_seller = 3;
+  auto net = workload::BuildGarageSaleNetwork(&sim, params);
+  workload::ChurnParams churn;
+  churn.duration_seconds = 80;
+  churn.p_fail = 0;
+  churn.p_depart = 0;
+  churn.p_join = 1;
+  churn.convergence_tail_seconds = 10;
+  workload::ChurnScenario scenario(&sim, &net, churn);
+  scenario.EnableSyncEverywhere();
+  ASSERT_GT(scenario.Run().joins, 1u);
+  // Which seller each name and image ref appears under.
+  std::map<std::string, std::set<std::string>> holders;
+  for (const auto& seller : scenario.sellers_log()) {
+    for (const algebra::Item& item : seller.items) {
+      holders[item->ChildText("seller")].insert(seller.address);
+      holders[item->ChildText("image")].insert(seller.address);
+    }
+  }
+  for (const auto& [value, addresses] : holders) {
+    EXPECT_EQ(addresses.size(), 1u) << value;
+  }
+  EXPECT_EQ(scenario.sellers_log().size(),
+            params.num_sellers + scenario.stats().joins);
 }
 
 }  // namespace

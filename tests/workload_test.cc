@@ -2,6 +2,8 @@
 // helpers, and the standard network builder.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "net/simulator.h"
 #include "common/strings.h"
 #include "workload/cd_market.h"
@@ -26,6 +28,20 @@ TEST(GarageSaleTest, DeterministicForSameSeed) {
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_TRUE(ia[i]->Equals(*ib[i]));
   }
+}
+
+// A generator numbers its sellers on across calls: ChurnScenario draws
+// each joiner with its own MakeSellers(1), and a name that restarted at
+// seller-0 collided with the first seller's items and image refs.
+TEST(GarageSaleTest, SellerNamesContinueAcrossCalls) {
+  GarageSaleGenerator gen(7);
+  auto first = gen.MakeSellers(3);
+  auto second = gen.MakeSellers(2);
+  std::set<std::string> names;
+  for (const auto& s : first) names.insert(s.name);
+  for (const auto& s : second) names.insert(s.name);
+  EXPECT_EQ(names.size(), 5u);
+  EXPECT_EQ(second[0].name, "seller-3");
 }
 
 TEST(GarageSaleTest, ItemsCarryCoordinatesAndSchema) {
