@@ -82,10 +82,10 @@ void FieldHistogram::EmitTokens(xml::TokenWriter* w) const {
   w->Attr("field", field);
   w->Attr("min", mqp::FormatDouble(min));
   w->Attr("max", mqp::FormatDouble(max));
-  w->Attr("total", std::to_string(total));
+  w->Attr("total", total);
   for (uint64_t c : counts) {
     w->Start("b");
-    w->Attr("c", std::to_string(c));
+    w->Attr("c", c);
     w->End();
   }
   w->End();

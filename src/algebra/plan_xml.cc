@@ -27,16 +27,16 @@ void EmitTopKAttrs(const Annotations& a, xml::TokenWriter* w) {
   const TopKBound& t = *a.topk;
   w->Attr("tk-field", t.order_field);
   w->Attr("tk-order", t.ascending ? "asc" : "desc");
-  w->Attr("tk-k", std::to_string(t.k));
-  if (t.batch != 0) w->Attr("tk-batch", std::to_string(t.batch));
-  if (t.cont != 0) w->Attr("tk-cont", std::to_string(t.cont));
-  if (t.leaf != 0) w->Attr("tk-leaf", std::to_string(t.leaf));
+  w->Attr("tk-k", t.k);
+  if (t.batch != 0) w->Attr("tk-batch", t.batch);
+  if (t.cont != 0) w->Attr("tk-cont", t.cont);
+  if (t.leaf != 0) w->Attr("tk-leaf", t.leaf);
   if (t.has_bound) {
     // tk-bkey may legitimately be the empty string (a missing order
     // field evaluates to ""), so presence — not non-emptiness — flags
     // the bound.
     w->Attr("tk-bkey", t.bound_key);
-    w->Attr("tk-bleaf", std::to_string(t.bound_leaf));
+    w->Attr("tk-bleaf", t.bound_leaf);
   }
 }
 
@@ -124,14 +124,14 @@ class StreamSerializer {
     int& refs = refs_[&node];
     if (refs < 0) {
       w_->Start("ref");
-      w_->Attr("id", std::to_string(-refs));
+      w_->Attr("id", -refs);
       w_->End();
       return;
     }
     w_->Start(OpTypeName(node.type()));
     if (refs > 1) {
       refs = -next_id_++;
-      w_->Attr("node-id", std::to_string(-refs));
+      w_->Attr("node-id", -refs);
     }
     // Union's distinct flag shares the "distinct" attribute with the
     // distinct_keys annotation (the flag wins), emitted in the canonical
@@ -139,15 +139,15 @@ class StreamSerializer {
     const Annotations& a = node.annotations();
     const bool union_distinct =
         node.type() == OpType::kUnion && node.distinct();
-    if (a.cardinality) w_->Attr("card", std::to_string(*a.cardinality));
-    if (a.bytes) w_->Attr("bytes", std::to_string(*a.bytes));
+    if (a.cardinality) w_->Attr("card", *a.cardinality);
+    if (a.bytes) w_->Attr("bytes", *a.bytes);
     if (union_distinct) {
       w_->Attr("distinct", "1");
     } else if (a.distinct_keys) {
-      w_->Attr("distinct", std::to_string(*a.distinct_keys));
+      w_->Attr("distinct", *a.distinct_keys);
     }
     if (a.staleness_minutes) {
-      w_->Attr("staleness", std::to_string(*a.staleness_minutes));
+      w_->Attr("staleness", *a.staleness_minutes);
     }
     EmitTopKAttrs(a, w_);
     switch (node.type()) {
@@ -168,7 +168,7 @@ class StreamSerializer {
         if (!node.group_by().empty()) w_->Attr("groupby", node.group_by());
         break;
       case OpType::kTopN:
-        if (node.has_limit()) w_->Attr("n", std::to_string(node.limit()));
+        if (node.has_limit()) w_->Attr("n", node.limit());
         w_->Attr("orderby", node.order_field());
         w_->Attr("order", node.ascending() ? "asc" : "desc");
         break;
@@ -223,7 +223,7 @@ void EmitPlanTokens(const Plan& plan, xml::TokenWriter* w) {
       w->Attr("time-budget", mqp::FormatDouble(pol.time_budget_seconds));
     }
     if (pol.priority != 0) {
-      w->Attr("priority", std::to_string(pol.priority));
+      w->Attr("priority", pol.priority);
     }
     w->Attr("prefer", pol.preference == AnswerPreference::kCurrent
                           ? "current"

@@ -85,7 +85,7 @@ void Provenance::EmitTokens(xml::TokenWriter* w) const {
     w->Attr("action", ProvenanceActionName(e.action));
     if (!e.detail.empty()) w->Attr("detail", e.detail);
     if (e.staleness_minutes != 0) {
-      w->Attr("staleness", std::to_string(e.staleness_minutes));
+      w->Attr("staleness", e.staleness_minutes);
     }
     w->End();
   }

@@ -32,7 +32,7 @@ void FloodingPeer::StartFlood(const std::string& flood_id,
   xml::TokenWriter w(&body);
   w.Start("flood");
   w.Attr("area", area.ToString());
-  w.Attr("reply-to", std::to_string(reply_to));
+  w.Attr("reply-to", reply_to);
   w.End();
   Forward(flood_id, net::MakePayload(std::move(body)), horizon, net::kNoPeer);
 }

@@ -178,7 +178,7 @@ std::string Peer::BuildRegisterPayload(int ttl) const {
   w.Start("register");
   w.Attr("server", address());
   w.Attr("name", options_.name);
-  w.Attr("ttl", std::to_string(ttl));
+  w.Attr("ttl", ttl);
   for (const auto& [id, area] : collections_) {
     w.Start("entry");
     w.Attr("level", "base");
@@ -1473,7 +1473,7 @@ std::string EncodeRegisterBody(const RegisterDoc& doc) {
   w.Start("register");
   w.Attr("server", doc.server);
   w.Attr("name", doc.name);
-  w.Attr("ttl", std::to_string(doc.ttl));
+  w.Attr("ttl", doc.ttl);
   for (const auto& e : doc.entries) {
     w.Start("entry");
     w.Attr("level", e.level);
@@ -1685,8 +1685,8 @@ void SendTopKReply(net::Transport* sim, net::PeerId self, net::PeerId to,
   w.Start(root_tag);
   w.Attr("server", server);
   w.Attr("tk", "1");
-  w.Attr("total", std::to_string(slice.total));
-  w.Attr("cont", std::to_string(slice.next_cont));
+  w.Attr("total", slice.total);
+  w.Attr("cont", slice.next_cont);
   w.Attr("more", slice.more ? "1" : "0");
   if (slice.more) w.Attr("next", slice.next_key);
   for (size_t idx : slice.ship) {
@@ -1990,13 +1990,13 @@ void Peer::SendTopKRequest(const std::string& query_id, size_t idx) {
     w.Attr("xpath", src.xpath);
     w.Attr("tk-field", s.spec.field);
     w.Attr("tk-order", s.spec.ascending ? "asc" : "desc");
-    w.Attr("tk-k", std::to_string(s.spec.k));
-    w.Attr("tk-batch", std::to_string(src.batch));
-    w.Attr("tk-cont", std::to_string(src.cont));
-    w.Attr("tk-leaf", std::to_string(src.leaf));
+    w.Attr("tk-k", s.spec.k);
+    w.Attr("tk-batch", src.batch);
+    w.Attr("tk-cont", src.cont);
+    w.Attr("tk-leaf", src.leaf);
     if (bound.present) {
       w.Attr("tk-bkey", bound.key);
-      w.Attr("tk-bleaf", std::to_string(bound.leaf));
+      w.Attr("tk-bleaf", bound.leaf);
     }
     w.End();
     wire::Send(sim_, id_, *pid,

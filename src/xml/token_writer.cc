@@ -2,6 +2,23 @@
 
 namespace mqp::xml {
 
+namespace {
+
+// The entity that escaping replaces `c` with in an attribute (`attr`) or
+// in text, or null: the rules of EscapeAttr and EscapeText.
+const char* Entity(char c, bool attr) {
+  switch (c) {
+    case '&': return "&amp;";
+    case '<': return "&lt;";
+    case '>': return "&gt;";
+    case '"': return attr ? "&quot;" : nullptr;
+    case '\'': return attr ? "&apos;" : nullptr;
+    default: return nullptr;
+  }
+}
+
+}  // namespace
+
 void TokenWriter::Emit(std::string_view raw) {
   size_ += raw.size();
   if (out_ != nullptr) out_->append(raw);
@@ -12,48 +29,18 @@ void TokenWriter::EmitChar(char c) {
   if (out_ != nullptr) out_->push_back(c);
 }
 
-void TokenWriter::EmitEscapedText(std::string_view s) {
-  // Same rules as EscapeText; the counting sink prices without copying.
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        Emit("&amp;");
-        break;
-      case '<':
-        Emit("&lt;");
-        break;
-      case '>':
-        Emit("&gt;");
-        break;
-      default:
-        EmitChar(c);
-    }
+void TokenWriter::EmitEscaped(std::string_view s, bool attr) {
+  // Runs that need no escaping are emitted whole; the counting sink
+  // prices without copying.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* entity = Entity(s[i], attr);
+    if (entity == nullptr) continue;
+    Emit(s.substr(run, i - run));
+    Emit(entity);
+    run = i + 1;
   }
-}
-
-void TokenWriter::EmitEscapedAttr(std::string_view s) {
-  // Same rules as EscapeAttr.
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        Emit("&amp;");
-        break;
-      case '<':
-        Emit("&lt;");
-        break;
-      case '>':
-        Emit("&gt;");
-        break;
-      case '"':
-        Emit("&quot;");
-        break;
-      case '\'':
-        Emit("&apos;");
-        break;
-      default:
-        EmitChar(c);
-    }
-  }
+  Emit(s.substr(run));
 }
 
 void TokenWriter::CloseStartTag() {
@@ -73,13 +60,21 @@ void TokenWriter::Attr(std::string_view key, std::string_view value) {
   EmitChar(' ');
   Emit(key);
   Emit("=\"");
-  EmitEscapedAttr(value);
+  EmitEscaped(value, /*attr=*/true);
+  EmitChar('"');
+}
+
+void TokenWriter::AttrRaw(std::string_view key, std::string_view value) {
+  EmitChar(' ');
+  Emit(key);
+  Emit("=\"");
+  Emit(value);
   EmitChar('"');
 }
 
 void TokenWriter::Text(std::string_view text) {
   CloseStartTag();
-  EmitEscapedText(text);
+  EmitEscaped(text, /*attr=*/false);
 }
 
 void TokenWriter::End() {

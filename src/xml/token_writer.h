@@ -10,6 +10,8 @@
 // prices a plan without materializing anything.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +35,16 @@ class TokenWriter {
   /// Emits ` key="value"` with attribute escaping. Must directly follow
   /// Start or another Attr.
   void Attr(std::string_view key, std::string_view value);
+
+  /// Emits ` key="digits"` for an integer: the bytes of
+  /// Attr(key, std::to_string(value)), written straight into the output
+  /// (digits need no escaping).
+  template <std::integral T>
+  void Attr(std::string_view key, T value) {
+    char digits[24];  // a sign and 20 digits at most
+    const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+    AttrRaw(key, std::string_view(digits, end - digits));
+  }
 
   /// Emits escaped character data. An empty string still closes the open
   /// start tag (mirroring a DOM empty-text child: `<a></a>`, not `<a/>`).
@@ -65,10 +77,12 @@ class TokenWriter {
   };
 
   void CloseStartTag();
+  /// Attr for a value that needs no escaping.
+  void AttrRaw(std::string_view key, std::string_view value);
   void Emit(std::string_view raw);
   void EmitChar(char c);
-  void EmitEscapedText(std::string_view s);
-  void EmitEscapedAttr(std::string_view s);
+  /// Emits `s` escaped for an attribute value (`attr`) or for text.
+  void EmitEscaped(std::string_view s, bool attr);
 
   std::string* out_ = nullptr;
   size_t size_ = 0;
