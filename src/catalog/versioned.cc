@@ -1,6 +1,7 @@
 #include "catalog/versioned.h"
 
 #include <algorithm>
+#include <charconv>
 #include <climits>
 
 #include "common/strings.h"
@@ -36,8 +37,8 @@ void EmitEntry(xml::TokenWriter* w, std::string_view name,
                std::string_view origin, uint64_t seq, uint64_t fact_seq) {
   w->Start(name);
   w->Attr("o", origin);
-  w->Attr("s", std::to_string(seq));
-  if (fact_seq != seq) w->Attr("f", std::to_string(fact_seq));
+  w->Attr("s", seq);
+  if (fact_seq != seq) w->Attr("f", fact_seq);
   w->End();
 }
 
@@ -53,12 +54,10 @@ void EmitRecord(xml::TokenWriter* w, std::string_view origin, uint64_t seq,
   const SyncEntry& entry = fact.entry;
   w->Start("rec");
   w->Attr("o", origin);
-  w->Attr("s", std::to_string(seq));
+  w->Attr("s", seq);
   w->Attr("k", KindName(entry.kind));
   if (tombstone) w->Attr("tomb", "1");
-  if (ttl_seconds != 0) {
-    w->Attr("ttl", std::to_string(static_cast<int64_t>(ttl_seconds)));
-  }
+  if (ttl_seconds != 0) w->Attr("ttl", static_cast<int64_t>(ttl_seconds));
   if (entry.kind != SyncEntryKind::kPresence) {
     if (!entry.urn.empty()) w->Attr("urn", entry.urn);
     w->Attr("level", HoldingLevelName(entry.entry.level));
@@ -66,7 +65,7 @@ void EmitRecord(xml::TokenWriter* w, std::string_view origin, uint64_t seq,
     w->Attr("server", entry.entry.server);
     if (!entry.entry.xpath.empty()) w->Attr("xpath", entry.entry.xpath);
     if (entry.entry.delay_minutes != 0) {
-      w->Attr("delay", std::to_string(entry.entry.delay_minutes));
+      w->Attr("delay", entry.entry.delay_minutes);
     }
   }
   w->End();
@@ -78,11 +77,15 @@ const SyncEntry& PresenceEntry() {
   return presence;
 }
 
-// Reads an attribute holding an integer >= 0.
-bool ReadCount(const xml::AttrList& attrs, std::string_view name,
-               uint64_t* out) {
+// Reads an attribute value holding an integer >= 0. Plain digits, as
+// writers emit them, parse directly; anything else takes ParseInt64's
+// rules (surrounding whitespace, a leading '+').
+bool ReadCount(std::string_view text, uint64_t* out) {
   int64_t v = 0;
-  if (!mqp::ParseInt64(attrs.GetView(name), &v) || v < 0) return false;
+  const char* end = text.data() + text.size();
+  const auto [last, ec] = std::from_chars(text.data(), end, v);
+  const bool plain = ec == std::errc() && last == end;
+  if ((!plain && !mqp::ParseInt64(text, &v)) || v < 0) return false;
   *out = static_cast<uint64_t>(v);
   return true;
 }
@@ -163,33 +166,54 @@ Status ParseGossipBody(std::string_view text, std::string_view root,
                               std::string(t.name) + ">");
   }
   xml::AttrList attrs;  // ReadAttrs resets it: one list for every element
+  std::string origin;   // a <v>'s o, copied: the token views do not last
   MQP_ASSIGN_OR_RETURN(t, r.ReadAttrs(&attrs));
   while (t.type != xml::TokenType::kEndElement) {
     if (t.type == xml::TokenType::kStartElement) {
       const bool is_v = t.name == "v";
       const bool is_want = in_delta && t.name == "want";
-      if (is_v || is_want || (in_delta && t.name == "rec")) {
-        MQP_ASSIGN_OR_RETURN(xml::Token first, r.ReadAttrs(&attrs));
-        if (is_v || is_want) {
-          const std::string_view origin = attrs.GetView("o");
-          uint64_t seq = 0;
-          if (origin.empty() || !ReadCount(attrs, "s", &seq)) {
-            return Status::ParseError("malformed version-vector element");
+      if (is_v || is_want) {
+        // o, s and f in one pass over the attributes; as in an AttrList,
+        // the last of a repeated attribute counts, and others are skipped.
+        origin.clear();
+        uint64_t seq = 0;
+        uint64_t fact_seq = 0;
+        bool seq_ok = false;
+        bool has_f = false;
+        bool f_ok = false;
+        while (true) {
+          if (!r.Advance()) return r.status();
+          const xml::Token& a = r.current();
+          if (a.type != xml::TokenType::kAttr) break;
+          if (a.name == "o") {
+            origin.assign(a.value);
+          } else if (a.name == "s") {
+            seq_ok = ReadCount(a.value, &seq);
+          } else if (is_v && a.name == "f") {
+            has_f = true;
+            f_ok = ReadCount(a.value, &fact_seq);
           }
-          uint64_t fact_seq = seq;
-          if (is_v && attrs.Find("f") != nullptr &&
-              (!ReadCount(attrs, "f", &fact_seq) || fact_seq > seq)) {
-            return Status::ParseError(
-                "version-vector f must be an integer in [0, s]");
-          }
-          if (is_v) {
-            on_v(origin, seq, fact_seq);
-          } else {
-            on_want(origin, seq);
-          }
-        } else {
-          MQP_RETURN_IF_ERROR(on_rec(attrs));
         }
+        if (origin.empty() || !seq_ok) {
+          return Status::ParseError("malformed version-vector element");
+        }
+        if (!has_f) {
+          fact_seq = seq;
+        } else if (!f_ok || fact_seq > seq) {
+          return Status::ParseError(
+              "version-vector f must be an integer in [0, s]");
+        }
+        if (is_v) {
+          on_v(std::string_view(origin), seq, fact_seq);
+        } else {
+          on_want(std::string_view(origin), seq);
+        }
+        if (r.current().type != xml::TokenType::kEndElement) {
+          MQP_RETURN_IF_ERROR(r.SkipToElementEnd());
+        }
+      } else if (in_delta && t.name == "rec") {
+        MQP_ASSIGN_OR_RETURN(xml::Token first, r.ReadAttrs(&attrs));
+        MQP_RETURN_IF_ERROR(on_rec(attrs));
         if (first.type != xml::TokenType::kEndElement) {
           MQP_RETURN_IF_ERROR(r.SkipToElementEnd());
         }
@@ -197,7 +221,8 @@ Status ParseGossipBody(std::string_view text, std::string_view root,
         MQP_RETURN_IF_ERROR(r.SkipToElementEnd());
       }
     }
-    MQP_ASSIGN_OR_RETURN(t, r.Next());
+    if (!r.Advance()) return r.status();
+    t = r.current();
   }
   // The DOM path rejected trailing content via Parse's one-root check.
   MQP_ASSIGN_OR_RETURN(t, r.Next());
@@ -237,6 +262,16 @@ bool FactKeyLess(FactRef a, FactRef b) {
   if (c == 0) c = CompareKeyField(a.entry.entry.server, b.entry.entry.server);
   if (c == 0) return a.entry.entry.xpath < b.entry.entry.xpath;
   return c < 0;
+}
+
+// Makes room for `n` more entries in a column of the address table,
+// growing it by an eighth: a catalog per peer keeps an entry per origin
+// ever heard of, so doubling would strand up to half of every table.
+template <typename Column>
+void MakeRoom(Column* column, size_t n) {
+  if (column->size() + n > column->capacity()) {
+    column->reserve(column->size() + n + column->size() / 8 + 16);
+  }
 }
 
 // A free slot of `pool`, or a new one.
@@ -352,37 +387,68 @@ std::vector<uint32_t>::const_iterator VersionedCatalog::ByAddress(
     std::string_view address) const {
   return std::lower_bound(
       by_address_.begin(), by_address_.end(), address,
-      [&](uint32_t id, std::string_view a) { return table_[id].address < a; });
+      [&](uint32_t id, std::string_view a) { return Address(id) < a; });
 }
 
 uint32_t VersionedCatalog::Find(std::string_view address) const {
   auto it = ByAddress(address);
-  if (it == by_address_.end() || table_[*it].address != address) return kNone;
+  if (it == by_address_.end() || Address(*it) != address) return kNone;
   return *it;
+}
+
+uint32_t VersionedCatalog::FindListed(std::string_view origin,
+                                      size_t* cursor) const {
+  size_t at = *cursor;
+  for (; at < by_address_.size(); ++at) {
+    const int c = Address(by_address_[at]).compare(origin);
+    if (c == 0) {
+      *cursor = at + 1;
+      return by_address_[at];
+    }
+    if (c > 0) break;
+  }
+  // Every address before the cursor is at or below the origin found last.
+  // An origin not above the one just before it (a repeated or out-of-order
+  // listing) may be among them.
+  if (at == *cursor && at > 0 && origin <= Address(by_address_[at - 1])) {
+    return Find(origin);
+  }
+  *cursor = at;
+  return kNone;
 }
 
 uint32_t VersionedCatalog::Intern(std::string_view address) {
   auto it = ByAddress(address);
-  if (it != by_address_.end() && table_[*it].address == address) return *it;
-  auto kt = std::lower_bound(
-      by_key_.begin(), by_key_.end(), address,
-      [&](uint32_t id, std::string_view a) {
-        return CompareKeyField(table_[id].address, a) < 0;
-      });
-  const auto id = static_cast<uint32_t>(table_.size());
-  by_address_.insert(it, id);
-  by_key_.insert(kt, id);
-  table_.emplace_back().address.assign(address);
+  if (it != by_address_.end() && Address(*it) == address) return *it;
+  const size_t at = it - by_address_.begin();
+  const size_t kat =
+      std::lower_bound(by_key_.begin(), by_key_.end(), address,
+                       [&](uint32_t id, std::string_view a) {
+                         return CompareKeyField(Address(id), a) < 0;
+                       }) -
+      by_key_.begin();
+  const auto id = static_cast<uint32_t>(slots_.size());
+  MakeRoom(&names_, address.size());
+  names_.insert(names_.end(), address.begin(), address.end());
+  MakeRoom(&name_end_, 1);
+  name_end_.push_back(static_cast<uint32_t>(names_.size()));
+  MakeRoom(&slots_, 1);
+  slots_.emplace_back();
+  rows_.emplace_back();
+  MakeRoom(&by_address_, 1);
+  by_address_.insert(by_address_.begin() + at, id);
+  MakeRoom(&by_key_, 1);
+  by_key_.insert(by_key_.begin() + kat, id);
   return id;
 }
 
-uint32_t VersionedCatalog::FindFact(const Row& row,
+uint32_t VersionedCatalog::FindFact(uint32_t origin,
                                     const SyncEntry& entry) const {
   std::string area;  // printed only once a fact matches on everything else
   bool printed = false;
-  for (uint32_t f = row.first_fact; f != kNone; f = facts_[f].next_of_origin) {
+  for (uint32_t f = rows_[origin].first_fact; f != kNone;
+       f = facts_[f].next_of_origin) {
     if (!SameKeyButArea(facts_[f].entry, entry)) continue;
-    if (entry.kind == SyncEntryKind::kPresence) return f;  // no area
     if (!printed) {
       area = entry.entry.area.ToString();
       printed = true;
@@ -434,7 +500,6 @@ void VersionedCatalog::ReleaseArea(uint32_t id) {
 }
 
 ns::InterestArea VersionedCatalog::CellsOf(uint32_t area) const {
-  if (area == kNone) return {};
   const Area& a = areas_[area];
   return a.odd != nullptr ? *a.odd : *ns::InterestArea::Parse(a.text);
 }
@@ -454,32 +519,49 @@ SyncEntry VersionedCatalog::EntryOf(const Fact& fact) const {
   return entry;
 }
 
+VersionedRecord VersionedCatalog::RecordOf(uint32_t origin,
+                                           uint32_t fact) const {
+  const Stamp& s = fact == kNone ? *PresenceOf(origin) : facts_[fact].stamp;
+  return {{std::string(Address(origin)), s.sequence},
+          fact == kNone ? PresenceEntry() : EntryOf(facts_[fact]),
+          s.tombstone,
+          s.ttl_seconds,
+          s.stamped_at};
+}
+
 VersionVector VersionedCatalog::vector() const {
   VersionVector out;
-  for (const Row& row : table_) {
-    if (row.in_vector) out.emplace(row.address, row.seq);
+  for (uint32_t id : by_address_) {
+    if (slots_[id].in_vector) {
+      out.emplace_hint(out.end(), Address(id), slots_[id].seq);
+    }
   }
   return out;
 }
 
 Digest VersionedCatalog::digest() const {
   Digest out;
-  for (const Row& row : table_) {
-    if (row.in_vector) out.emplace(row.address, VectorEntry{row.seq, row.fact_seq});
+  for (uint32_t id : by_address_) {
+    const Slot& slot = slots_[id];
+    if (slot.in_vector) {
+      out.emplace_hint(out.end(), Address(id),
+                       VectorEntry{slot.seq, slot.fact_seq});
+    }
   }
   return out;
 }
 
 std::map<std::string, VersionedRecord> VersionedCatalog::records() const {
   std::map<std::string, VersionedRecord> out;
-  for (const Row& row : table_) {
-    for (uint32_t f = row.first_fact; f != kNone;
+  auto add = [&](VersionedRecord rec) {
+    out.emplace(rec.Key(), std::move(rec));
+  };
+  for (uint32_t id = 0; id < rows_.size(); ++id) {
+    for (uint32_t f = rows_[id].first_fact; f != kNone;
          f = facts_[f].next_of_origin) {
-      const Stamp& s = facts_[f].stamp;
-      VersionedRecord rec{{row.address, s.sequence}, EntryOf(facts_[f]),
-                          s.tombstone, s.ttl_seconds, s.stamped_at};
-      out.emplace(rec.Key(), std::move(rec));
+      add(RecordOf(id, f));
     }
+    if (PresenceOf(id) != nullptr) add(RecordOf(id, kNone));
   }
   return out;
 }
@@ -496,17 +578,28 @@ void VersionedCatalog::UnmarkTombstone(Stamp* stamp) {
   facts_[moved].stamp.tomb_slot = slot;
 }
 
-void VersionedCatalog::RecomputeTtl(Row* row) const {
+void VersionedCatalog::RecomputeTtl(uint32_t id) {
   double ttl = 0;
-  for (uint32_t f = row->first_fact; f != kNone; f = facts_[f].next_of_origin) {
+  if (const Stamp* p = PresenceOf(id)) ttl = std::max(ttl, p->ttl_seconds);
+  for (uint32_t f = rows_[id].first_fact; f != kNone;
+       f = facts_[f].next_of_origin) {
     ttl = std::max(ttl, facts_[f].stamp.ttl_seconds);
   }
-  row->ttl = ttl;
+  slots_[id].ttl = ttl;
+}
+
+void VersionedCatalog::UpdateTtl(uint32_t origin, bool replaced,
+                                 double old_ttl, double ttl) {
+  const double max = slots_[origin].ttl;
+  if (replaced && old_ttl >= max && ttl < max) {
+    RecomputeTtl(origin);  // the replaced record may have been the maximum
+  } else {
+    slots_[origin].ttl = std::max(max, ttl);
+  }
 }
 
 void VersionedCatalog::SetStamp(uint32_t id, bool replaced, Stamp stamp) {
   Stamp* slot = &facts_[id].stamp;
-  Row& row = table_[facts_[id].origin];
   const double old_ttl = slot->ttl_seconds;
   if (replaced && slot->tombstone) UnmarkTombstone(slot);
   *slot = stamp;
@@ -514,32 +607,49 @@ void VersionedCatalog::SetStamp(uint32_t id, bool replaced, Stamp stamp) {
     slot->tomb_slot = static_cast<uint32_t>(tombs_.size());
     tombs_.push_back(id);
   }
-  if (replaced && old_ttl >= row.ttl && stamp.ttl_seconds < row.ttl) {
-    RecomputeTtl(&row);  // the replaced record may have been the maximum
-  } else {
-    row.ttl = std::max(row.ttl, stamp.ttl_seconds);
+  UpdateTtl(facts_[id].origin, replaced, old_ttl, stamp.ttl_seconds);
+}
+
+void VersionedCatalog::PutPresence(uint32_t origin, Stamp stamp) {
+  uint32_t& id = rows_[origin].presence;
+  const bool replaced = id != kNone;
+  if (!replaced) id = TakeSlot(&presences_, &free_presences_);
+  Stamp& p = presences_[id];
+  const double old_ttl = p.ttl_seconds;
+  stamp.tomb_slot = p.tomb_slot;  // still listed if it was
+  p = stamp;
+  UpdateTtl(origin, replaced, old_ttl, stamp.ttl_seconds);
+  NoteStaleGoodbye(origin);
+}
+
+void VersionedCatalog::NoteStaleGoodbye(uint32_t origin) {
+  const uint32_t id = rows_[origin].presence;
+  if (id == kNone) return;
+  Stamp& p = presences_[id];
+  if (p.tomb_slot != kNone || !p.tombstone ||
+      p.sequence == slots_[origin].fact_seq) {
+    return;
   }
+  p.tomb_slot = static_cast<uint32_t>(stale_goodbyes_.size());
+  stale_goodbyes_.push_back(origin);
 }
 
 uint32_t VersionedCatalog::PutFact(uint32_t origin, uint32_t fact,
                                    SyncEntry entry, Stamp stamp) {
   const bool replaced = fact != kNone;
-  // A presence record names no area and no server.
-  const bool presence = entry.kind == SyncEntryKind::kPresence;
-  const uint32_t area = presence ? kNone : InternArea(entry.entry.area);
+  const uint32_t area = InternArea(entry.entry.area);
   entry.entry.area = ns::InterestArea();  // areas_ holds it
   if (replaced) {
-    if (facts_[fact].area != kNone) ReleaseArea(facts_[fact].area);
+    ReleaseArea(facts_[fact].area);
   } else {
-    const uint32_t server = presence ? kNone : Intern(entry.entry.server);
+    const uint32_t server = Intern(entry.entry.server);
     fact = TakeSlot(&facts_, &free_facts_);
     Fact& f = facts_[fact];
     f.origin = origin;
     f.server = server;
     // Link into the origin's list in Key() order, and onto the server's.
-    const FactRef added{entry, area == kNone ? std::string_view()
-                                             : areas_[area].text};
-    uint32_t* link = &table_[origin].first_fact;
+    const FactRef added{entry, areas_[area].text};
+    uint32_t* link = &rows_[origin].first_fact;
     while (*link != kNone) {
       const Fact& next = facts_[*link];
       if (FactKeyLess(added, {next.entry, AreaText(next)})) break;
@@ -547,10 +657,8 @@ uint32_t VersionedCatalog::PutFact(uint32_t origin, uint32_t fact,
     }
     f.next_of_origin = *link;
     *link = fact;
-    if (server != kNone) {
-      f.next_naming = table_[server].first_naming;
-      table_[server].first_naming = fact;
-    }
+    f.next_naming = rows_[server].first_naming;
+    rows_[server].first_naming = fact;
   }
   // A replacement keeps the key, so the server and both lists stay.
   Fact& f = facts_[fact];
@@ -562,31 +670,32 @@ uint32_t VersionedCatalog::PutFact(uint32_t origin, uint32_t fact,
 
 void VersionedCatalog::Remove(uint32_t fact) {
   Fact& f = facts_[fact];
-  Row& row = table_[f.origin];
+  const uint32_t origin = f.origin;
   const double ttl = f.stamp.ttl_seconds;
   if (f.stamp.tombstone) UnmarkTombstone(&f.stamp);
-  uint32_t* link = &row.first_fact;
+  uint32_t* link = &rows_[origin].first_fact;
   while (*link != fact) link = &facts_[*link].next_of_origin;
   *link = f.next_of_origin;
-  if (f.server != kNone) {
-    link = &table_[f.server].first_naming;
-    while (*link != fact) link = &facts_[*link].next_naming;
-    *link = f.next_naming;
-  }
-  if (f.area != kNone) ReleaseArea(f.area);
+  link = &rows_[f.server].first_naming;
+  while (*link != fact) link = &facts_[*link].next_naming;
+  *link = f.next_naming;
+  ReleaseArea(f.area);
   f = Fact{};
   free_facts_.push_back(fact);
-  if (ttl >= row.ttl) RecomputeTtl(&row);
+  if (ttl >= slots_[origin].ttl) RecomputeTtl(origin);
 }
 
 // --- local (own-origin) mutations ---------------------------------------------
 
 uint64_t VersionedCatalog::NextOwnSequence(double now, bool record) {
-  Row& self = table_[self_id_];
+  Slot& self = slots_[self_id_];
   self.seq = ++next_sequence_;
-  if (record) self.fact_seq = self.seq;
   self.in_vector = true;
   self.last_heard = now;
+  if (record) {
+    self.fact_seq = self.seq;
+    NoteStaleGoodbye(self_id_);
+  }
   return self.seq;
 }
 
@@ -595,7 +704,11 @@ void VersionedCatalog::UpsertLocal(SyncEntry entry, double ttl_seconds,
   const Stamp stamp{.sequence = NextOwnSequence(now, /*record=*/true),
                     .ttl_seconds = ttl_seconds,
                     .stamped_at = now};
-  const uint32_t fact = FindFact(table_[self_id_], entry);
+  if (entry.kind == SyncEntryKind::kPresence) {
+    PutPresence(self_id_, stamp);
+    return;
+  }
+  const uint32_t fact = FindFact(self_id_, entry);
   RetireReplacedProjection(self_id_, fact, entry, /*tombstone=*/false);
   Project(entry, entry.entry.area, self_id_);
   PutFact(self_id_, fact, std::move(entry), stamp);
@@ -605,7 +718,11 @@ void VersionedCatalog::TombstoneLocal(const SyncEntry& entry, double now) {
   const Stamp stamp{.sequence = NextOwnSequence(now, /*record=*/true),
                     .stamped_at = now,
                     .tombstone = true};
-  uint32_t fact = FindFact(table_[self_id_], entry);
+  if (entry.kind == SyncEntryKind::kPresence) {
+    PutPresence(self_id_, stamp);
+    return;
+  }
+  uint32_t fact = FindFact(self_id_, entry);
   // Withdraw the *stored* fact (it may differ from `entry` in non-key
   // fields like delay), then the one being tombstoned.
   RetireReplacedProjection(self_id_, fact, entry, /*tombstone=*/true);
@@ -614,7 +731,10 @@ void VersionedCatalog::TombstoneLocal(const SyncEntry& entry, double now) {
 }
 
 bool VersionedCatalog::Greet(double ttl_seconds, double now) {
-  for (uint32_t f = table_[self_id_].first_fact; f != kNone;
+  if (const Stamp* p = PresenceOf(self_id_); p != nullptr && !p->tombstone) {
+    return false;
+  }
+  for (uint32_t f = rows_[self_id_].first_fact; f != kNone;
        f = facts_[f].next_of_origin) {
     if (!facts_[f].stamp.tombstone) return false;
   }
@@ -627,20 +747,28 @@ void VersionedCatalog::BumpPresence(double ttl_seconds, double now) {
 }
 
 void VersionedCatalog::RestampOwn(double now) {
-  Row& self = table_[self_id_];
-  for (uint32_t f = self.first_fact; f != kNone;
-       f = facts_[f].next_of_origin) {
-    Stamp& stamp = facts_[f].stamp;
-    if (stamp.tombstone) continue;
-    stamp.sequence = ++next_sequence_;
-    stamp.stamped_at = now;
-    self.seq = self.fact_seq = stamp.sequence;
+  Slot& self = slots_[self_id_];
+  auto restamp = [&](Stamp* stamp) {
+    stamp->sequence = ++next_sequence_;
+    stamp->stamped_at = now;
+    self.seq = self.fact_seq = stamp->sequence;
     self.in_vector = true;
+  };
+  for (uint32_t f = rows_[self_id_].first_fact; f != kNone;
+       f = facts_[f].next_of_origin) {
+    if (facts_[f].stamp.tombstone) continue;
+    restamp(&facts_[f].stamp);
     // Rejoin also reinstates the projection (a recovering peer republishes
     // its holdings); Project is idempotent for already-present entries.
     Project(facts_[f].entry, CellsOf(facts_[f].area), self_id_);
   }
+  // A hello is the origin's last record in Key() order.
+  if (const uint32_t p = rows_[self_id_].presence;
+      p != kNone && !presences_[p].tombstone) {
+    restamp(&presences_[p]);
+  }
   self.last_heard = now;
+  NoteStaleGoodbye(self_id_);
 }
 
 // --- anti-entropy --------------------------------------------------------------
@@ -649,13 +777,16 @@ template <typename Fn>
 void VersionedCatalog::ForEachMissing(const RemoteVector& remote,
                                       bool listed_only, Fn&& fn) const {
   for (uint32_t id : by_key_) {
-    const Row& row = table_[id];
-    if (!row.in_vector || (listed_only && !remote.Lists(id))) continue;
+    const Slot& slot = slots_[id];
+    if (!slot.in_vector || (listed_only && !remote.Lists(id))) continue;
     const uint64_t seen = remote.Seen(id);
-    if (row.fact_seq <= seen) continue;  // no stored record is newer
-    for (uint32_t f = row.first_fact; f != kNone;
+    if (slot.fact_seq <= seen) continue;  // no stored record is newer
+    for (uint32_t f = rows_[id].first_fact; f != kNone;
          f = facts_[f].next_of_origin) {
-      if (facts_[f].stamp.sequence > seen) fn(row, f);
+      if (facts_[f].stamp.sequence > seen) fn(id, f);
+    }
+    if (const Stamp* p = PresenceOf(id); p != nullptr && p->sequence > seen) {
+      fn(id, kNone);
     }
   }
 }
@@ -664,9 +795,9 @@ template <typename Fn>
 void VersionedCatalog::ForEachHeartbeat(const RemoteVector& remote,
                                         bool listed_only, Fn&& fn) const {
   for (uint32_t id : by_address_) {
-    const Row& row = table_[id];
-    if (!row.in_vector || (listed_only && !remote.Lists(id))) continue;
-    if (row.seq > remote.Seen(id) && row.seq > row.fact_seq) fn(row);
+    const Slot& slot = slots_[id];
+    if (!slot.in_vector || (listed_only && !remote.Lists(id))) continue;
+    if (slot.seq > remote.Seen(id) && slot.seq > slot.fact_seq) fn(id);
   }
 }
 
@@ -678,11 +809,12 @@ void VersionedCatalog::ForEachWant(const RemoteVector& remote,
   auto unknown = remote.unknown_.begin();
   const auto end = remote.unknown_.end();
   for (uint32_t id : by_address_) {
-    if (!remote.Lists(id) || remote.seen_[id].seq <= table_[id].seq) continue;
-    for (; unknown != end && unknown->origin < table_[id].address; ++unknown) {
+    if (!remote.Lists(id) || remote.seen_[id].seq <= slots_[id].seq) continue;
+    const std::string_view address = Address(id);
+    for (; unknown != end && unknown->origin < address; ++unknown) {
       if (unknown->seq > 0) fn(std::string_view(unknown->origin), uint64_t{0});
     }
-    fn(std::string_view(table_[id].address), table_[id].seq);
+    fn(address, slots_[id].seq);
   }
   for (; unknown != end; ++unknown) {
     if (unknown->seq > 0) fn(std::string_view(unknown->origin), uint64_t{0});
@@ -692,7 +824,7 @@ void VersionedCatalog::ForEachWant(const RemoteVector& remote,
 void VersionedCatalog::ReadInto(std::string_view origin, uint64_t seq,
                                 uint64_t fact_seq, RemoteVector* out) const {
   ++out->listed_;
-  const uint32_t id = Find(origin);
+  const uint32_t id = FindListed(origin, &out->cursor_);
   if (id != kNone) {
     out->seen_[id] = {seq, fact_seq};
   } else {
@@ -719,7 +851,7 @@ void RemoteVector::SortUnknown() {
 
 Status VersionedCatalog::ReadDigest(std::string_view body,
                                     RemoteVector* out) const {
-  out->Reset(table_.size());
+  out->Reset(slots_.size());
   MQP_RETURN_IF_ERROR(ParseGossipBody(
       body, "digest", /*in_delta=*/false,
       [&](std::string_view origin, uint64_t seq, uint64_t fact_seq) {
@@ -732,8 +864,8 @@ Status VersionedCatalog::ReadDigest(std::string_view body,
 
 Status VersionedCatalog::ReadDelta(std::string_view body,
                                    IncomingDelta* out) const {
-  out->heartbeats.Reset(table_.size());
-  out->wants.Reset(table_.size());
+  out->heartbeats.Reset(slots_.size());
+  out->wants.Reset(slots_.size());
   out->records.clear();
   out->origins.clear();
   MQP_RETURN_IF_ERROR(ParseGossipBody(
@@ -754,19 +886,15 @@ Status VersionedCatalog::ReadDelta(std::string_view body,
 
 CatalogDelta VersionedCatalog::DeltaSince(const VersionVector& remote) const {
   RemoteVector dense;  // a map lists each origin once, ascending
-  dense.Reset(table_.size());
+  dense.Reset(slots_.size());
   for (const auto& [origin, seq] : remote) ReadInto(origin, seq, seq, &dense);
   CatalogDelta delta;
-  ForEachHeartbeat(dense, /*listed_only=*/false, [&](const Row& row) {
-    delta.heartbeats.emplace(row.address, row.seq);
+  ForEachHeartbeat(dense, /*listed_only=*/false, [&](uint32_t id) {
+    delta.heartbeats.emplace_hint(delta.heartbeats.end(), Address(id),
+                                  slots_[id].seq);
   });
-  ForEachMissing(dense, /*listed_only=*/false, [&](const Row& row, uint32_t f) {
-    const Stamp& s = facts_[f].stamp;
-    delta.records.push_back({{row.address, s.sequence},
-                             EntryOf(facts_[f]),
-                             s.tombstone,
-                             s.ttl_seconds,
-                             s.stamped_at});
+  ForEachMissing(dense, /*listed_only=*/false, [&](uint32_t id, uint32_t f) {
+    delta.records.push_back(RecordOf(id, f));
   });
   return delta;
 }
@@ -777,8 +905,8 @@ size_t VersionedCatalog::Absorb(const RemoteVector& remote, double now,
   for (uint32_t id : by_address_) {
     if (!remote.Lists(id)) continue;
     const RemoteVector::Listed& e = remote.seen_[id];
-    const Row& row = table_[id];
-    if (row.in_vector && e.seq > row.seq && e.fact_seq <= row.seq) {
+    const Slot& slot = slots_[id];
+    if (slot.in_vector && e.seq > slot.seq && e.fact_seq <= slot.seq) {
       Advance(id, e.seq, now);
       advanced->push_back(id);
     }
@@ -791,8 +919,10 @@ std::string VersionedCatalog::DigestXml() const {
   xml::TokenWriter w(&out);
   w.Start("digest");
   for (uint32_t id : by_address_) {
-    const Row& row = table_[id];
-    if (row.in_vector) EmitEntry(&w, "v", row.address, row.seq, row.fact_seq);
+    const Slot& slot = slots_[id];
+    if (slot.in_vector) {
+      EmitEntry(&w, "v", Address(id), slot.seq, slot.fact_seq);
+    }
   }
   w.End();
   return out;
@@ -805,8 +935,8 @@ size_t VersionedCatalog::WriteDelta(const RemoteVector& remote,
   bool any = false;
   xml::TokenWriter w(out);
   w.Start("delta");
-  ForEachHeartbeat(remote, listed_only, [&](const Row& row) {
-    EmitEntry(&w, "v", row.address, row.seq, row.seq);
+  ForEachHeartbeat(remote, listed_only, [&](uint32_t id) {
+    EmitEntry(&w, "v", Address(id), slots_[id].seq, slots_[id].seq);
     any = true;
   });
   if (wants) {
@@ -816,11 +946,13 @@ size_t VersionedCatalog::WriteDelta(const RemoteVector& remote,
     });
   }
   size_t records = 0;
-  ForEachMissing(remote, listed_only, [&](const Row& row, uint32_t f) {
-    const Fact& fact = facts_[f];
-    EmitRecord(&w, row.address, fact.stamp.sequence,
-               {fact.entry, AreaText(fact)}, fact.stamp.tombstone,
-               fact.stamp.ttl_seconds);
+  ForEachMissing(remote, listed_only, [&](uint32_t id, uint32_t f) {
+    const Stamp& s = f == kNone ? *PresenceOf(id) : facts_[f].stamp;
+    const FactRef fact = f == kNone
+                             ? FactRef{PresenceEntry(), {}}
+                             : FactRef{facts_[f].entry, AreaText(facts_[f])};
+    EmitRecord(&w, Address(id), s.sequence, fact, s.tombstone,
+               s.ttl_seconds);
     ++records;
   });
   w.End();
@@ -839,17 +971,17 @@ size_t VersionedCatalog::WritePushBack(const RemoteVector& wants,
 }
 
 void VersionedCatalog::Advance(uint32_t id, uint64_t seq, double now) {
-  Row& row = table_[id];
-  row.seq = seq;
-  row.last_heard = now;
+  Slot& slot = slots_[id];
+  slot.seq = seq;
+  slot.last_heard = now;
   if (id == self_id_) {
     // Defensive: never re-issue a sequence an echo proved spent.
     next_sequence_ = std::max(next_sequence_, seq);
   }
-  if (row.expired) {
+  if (slot.expired) {
     // The origin is refreshing again: reinstate its live records.
-    row.expired = false;
-    for (uint32_t f = row.first_fact; f != kNone;
+    slot.expired = false;
+    for (uint32_t f = rows_[id].first_fact; f != kNone;
          f = facts_[f].next_of_origin) {
       if (!facts_[f].stamp.tombstone) {
         Project(facts_[f].entry, CellsOf(facts_[f].area), id);
@@ -860,16 +992,31 @@ void VersionedCatalog::Advance(uint32_t id, uint64_t seq, double now) {
 
 bool VersionedCatalog::ApplyRecord(const VersionedRecord& in, uint32_t origin,
                                    double now) {
-  Row& row = table_[origin];
   // Absorb the version even when the record itself loses LWW: the
   // vector tracks everything *seen*, not everything *kept*.
-  row.in_vector = true;
-  if (in.version.sequence > row.seq) Advance(origin, in.version.sequence, now);
-  row.fact_seq = std::max(row.fact_seq, in.version.sequence);
+  slots_[origin].in_vector = true;
+  if (in.version.sequence > slots_[origin].seq) {
+    Advance(origin, in.version.sequence, now);
+  }
+  slots_[origin].fact_seq =
+      std::max(slots_[origin].fact_seq, in.version.sequence);
+  NoteStaleGoodbye(origin);
+  const Stamp stamp{.sequence = in.version.sequence,
+                    .ttl_seconds = in.ttl_seconds,
+                    .stamped_at = now,
+                    .tombstone = in.tombstone};
   // Within one origin, Newer() reduces to a higher sequence.
-  const uint32_t fact = FindFact(row, in.entry);
+  if (in.entry.kind == SyncEntryKind::kPresence) {
+    if (const Stamp* p = PresenceOf(origin);
+        p != nullptr && in.version.sequence <= p->sequence) {
+      return false;  // stale or duplicate: idempotence
+    }
+    PutPresence(origin, stamp);
+    return true;
+  }
+  const uint32_t fact = FindFact(origin, in.entry);
   if (fact != kNone && in.version.sequence <= facts_[fact].stamp.sequence) {
-    return false;  // stale or duplicate: idempotence
+    return false;
   }
   RetireReplacedProjection(origin, fact, in.entry, in.tombstone);
   if (in.tombstone) {
@@ -877,11 +1024,7 @@ bool VersionedCatalog::ApplyRecord(const VersionedRecord& in, uint32_t origin,
   } else {
     Project(in.entry, in.entry.entry.area, origin);
   }
-  PutFact(origin, fact, in.entry,
-          {.sequence = in.version.sequence,
-           .ttl_seconds = in.ttl_seconds,
-           .stamped_at = now,
-           .tombstone = in.tombstone});
+  PutFact(origin, fact, in.entry, stamp);
   return true;
 }
 
@@ -893,7 +1036,7 @@ size_t VersionedCatalog::Apply(const CatalogDelta& delta, double now) {
   // The delta carries every record up to each heartbeat entry.
   for (const auto& [origin, seq] : delta.heartbeats) {
     const uint32_t id = Find(origin);
-    if (id != kNone && table_[id].in_vector && seq > table_[id].seq) {
+    if (id != kNone && slots_[id].in_vector && seq > slots_[id].seq) {
       Advance(id, seq, now);
     }
   }
@@ -915,7 +1058,7 @@ size_t VersionedCatalog::Apply(IncomingDelta* delta, double now) {
   }
   // Entries of origins the records just introduced.
   for (RemoteVector* entries : {&delta->heartbeats, &delta->wants}) {
-    entries->seen_.resize(table_.size());
+    entries->seen_.resize(slots_.size());
     for (const RemoteVector::Unknown& u : entries->unknown_) {
       const uint32_t id = Find(u.origin);
       if (id != kNone) entries->seen_[id] = {u.seq, u.fact_seq};
@@ -925,8 +1068,8 @@ size_t VersionedCatalog::Apply(IncomingDelta* delta, double now) {
   // The delta carries every record up to each heartbeat entry.
   delta->advanced.clear();
   for (uint32_t id : by_address_) {
-    if (heartbeats.Lists(id) && table_[id].in_vector &&
-        heartbeats.seen_[id].seq > table_[id].seq) {
+    if (heartbeats.Lists(id) && slots_[id].in_vector &&
+        heartbeats.seen_[id].seq > slots_[id].seq) {
       Advance(id, heartbeats.seen_[id].seq, now);
       delta->advanced.push_back(id);
     }
@@ -938,19 +1081,19 @@ size_t VersionedCatalog::Apply(IncomingDelta* delta, double now) {
 
 double VersionedCatalog::LastHeard(const std::string& origin) const {
   const uint32_t id = Find(origin);
-  return id == kNone ? 0 : table_[id].last_heard;
+  return id == kNone ? 0 : slots_[id].last_heard;
 }
 
 std::vector<std::string> VersionedCatalog::ExpireSilent(double now) {
   std::vector<std::string> newly_expired;
   for (uint32_t id : by_address_) {
-    Row& row = table_[id];
-    if (!row.in_vector || id == self_id_ || row.expired) continue;
-    if (row.ttl <= 0) continue;
-    if (now - row.last_heard <= row.ttl) continue;
-    row.expired = true;
-    newly_expired.push_back(row.address);
-    for (uint32_t f = row.first_fact; f != kNone;
+    Slot& slot = slots_[id];
+    if (!slot.in_vector || id == self_id_ || slot.expired) continue;
+    if (slot.ttl <= 0) continue;
+    if (now - slot.last_heard <= slot.ttl) continue;
+    slot.expired = true;
+    newly_expired.emplace_back(Address(id));
+    for (uint32_t f = rows_[id].first_fact; f != kNone;
          f = facts_[f].next_of_origin) {
       if (!facts_[f].stamp.tombstone) {
         Unproject(facts_[f].entry, CellsOf(facts_[f].area), id, f);
@@ -963,12 +1106,12 @@ std::vector<std::string> VersionedCatalog::ExpireSilent(double now) {
 std::vector<std::string> VersionedCatalog::LiveOrigins(double now) const {
   std::vector<std::string> live;
   for (uint32_t id : by_address_) {
-    const Row& row = table_[id];
+    const Slot& slot = slots_[id];
     if (id != self_id_) {
-      if (!row.in_vector) continue;
-      if (row.ttl > 0 && now - row.last_heard > row.ttl) continue;
+      if (!slot.in_vector) continue;
+      if (slot.ttl > 0 && now - slot.last_heard > slot.ttl) continue;
     }
-    live.push_back(row.address);
+    live.emplace_back(Address(id));
   }
   return live;
 }
@@ -979,13 +1122,35 @@ size_t VersionedCatalog::PurgeTombstones(double now, double min_age) {
     const Fact& f = facts_[tombs_[i]];
     // Each origin's newest record stays (see the header comment).
     if (now - f.stamp.stamped_at >= min_age &&
-        f.stamp.sequence != table_[f.origin].fact_seq) {
+        f.stamp.sequence != slots_[f.origin].fact_seq) {
       Remove(tombs_[i]);  // moves the last tombstone into slot i
       ++purged;
     } else {
       ++i;
     }
   }
+  // Goodbyes that a newer record of their origin superseded as its newest
+  // (a hello may since have replaced one: it only leaves the list).
+  size_t kept = 0;
+  for (const uint32_t origin : stale_goodbyes_) {
+    uint32_t& id = rows_[origin].presence;
+    Stamp& p = presences_[id];
+    const bool stale = p.tombstone && p.sequence != slots_[origin].fact_seq;
+    if (stale && now - p.stamped_at < min_age) {
+      p.tomb_slot = static_cast<uint32_t>(kept);
+      stale_goodbyes_[kept++] = origin;
+      continue;
+    }
+    p.tomb_slot = kNone;
+    if (!stale) continue;
+    const double ttl = p.ttl_seconds;
+    p = Stamp{};
+    free_presences_.push_back(id);
+    id = kNone;
+    if (ttl >= slots_[origin].ttl) RecomputeTtl(origin);
+    ++purged;
+  }
+  stale_goodbyes_.resize(kept);
   return purged;
 }
 
@@ -1008,9 +1173,7 @@ void VersionedCatalog::RetireReplacedProjection(uint32_t origin, uint32_t fact,
 
 void VersionedCatalog::Project(const SyncEntry& entry,
                                const ns::InterestArea& area, uint32_t origin) {
-  if (projection_ == nullptr) return;
-  if (entry.kind == SyncEntryKind::kPresence) return;
-  if (table_[origin].expired) return;
+  if (projection_ == nullptr || slots_[origin].expired) return;
   if (entry.kind == SyncEntryKind::kArea) {
     const IndexEntry& e = entry.entry;
     projection_->AddEntry({e.level, area, e.server, e.xpath, e.delay_minutes});
@@ -1026,18 +1189,17 @@ void VersionedCatalog::Unproject(const SyncEntry& entry,
                                  const ns::InterestArea& area, uint32_t origin,
                                  uint32_t under_key) {
   if (projection_ == nullptr) return;
-  if (entry.kind == SyncEntryKind::kPresence) return;
   // Every other live, unexpired fact naming the server is on its row's
   // list. One from another origin asserting the identical fact keeps it
   // projected: only the last asserter's withdrawal removes it.
   const std::string& server = entry.entry.server;
   bool server_still_asserted = false;
   if (const uint32_t s = Find(server); s != kNone) {
-    for (uint32_t id = table_[s].first_naming; id != kNone;
+    for (uint32_t id = rows_[s].first_naming; id != kNone;
          id = facts_[id].next_naming) {
       const Fact& other = facts_[id];
       if (id == under_key || other.stamp.tombstone ||
-          table_[other.origin].expired) {
+          slots_[other.origin].expired) {
         continue;
       }
       if (other.origin != origin && SameFact(other, entry, area)) return;

@@ -40,11 +40,18 @@
 // Storage follows the operations, not the records (DESIGN.md §3, Cost).
 // Each catalog interns every origin and server address it stores once, to
 // a dense id; the table is per catalog and peer-confined like the catalog
-// itself (DESIGN.md §8). A row holds the origin's vector entry, last-heard
-// time, TTL and expiry flag, its records in Key() order, and the stored
-// facts that name the address as their server. A gossip tick then reads
-// one row per origin, a digest costs the origin count, a delta costs its
-// own records, and a withdrawal costs the few facts that name one server.
+// itself (DESIGN.md §8). It is kept in columns by id. What every vector
+// walk reads — the address, the vector entry, last-heard time, TTL and
+// the in-vector and expiry flags — sits in flat arrays, the addresses back
+// to back in one buffer, so a digest, a reply or an expiry check is a
+// linear pass that touches no record. A row keeps what records touch: the
+// origin's facts in Key() order, the stored facts that name the address
+// as their server, and the origin's hello or goodbye, which costs no fact.
+// Digests and deltas list origins in address order, so a read matches
+// them to ids by one forward merge against the address order. A gossip
+// tick then reads one slot per origin, a digest costs the origin count, a
+// delta costs its own records, and a withdrawal costs the few facts that
+// name one server.
 #pragma once
 
 #include <cstdint>
@@ -207,6 +214,7 @@ class RemoteVector {
     seen_.assign(ids, Listed{});
     unknown_.clear();
     listed_ = 0;
+    cursor_ = 0;
   }
   bool Lists(uint32_t id) const {
     return id < seen_.size() && seen_[id].seq != kUnlisted;
@@ -221,6 +229,9 @@ class RemoteVector {
   /// then ascending, each listed once.
   std::vector<Unknown> unknown_;
   size_t listed_ = 0;  ///< entries read, unknown origins included
+  /// The merge read's position in the catalog's address order: every
+  /// address before it is at or below the last origin found in order.
+  size_t cursor_ = 0;
 };
 
 /// \brief A delta body read against one catalog (ReadDelta) and consumed
@@ -256,7 +267,12 @@ class VersionedCatalog {
   uint32_t FindAddress(std::string_view address) const {
     return Find(address);
   }
-  const std::string& Address(uint32_t id) const { return table_[id].address; }
+  /// The address of `id`. The view lasts until another address is
+  /// interned.
+  std::string_view Address(uint32_t id) const {
+    const uint32_t begin = id == 0 ? 0 : name_end_[id - 1];
+    return std::string_view(names_.data() + begin, name_end_[id] - begin);
+  }
   static constexpr uint32_t kNoAddress = UINT32_MAX;
 
   /// Snapshots for tests and convergence checks; the gossip path reads
@@ -348,7 +364,8 @@ class VersionedCatalog {
   /// purge interns the origin from that record only, and absorbs its seq
   /// from the heartbeat entry that travels with it; it also keeps every
   /// catalog's fact_seq the same for the same seq. Returns the number
-  /// purged (memory stays bounded at one record per dead origin).
+  /// purged (memory stays bounded at one record per dead origin: its
+  /// goodbye, held in its row).
   size_t PurgeTombstones(double now, double min_age);
 
  private:
@@ -360,12 +377,14 @@ class VersionedCatalog {
     uint64_t sequence = 0;
     double ttl_seconds = 0;
     double stamped_at = 0;
-    uint32_t tomb_slot = kNone;  ///< index in tombs_ while a tombstone
+    /// A fact's index in tombs_ while a tombstone; a goodbye's index in
+    /// stale_goodbyes_ while listed there.
+    uint32_t tomb_slot = kNone;
     bool tombstone = false;
   };
-  /// A stored record. Lists thread through the pool by id: a row costs
-  /// two ids, not two containers. A presence record names no area and no
-  /// server (both kNone).
+  /// A stored area or named fact (presence lives in the row). Lists
+  /// thread through the pool by id: a row costs two ids, not two
+  /// containers.
   struct Fact {
     SyncEntry entry;  ///< entry.entry.area stays empty: see `area`
     Stamp stamp;
@@ -375,20 +394,29 @@ class VersionedCatalog {
     uint32_t next_of_origin = kNone;  ///< the origin's next fact, Key() order
     uint32_t next_naming = kNone;     ///< next fact naming the same server
   };
-  /// One interned address.
-  struct Row {
-    std::string address;
-    uint64_t seq = 0;       ///< the vector entry's seq
+  /// What the vector walks read of one address: slots_[id].
+  struct Slot {
+    uint64_t seq = 0;  ///< the vector entry's seq
     /// The vector entry's fact_seq: the newest sequence of any record
     /// applied here. The record stamped with it stays stored (purges keep
     /// it), so it is also the newest stored sequence.
     uint64_t fact_seq = 0;
     double last_heard = 0;
     double ttl = 0;  ///< max declared TTL over stored records (floor 0)
-    uint32_t first_fact = kNone;    ///< the origin's records, Key() order
-    uint32_t first_naming = kNone;  ///< stored facts naming this address
     bool in_vector = false;  ///< vector() lists it (it has stored records)
     bool expired = false;
+  };
+  /// What the records of one address touch: rows_[id].
+  struct Row {
+    uint32_t first_fact = kNone;    ///< the origin's facts, Key() order
+    uint32_t first_naming = kNone;  ///< stored facts naming this address
+    /// The origin's presence record, in presences_ (kNone: none): its
+    /// hello, or its goodbye when tombstoned. Its key sorts after every
+    /// fact's, so it is the origin's last record in Key() order. A
+    /// goodbye stays out of tombs_: it is its origin's newest record,
+    /// which no purge removes, until the origin stamps again; only then
+    /// is it listed in stale_goodbyes_.
+    uint32_t presence = kNone;
   };
   /// A fact area, shared by the facts that carry it and kept as Key()
   /// and the wire print it: a printed area is a fraction of the parsed
@@ -401,20 +429,25 @@ class VersionedCatalog {
     uint32_t refs = 0;
   };
 
-  /// The first row id in by_address_ not below `address`.
+  /// The first id in by_address_ not below `address`.
   std::vector<uint32_t>::const_iterator ByAddress(
       std::string_view address) const;
   uint32_t Find(std::string_view address) const;
+  /// Find for an origin a body lists: merged forward from `*cursor` in
+  /// address order, or searched for when it is not above the address
+  /// before the cursor (a repeated or out-of-order listing).
+  uint32_t FindListed(std::string_view origin, size_t* cursor) const;
   uint32_t Intern(std::string_view address);
-  /// The id of `row`'s fact stored under `entry`'s key, or kNone.
-  uint32_t FindFact(const Row& row, const SyncEntry& entry) const;
+  /// The id of row `origin`'s area or named fact stored under `entry`'s
+  /// key, or kNone.
+  uint32_t FindFact(uint32_t origin, const SyncEntry& entry) const;
   uint32_t InternArea(const ns::InterestArea& cells);
   void ReleaseArea(uint32_t id);
   /// The ids in area_order_ of the areas printed as `text`.
   std::pair<std::vector<uint32_t>::iterator, std::vector<uint32_t>::iterator>
   AreasPrintedAs(std::string_view text);
   std::string_view AreaText(const Fact& fact) const {
-    return fact.area == kNone ? std::string_view() : areas_[fact.area].text;
+    return areas_[fact.area].text;
   }
   ns::InterestArea CellsOf(uint32_t area) const;
   /// SyncEntry equality between a stored fact and `entry` with `cells`.
@@ -422,10 +455,22 @@ class VersionedCatalog {
                 const ns::InterestArea& cells) const;
   /// The stored fact as a SyncEntry, its area filled in.
   SyncEntry EntryOf(const Fact& fact) const;
-  /// Stamps a new own sequence into the self row; `record`: a record
+  /// Stamps a new own sequence into the self slot; `record`: a record
   /// carries it, so it is the new fact_seq too.
   uint64_t NextOwnSequence(double now, bool record);
-  /// Advances row `id`'s seq to `seq`: refreshes last-heard and
+  /// Row `origin`'s presence record, or null.
+  const Stamp* PresenceOf(uint32_t origin) const {
+    const uint32_t p = rows_[origin].presence;
+    return p == kNone ? nullptr : &presences_[p];
+  }
+  /// Stores `stamp` as row `origin`'s presence record.
+  void PutPresence(uint32_t origin, Stamp stamp);
+  /// Lists row `origin`'s goodbye for purging once it is not the
+  /// origin's newest record.
+  void NoteStaleGoodbye(uint32_t origin);
+  /// Record `fact` of row `origin` (kNone: its presence record).
+  VersionedRecord RecordOf(uint32_t origin, uint32_t fact) const;
+  /// Advances slot `id`'s seq to `seq`: refreshes last-heard and
   /// reinstates the origin if it had expired.
   void Advance(uint32_t id, uint64_t seq, double now);
   /// Applies one incoming record of row `origin`; true when it changed.
@@ -440,13 +485,18 @@ class VersionedCatalog {
   /// Removes a purged tombstone.
   void Remove(uint32_t fact);
   void UnmarkTombstone(Stamp* stamp);
-  void RecomputeTtl(Row* row) const;
-  /// Calls fn(row, fact id) for every record newer than `remote` lists,
-  /// in ascending Key() order; `listed_only` skips unlisted origins.
+  /// Sets slot `id`'s TTL to the max over its stored records.
+  void RecomputeTtl(uint32_t id);
+  /// Keeps slot `origin`'s TTL current after one of its records was
+  /// stored with `ttl`, over one declaring `old_ttl` when `replaced`.
+  void UpdateTtl(uint32_t origin, bool replaced, double old_ttl, double ttl);
+  /// Calls fn(origin id, fact id) for every record newer than `remote`
+  /// lists, in ascending Key() order — fact id kNone for the presence
+  /// record, which comes last; `listed_only` skips unlisted origins.
   template <typename Fn>
   void ForEachMissing(const RemoteVector& remote, bool listed_only,
                       Fn&& fn) const;
-  /// Calls fn(row) for every origin that needs a heartbeat entry against
+  /// Calls fn(id) for every origin that needs a heartbeat entry against
   /// `remote` (it is ahead, and no record carries its seq), in address
   /// order; `listed_only` skips unlisted origins.
   template <typename Fn>
@@ -461,6 +511,7 @@ class VersionedCatalog {
   size_t WriteDelta(const RemoteVector& remote, bool listed_only, bool wants,
                     std::string* out) const;
   /// Reads one listed entry into `out`: by id, or aside when unknown.
+  /// Listings in address order are found by merge (FindListed).
   void ReadInto(std::string_view origin, uint64_t seq, uint64_t fact_seq,
                 RemoteVector* out) const;
 
@@ -471,7 +522,8 @@ class VersionedCatalog {
                                 const SyncEntry& entry, bool tombstone);
   // Project and Unproject take a fact's cells apart from its entry: a
   // stored fact keeps its area in areas_.
-  /// Applies one fact to the projection catalog.
+  /// Applies one fact to the projection catalog. Presence records never
+  /// reach the projection: they are no facts.
   void Project(const SyncEntry& entry, const ns::InterestArea& area,
                uint32_t origin);
   /// Removes a fact of row `origin` from the projection unless another
@@ -483,18 +535,27 @@ class VersionedCatalog {
   std::string self_;
   Catalog* projection_;
   uint64_t next_sequence_ = 0;
-  // Deques: a catalog per peer holds a row per origin ever heard of, so
-  // doubling growth would strand up to half of every table.
-  std::deque<Row> table_;
+  // The address table, by id. Columns grow by an eighth at a time, and
+  // rows_ is a deque: a catalog per peer holds an entry per origin ever
+  // heard of, so doubling growth would strand up to half of every table.
+  std::vector<char> names_;         ///< every address, back to back
+  std::vector<uint32_t> name_end_;  ///< where id's address ends in names_
+  std::vector<Slot> slots_;
+  std::deque<Row> rows_;
   uint32_t self_id_ = kNone;
-  std::vector<uint32_t> by_address_;  ///< row ids, ascending address
-  std::vector<uint32_t> by_key_;      ///< row ids, ascending address + '|'
+  std::vector<uint32_t> by_address_;  ///< ids, ascending address
+  std::vector<uint32_t> by_key_;      ///< ids, ascending address + '|'
   std::deque<Fact> facts_;            ///< pool; free ids in free_facts_
   std::vector<uint32_t> free_facts_;
   std::deque<Area> areas_;            ///< pool; free ids in free_areas_
   std::vector<uint32_t> free_areas_;
   std::vector<uint32_t> area_order_;  ///< live area ids, ascending text
-  std::vector<uint32_t> tombs_;       ///< every stored tombstone's fact id
+  std::vector<uint32_t> tombs_;       ///< every tombstoned fact's id
+  std::deque<Stamp> presences_;       ///< pool; free ids in free_presences_
+  std::vector<uint32_t> free_presences_;
+  /// Rows whose goodbye is not their newest record, so a purge may drop
+  /// it once old enough.
+  std::vector<uint32_t> stale_goodbyes_;
 };
 
 }  // namespace mqp::catalog

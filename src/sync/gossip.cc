@@ -38,9 +38,9 @@ void SyncAgent::AddPartner(uint32_t id, bool seed) {
   if (seed) member_[id] |= kSeed;
   if ((member_[id] & kPeer) != 0) return;
   member_[id] |= kPeer;
-  const std::string& address = versioned_.Address(id);
+  const std::string_view address = versioned_.Address(id);
   peers_.insert(std::lower_bound(peers_.begin(), peers_.end(), address,
-                                 [&](uint32_t p, const std::string& a) {
+                                 [&](uint32_t p, std::string_view a) {
                                    return versioned_.Address(p) < a;
                                  }),
                 id);
@@ -185,7 +185,7 @@ void SyncAgent::SendDigests() {
   for (size_t i = 0; i < n; ++i) SendDigest(versioned_.Address(pool_[i]));
 }
 
-void SyncAgent::SendDigest(const std::string& target) {
+void SyncAgent::SendDigest(std::string_view target) {
   auto pid = sim_->Lookup(target);
   if (!pid.ok() || *pid == id_) return;
   ++counters_.digests_sent;
@@ -194,7 +194,7 @@ void SyncAgent::SendDigest(const std::string& target) {
               net::MakePayload(versioned_.DigestXml())});
 }
 
-void SyncAgent::SendDeltaBody(const std::string& target, std::string body,
+void SyncAgent::SendDeltaBody(std::string_view target, std::string body,
                               size_t records) {
   if (body.empty()) return;
   auto pid = sim_->Lookup(target);

@@ -164,9 +164,9 @@ class SyncAgent {
   void DropPartner(uint32_t id, bool unseed);
   /// Sends a digest to `fanout` partners drawn from the pool.
   void SendDigests();
-  void SendDigest(const std::string& target);
+  void SendDigest(std::string_view target);
   /// Sends a delta body of `records` records (an empty body: nothing).
-  void SendDeltaBody(const std::string& target, std::string body,
+  void SendDeltaBody(std::string_view target, std::string body,
                      size_t records);
 
   net::Transport* sim_;

@@ -9,7 +9,9 @@
 // the vector invariant must hold: a vector that lists seq s for origin o
 // comes with every record of o up to s. This is the only oracle that
 // exercises TTL expiry exactly: the runtime churn equivalence keeps TTL
-// boundaries out of reach on purpose.
+// boundaries out of reach on purpose. Digest and delta bodies also arrive
+// with their <v>/<want> entries shuffled, some origins listed twice and
+// unknown ones interleaved, and must read as their sorted twins do.
 //
 // MQP_EQUIV_SEEDS sets the seed count (CI runs 1000).
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include "catalog/intension.h"
 #include "catalog/versioned.h"
 #include "common/rng.h"
+#include "xml/token_writer.h"
 
 namespace mqp {
 namespace {
@@ -432,6 +435,82 @@ Digest WithFactSeqs(Rng* rng, const VersionVector& v) {
   return d;
 }
 
+// --- shuffled vector bodies ----------------------------------------------------
+//
+// Honest writers list origins in ascending address order, and the catalog
+// reads a body by merging it against its own address order. These bodies
+// reach the merge read's fallback: the same entries as their sorted twin,
+// shuffled, with decoy listings of some origins placed before the true
+// one (the last listing wins) and, optionally, origins no catalog knows.
+
+struct Listing {
+  bool want = false;  ///< a <want> rather than a <v>
+  std::string origin;
+  uint64_t seq = 0;
+  uint64_t fact_seq = 0;
+};
+
+// Addresses no catalog of the sweep hears of, around and between the
+// known ones.
+const std::vector<std::string> kStrangers = {"a", "p0", "q1", "r", "zy"};
+
+std::string ShuffledEntries(std::vector<Listing> entries, bool strangers,
+                            Rng* rng) {
+  if (strangers) {
+    for (const auto& o : kStrangers) {
+      if (rng->NextBool(0.3)) {
+        entries.push_back({rng->NextBool(0.5), o, rng->NextBelow(4), 0});
+      }
+    }
+  }
+  rng->Shuffle(&entries);
+  std::vector<Listing> listed = entries;
+  for (const Listing& e : entries) {
+    if (!rng->NextBool(0.4)) continue;
+    Listing decoy = e;
+    decoy.seq = rng->NextBelow(9);
+    decoy.fact_seq = rng->NextBelow(decoy.seq + 1);
+    if (decoy.want) decoy.fact_seq = decoy.seq;
+    // Anywhere before the listing it is a decoy of.
+    size_t at = 0;
+    while (listed[at].want != e.want || listed[at].origin != e.origin) ++at;
+    listed.insert(listed.begin() + rng->NextBelow(at + 1), decoy);
+  }
+  std::string out;
+  xml::TokenWriter w(&out);
+  for (const Listing& e : listed) {
+    w.Start(e.want ? "want" : "v");
+    w.Attr("o", e.origin);
+    w.Attr("s", e.seq);
+    if (e.fact_seq != e.seq) w.Attr("f", e.fact_seq);
+    w.End();
+  }
+  return out;
+}
+
+std::string ShuffledDigest(const Digest& digest, bool strangers, Rng* rng) {
+  std::vector<Listing> entries;
+  for (const auto& [o, e] : digest) {
+    entries.push_back({false, o, e.seq, e.fact_seq});
+  }
+  return "<digest>" + ShuffledEntries(entries, strangers, rng) + "</digest>";
+}
+
+// <v> and <want> entries interleaved; the records follow in order.
+std::string ShuffledDelta(const CatalogDelta& delta, Rng* rng) {
+  std::vector<Listing> entries;
+  for (const auto& [o, s] : delta.heartbeats) {
+    entries.push_back({false, o, s, s});
+  }
+  for (const auto& [o, s] : delta.wants) entries.push_back({true, o, s, s});
+  CatalogDelta records;
+  records.records = delta.records;
+  std::string tail = records.ToXml();  // "<delta>...</delta>" or "<delta/>"
+  tail = tail == "<delta/>" ? "" : tail.substr(7, tail.size() - 15);
+  return "<delta>" + ShuffledEntries(entries, /*strangers=*/true, rng) + tail +
+         "</delta>";
+}
+
 void SeedStatements(Catalog* catalog) {
   for (const auto& text : kStatements) {
     catalog->AddStatement(*catalog::IntensionalStatement::Parse(text));
@@ -440,10 +519,10 @@ void SeedStatements(Catalog* catalog) {
 
 // Everything observable must match: records (stamps included), vector,
 // liveness, projection, and the bytes of deltas, digests, digest replies
-// and push-backs.
+// and push-backs, for sorted and shuffled (`shuffle_rng`) bodies alike.
 void ExpectSame(const ReferenceCatalog& ref, const Catalog& ref_proj,
                 const VersionedCatalog& impl, const Catalog& impl_proj,
-                double now, Rng* rng) {
+                double now, Rng* rng, Rng* shuffle_rng) {
   const auto records = impl.records();
   ASSERT_EQ(records.size(), ref.records().size());
   auto it = records.begin();
@@ -486,6 +565,26 @@ void ExpectSame(const ReferenceCatalog& ref, const Catalog& ref_proj,
     body.clear();
     ASSERT_EQ(impl.WritePushBack(asked.wants, &body), push.size());
     ASSERT_EQ(body, push.empty() ? "" : push.ToXml());
+    // Shuffled twins of both reply to what they list, read sorted.
+    const std::string shuffled = ShuffledDigest(d, true, shuffle_rng);
+    const Digest twin = *catalog::DigestFromXml(shuffled);
+    std::string sorted_reply;
+    ASSERT_TRUE(impl.ReadDigest(catalog::DigestToXml(twin), &remote).ok());
+    impl.WriteReply(remote, &sorted_reply);
+    ASSERT_TRUE(impl.ReadDigest(shuffled, &remote).ok()) << shuffled;
+    const CatalogDelta twin_reply = ref.ReplyTo(twin);
+    body.clear();
+    ASSERT_EQ(impl.WriteReply(remote, &body), twin_reply.size());
+    ASSERT_EQ(body, sorted_reply) << shuffled;
+    ASSERT_EQ(body, twin_reply.empty() ? "" : twin_reply.ToXml());
+    const std::string shuffled_asks = ShuffledDelta(asks, shuffle_rng);
+    const CatalogDelta asks_twin = *CatalogDelta::FromXml(shuffled_asks);
+    ASSERT_TRUE(impl.ReadDelta(shuffled_asks, &asked).ok()) << shuffled_asks;
+    const CatalogDelta twin_push = ref.PushBack(asks_twin.wants);
+    body.clear();
+    ASSERT_EQ(impl.WritePushBack(asked.wants, &body), twin_push.size());
+    ASSERT_EQ(body, twin_push.empty() ? "" : twin_push.ToXml())
+        << shuffled_asks;
   }
 
   ASSERT_EQ(impl_proj.entries(), ref_proj.entries());
@@ -529,6 +628,8 @@ void ExpectInvariant(const VersionedCatalog& impl,
 // Runs one seeded op sequence; fails at the first divergence.
 void RunSeed(uint64_t seed, int ops) {
   Rng rng(seed);
+  // Shuffled bodies draw from their own stream, so the ops stay the same.
+  Rng shuffle_rng(seed ^ 0x5eedf00dULL);
   Catalog ref_proj, impl_proj;
   SeedStatements(&ref_proj);
   SeedStatements(&impl_proj);
@@ -552,14 +653,18 @@ void RunSeed(uint64_t seed, int ops) {
       ASSERT_EQ(impl.Apply(delta, now), ref.Apply(delta, now));
     } else {
       // The wire path. Both sides apply what the bytes carry: an area
-      // that does not parse back to itself arrives parsed.
-      const std::string body = delta.ToXml();
-      const size_t want = ref.Apply(*CatalogDelta::FromXml(body), now);
-      ASSERT_TRUE(impl.ReadDelta(body, &incoming).ok());
-      ASSERT_EQ(impl.Apply(&incoming, now), want);
+      // that does not parse back to itself arrives parsed, and a shuffled
+      // body lists what its sorted twin lists.
+      const std::string body = shuffle_rng.NextBool()
+                                   ? ShuffledDelta(delta, &shuffle_rng)
+                                   : delta.ToXml();
+      const CatalogDelta twin = *CatalogDelta::FromXml(body);
+      const size_t want = ref.Apply(twin, now);
+      ASSERT_TRUE(impl.ReadDelta(body, &incoming).ok()) << body;
+      ASSERT_EQ(impl.Apply(&incoming, now), want) << body;
       ASSERT_EQ(incoming.origins.size(), delta.size());
       std::string pushed;
-      const CatalogDelta back = ref.PushBack(delta.wants);
+      const CatalogDelta back = ref.PushBack(twin.wants);
       ASSERT_EQ(impl.WritePushBack(incoming.wants, &pushed), back.size());
       ASSERT_EQ(pushed, back.empty() ? "" : back.ToXml());
     }
@@ -688,7 +793,11 @@ void RunSeed(uint64_t seed, int ops) {
       }
       case 16: {  // a source digests the test catalog: absorb, then reply
         const Digest d = src.digest();
-        ASSERT_TRUE(impl.ReadDigest(catalog::DigestToXml(d), &remote).ok());
+        const std::string digest_body =
+            shuffle_rng.NextBool()
+                ? ShuffledDigest(d, /*strangers=*/false, &shuffle_rng)
+                : catalog::DigestToXml(d);
+        ASSERT_TRUE(impl.ReadDigest(digest_body, &remote).ok());
         advanced.clear();
         ASSERT_EQ(impl.Absorb(remote, now, &advanced), ref.Absorb(d, now));
         const CatalogDelta reply = ref.ReplyTo(d);
@@ -721,7 +830,7 @@ void RunSeed(uint64_t seed, int ops) {
         break;
     }
     if (::testing::Test::HasFatalFailure()) return;
-    ExpectSame(ref, ref_proj, impl, impl_proj, now, &rng);
+    ExpectSame(ref, ref_proj, impl, impl_proj, now, &rng, &shuffle_rng);
     if (::testing::Test::HasFatalFailure()) return;
     ExpectInvariant(impl, sources, purged);
     if (::testing::Test::HasFatalFailure()) return;
