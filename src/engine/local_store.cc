@@ -78,37 +78,6 @@ LocalStore::Ordered() const {
   return out;
 }
 
-std::vector<std::string> LocalStore::CollectionIds() const {
-  std::vector<std::string> out;
-  out.reserve(collections_.size());
-  for (const auto& [id, coll] : Ordered()) {
-    out.push_back(*id);
-  }
-  return out;
-}
-
-algebra::ItemSet LocalStore::ItemsOf(const std::string& id) const {
-  auto it = collections_.find(id);
-  if (it == collections_.end()) return {};
-  ItemSet out;
-  AppendItems(it->second, &out);
-  return out;
-}
-
-size_t LocalStore::TotalItems() const {
-  size_t n = 0;
-  for (const auto& [id, coll] : collections_) {
-    if (!coll.has_non_element_item) {
-      n += coll.items.size();
-      continue;
-    }
-    for (const Item& item : coll.items) {
-      if (item->is_element()) ++n;
-    }
-  }
-  return n;
-}
-
 const xml::Node& LocalStore::View() const {
   if (view_ == nullptr || view_version_ != version_) {
     view_ = xml::Node::Element("store");

@@ -60,14 +60,6 @@ class LocalStore : public DataSource {
   /// not representable in XPath-lite; don't mint such ids.)
   static std::string CollectionXPath(const std::string& id);
 
-  /// Collection ids in insertion order.
-  std::vector<std::string> CollectionIds() const;
-
-  /// Items of one collection (empty when unknown). Shared refs.
-  algebra::ItemSet ItemsOf(const std::string& id) const;
-
-  size_t TotalItems() const;
-
   /// DataSource: `url` is ignored (the caller routed to this store);
   /// `xpath` selects collections or elements. An empty xpath returns
   /// every item of every collection.

@@ -117,7 +117,9 @@ TEST(PeerTest, PullProcessCreatesReplicaAndStatement) {
   idx.PullIndexedData(/*delay_minutes=*/15);
   sim.Run();
   EXPECT_EQ(idx.replica_count(), 1u);
-  EXPECT_EQ(idx.store().TotalItems(), 7u);
+  auto held = idx.store().Fetch("", "");
+  ASSERT_TRUE(held.ok()) << held.status();
+  EXPECT_EQ(held->size(), 7u);
   // The replica is catalogued with the delay and the containment
   // statement was asserted.
   bool replica_entry = false;

@@ -616,20 +616,28 @@ TEST(ReplicaMintTest, DropThenPullNeverReusesIds) {
   source.JoinNetwork();
   sim.Run();
 
-  auto has_collection = [&](const std::string& id) {
-    const auto ids = idx.store().CollectionIds();
-    return std::find(ids.begin(), ids.end(), id) != ids.end();
+  // The items of replica `id` (none when it is absent), and of them all.
+  auto replica_items = [&](const std::string& id) {
+    auto r = idx.store().Fetch("", engine::LocalStore::CollectionXPath(id));
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? r->size() : size_t{0};
+  };
+  auto all_items = [&]() {
+    auto r = idx.store().Fetch("", "");
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? r->size() : size_t{0};
   };
 
   idx.PullIndexedData(/*delay_minutes=*/10);
   sim.Run();
   ASSERT_EQ(idx.replica_count(), 1u);
-  ASSERT_TRUE(has_collection("replica-0"));
-  ASSERT_EQ(idx.store().ItemsOf("replica-0").size(), 3u);
+  ASSERT_EQ(replica_items("replica-0"), 3u);
+  ASSERT_EQ(all_items(), 3u);
 
   idx.DropReplica("replica-0");
   EXPECT_EQ(idx.replica_count(), 0u);
-  EXPECT_FALSE(has_collection("replica-0"));
+  EXPECT_EQ(replica_items("replica-0"), 0u);
+  EXPECT_EQ(all_items(), 0u);
 
   idx.PullIndexedData(10);
   sim.Run();
@@ -637,9 +645,9 @@ TEST(ReplicaMintTest, DropThenPullNeverReusesIds) {
   // The mint moved on: the new replica is replica-1, and replica-0 does
   // not silently come back (a size_t-based mint would reuse it and
   // overwrite whatever claimed the id in between).
-  EXPECT_TRUE(has_collection("replica-1"));
-  EXPECT_FALSE(has_collection("replica-0"));
-  EXPECT_EQ(idx.store().ItemsOf("replica-1").size(), 3u);
+  EXPECT_EQ(replica_items("replica-1"), 3u);
+  EXPECT_EQ(replica_items("replica-0"), 0u);
+  EXPECT_EQ(all_items(), 3u);
 }
 
 }  // namespace
