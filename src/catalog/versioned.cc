@@ -1,7 +1,6 @@
 #include "catalog/versioned.h"
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 
 #include "common/strings.h"
@@ -77,15 +76,10 @@ const SyncEntry& PresenceEntry() {
   return presence;
 }
 
-// Reads an attribute value holding an integer >= 0. Plain digits, as
-// writers emit them, parse directly; anything else takes ParseInt64's
-// rules (surrounding whitespace, a leading '+').
+// Reads an attribute value holding an integer >= 0.
 bool ReadCount(std::string_view text, uint64_t* out) {
   int64_t v = 0;
-  const char* end = text.data() + text.size();
-  const auto [last, ec] = std::from_chars(text.data(), end, v);
-  const bool plain = ec == std::errc() && last == end;
-  if ((!plain && !mqp::ParseInt64(text, &v)) || v < 0) return false;
+  if (!mqp::ParseInt64(text, &v) || v < 0) return false;
   *out = static_cast<uint64_t>(v);
   return true;
 }
