@@ -616,17 +616,17 @@ TEST(ReplicaMintTest, DropThenPullNeverReusesIds) {
   source.JoinNetwork();
   sim.Run();
 
-  // The items of replica `id` (none when it is absent), and of them all.
+  // The items the store's XPath `xpath` selects: one replica's, the first
+  // collection's in insertion order ("/data[1]"), or all of them ("").
+  auto replica_items_at = [&](const std::string& xpath) {
+    auto r = idx.store().Fetch("", xpath);
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? r->size() : size_t{0};
+  };
   auto replica_items = [&](const std::string& id) {
-    auto r = idx.store().Fetch("", engine::LocalStore::CollectionXPath(id));
-    EXPECT_TRUE(r.ok()) << r.status();
-    return r.ok() ? r->size() : size_t{0};
+    return replica_items_at(engine::LocalStore::CollectionXPath(id));
   };
-  auto all_items = [&]() {
-    auto r = idx.store().Fetch("", "");
-    EXPECT_TRUE(r.ok()) << r.status();
-    return r.ok() ? r->size() : size_t{0};
-  };
+  auto all_items = [&]() { return replica_items_at(""); };
 
   idx.PullIndexedData(/*delay_minutes=*/10);
   sim.Run();
@@ -648,6 +648,10 @@ TEST(ReplicaMintTest, DropThenPullNeverReusesIds) {
   EXPECT_EQ(replica_items("replica-1"), 3u);
   EXPECT_EQ(replica_items("replica-0"), 0u);
   EXPECT_EQ(all_items(), 3u);
+  // replica-0 is gone, not left empty: it was minted first, so it would
+  // still lead the store's collections, and "/data[1]" would select none
+  // of replica-1's items.
+  EXPECT_EQ(replica_items_at("/data[1]"), 3u);
 }
 
 }  // namespace
