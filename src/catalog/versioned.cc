@@ -741,12 +741,9 @@ void VersionedCatalog::BumpPresence(double ttl_seconds, double now) {
 }
 
 void VersionedCatalog::RestampOwn(double now) {
-  Slot& self = slots_[self_id_];
   auto restamp = [&](Stamp* stamp) {
-    stamp->sequence = ++next_sequence_;
+    stamp->sequence = NextOwnSequence(now, /*record=*/true);
     stamp->stamped_at = now;
-    self.seq = self.fact_seq = stamp->sequence;
-    self.in_vector = true;
   };
   for (uint32_t f = rows_[self_id_].first_fact; f != kNone;
        f = facts_[f].next_of_origin) {
@@ -761,8 +758,7 @@ void VersionedCatalog::RestampOwn(double now) {
       p != kNone && !presences_[p].tombstone) {
     restamp(&presences_[p]);
   }
-  self.last_heard = now;
-  NoteStaleGoodbye(self_id_);
+  slots_[self_id_].last_heard = now;
 }
 
 // --- anti-entropy --------------------------------------------------------------
