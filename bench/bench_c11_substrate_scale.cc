@@ -3,12 +3,13 @@
 //
 // Part A pins the scheduler claim with an A/B at 100k peers: the same
 // deterministic ping workload (a large standing population of in-flight
-// messages, every delivery forwarding once) runs under the binary-heap
-// reference scheduler and under the calendar queue + event pool, and we
-// report events/sec and heap allocations per event for each. Shape
-// checks (exit 1 on miss): calendar ≥ 5x heap events/sec, ~0 allocations
-// per event on the calendar steady path, and pool hits == events
-// scheduled once the pool is warm.
+// messages, every delivery forwarding once) runs under a bench-local
+// binary-heap scheduler (HeapScheduler below: the simulator's scheduler
+// before the calendar queue) and under net::Simulator's calendar queue +
+// event pool, and we report events/sec and heap allocations per event
+// for each. Shape checks (exit 1 on miss): calendar ≥ 5x heap
+// events/sec, ~0 allocations per event on the calendar steady path, and
+// pool hits == events scheduled once the pool is warm.
 //
 // Part B sweeps super-peer hierarchies from 10k to 1M peers (N super
 // peers fronting M leaves each, catalog gossip on the root+super tier
@@ -25,7 +26,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <new>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -73,13 +76,104 @@ size_t RssBytes() {
 
 // --- Part A: scheduler A/B -------------------------------------------------
 
+/// The baseline: the simulator's scheduler before the calendar queue, as
+/// it was. Every event is one std::function closure (a delivery captures
+/// its Message) in a std::priority_queue over (time, seq); sends pay the
+/// simulator's stats, latency formula and failure checks, and a delivery
+/// re-checks its destination at dispatch.
+class HeapScheduler {
+ public:
+  net::PeerId Register(net::PeerNode* node) {
+    nodes_.push_back(node);
+    failed_.push_back(false);
+    return static_cast<net::PeerId>(nodes_.size() - 1);
+  }
+
+  bool IsFailed(net::PeerId id) const {
+    return id < failed_.size() && failed_[id];
+  }
+
+  void Send(net::Message msg) {
+    if (msg.size_bytes == 0) {
+      msg.size_bytes = msg.header.size() + msg.body().size();
+    }
+    if (msg.kind_id == net::kNoKind) msg.kind_id = net::InternKind(msg.kind);
+    stats_.messages++;
+    stats_.bytes += msg.size_bytes;
+    stats_.messages_by_kind.Slot(msg.kind_id)++;
+    stats_.bytes_by_kind.Slot(msg.kind_id) += msg.size_bytes;
+    if (msg.from < failed_.size() && failed_[msg.from]) {
+      stats_.drops_from_failed++;
+      return;
+    }
+    if (msg.to >= nodes_.size() || failed_[msg.to]) {
+      stats_.drops_to_failed++;
+      return;
+    }
+    const double when = now_ + link_.latency_seconds +
+                        static_cast<double>(msg.size_bytes) * inv_bps_;
+    net::PeerNode* dest = nodes_[msg.to];
+    const net::PeerId to = msg.to;
+    Schedule(when, [this, dest, to, m = std::move(msg)]() {
+      if (!IsFailed(to)) {
+        dest->HandleMessage(m);
+      } else {
+        stats_.drops_to_failed++;
+      }
+    });
+  }
+
+  void Schedule(double when, std::function<void()> fn) {
+    heap_.push(Event{when < now_ ? now_ : when, seq_++, std::move(fn)});
+    stats_.events_scheduled++;
+  }
+
+  size_t Run() {
+    size_t processed = 0;
+    while (!heap_.empty()) {
+      // top() is const; moving the closure out is safe because the
+      // comparator reads only (time, seq), which the move leaves intact.
+      Event ev = std::move(const_cast<Event&>(heap_.top()));
+      heap_.pop();
+      now_ = ev.time;
+      ev.fn();
+      ++processed;
+    }
+    return processed;
+  }
+
+  net::NetStats& stats() { return stats_; }
+
+ private:
+  struct Event {
+    double time;
+    uint64_t seq;  // FIFO tie-break for equal times
+    std::function<void()> fn;
+    bool operator>(const Event& other) const {
+      if (time != other.time) return time > other.time;
+      return seq > other.seq;
+    }
+  };
+
+  std::vector<net::PeerNode*> nodes_;
+  std::vector<bool> failed_;
+  net::LinkParams link_;
+  double inv_bps_ = 1.0 / net::LinkParams{}.bytes_per_second;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+  double now_ = 0;
+  uint64_t seq_ = 0;
+  net::NetStats stats_;
+};
+
 /// One PeerNode registered `n` times: every delivery forwards a fresh
 /// ping to the next peer while the forward budget lasts, and snapshots
 /// wall clock / allocation / stats counters at the steady-phase
-/// boundaries from *inside* the handler (exact, no polling).
+/// boundaries from *inside* the handler (exact, no polling). `Sim` is
+/// net::Simulator or HeapScheduler.
+template <typename Sim>
 class PingHub : public net::PeerNode {
  public:
-  PingHub(net::Simulator* sim, size_t n, uint64_t warm, uint64_t steady)
+  PingHub(Sim* sim, size_t n, uint64_t warm, uint64_t steady)
       : sim_(sim), n_(n), warm_(warm), steady_(steady),
         forwards_left_(warm + steady),
         ping_id_(net::InternKind("ping")) {}
@@ -116,7 +210,7 @@ class PingHub : public net::PeerNode {
   uint64_t steady_pool_hits() const { return pool_hits1_ - pool_hits0_; }
 
  private:
-  net::Simulator* sim_;
+  Sim* sim_;
   size_t n_;
   uint64_t warm_, steady_;
   uint64_t forwards_left_;
@@ -138,11 +232,11 @@ struct AbResult {
   uint64_t calendar_resizes = 0;
 };
 
-AbResult RunScheduler(bool calendar, size_t peers, size_t standing,
-                      uint64_t warm, uint64_t steady) {
-  net::Simulator sim;
-  sim.set_use_calendar_queue(calendar);
-  PingHub hub(&sim, peers, warm, steady);
+template <typename Sim>
+AbResult RunScheduler(size_t peers, size_t standing, uint64_t warm,
+                      uint64_t steady) {
+  Sim sim;
+  PingHub<Sim> hub(&sim, peers, warm, steady);
   for (size_t i = 0; i < peers; ++i) sim.Register(&hub);
 
   // Standing population: `standing` chains split into 64 size classes
@@ -304,8 +398,10 @@ int main(int argc, char** argv) {
              "phase %llu events",
              kAbPeers, kStanding,
              static_cast<unsigned long long>(kSteady));
-  AbResult heap = RunScheduler(false, kAbPeers, kStanding, kWarm, kSteady);
-  AbResult cal = RunScheduler(true, kAbPeers, kStanding, kWarm, kSteady);
+  AbResult heap =
+      RunScheduler<HeapScheduler>(kAbPeers, kStanding, kWarm, kSteady);
+  AbResult cal =
+      RunScheduler<net::Simulator>(kAbPeers, kStanding, kWarm, kSteady);
   const double speedup =
       heap.events_per_sec > 0 ? cal.events_per_sec / heap.events_per_sec : 0;
 

@@ -7,10 +7,10 @@
 //   * on: client-side admission control, priority-aware RED shedding at
 //     the loaded peers, per-query evaluation budgets and cooperative
 //     cancellation — the full §11 stack,
-//   * ablated: OverloadOptions::enabled = false fleet-wide (the per-peer
-//     face of peer::set_use_overload_protection) — the fleet is exactly
-//     as slow, just undefended: the backlog grows without bound and
-//     queries complete only until queueing delay crosses the deadline.
+//   * ablated: OverloadOptions::enabled = false fleet-wide — the fleet
+//     is exactly as slow, just undefended: the backlog grows without
+//     bound and queries complete only until queueing delay crosses the
+//     deadline.
 // 5% of the crowd is submitted at PlanPolicy::priority 1; shedding is
 // supposed to spend the shortfall on the best-effort slice so the
 // high-priority one keeps completing even at 10x.

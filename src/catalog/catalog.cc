@@ -330,10 +330,6 @@ std::pair<uint64_t, uint64_t> Catalog::CacheEpoch() const {
 
 std::vector<uint32_t> Catalog::CandidateSlots(
     const ns::InterestArea& request) const {
-  if (!use_area_index_) {
-    // Linear reference mode: every live entry is a candidate.
-    return LiveSlotsBySeq();
-  }
   std::vector<uint32_t> ids;
   resolve_stats_.resolve_index_probes += area_index_.Candidates(request, &ids);
   // Insertion order (seq), regardless of probe order: the redundancy

@@ -188,11 +188,6 @@ class Catalog {
     TouchMutation();
   }
 
-  /// Reference/ablation knob: with the area index off, ResolveArea falls
-  /// back to the pre-index linear scan over every entry (identical
-  /// results — the equivalence property test and bench C8 rely on it).
-  void set_use_area_index(bool use) { use_area_index_ = use; }
-
   /// Ablation knob for the (urn, request-area) binding cache.
   void set_use_binding_cache(bool use) {
     use_binding_cache_ = use;
@@ -283,8 +278,8 @@ class Catalog {
   /// Live slot ids sorted by insertion sequence.
   std::vector<uint32_t> LiveSlotsBySeq() const;
 
-  /// Live slot ids relevant to `request` in insertion order — via the
-  /// area index, or all live slots in the linear reference mode.
+  /// Live slot ids the area index finds for `request`, in insertion
+  /// order (a superset of the overlapping entries).
   std::vector<uint32_t> CandidateSlots(const ns::InterestArea& request) const;
 
   /// The xpath of the first (insertion order) live entry at `server`
@@ -314,7 +309,6 @@ class Catalog {
   const ns::MultiHierarchy* hierarchies_ = nullptr;
   bool authoritative_ = false;
   bool use_statements_ = true;
-  bool use_area_index_ = true;
   bool use_binding_cache_ = true;
 
   // Memoized ResolveArea results keyed by (urn, raw request area),

@@ -68,7 +68,10 @@
 //
 // Outside the library, tests/support/ (the mqp_test_support target) keeps
 // the implementations the library replaced as references that tests and
-// benches compare against: the DOM plan codec and the cloning store.
+// benches compare against: the DOM plan codec and the cloning store. The
+// binary-heap scheduler and the linear area scan live beside the checks
+// that use them (tests/substrate_test.cc, tests/catalog_index_test.cc,
+// benches c11 and c8).
 //
 // Layering is strictly:
 //   common/xml/ns → algebra → net → wire → runtime → sync →

@@ -117,91 +117,57 @@ void Simulator::Send(Message msg) {
     return;  // dropped: unknown or failed destination
   }
   const double when = now_ + Latency(msg.from, msg.to, msg.size_bytes);
-  if (use_calendar_queue_) {
-    // The steady path: the message moves into a recycled pool slot —
-    // no per-event allocation, no std::function erasure.
-    const uint32_t idx = EnqueuePooled(when, SimEvent::Kind::kDeliver);
-    pool_.msg(idx) = std::move(msg);
-  } else {
-    PeerNode* dest = nodes_[msg.to];
-    const PeerId to = msg.to;
-    Schedule(when, [this, dest, to, m = std::move(msg)]() {
-      // Re-check at delivery time: the peer may have failed in transit.
-      // Counted in drops_to_failed like every backend (DESIGN.md §9).
-      if (!IsFailed(to)) {
-        dest->HandleMessage(m);
-      } else {
-        stats_.drops_to_failed++;
-      }
-    });
-  }
+  // The steady path: the message moves into a recycled pool slot — no
+  // per-event allocation, no std::function erasure.
+  const uint32_t idx = EnqueuePooled(when, SimEvent::Kind::kDeliver);
+  pool_.msg(idx) = std::move(msg);
 }
 
 void Simulator::Schedule(double when, std::function<void()> fn) {
-  if (use_calendar_queue_) {
-    const uint32_t idx = EnqueuePooled(when, SimEvent::Kind::kCall);
-    pool_.fn(idx) = std::move(fn);
-  } else {
-    heap_.push(HeapEvent{when < now_ ? now_ : when, seq_++, std::move(fn)});
-    stats_.events_scheduled++;
-  }
+  const uint32_t idx = EnqueuePooled(when, SimEvent::Kind::kCall);
+  pool_.fn(idx) = std::move(fn);
 }
 
 size_t Simulator::Run(double max_time) {
   size_t processed = 0;
-  if (use_calendar_queue_) {
-    // Hoisted out of the loop: move-assigned from the pool slot each
-    // iteration, so per-event construct/destruct of the empty shells is
-    // paid once per Run, not once per event.
-    Message msg;
-    std::function<void()> fn;
-    while (!calendar_.empty()) {
-      uint32_t idx = calendar_.PopMin(pool_);
-      SimEvent& ev = pool_[idx];
-      if (ev.time > max_time) {
-        // Past the horizon: requeue unchanged ((time, seq) preserved, so
-        // a later Run resumes in the exact same order).
-        calendar_.Push(pool_, idx);
-        break;
-      }
-      now_ = ev.time;
-      // Move the payload out of its slot *before* dispatch: the handler
-      // may schedule new events, growing the slabs (invalidating ev) and
-      // recycling this very slot — a recycled slot must never be
-      // dispatched from.
-      const SimEvent::Kind kind = ev.kind;
-      if (kind == SimEvent::Kind::kDeliver) {
-        msg = std::move(pool_.msg(idx));
-      } else {
-        fn = std::move(pool_.fn(idx));
-      }
-      pool_.Release(idx);
-      if (kind == SimEvent::Kind::kDeliver) {
-        // Re-check at delivery time: the peer may have failed in transit.
-        // Counted in drops_to_failed like every backend (DESIGN.md §9).
-        if (!IsFailed(msg.to)) {
-          nodes_[msg.to]->HandleMessage(msg);
-        } else {
-          stats_.drops_to_failed++;
-        }
-      } else {
-        fn();
-      }
-      ++processed;
+  // Hoisted out of the loop: move-assigned from the pool slot each
+  // iteration, so per-event construct/destruct of the empty shells is
+  // paid once per Run, not once per event.
+  Message msg;
+  std::function<void()> fn;
+  while (!calendar_.empty()) {
+    uint32_t idx = calendar_.PopMin(pool_);
+    SimEvent& ev = pool_[idx];
+    if (ev.time > max_time) {
+      // Past the horizon: requeue unchanged ((time, seq) preserved, so
+      // a later Run resumes in the exact same order).
+      calendar_.Push(pool_, idx);
+      break;
     }
-  } else {
-    while (!heap_.empty()) {
-      if (heap_.top().time > max_time) break;
-      // top() is const (the heap invariant); moving the closure out is
-      // safe because the comparator only reads (time, seq), which the
-      // move leaves intact. The old copy here cloned every captured
-      // Message on every dispatch.
-      HeapEvent ev = std::move(const_cast<HeapEvent&>(heap_.top()));
-      heap_.pop();
-      now_ = ev.time;
-      ev.fn();
-      ++processed;
+    now_ = ev.time;
+    // Move the payload out of its slot *before* dispatch: the handler
+    // may schedule new events, growing the slabs (invalidating ev) and
+    // recycling this very slot — a recycled slot must never be
+    // dispatched from.
+    const SimEvent::Kind kind = ev.kind;
+    if (kind == SimEvent::Kind::kDeliver) {
+      msg = std::move(pool_.msg(idx));
+    } else {
+      fn = std::move(pool_.fn(idx));
     }
+    pool_.Release(idx);
+    if (kind == SimEvent::Kind::kDeliver) {
+      // Re-check at delivery time: the peer may have failed in transit.
+      // Counted in drops_to_failed like every backend (DESIGN.md §9).
+      if (!IsFailed(msg.to)) {
+        nodes_[msg.to]->HandleMessage(msg);
+      } else {
+        stats_.drops_to_failed++;
+      }
+    } else {
+      fn();
+    }
+    ++processed;
   }
   return processed;
 }

@@ -10,14 +10,13 @@
 // The scheduler is sized for million-peer populations (DESIGN.md §7): a
 // calendar queue over a slab/free-list event pool gives ~O(1) enqueue and
 // an allocation-free steady path (message deliveries are stored inline,
-// never erased into std::function). set_use_calendar_queue(false) restores
-// the original binary-heap reference scheduler; both dispatch in
-// bit-identical (time, seq) order.
+// never erased into std::function). Events dispatch in strict (time, seq)
+// order; tests/substrate_test.cc checks the queue against a
+// std::priority_queue over the same keys.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -94,30 +93,14 @@ class Simulator : public Transport {
   size_t Run(double max_time = 1e9) override;
 
   /// True if no events are pending.
-  bool Idle() const override {
-    return use_calendar_queue_ ? calendar_.empty() : heap_.empty();
-  }
+  bool Idle() const override { return calendar_.empty(); }
 
   /// Pending (scheduled, not yet dispatched) events.
-  size_t pending_events() const {
-    return use_calendar_queue_ ? calendar_.size() : heap_.size();
-  }
+  size_t pending_events() const { return calendar_.size(); }
 
-  /// Scheduler ablation knob (PR 3/4/5 style): false restores the
-  /// original single binary heap of std::function events. Only honored
-  /// while Idle() — the two queues are never mixed.
-  void set_use_calendar_queue(bool on) {
-    if (Idle()) use_calendar_queue_ = on;
-  }
-  bool use_calendar_queue() const { return use_calendar_queue_; }
-
-  /// The event pool (calendar mode); benches read hit rates and slab
-  /// high-water marks from here.
+  /// The event pool; benches read hit rates and slab high-water marks
+  /// from here.
   const EventPool& event_pool() const { return pool_; }
-
-  /// The calendar queue itself — tests and benches read its sizing
-  /// diagnostics (resizes, empty cursor steps, min-jumps).
-  const CalendarQueue& calendar_queue() const { return calendar_; }
 
   /// Approximate heap bytes held by the substrate itself: peer tables,
   /// cached addresses, link overrides, event slab and calendar buckets.
@@ -134,18 +117,6 @@ class Simulator : public Transport {
   }
 
  private:
-  /// Reference-scheduler event (the original representation: one
-  /// type-erased closure per event).
-  struct HeapEvent {
-    double time;
-    uint64_t seq;  // FIFO tie-break for equal times
-    std::function<void()> fn;
-    bool operator>(const HeapEvent& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-
   double Latency(PeerId from, PeerId to, size_t bytes) const;
 
   /// Acquires, stamps and links a pooled event; tallies substrate stats.
@@ -166,11 +137,8 @@ class Simulator : public Transport {
   /// 1 / link_.bytes_per_second, cached: Latency() sits on the per-event
   /// hot path and a multiply is several times cheaper than the divide.
   double inv_default_bps_ = 1.0 / LinkParams{}.bytes_per_second;
-  bool use_calendar_queue_ = true;
   EventPool pool_;
   CalendarQueue calendar_;
-  std::priority_queue<HeapEvent, std::vector<HeapEvent>, std::greater<>>
-      heap_;
   double now_ = 0;
   uint64_t seq_ = 0;
   NetStats stats_;

@@ -49,8 +49,6 @@ uint64_t Fnv1a(uint64_t h, uint64_t v) {
   return h;
 }
 
-bool g_use_overload_protection = true;
-
 // `now - before` over one counter-table group, as a batch for Count.
 #define MQP_COUNTER_DELTA(name) deltas.name = now.name - before.name;
 
@@ -71,9 +69,6 @@ PeerReportedCounters ResolveDeltas(const catalog::ResolveStats& now,
 #undef MQP_COUNTER_DELTA
 
 }  // namespace
-
-void set_use_overload_protection(bool on) { g_use_overload_protection = on; }
-bool use_overload_protection() { return g_use_overload_protection; }
 
 void Peer::Count(uint64_t PeerReportedCounters::*counter, uint64_t n) {
   counters_.*counter += n;
@@ -1135,7 +1130,7 @@ void Peer::HandleResultPlan(Plan plan, size_t wire_bytes) {
     // Unknown — or a late duplicate for a query that already finished
     // (a retry raced the original, or the fault plan duplicated the
     // result): count the suppression, deliver nothing twice.
-    if (completed_set_.count(plan.query_id()) > 0) {
+    if (completed_.Contains(plan.query_id())) {
       Count(&PeerCounters::duplicates_suppressed);
     }
     return;
@@ -1229,7 +1224,7 @@ void Peer::HandleResultPlan(Plan plan, size_t wire_bytes) {
     // keeping its wire traces byte-identical.
     SendCancels(outcome.query_id, p);
   }
-  RememberCompleted(outcome.query_id);
+  completed_.Insert(outcome.query_id);
   pending_.erase(it);
   if (cb) cb(outcome);
 }
@@ -1372,19 +1367,9 @@ void Peer::GiveUp(const std::string& query_id) {
   // Giving up abandons every in-flight attempt: tell the servers that
   // hold its work to stop (DESIGN.md §11).
   if (OverloadActive()) SendCancels(query_id, p);
-  RememberCompleted(query_id);
+  completed_.Insert(query_id);
   pending_.erase(it);
   if (cb) cb(outcome);
-}
-
-void Peer::RememberCompleted(const std::string& query_id) {
-  if (!completed_set_.insert(query_id).second) return;
-  completed_ring_.push_back(query_id);
-  constexpr size_t kCompletedRingCap = 128;
-  if (completed_ring_.size() > kCompletedRingCap) {
-    completed_set_.erase(completed_ring_.front());
-    completed_ring_.pop_front();
-  }
 }
 
 // --- registration ---------------------------------------------------------------
@@ -2053,7 +2038,7 @@ void Peer::HandleBoundedReply(const wire::Envelope& env) {
   if (it == topk_sessions_.end()) {
     // Late replies for a recently finished session are expected noise
     // (the terminating round's losers); anything else is unaccounted.
-    if (topk_done_set_.count(qid) == 0) count_unmatched();
+    if (!topk_done_.Contains(qid)) count_unmatched();
     return;
   }
   TopKSession& s = it->second;
@@ -2177,7 +2162,7 @@ void Peer::FinishTopKSession(const std::string& query_id) {
   if (it == topk_sessions_.end()) return;
   TopKSession s = std::move(it->second);
   topk_sessions_.erase(it);
-  RememberTopKDone(query_id);
+  topk_done_.Insert(query_id);
   // Estimate what the bound kept off the wire: unshipped rows per source,
   // priced at that source's observed bytes-per-row (cost-model fallback
   // when a source shipped nothing). Benches measure real wire bytes; the
@@ -2208,28 +2193,14 @@ void Peer::OnTopKDeadline(const std::string& query_id, uint64_t generation) {
   }
   TopKSession s = std::move(it->second);
   topk_sessions_.erase(it);
-  RememberTopKDone(query_id);
+  topk_done_.Insert(query_id);
   // The TopN stays unmorphed — ProcessPlan's deadline branch force-
   // evaluates what it can and delivers the partial (PR 8 semantics: the
   // client's retry machinery sees an incomplete plan and takes over).
   ProcessPlan(std::move(s.plan), s.hops, s.deadline, s.attempt);
 }
 
-void Peer::RememberTopKDone(const std::string& query_id) {
-  if (!topk_done_set_.insert(query_id).second) return;
-  topk_done_ring_.push_back(query_id);
-  constexpr size_t kTopKDoneRingCap = 128;
-  if (topk_done_ring_.size() > kTopKDoneRingCap) {
-    topk_done_set_.erase(topk_done_ring_.front());
-    topk_done_ring_.pop_front();
-  }
-}
-
 // --- overload protection (DESIGN.md §11) -------------------------------------------
-
-bool Peer::OverloadActive() const {
-  return use_overload_protection() && options_.overload.enabled;
-}
 
 void Peer::HandleMqp(const wire::Envelope& env) {
   // hop_dom_nodes_built spans the entire hop — decode through forward —
@@ -2243,7 +2214,7 @@ void Peer::HandleMqp(const wire::Envelope& env) {
   ++counters_.plans_received;
   Plan plan = std::move(parsed).value();
   const OverloadOptions& ov = options_.overload;
-  if (OverloadActive() && cancelled_set_.count(plan.query_id()) > 0) {
+  if (OverloadActive() && cancelled_.Contains(plan.query_id())) {
     // The client already tore this query down; servicing it is waste.
     Count(&PeerCounters::cancelled_sessions_reaped);
     counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
@@ -2288,7 +2259,7 @@ void Peer::HandleMqp(const wire::Envelope& env) {
       id_, busy_until_,
       [this, p = std::move(plan), hops = env.hops, deadline = env.deadline,
        attempt = env.attempt]() mutable {
-        if (OverloadActive() && cancelled_set_.count(p.query_id()) > 0) {
+        if (OverloadActive() && cancelled_.Contains(p.query_id())) {
           // Cancelled while queued: reap instead of serving.
           Count(&PeerCounters::cancelled_sessions_reaped);
           return;
@@ -2380,24 +2351,13 @@ void Peer::HandleCancel(const wire::Envelope& env) {
   if (qid.empty()) return;
   // Idempotent under FaultInjector duplication: only the first copy of a
   // cancel does any work.
-  if (!RememberCancelled(qid)) return;
+  if (!cancelled_.Insert(qid)) return;
   auto it = topk_sessions_.find(qid);
   if (it != topk_sessions_.end()) {
     topk_sessions_.erase(it);
-    RememberTopKDone(qid);
+    topk_done_.Insert(qid);
     Count(&PeerCounters::cancelled_sessions_reaped);
   }
-}
-
-bool Peer::RememberCancelled(const std::string& query_id) {
-  if (!cancelled_set_.insert(query_id).second) return false;
-  cancelled_ring_.push_back(query_id);
-  constexpr size_t kCancelledRingCap = 256;
-  if (cancelled_ring_.size() > kCancelledRingCap) {
-    cancelled_set_.erase(cancelled_ring_.front());
-    cancelled_ring_.pop_front();
-  }
-  return true;
 }
 
 }  // namespace mqp::peer

@@ -90,8 +90,7 @@ struct ReliabilityOptions {
   uint64_t seed = 1;
 };
 
-/// \brief Overload-protection knobs (DESIGN.md §11). ANDed with the
-/// global peer::set_use_overload_protection ablation: with either off,
+/// \brief Overload-protection knobs (DESIGN.md §11). With `enabled` off,
 /// the peer accepts every query, never sheds, never aborts an
 /// evaluation, and never cancels — the pre-overload reference. The
 /// defaults are inert (no service-time model, no row budgets), so a
@@ -199,13 +198,31 @@ struct PeerOptions {
   OverloadOptions overload;
 };
 
-/// Global ablation knob (DESIGN.md §11), ANDed with each peer's
-/// OverloadOptions.enabled: false disables admission control, engine
-/// budgets, and cancellation everywhere — the reference the overload
-/// bench compares against. The service-time model (service_rate_qps)
-/// stays on either way: it represents the hardware, not the protection.
-void set_use_overload_protection(bool on);
-bool use_overload_protection();
+/// \brief A bounded set of recently seen ids. Holds at most `cap` ids
+/// and evicts the oldest insertion first; re-inserting a held id does
+/// not refresh its age.
+class RecentIds {
+ public:
+  explicit RecentIds(size_t cap) : cap_(cap) {}
+
+  /// Adds `id`; true if it was not already held.
+  bool Insert(const std::string& id) {
+    if (!set_.insert(id).second) return false;
+    order_.push_back(id);
+    if (order_.size() > cap_) {
+      set_.erase(order_.front());
+      order_.pop_front();
+    }
+    return true;
+  }
+
+  bool Contains(const std::string& id) const { return set_.count(id) > 0; }
+
+ private:
+  size_t cap_;
+  std::deque<std::string> order_;
+  std::set<std::string> set_;
+};
 
 /// \brief What a client gets back for a submitted query.
 struct QueryOutcome {
@@ -395,9 +412,8 @@ class Peer : public net::PeerNode {
 
   // --- overload protection (DESIGN.md §11) -------------------------------------
 
-  /// True when both the global knob and this peer's options enable the
-  /// protection layer.
-  bool OverloadActive() const;
+  /// True when this peer's options enable the protection layer.
+  bool OverloadActive() const { return options_.overload.enabled; }
   /// Decode + admission control + service-time deferral for an arriving
   /// remote plan; admitted plans reach ProcessPlan when the modeled
   /// queue drains to them.
@@ -416,8 +432,6 @@ class Peer : public net::PeerNode {
   /// the receiver.
   void SendCancels(const std::string& query_id, const Pending& p);
   void HandleCancel(const wire::Envelope& env);
-  /// Marks a query id cancelled (bounded ring); true if newly marked.
-  bool RememberCancelled(const std::string& query_id);
 
   /// Resolution stage; returns how many URNs were bound.
   int ResolveUrns(algebra::Plan* plan);
@@ -523,9 +537,6 @@ class Peer : public net::PeerNode {
   void FinishTopKSession(const std::string& query_id);
   /// Deadline cleanup: delivers the plan as a partial (TopN unmorphed).
   void OnTopKDeadline(const std::string& query_id, uint64_t generation);
-  /// Records a finished session id so late in-flight replies are dropped
-  /// silently instead of counting as unmatched.
-  void RememberTopKDone(const std::string& query_id);
   /// Drops rows a bound-stamped sub-plan can never contribute before the
   /// result is folded into the plan (the local-evaluation analog of the
   /// server-side bounded prefix).
@@ -570,9 +581,9 @@ class Peer : public net::PeerNode {
   uint64_t next_replica_ = 0;
 
   std::map<std::string, TopKSession> topk_sessions_;  // query id → session
-  /// Recently finished session ids (late-reply suppression).
-  std::deque<std::string> topk_done_ring_;
-  std::set<std::string> topk_done_set_;
+  /// Recently finished session ids: late in-flight replies for them are
+  /// dropped silently instead of counting as unmatched.
+  RecentIds topk_done_{128};
   uint64_t next_topk_generation_ = 0;
 
   // --- client reliability (DESIGN.md §9) ---------------------------------------
@@ -590,9 +601,6 @@ class Peer : public net::PeerNode {
   void OnQueryTimer(const std::string& query_id, uint64_t generation);
   /// Finishes an exhausted query with its best partial outcome.
   void GiveUp(const std::string& query_id);
-  /// Records a finished query id so late duplicate results are counted,
-  /// not re-delivered (bounded ring, oldest evicted).
-  void RememberCompleted(const std::string& query_id);
   /// Suspects the servers named by still-unresolved leaves of a returned
   /// incomplete plan (the hops that went unanswered).
   void SuspectUnansweredLeaves(const algebra::Plan& plan);
@@ -613,9 +621,9 @@ class Peer : public net::PeerNode {
     std::set<std::string> contacted;
   };
   std::map<std::string, Pending> pending_;
-  /// Recently finished query ids (duplicate-result suppression).
-  std::deque<std::string> completed_ring_;
-  std::set<std::string> completed_set_;
+  /// Recently finished query ids: late duplicate results for them are
+  /// counted, not re-delivered.
+  RecentIds completed_{128};
   /// Suspicion list: server address → quarantine expiry time.
   std::map<std::string, double> suspects_;
   mqp::Rng reliability_rng_{1};
@@ -629,10 +637,9 @@ class Peer : public net::PeerNode {
   /// service-time model queues admitted plans behind it. Never read when
   /// service_rate_qps is 0.
   double busy_until_ = 0;
-  /// Recently cancelled query ids (bounded ring): queued plans and late
-  /// traffic for these are dropped instead of serviced.
-  std::deque<std::string> cancelled_ring_;
-  std::set<std::string> cancelled_set_;
+  /// Recently cancelled query ids: queued plans and late traffic for
+  /// these are dropped instead of serviced.
+  RecentIds cancelled_{256};
 };
 
 }  // namespace mqp::peer

@@ -65,9 +65,8 @@ struct FlashCrowdParams {
   uint32_t max_retries = 1;
 
   /// Overload defenses on (admission, shedding, budgets, cancellation).
-  /// Applied per-peer via OverloadOptions::enabled so two scenarios with
-  /// opposite settings can coexist in one process; benches may instead
-  /// ablate globally with peer::set_use_overload_protection(false).
+  /// Applied per-peer via OverloadOptions::enabled, so two scenarios with
+  /// opposite settings can coexist in one process.
   bool protection = true;
 
   /// Template for the fleet's overload knobs (shed watermark, budgets,

@@ -1,18 +1,24 @@
-// Randomized equivalence property test for indexed catalog resolution.
+// Randomized property tests for indexed catalog resolution.
 //
-// The AreaIndex + binding cache must be invisible: for any hierarchy,
-// catalog content, mutation history (server departures, exact removals —
-// the gossip-expiry projection path) and request area, the indexed
-// ResolveArea must return bindings identical to the pre-index linear
-// scan (Catalog::set_use_area_index(false)), and a cached re-resolution
-// must return the same binding again. Also pins PathInterner interval
-// semantics against the string-compare reference and the incremental
-// entries() snapshot against a shadow model.
+// The AreaIndex must find every live entry overlapping a request, as a
+// brute-force Overlaps scan does, through any Add/Remove history. The
+// incremental catalog state and the binding cache must be invisible: for
+// any hierarchy, catalog content, mutation history (server departures,
+// exact removals — the gossip-expiry projection path) and request area,
+// ResolveArea must return the binding a catalog rebuilt from scratch with
+// the same content returns, and a cached re-resolution must return it
+// again. Also pins PathInterner interval semantics against the
+// string-compare reference and the incremental entries() snapshot
+// against a shadow model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "catalog/area_index.h"
 #include "catalog/catalog.h"
 #include "common/rng.h"
 #include "ns/path_interner.h"
@@ -98,7 +104,118 @@ struct ShadowEntries {
   }
 };
 
-// --- the property --------------------------------------------------------------
+// --- the AreaIndex property ------------------------------------------------------
+
+// One seeded Add/Remove history over a small id space (ids are reused
+// once removed), with areas of 1-3 dimensions, several cells and
+// wildcard coordinates over a five-label alphabet (shared prefixes).
+// Probes interleave with the adds, so the interners grow between them,
+// and now and then the index is replaced by a copy of itself, the source
+// destroyed. Every probe must return each live id whose area overlaps
+// the request (found by a brute-force scan), no id twice and no id that
+// is not live. Returns the number of probes made.
+size_t RunIndexCase(uint64_t seed) {
+  Rng rng(seed);
+  const size_t max_dims = 1 + rng.NextBelow(3);
+  auto random_area = [&] {
+    // Mostly one arity per history; a mixed-arity minority exercises the
+    // per-arity groups.
+    InterestArea area;
+    const size_t cells = 1 + rng.NextBelow(3);
+    for (size_t c = 0; c < cells; ++c) {
+      const size_t dims =
+          rng.NextBool(0.9) ? max_dims : 1 + rng.NextBelow(max_dims);
+      area.AddCell(RandomCell(&rng, dims, 3));
+    }
+    return area;
+  };
+  auto index = std::make_unique<AreaIndex>();
+  std::map<uint32_t, InterestArea> live;  // the brute-force model
+  size_t probes = 0;
+  auto probe = [&] {
+    const InterestArea request = random_area();
+    std::vector<uint32_t> sorted;
+    index->Candidates(request, &sorted);
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+        << "seed=" << seed << " an id returned twice for "
+        << request.ToString();
+    for (const uint32_t id : sorted) {
+      EXPECT_EQ(live.count(id), 1u)
+          << "seed=" << seed << " id " << id << " is not live";
+    }
+    for (const auto& [id, area] : live) {
+      if (!area.Overlaps(request)) continue;
+      EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(), id))
+          << "seed=" << seed << " missed id " << id << " " << area.ToString()
+          << " for " << request.ToString();
+    }
+    ++probes;
+  };
+  constexpr uint32_t kIds = 24;
+  const size_t ops = 20 + rng.NextBelow(100);
+  for (size_t i = 0; i < ops; ++i) {
+    const uint32_t id = static_cast<uint32_t>(rng.NextBelow(kIds));
+    auto it = live.find(id);
+    if (it == live.end()) {
+      InterestArea area = random_area();
+      index->Add(id, area);
+      live.emplace(id, std::move(area));
+    } else if (rng.NextBool(0.6)) {
+      index->Remove(id, it->second);
+      live.erase(it);
+    }
+    if (rng.NextBool(0.3)) probe();
+    if (rng.NextBool(0.05)) {
+      // The copy may not keep views into the source's buckets.
+      auto copy = std::make_unique<AreaIndex>(*index);
+      index = std::move(copy);
+    }
+  }
+  for (int q = 0; q < 4; ++q) probe();
+  return probes;
+}
+
+TEST(AreaIndexPropertyTest, CandidatesCoverEveryOverlapOnce) {
+  size_t total = 0;
+  for (uint64_t seed = 1; seed <= 1000; ++seed) {
+    total += RunIndexCase(seed);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "first failure at seed " << seed;
+    }
+  }
+  EXPECT_GE(total, 10000u);
+}
+
+// --- the catalog property ------------------------------------------------------
+
+/// Everything but the entries that a catalog's resolution depends on.
+struct CatalogConfig {
+  std::vector<std::string> dimension_fields;
+  std::string owner;
+  InterestArea authority;
+  bool authoritative = false;
+  const ns::MultiHierarchy* hierarchies = nullptr;
+  std::vector<IntensionalStatement> statements;
+
+  void ApplyTo(Catalog* c) const {
+    if (!dimension_fields.empty()) c->set_dimension_fields(dimension_fields);
+    if (!owner.empty()) c->set_owner(owner);
+    c->SetAuthority(authority, authoritative);
+    if (hierarchies != nullptr) c->set_hierarchies(hierarchies);
+  }
+};
+
+/// A catalog built from scratch: `config`, then `entries` in order, then
+/// the statements. Its binding cache starts empty.
+Catalog Rebuild(const CatalogConfig& config,
+                const std::vector<IndexEntry>& entries) {
+  Catalog c;
+  config.ApplyTo(&c);
+  for (const IndexEntry& e : entries) c.AddEntry(e);
+  for (const IntensionalStatement& st : config.statements) c.AddStatement(st);
+  return c;
+}
 
 // One seeded scenario: build, mutate, resolve, compare. Returns the
 // number of resolutions compared (so the harness can prove coverage).
@@ -107,48 +224,34 @@ size_t RunCase(uint64_t seed) {
   const size_t dims = 1 + rng.NextBelow(3);  // 1..3 dimensions
   ns::MultiHierarchy hierarchy;  // outlives the catalogs referencing it
   Catalog indexed;
-  Catalog linear;
-  linear.set_use_area_index(false);
-  linear.set_use_binding_cache(false);
+  CatalogConfig config;
   ShadowEntries shadow;
   size_t compared = 0;
 
-  auto apply_both = [&](auto&& fn) {
-    fn(indexed);
-    fn(linear);
-  };
   // Resolves interleave with the mutations below, so every TouchMutation
   // site (and the hierarchy-version epoch) must actually invalidate the
-  // indexed catalog's binding cache — the linear reference never caches.
+  // mutated catalog's binding cache — the rebuilt twin has never cached.
   auto compare_resolve = [&](const InterestArea& request) {
     const std::string urn = "urn:x-mqp:area:" + request.ToString();
-    const Binding reference = linear.ResolveArea(request, urn);
-    const Binding via_index = indexed.ResolveArea(request, urn);
-    EXPECT_TRUE(SameBinding(via_index, reference))
+    const Binding reference =
+        Rebuild(config, shadow.entries).ResolveArea(request, urn);
+    const Binding mutated = indexed.ResolveArea(request, urn);
+    EXPECT_TRUE(SameBinding(mutated, reference))
         << "seed=" << seed << " request=" << request.ToString()
-        << "\n  indexed: " << via_index.ToString()
-        << "\n  linear:  " << reference.ToString();
+        << "\n  mutated: " << mutated.ToString()
+        << "\n  rebuilt: " << reference.ToString();
     const Binding cached = indexed.ResolveArea(request, urn);
     EXPECT_TRUE(SameBinding(cached, reference))
         << "seed=" << seed << " cached divergence on " << request.ToString();
     ++compared;
   };
 
-  if (rng.NextBool(0.5)) {
-    apply_both([&](Catalog& c) {
-      c.set_dimension_fields({"f0", "f1", "f2"});
-    });
-  }
+  if (rng.NextBool(0.5)) config.dimension_fields = {"f0", "f1", "f2"};
   if (rng.NextBool(0.3)) {
-    const std::string owner = "10.0.0." + std::to_string(rng.NextBelow(8)) +
-                              ":9020";
-    apply_both([&](Catalog& c) { c.set_owner(owner); });
+    config.owner = "10.0.0." + std::to_string(rng.NextBelow(8)) + ":9020";
   }
-  {
-    const InterestArea authority = RandomArea(&rng, dims, 2);
-    const bool authoritative = rng.NextBool(0.5);
-    apply_both([&](Catalog& c) { c.SetAuthority(authority, authoritative); });
-  }
+  config.authority = RandomArea(&rng, dims, 2);
+  config.authoritative = rng.NextBool(0.5);
   const bool with_hierarchy = rng.NextBool(0.5);
   if (with_hierarchy) {
     for (size_t d = 0; d < dims; ++d) {
@@ -159,8 +262,9 @@ size_t RunCase(uint64_t seed) {
     }
     // §3.5 approximation now rewrites unknown request categories; both
     // catalogs share the namespace, so results must still agree.
-    apply_both([&](Catalog& c) { c.set_hierarchies(&hierarchy); });
+    config.hierarchies = &hierarchy;
   }
+  config.ApplyTo(&indexed);
 
   // Build + mutate: interleave adds with removals so slot reuse, index
   // removal and the by-server lists all get exercised.
@@ -172,22 +276,18 @@ size_t RunCase(uint64_t seed) {
       IndexEntry e = RandomEntry(&rng, dims);
       ever_added.push_back(e);
       shadow.Add(e);
-      apply_both([&](Catalog& c) { c.AddEntry(e); });
+      indexed.AddEntry(e);
     } else if (roll < 0.85) {
       // Exact removal: the sync projection path for tombstones/expiry.
       const IndexEntry& e = rng.Pick(ever_added);
       const bool removed_shadow = shadow.Remove(e);
-      bool removed_indexed = false, removed_linear = false;
-      removed_indexed = indexed.RemoveEntry(e);
-      removed_linear = linear.RemoveEntry(e);
-      EXPECT_EQ(removed_indexed, removed_shadow);
-      EXPECT_EQ(removed_linear, removed_shadow);
+      EXPECT_EQ(indexed.RemoveEntry(e), removed_shadow);
     } else {
       // Departure: every entry naming one server goes at once.
       const std::string server =
           "10.0.0." + std::to_string(rng.NextBelow(8)) + ":9020";
       shadow.RemoveServer(server);
-      apply_both([&](Catalog& c) { c.RemoveServer(server); });
+      indexed.RemoveServer(server);
     }
     // Resolve mid-history: the next mutation must invalidate whatever
     // the indexed catalog just cached.
@@ -218,15 +318,15 @@ size_t RunCase(uint64_t seed) {
     r.server = "10.0.0." + std::to_string(rng.NextBelow(8)) + ":9020";
     r.delay_minutes = rng.NextBool(0.5) ? 30 : 0;
     st.rhs.push_back(std::move(r));
-    apply_both([&](Catalog& c) { c.AddStatement(st); });
+    indexed.AddStatement(st);
+    config.statements.push_back(std::move(st));
   }
 
   // The incremental storage must present exactly the reference view.
   EXPECT_EQ(indexed.entries(), shadow.entries);
-  EXPECT_EQ(linear.entries(), shadow.entries);
 
   // Final quiescent-state resolutions; cached re-resolution must agree
-  // with itself and with the linear reference.
+  // with itself and with the rebuilt twin.
   const size_t requests = 3 + rng.NextBelow(4);
   for (size_t q = 0; q < requests; ++q) {
     compare_resolve(RandomArea(&rng, dims, 3));
@@ -235,7 +335,7 @@ size_t RunCase(uint64_t seed) {
   return compared;
 }
 
-TEST(CatalogIndexPropertyTest, IndexedResolutionMatchesLinearReference) {
+TEST(CatalogIndexPropertyTest, MutatedCatalogMatchesRebuiltTwin) {
   size_t total = 0;
   for (uint64_t seed = 1; seed <= 1000; ++seed) {
     total += RunCase(seed);
@@ -293,11 +393,13 @@ TEST(CatalogIndexPropertyTest, CopiedCatalogResolvesAfterSourceDies) {
     (void)original.ResolveArea(request, "urn:warm");
     copy = original;
   }
-  Catalog reference = copy;
-  reference.set_use_area_index(false);
-  reference.set_use_binding_cache(false);
+  CatalogConfig config;
+  config.authority = *InterestArea::Parse("(*,*)");
+  config.authoritative = true;
   const Binding got = copy.ResolveArea(request, "urn:copy");
-  const Binding want = reference.ResolveArea(request, "urn:copy");
+  const Binding want =
+      Rebuild(config, {entry("(a.b,x)", "s1"), entry("(a,x)", "s2")})
+          .ResolveArea(request, "urn:copy");
   EXPECT_TRUE(SameBinding(got, want)) << got.ToString() << " vs "
                                       << want.ToString();
   ASSERT_EQ(got.alternatives.size(), 1u);

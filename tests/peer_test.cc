@@ -22,6 +22,29 @@ algebra::ItemSet SomeItems(size_t n, uint64_t seed) {
   return gen.MakeItems(sellers[0], n);
 }
 
+// The bounded set behind duplicate-result, late top-k reply and cancel
+// suppression: the oldest insertion leaves first, and re-inserting a
+// held id neither reports it new nor refreshes its age.
+TEST(RecentIdsTest, EvictsOldestAndReinsertDoesNotRefresh) {
+  RecentIds ids(3);
+  EXPECT_TRUE(ids.Insert("a"));
+  EXPECT_TRUE(ids.Insert("b"));
+  EXPECT_TRUE(ids.Insert("c"));
+  EXPECT_FALSE(ids.Insert("a"));  // held: not new, not refreshed
+  EXPECT_TRUE(ids.Insert("d"));   // evicts "a", the oldest insertion
+  EXPECT_FALSE(ids.Contains("a"));
+  EXPECT_TRUE(ids.Contains("b"));
+  EXPECT_TRUE(ids.Contains("c"));
+  EXPECT_TRUE(ids.Contains("d"));
+  EXPECT_TRUE(ids.Insert("e"));  // evicts "b"
+  EXPECT_FALSE(ids.Contains("b"));
+  EXPECT_TRUE(ids.Insert("a"));  // evicted ids are new again; evicts "c"
+  EXPECT_FALSE(ids.Contains("c"));
+  EXPECT_TRUE(ids.Contains("d"));
+  EXPECT_TRUE(ids.Contains("e"));
+  EXPECT_TRUE(ids.Contains("a"));
+}
+
 TEST(PeerTest, AddressAndNameDefaults) {
   net::Simulator sim;
   Peer a(&sim, PeerOptions{});
