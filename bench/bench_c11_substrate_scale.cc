@@ -306,7 +306,6 @@ SweepResult RunSweepPoint(const SweepPoint& pt) {
   params.seed = 7;
   params.sync_catalog_tier = true;
   params.sync.gossip_interval_seconds = 5;
-  params.sync.fanout = 1;
   params.sync.entry_ttl_seconds = 600;
   params.sync.refresh_interval_seconds = 60;
   params.sync.horizon_seconds = 120;  // bounded gossip window

@@ -5,90 +5,12 @@
 // knows both. With statements enabled the binding collapses to one server
 // ("the MQP could be routed to either R or S, but it need not go to
 // both"); without them the union visits both and ships the data twice.
-#include "net/simulator.h"
+// The scenario and its shape check live in workload/replicas.h, shared
+// with PaperClaims.C3StatementsKeepOneBaseVisit; the bench exits non-zero
+// when the shape fails.
 #include "bench_util.h"
 
 using namespace mqp;
-
-namespace {
-
-struct RunResult {
-  bool ok = false;
-  size_t results = 0;
-  size_t base_visits = 0;
-  uint64_t bytes = 0;
-  double latency = 0;
-};
-
-RunResult Run(bool use_statements, size_t replicas, uint64_t seed) {
-  net::Simulator sim;
-  workload::GarageSaleGenerator gen(seed);
-  const std::vector<std::string> fields = {"location", "category"};
-
-  peer::PeerOptions idx_opts;
-  idx_opts.name = "index";
-  idx_opts.roles.index = true;
-  idx_opts.roles.authoritative = true;
-  idx_opts.interest = *ns::InterestArea::Parse("(USA.OR,*)");
-  idx_opts.dimension_fields = fields;
-  idx_opts.use_intensional_statements = use_statements;
-  peer::Peer index(&sim, idx_opts);
-  index.catalog().set_use_statements(use_statements);
-
-  // The original holder S and `replicas` exact copies R1..Rk.
-  workload::Seller spec;
-  spec.name = "S";
-  spec.cell = ns::MakeCell({"USA/OR/Portland", "Music/CDs"});
-  auto items = gen.MakeItems(spec, 40);
-
-  std::vector<std::unique_ptr<peer::Peer>> bases;
-  auto add_base = [&](const std::string& name) -> peer::Peer* {
-    peer::PeerOptions o;
-    o.name = name;
-    o.roles.base = true;
-    o.dimension_fields = fields;
-    bases.push_back(std::make_unique<peer::Peer>(&sim, o));
-    peer::Peer* p = bases.back().get();
-    p->PublishCollection("c", ns::InterestArea(spec.cell), items);
-    p->AddBootstrap(index.address());
-    return p;
-  };
-  peer::Peer* s_server = add_base("S");
-  std::vector<peer::Peer*> r_servers;
-  for (size_t i = 0; i < replicas; ++i) {
-    peer::Peer* r = add_base("R" + std::to_string(i));
-    // Example 1's statement: identical holdings for the area.
-    auto st = catalog::IntensionalStatement::Parse(
-        "base[(USA.OR.Portland,Music.CDs)]@" + r->address() +
-        " = base[(USA.OR.Portland,Music.CDs)]@" + s_server->address());
-    if (st.ok()) r->AddOwnStatement(*st);
-  }
-  for (auto& b : bases) b->JoinNetwork();
-  sim.Run();
-
-  peer::PeerOptions copts;
-  copts.name = "client";
-  copts.dimension_fields = fields;
-  peer::Peer client(&sim, copts);
-  client.AddBootstrap(index.address());
-
-  sim.stats().Clear();
-  auto area = *ns::InterestArea::Parse("(USA.OR.Portland,Music.CDs)");
-  auto run = bench::RunAreaQuery(&sim, &client, area);
-  RunResult r;
-  r.ok = run.ok;
-  r.bytes = run.bytes;
-  if (run.ok) {
-    r.results = run.outcome.items.size();
-    r.latency = run.outcome.completed_at - run.outcome.submitted_at;
-    for (const auto& b : bases) {
-      if (run.outcome.provenance.Visited(b->address())) ++r.base_visits;
-    }
-  }
-  return r;
-}
-
-}  // namespace
 
 int main() {
   bench::Header("C3", "intensional statements: redundancy elimination "
@@ -97,17 +19,23 @@ int main() {
              "exactly; query the area");
   bench::Row("%9s %11s %9s %12s %11s %9s", "replicas", "statements",
              "results", "base-visits", "bytes", "latency");
-  for (size_t replicas : {1, 2, 4}) {
-    for (bool stmts : {false, true}) {
-      RunResult r = Run(stmts, replicas, 300 + replicas);
-      if (!r.ok) {
-        bench::Row("%9zu %11s  QUERY DID NOT RETURN", replicas,
-                   stmts ? "on" : "off");
+  std::vector<std::string> failed;
+  for (size_t replicas : workload::kReplicaCounts) {
+    const auto without = workload::RunReplicaQuery(false, replicas);
+    const auto with = workload::RunReplicaQuery(true, replicas);
+    for (const workload::ReplicaQuery* r : {&without, &with}) {
+      const char* stmts = r == &with ? "on" : "off";
+      if (!r->ok) {
+        bench::Row("%9zu %11s  QUERY DID NOT RETURN", replicas, stmts);
         continue;
       }
-      bench::Row("%9zu %11s %9zu %12zu %11llu %8.2fs", replicas,
-                 stmts ? "on" : "off", r.results, r.base_visits,
-                 static_cast<unsigned long long>(r.bytes), r.latency);
+      bench::Row("%9zu %11s %9zu %12zu %11llu %8.2fs", replicas, stmts,
+                 r->results, r->base_visits,
+                 static_cast<unsigned long long>(r->bytes), r->latency);
+    }
+    for (const std::string& f :
+         workload::ReplicaStatementsShape(with, without, replicas)) {
+      failed.push_back(std::to_string(replicas) + " replica(s): " + f);
     }
   }
   bench::Row(
@@ -115,5 +43,8 @@ int main() {
       "replica is visited\nand the result multiplies (duplicates); with "
       "statements the binding collapses to\na single server — one visit, "
       "one copy of the data, lower latency and bytes.");
-  return 0;
+  for (const std::string& f : failed) {
+    bench::Row("SHAPE CHECK FAILED: %s", f.c_str());
+  }
+  return failed.empty() ? 0 : 1;
 }

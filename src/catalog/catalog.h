@@ -181,8 +181,9 @@ class Catalog {
     return statements_;
   }
 
-  /// When false, Resolve ignores intensional statements (ablation knob for
-  /// bench C3).
+  /// When false, Resolve ignores intensional statements: the one §4
+  /// ablation switch (bench C3, PaperClaims.C3StatementsKeepOneBaseVisit).
+  /// Statements are stored either way.
   void set_use_statements(bool use) {
     use_statements_ = use;
     TouchMutation();

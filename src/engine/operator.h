@@ -6,7 +6,6 @@
 // receives sub-plans selected by the policy manager).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -43,33 +42,23 @@ EngineStats& MutableStats();
 /// entry — sub-plan evaluation, fetch/subquery service — after
 /// converting a query's remaining deadline into a deterministic row
 /// allowance. Operators charge the budget at their checkpoints (source
-/// scans, join outputs, the Evaluate drain); the first charge past a
-/// limit fails the evaluation with kTimeout, counted in
-/// EngineStats::budget_aborts, so the caller delivers a partial promptly
-/// instead of burning the core. Zero fields are unlimited.
+/// scans and join outputs); the first charge past the limit fails the
+/// evaluation with kTimeout, counted in EngineStats::budget_aborts, so
+/// the caller delivers a partial promptly instead of burning the core.
+/// A budget counts rows only, so a given plan trips it at the same row
+/// on every backend and every run.
 struct EvalLimits {
-  /// Rows produced across row checkpoints (source-scan and join output).
+  /// Rows produced across row checkpoints (source-scan and join output);
+  /// 0 is unlimited.
   uint64_t max_rows = 0;
-  /// Serialized bytes of rows delivered from Evaluate's drain.
-  uint64_t max_bytes = 0;
-  /// Wall-clock cap on one evaluation (steady clock, probed every 128
-  /// rows). Non-deterministic by nature — simulated backends use the row
-  /// allowance instead; this backstops wall-clock runtimes.
-  double max_eval_seconds = 0;
 };
 
 namespace internal {
 /// Thread-local active-budget bookkeeping behind ScopedEvalBudget.
 struct BudgetState {
-  bool active = false;
-  bool rows_limited = false;
-  bool bytes_limited = false;
-  bool time_limited = false;
+  bool active = false;  ///< a row limit is installed
   bool exhausted = false;
   uint64_t rows_left = 0;
-  uint64_t bytes_left = 0;
-  uint32_t probe_countdown = 0;
-  std::chrono::steady_clock::time_point deadline{};
 };
 BudgetState& Budget();
 }  // namespace internal
@@ -136,9 +125,8 @@ Result<algebra::ItemSet> Evaluate(const algebra::PlanNode& plan,
 /// reduce: one ItemSet per child, holding what Evaluate yields for an
 /// input that is not constant data and nothing for a data input. Charges
 /// the active budget as Evaluate over the whole union would — a data
-/// input's item count in rows and its serialized size in bytes — without
-/// building a verbatim input's items, and fails where that evaluation
-/// fails.
+/// input's item count in rows — without building a verbatim input's
+/// items, and fails where that evaluation fails.
 Result<std::vector<algebra::ItemSet>> EvaluateUnionInputs(
     const algebra::PlanNode& bag_union, DataSource* source = nullptr);
 

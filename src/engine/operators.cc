@@ -11,7 +11,6 @@
 #include "engine/field_accessor.h"
 #include "engine/operator.h"
 #include "engine/topk_heap.h"
-#include "xml/writer.h"
 
 namespace mqp::engine {
 
@@ -23,10 +22,6 @@ thread_local EngineStats g_stats;
 // The active evaluation budget (DESIGN.md §11); inactive by default so
 // unbudgeted evaluations pay one boolean test per checkpoint.
 thread_local internal::BudgetState g_budget;
-
-// Steady-clock probes are amortized: the wall-clock limit is only
-// consulted every this many row charges.
-constexpr uint32_t kTimeProbeInterval = 128;
 
 Status BudgetExhausted() {
   if (!g_budget.exhausted) {
@@ -40,35 +35,9 @@ Status BudgetExhausted() {
 Status ChargeRow() {
   internal::BudgetState& b = g_budget;
   if (!b.active) return Status::OK();
-  if (b.exhausted) return Status::Timeout("evaluation budget exhausted");
-  if (b.rows_limited) {
-    if (b.rows_left == 0) return BudgetExhausted();
-    --b.rows_left;
-  }
-  if (b.time_limited && --b.probe_countdown == 0) {
-    b.probe_countdown = kTimeProbeInterval;
-    if (std::chrono::steady_clock::now() >= b.deadline) {
-      return BudgetExhausted();
-    }
-  }
+  if (b.rows_left == 0) return BudgetExhausted();  // counts the first trip
+  --b.rows_left;
   return Status::OK();
-}
-
-// Charges delivered serialized bytes against the byte limit.
-Status ChargeBytes(uint64_t bytes) {
-  internal::BudgetState& b = g_budget;
-  if (!b.active || !b.bytes_limited) return Status::OK();
-  if (b.exhausted) return Status::Timeout("evaluation budget exhausted");
-  if (bytes > b.bytes_left) return BudgetExhausted();
-  b.bytes_left -= bytes;
-  return Status::OK();
-}
-
-// Charges a delivered item's serialized size against the byte limit.
-Status ChargeItemBytes(const algebra::Item& item) {
-  const internal::BudgetState& b = g_budget;
-  if (!b.active || !b.bytes_limited) return Status::OK();
-  return ChargeBytes(xml::SerializedSize(*item));
 }
 }  // namespace
 
@@ -83,18 +52,8 @@ BudgetState& Budget() { return g_budget; }
 ScopedEvalBudget::ScopedEvalBudget(const EvalLimits& limits)
     : saved_(g_budget) {
   internal::BudgetState b;
-  b.rows_limited = limits.max_rows > 0;
+  b.active = limits.max_rows > 0;
   b.rows_left = limits.max_rows;
-  b.bytes_limited = limits.max_bytes > 0;
-  b.bytes_left = limits.max_bytes;
-  b.time_limited = limits.max_eval_seconds > 0;
-  if (b.time_limited) {
-    b.deadline = std::chrono::steady_clock::now() +
-                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(limits.max_eval_seconds));
-  }
-  b.probe_countdown = kTimeProbeInterval;
-  b.active = b.rows_limited || b.bytes_limited || b.time_limited;
   g_budget = b;
 }
 
@@ -708,31 +667,21 @@ Result<OperatorPtr> BuildOperator(const PlanNode& plan, DataSource* source) {
 
 namespace {
 
-// Pulls every item of an opened operator into `out`, charging each one's
-// bytes as it is delivered.
+// Pulls every item of an opened operator into `out`.
 Status Drain(Operator* op, ItemSet* out) {
   while (true) {
     MQP_ASSIGN_OR_RETURN(auto item, op->Next());
     if (!item) return Status::OK();
-    MQP_RETURN_IF_ERROR(ChargeItemBytes(*item));
     out->push_back(*item);
   }
 }
 
-// Charges a data leaf as DataScan (a row per item) and the drain (its
-// bytes) would; a verbatim run's length is its items' serialized size.
+// Charges a data leaf as DataScan would: a row per item.
 Status ChargeData(const PlanNode& leaf) {
-  if (leaf.verbatim_items().empty()) {
-    for (const Item& item : leaf.items()) {
-      MQP_RETURN_IF_ERROR(ChargeRow());
-      MQP_RETURN_IF_ERROR(ChargeItemBytes(item));
-    }
-    return Status::OK();
-  }
   for (size_t i = 0; i < leaf.item_count(); ++i) {
     MQP_RETURN_IF_ERROR(ChargeRow());
   }
-  return ChargeBytes(leaf.verbatim_items().size());
+  return Status::OK();
 }
 
 // Runs `fn`, adding its wall time to engine_eval_ns.

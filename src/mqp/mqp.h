@@ -65,6 +65,7 @@
 //   workload/   garage-sale, CD-market, gene-expression generators, the
 //               churn and flash-crowd scenario drivers, and topology
 //               builders (garage-sale tree, super-peer hierarchies)
+//               plus the §4.2 replica-statement scenario (C3)
 //
 // Outside the library, tests/support/ (the mqp_test_support target) keeps
 // the implementations the library replaced as references that tests and
@@ -131,6 +132,7 @@
 #include "workload/garage_sale.h"
 #include "workload/gene_expression.h"
 #include "workload/network_builder.h"
+#include "workload/replicas.h"
 #include "xml/node.h"
 #include "xml/parser.h"
 #include "xml/token_reader.h"

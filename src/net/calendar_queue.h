@@ -12,13 +12,17 @@
 //
 // Chains are *lazily* sorted: Push always tail-appends and only marks
 // the bucket dirty when the append broke (time, seq) order; PopMin
-// sorts a dirty chain once, when the cursor first needs it. Simulated
-// traffic makes this the difference between O(1) and quadratic pushes —
-// thousands of peers whose delivery times are near-ties (equal up to
-// floating-point residue) interleave their arrivals, and a
-// sorted-insert discipline would walk half of such a chain per push.
-// Lazy sorting costs each event one O(log k) share of a sequential
-// sort instead.
+// sorts a dirty chain whole, later years' events included, each time the
+// cursor reaches it. Simulated traffic makes this the difference between
+// O(1) and quadratic pushes — thousands of peers whose delivery times
+// are near-ties (equal up to floating-point residue) interleave their
+// arrivals, and a sorted-insert discipline would walk half of such a
+// chain per push. An event is not sorted only once, though: any
+// out-of-order push dirties its chain again (a near-tie, or anything
+// landing in a bucket that holds a far-future event), and the next visit
+// sorts every event still waiting there. The 1000-seed queue sweep in
+// tests/substrate_test.cc passes 64.5M events through SortBucket for
+// 1.35M pushes, ~48 per push.
 //
 // Ordering is bit-exact with the binary heap: events pop in strict
 // (time, seq) order. Equal times always land in the same bucket (the
@@ -58,8 +62,8 @@ class CalendarQueue {
   uint64_t min_jumps() const { return min_jumps_; }
 
   /// Events passed through lazy chain sorts. Zero on monotone traffic
-  /// (every append lands in order); at most one share per event
-  /// otherwise.
+  /// (every append lands in order); otherwise an event counts once per
+  /// sort of the chain it waits in, which can be many times.
   uint64_t chain_sort_events() const { return chain_sort_events_; }
 
   /// Approximate heap footprint of the bucket arrays.

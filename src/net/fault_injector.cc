@@ -19,6 +19,9 @@ double ToUnit(uint64_t x) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
+// Extra latency of a delayed message (the reorder fault).
+constexpr double kDelaySeconds = 0.2;
+
 constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -148,7 +151,7 @@ void FaultInjector::Send(Message msg) {
     // the delayed copy is not re-faulted. Messages sent meanwhile
     // overtake it, which is exactly the reorder fault.
     Transport* inner = inner_;
-    inner_->Schedule(t + spec.delay_seconds,
+    inner_->Schedule(t + kDelaySeconds,
                      [inner, m = std::move(msg)]() mutable {
                        inner->Send(std::move(m));
                      });

@@ -34,12 +34,12 @@ namespace mqp::net {
 
 /// \brief Fault rates for one (link, kind) class. Rates are
 /// probabilities in [0, 1]; the decision order is drop > duplicate >
-/// delay (mutually exclusive per message).
+/// delay (mutually exclusive per message). A delayed message arrives
+/// 0.2 s late, after messages sent meanwhile (reorder).
 struct FaultSpec {
   double drop_rate = 0;
   double dup_rate = 0;
   double delay_rate = 0;
-  double delay_seconds = 0.2;  ///< extra latency when delayed (reorder)
 
   bool Empty() const {
     return drop_rate == 0 && dup_rate == 0 && delay_rate == 0;

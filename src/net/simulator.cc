@@ -51,10 +51,6 @@ Result<PeerId> Simulator::Lookup(std::string_view address) const {
   return static_cast<PeerId>(id);
 }
 
-void Simulator::SetLinkOverride(PeerId from, PeerId to, LinkParams link) {
-  link_overrides_[LinkKey(from, to)] = link;
-}
-
 void Simulator::Fail(PeerId id) {
   if (id < failed_.size()) failed_[id] = true;
 }
@@ -67,14 +63,7 @@ bool Simulator::IsFailed(PeerId id) const {
   return id < failed_.size() && failed_[id];
 }
 
-double Simulator::Latency(PeerId from, PeerId to, size_t bytes) const {
-  if (!link_overrides_.empty()) {
-    auto it = link_overrides_.find(LinkKey(from, to));
-    if (it != link_overrides_.end()) {
-      return it->second.latency_seconds +
-             static_cast<double>(bytes) / it->second.bytes_per_second;
-    }
-  }
+double Simulator::Latency(size_t bytes) const {
   return link_.latency_seconds +
          static_cast<double>(bytes) * inv_default_bps_;
 }
@@ -116,7 +105,7 @@ void Simulator::Send(Message msg) {
     stats_.drops_to_failed++;
     return;  // dropped: unknown or failed destination
   }
-  const double when = now_ + Latency(msg.from, msg.to, msg.size_bytes);
+  const double when = now_ + Latency(msg.size_bytes);
   // The steady path: the message moves into a recycled pool slot — no
   // per-event allocation, no std::function erasure.
   const uint32_t idx = EnqueuePooled(when, SimEvent::Kind::kDeliver);
@@ -179,8 +168,6 @@ size_t Simulator::SubstrateBytes() const {
   for (const std::string& a : addresses_) {
     if (a.capacity() > sizeof(std::string)) bytes += a.capacity();
   }
-  bytes += link_overrides_.size() * (sizeof(uint64_t) + sizeof(LinkParams) +
-                                     2 * sizeof(void*));
   bytes += pool_.ApproxBytes();
   bytes += calendar_.ApproxBytes();
   return bytes;

@@ -19,7 +19,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -31,7 +30,7 @@
 
 namespace mqp::net {
 
-/// \brief Link parameters (uniform by default; per-pair overrides allowed).
+/// \brief Link parameters, the same for every pair of peers.
 struct LinkParams {
   double latency_seconds = 0.020;     ///< propagation delay
   double bytes_per_second = 1.25e6;   ///< ~10 Mbit/s
@@ -65,14 +64,10 @@ class Simulator : public Transport {
 
   double now() const override { return now_; }
 
-  const LinkParams& default_link() const { return link_; }
   void set_default_link(LinkParams link) {
     link_ = link;
     inv_default_bps_ = 1.0 / link.bytes_per_second;
   }
-
-  /// Per-destination link override (e.g. a slow transatlantic peer).
-  void SetLinkOverride(PeerId from, PeerId to, LinkParams link);
 
   /// Marks a peer down: messages to it are silently dropped (§4.2
   /// "R may be unavailable at some point").
@@ -103,7 +98,7 @@ class Simulator : public Transport {
   const EventPool& event_pool() const { return pool_; }
 
   /// Approximate heap bytes held by the substrate itself: peer tables,
-  /// cached addresses, link overrides, event slab and calendar buckets.
+  /// cached addresses, event slab and calendar buckets.
   /// The scale bench divides this by size() for its bytes/peer claim.
   size_t SubstrateBytes() const;
 
@@ -117,22 +112,15 @@ class Simulator : public Transport {
   }
 
  private:
-  double Latency(PeerId from, PeerId to, size_t bytes) const;
+  double Latency(size_t bytes) const;
 
   /// Acquires, stamps and links a pooled event; tallies substrate stats.
   /// Returns the slot index for the caller to fill (pool msg or fn).
   uint32_t EnqueuePooled(double when, SimEvent::Kind kind);
 
-  /// Packs a (from, to) pair into one hashable key — the override lookup
-  /// sits on the Send hot path.
-  static uint64_t LinkKey(PeerId from, PeerId to) {
-    return (static_cast<uint64_t>(from) << 32) | to;
-  }
-
   std::vector<PeerNode*> nodes_;
   std::vector<bool> failed_;
   std::vector<std::string> addresses_;  ///< id → cached "10.0.0.<id>:9020"
-  std::unordered_map<uint64_t, LinkParams> link_overrides_;
   LinkParams link_;
   /// 1 / link_.bytes_per_second, cached: Latency() sits on the per-event
   /// hot path and a multiply is several times cheaper than the divide.

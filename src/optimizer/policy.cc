@@ -4,6 +4,10 @@ namespace mqp::optimizer {
 
 using algebra::PlanNode;
 
+// Defer when the estimated result is more than this factor larger than
+// the inputs already in the plan (evaluating would bloat the MQP).
+constexpr double kGrowthLimit = 1.25;
+
 double LeafBytes(const PlanNode& node, const CostModel& cost) {
   if (node.is_leaf()) return cost.Estimate(node).bytes;
   double total = 0;
@@ -31,12 +35,12 @@ std::vector<EvalDecision> PolicyManager::Decide(
       } else {
         const double input_bytes = LeafBytes(*node, cost);
         if (input_bytes > 0 &&
-            d.estimate.bytes > config_.growth_limit * input_bytes) {
+            d.estimate.bytes > kGrowthLimit * input_bytes) {
           d.evaluate = false;
           d.reason = "defer:growth";
         }
       }
-      if (!d.evaluate && config_.annotate_deferred) {
+      if (!d.evaluate) {
         node->annotations().cardinality =
             static_cast<uint64_t>(d.estimate.rows);
         node->annotations().bytes = static_cast<uint64_t>(d.estimate.bytes);

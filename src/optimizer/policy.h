@@ -13,20 +13,14 @@
 
 namespace mqp::optimizer {
 
-/// \brief Deferment policy knobs.
+/// \brief Deferment policy knobs (a growth limit of 1.25x is fixed in
+/// policy.cc).
 struct PolicyConfig {
   /// Master switch; when false everything evaluable is evaluated.
   bool enable_deferment = true;
 
-  /// Defer when the estimated result is more than this factor larger than
-  /// the inputs already in the plan (evaluating would bloat the MQP).
-  double growth_limit = 1.25;
-
   /// Defer anything whose estimated result exceeds this many bytes.
   uint64_t max_result_bytes = 4u << 20;
-
-  /// Attach cardinality/byte annotations to deferred sub-plans.
-  bool annotate_deferred = true;
 };
 
 /// \brief One decision about one evaluable sub-plan.
@@ -42,10 +36,8 @@ class PolicyManager {
  public:
   explicit PolicyManager(PolicyConfig config = {}) : config_(config) {}
 
-  const PolicyConfig& config() const { return config_; }
-
-  /// Decides each candidate; when annotate_deferred is set, deferred
-  /// sub-plans get card/bytes annotations written into the plan.
+  /// Decides each candidate; deferred sub-plans get card/bytes
+  /// annotations written into the plan.
   std::vector<EvalDecision> Decide(
       const std::vector<algebra::PlanNode*>& candidates,
       const CostModel& cost) const;

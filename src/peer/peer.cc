@@ -49,6 +49,18 @@ uint64_t Fnv1a(uint64_t h, uint64_t v) {
   return h;
 }
 
+// Retry backoff (DESIGN.md §9): each retry doubles the per-attempt
+// timeout up to a 30-s cap, then scales it by a ±20% jitter draw.
+constexpr double kBackoffFactor = 2.0;
+constexpr double kMaxBackoffSeconds = 30;
+constexpr double kRetryJitter = 0.2;
+
+// Shedding (DESIGN.md §11): best-effort plans enter the RED gray zone at
+// half the delay watermark; higher priorities are refused only past four
+// times the watermark (server side) or the pending cap (client side).
+constexpr double kEarlyShedFraction = 0.5;
+constexpr double kHighPriorityCeiling = 4.0;
+
 // `now - before` over one counter-table group, as a batch for Count.
 #define MQP_COUNTER_DELTA(name) deltas.name = now.name - before.name;
 
@@ -156,71 +168,6 @@ void Peer::AddBootstrap(const std::string& address_text) {
     if (b == address_text) return;
   }
   bootstraps_.push_back(address_text);
-}
-
-namespace {
-
-std::string RolesAnnouncedLevel(const PeerRoles& roles) {
-  // Index and meta-index servers announce themselves at index level.
-  return (roles.index || roles.meta_index) ? "index" : "base";
-}
-
-}  // namespace
-
-std::string Peer::BuildRegisterPayload(int ttl) const {
-  std::string out;
-  xml::TokenWriter w(&out);
-  w.Start("register");
-  w.Attr("server", address());
-  w.Attr("name", options_.name);
-  w.Attr("ttl", ttl);
-  for (const auto& [id, area] : collections_) {
-    w.Start("entry");
-    w.Attr("level", "base");
-    w.Attr("area", area.ToString());
-    w.Attr("xpath", engine::LocalStore::CollectionXPath(id));
-    w.End();
-  }
-  if (options_.roles.index || options_.roles.meta_index) {
-    w.Start("entry");
-    w.Attr("level", RolesAnnouncedLevel(options_.roles));
-    w.Attr("area", options_.interest.ToString());
-    w.End();
-  }
-  for (const auto& [urn, xpath] : named_published_) {
-    w.Start("named");
-    w.Attr("urn", urn);
-    w.Attr("xpath", xpath);
-    w.End();
-  }
-  for (const auto& st : own_statements_) {
-    w.Start("statement");
-    w.Text(st.ToString());
-    w.End();
-  }
-  w.End();
-  return out;
-}
-
-void Peer::JoinNetwork() {
-  // One shared buffer for every registration target.
-  const net::Payload payload =
-      net::MakePayload(BuildRegisterPayload(/*ttl=*/2));
-  std::unordered_set<std::string> targets(bootstraps_.begin(),
-                                          bootstraps_.end());
-  // Also register with index servers already known to the catalog whose
-  // area overlaps ours (§3.3: push to covering authoritative servers).
-  catalog_.ForEachEntry([&](const catalog::IndexEntry& e) {
-    if (e.level == catalog::HoldingLevel::kIndex && e.server != address() &&
-        e.area.Overlaps(options_.interest)) {
-      targets.insert(e.server);
-    }
-  });
-  for (const auto& t : targets) {
-    auto pid = sim_->Lookup(t);
-    if (!pid.ok() || *pid == id_) continue;
-    wire::Send(sim_, id_, *pid, {kRegisterKind, "", 0, payload});
-  }
 }
 
 // --- dynamic catalog maintenance (src/sync/) --------------------------------------
@@ -406,7 +353,7 @@ std::string Peer::SubmitQuery(Plan plan, Callback cb) {
     if (plan.policy().priority > 0) {
       limit = std::max<size_t>(
           limit, static_cast<size_t>(static_cast<double>(limit) *
-                                     ov.high_priority_ceiling));
+                                     kHighPriorityCeiling));
     }
     if (pending_.size() >= limit) {
       std::string shed_qid =
@@ -765,9 +712,7 @@ void Peer::ApplyRewrites(Plan* plan) {
   if (options_.enable_select_pushdown) {
     optimizer::PushSelectThroughUnion(root);
   }
-  if (options_.enable_difference_split) {
-    optimizer::SplitDifferenceOverUnion(root, locality);
-  }
+  optimizer::SplitDifferenceOverUnion(root, locality);
   if (options_.enable_absorption) {
     optimizer::ApplyAbsorption(root, locality, cost);
   }
@@ -1232,24 +1177,20 @@ void Peer::HandleResultPlan(Plan plan, size_t wire_bytes) {
 // --- client reliability (DESIGN.md §9) ------------------------------------------
 
 double Peer::Backoff(uint32_t attempt) {
-  const ReliabilityOptions& rel = options_.reliability;
-  double base = rel.retry_timeout_seconds;
+  double base = options_.reliability.retry_timeout_seconds;
   for (uint32_t i = 0; i < attempt; ++i) {
-    base *= rel.backoff_factor;
-    if (base >= rel.max_backoff_seconds) break;
+    base *= kBackoffFactor;
+    if (base >= kMaxBackoffSeconds) break;
   }
-  if (base > rel.max_backoff_seconds) base = rel.max_backoff_seconds;
-  if (rel.retry_jitter > 0) {
-    const double u = reliability_rng_.NextDouble();
-    base *= 1.0 + rel.retry_jitter * (2.0 * u - 1.0);
-  }
-  return base;
+  if (base > kMaxBackoffSeconds) base = kMaxBackoffSeconds;
+  const double u = reliability_rng_.NextDouble();
+  return base * (1.0 + kRetryJitter * (2.0 * u - 1.0));
 }
 
 void Peer::Suspect(const std::string& server) {
   if (!options_.reliability.enabled) return;
   if (server.empty() || server == address()) return;
-  suspects_[server] = sim_->now() + options_.reliability.suspicion_ttl_seconds;
+  suspects_[server] = sim_->now() + kSuspicionTtlSeconds;
 }
 
 bool Peer::IsSuspect(const std::string& server) {
@@ -1382,7 +1323,7 @@ struct RegisterEntry {
   std::string level;  // "base" / "index" (raw attribute, default "base")
   std::string area;
   std::string xpath;
-  std::string delay;
+  int delay = 0;  // minutes (§4.3); an absent attribute reads as 0
 };
 
 struct RegisterNamed {
@@ -1417,9 +1358,13 @@ Result<RegisterDoc> ParseRegisterBody(std::string_view body) {
       xml::AttrList child;
       MQP_ASSIGN_OR_RETURN(xml::Token ct, r.ReadAttrs(&child));
       if (ctag == "entry") {
-        doc.entries.push_back(RegisterEntry{
-            child.Get("level", "base"), child.Get("area"),
-            child.Get("xpath"), child.Get("delay", "0")});
+        RegisterEntry e{child.Get("level", "base"), child.Get("area"),
+                        child.Get("xpath")};
+        if (const std::string* d = child.Find("delay");
+            d != nullptr && !mqp::ParseInteger(*d, &e.delay)) {
+          return r.Error("register delay must be an int");
+        }
+        doc.entries.push_back(std::move(e));
       } else if (ctag == "named") {
         doc.named.push_back(
             RegisterNamed{child.Get("urn"), child.Get("xpath")});
@@ -1464,7 +1409,7 @@ std::string EncodeRegisterBody(const RegisterDoc& doc) {
     w.Attr("level", e.level);
     w.Attr("area", e.area);
     if (!e.xpath.empty()) w.Attr("xpath", e.xpath);
-    if (e.delay != "0") w.Attr("delay", e.delay);
+    if (e.delay != 0) w.Attr("delay", e.delay);
     w.End();
   }
   for (const auto& n : doc.named) {
@@ -1483,6 +1428,43 @@ std::string EncodeRegisterBody(const RegisterDoc& doc) {
 }
 
 }  // namespace
+
+void Peer::JoinNetwork() {
+  // This peer's holdings, in OwnSyncEntries' order, and its statements;
+  // one shared buffer for every registration target.
+  RegisterDoc doc;
+  doc.server = address();
+  doc.name = options_.name;
+  doc.ttl = 2;
+  for (const catalog::SyncEntry& se : OwnSyncEntries()) {
+    if (se.kind == catalog::SyncEntryKind::kNamed) {
+      doc.named.push_back(RegisterNamed{se.urn, se.entry.xpath});
+    } else {
+      doc.entries.push_back(RegisterEntry{
+          std::string(catalog::HoldingLevelName(se.entry.level)),
+          se.entry.area.ToString(), se.entry.xpath});
+    }
+  }
+  for (const auto& st : own_statements_) {
+    doc.statements.push_back(st.ToString());
+  }
+  const net::Payload payload = net::MakePayload(EncodeRegisterBody(doc));
+  std::unordered_set<std::string> targets(bootstraps_.begin(),
+                                          bootstraps_.end());
+  // Also register with index servers already known to the catalog whose
+  // area overlaps ours (§3.3: push to covering authoritative servers).
+  catalog_.ForEachEntry([&](const catalog::IndexEntry& e) {
+    if (e.level == catalog::HoldingLevel::kIndex && e.server != address() &&
+        e.area.Overlaps(options_.interest)) {
+      targets.insert(e.server);
+    }
+  });
+  for (const auto& t : targets) {
+    auto pid = sim_->Lookup(t);
+    if (!pid.ok() || *pid == id_) continue;
+    wire::Send(sim_, id_, *pid, {kRegisterKind, "", 0, payload});
+  }
+}
 
 void Peer::HandleRegister(const wire::Envelope& env) {
   ++counters_.registrations_received;
@@ -1518,9 +1500,7 @@ void Peer::HandleRegister(const wire::Envelope& env) {
                                    : catalog::HoldingLevel::kBase;
       entry.xpath = e.xpath;
     }
-    int64_t delay = 0;
-    (void)mqp::ParseInt64(e.delay, &delay);
-    entry.delay_minutes = static_cast<int>(delay);
+    entry.delay_minutes = e.delay;
     catalog_.AddEntry(std::move(entry));
     stored = true;
   }
@@ -1533,27 +1513,21 @@ void Peer::HandleRegister(const wire::Envelope& env) {
     }
     stored = true;
   }
-  if (options_.use_intensional_statements) {
-    for (const std::string& s : reg.statements) {
-      auto st = catalog::IntensionalStatement::Parse(s);
-      if (st.ok()) catalog_.AddStatement(std::move(st).value());
-    }
+  for (const std::string& s : reg.statements) {
+    auto st = catalog::IntensionalStatement::Parse(s);
+    if (st.ok()) catalog_.AddStatement(std::move(st).value());
   }
   // Authoritative servers propagate registrations upward so higher-level
   // meta-indexes learn about coverage (§3.3), bounded by a TTL. Only
-  // index-level entries travel by default — the meta level tracks servers,
-  // not collections (§3.2); forwarding base entries too is an ablation
-  // knob that collapses the hierarchy toward a central index.
+  // index-level entries travel: the meta level tracks servers, not
+  // collections or named resources (§3.2).
   if (stored && options_.roles.authoritative && reg.ttl > 0) {
     RegisterDoc fwd = std::move(reg);
     --fwd.ttl;
-    if (!options_.forward_base_registrations) {
-      std::erase_if(fwd.entries, [](const RegisterEntry& e) {
-        return e.level != "index";
-      });
-      fwd.named.clear();
-    }
-    if (!fwd.entries.empty() || !fwd.named.empty()) {
+    std::erase_if(fwd.entries,
+                  [](const RegisterEntry& e) { return e.level != "index"; });
+    fwd.named.clear();
+    if (!fwd.entries.empty()) {
       const net::Payload payload = net::MakePayload(EncodeRegisterBody(fwd));
       for (const auto& b : bootstraps_) {
         auto pid = sim_->Lookup(b);
@@ -2278,11 +2252,10 @@ bool Peer::ShouldShed(double projected_delay, uint32_t priority,
   if (priority > 0) {
     // High-priority traffic is refused only past the hard ceiling —
     // beyond it, admitting more would starve everything already queued.
-    return projected_delay >=
-           ov.shed_delay_seconds * ov.high_priority_ceiling;
+    return projected_delay >= ov.shed_delay_seconds * kHighPriorityCeiling;
   }
   if (projected_delay >= ov.shed_delay_seconds) return true;
-  const double knee = ov.early_shed_fraction * ov.shed_delay_seconds;
+  const double knee = kEarlyShedFraction * ov.shed_delay_seconds;
   if (projected_delay <= knee) return false;
   // RED-style gray zone: shed with probability ramping linearly from 0
   // at the knee to 1 at the watermark, so pressure is released gradually
@@ -2310,7 +2283,6 @@ engine::EvalLimits Peer::EvalLimitsFor(double deadline) const {
   engine::EvalLimits lim;
   if (!OverloadActive()) return lim;
   const OverloadOptions& ov = options_.overload;
-  lim.max_eval_seconds = ov.max_eval_seconds;
   if (ov.budget_rows_per_second > 0 && deadline > 0) {
     // Remaining virtual time converts to a deterministic row allowance
     // (a wall-clock cap would differ run to run); the floor keeps tiny

@@ -56,11 +56,18 @@ struct PeerRoles {
   bool authoritative = false;  ///< strives to know all servers in its area
 };
 
+/// How long a server stays quarantined on the suspicion list after a
+/// failed interaction; suspect servers lose routing ties and their
+/// binding alternatives are skipped while fresher ones exist.
+inline constexpr double kSuspicionTtlSeconds = 60;
+
 /// \brief Client-side query-reliability knobs (DESIGN.md §9). With
 /// `enabled` false the peer behaves exactly as before the reliability
 /// layer existed — no retries, no failover filtering, no deadline on the
 /// wire — except that a nonzero deadline still reaps the pending entry
-/// (the state-leak fix stands even when the layer is ablated).
+/// (the state-leak fix stands even when the layer is ablated). Retries
+/// back off exponentially (×2, capped at 30 s) with ±20% jitter drawn
+/// from a per-peer seeded Rng, so schedules stay deterministic.
 struct ReliabilityOptions {
   bool enabled = true;
 
@@ -70,21 +77,10 @@ struct ReliabilityOptions {
 
   /// Base per-attempt timeout before the first retry fires.
   double retry_timeout_seconds = 4;
-  /// Exponential-backoff multiplier and cap for subsequent attempts.
-  double backoff_factor = 2.0;
-  double max_backoff_seconds = 30;
-  /// Uniform jitter fraction on each backoff (0.2 → ±20%), drawn from a
-  /// per-peer seeded Rng so schedules stay deterministic.
-  double retry_jitter = 0.2;
   /// Retries after the initial attempt (total attempts = 1 + max_retries).
-  /// Deep enough that with the default backoff ladder the deadline, not
-  /// this count, is what normally ends a hopeless query.
+  /// Deep enough that with the backoff ladder the deadline, not this
+  /// count, is what normally ends a hopeless query.
   uint32_t max_retries = 8;
-
-  /// How long a server stays quarantined on the suspicion list after a
-  /// failed interaction; suspect servers lose routing ties and their
-  /// binding alternatives are skipped while fresher ones exist.
-  double suspicion_ttl_seconds = 60;
 
   /// Seeds the per-peer jitter stream (combined with the peer id).
   uint64_t seed = 1;
@@ -111,21 +107,19 @@ struct OverloadOptions {
   double service_rate_qps = 0;
 
   /// Projected-queueing-delay watermark (seconds) past which
-  /// best-effort (priority-0) plans are refused outright.
+  /// best-effort (priority-0) plans are refused outright. In the
+  /// RED-style gray zone past half the watermark they are shed
+  /// probabilistically (linearly ramping to certainty at the watermark),
+  /// by a seeded coin that is a pure function of (seed, query id,
+  /// attempt) — bit-identical across backends, the FaultInjector
+  /// pattern. Higher-priority plans (policy priority > 0) are refused
+  /// only past four times the watermark.
   double shed_delay_seconds = 2.0;
-  /// RED-style gray zone: past `early_shed_fraction * shed_delay_seconds`
-  /// best-effort plans are shed probabilistically (linearly ramping to
-  /// certainty at the watermark), by a seeded coin that is a pure
-  /// function of (seed, query id, attempt) — bit-identical across
-  /// backends, the FaultInjector pattern.
-  double early_shed_fraction = 0.5;
-  /// Higher-priority plans (policy priority > 0) are refused only past
-  /// this multiple of the watermark.
-  double high_priority_ceiling = 4.0;
 
   /// Client-side admission: refuse SubmitQuery outright (outcome
   /// `shed`, complete=false) while this many queries are already
-  /// pending here. 0 = unlimited.
+  /// pending here; higher-priority submissions may overshoot to four
+  /// times the cap. 0 = unlimited.
   size_t max_pending_queries = 0;
 
   /// Deadline → row-allowance conversion for the per-query engine
@@ -136,9 +130,6 @@ struct OverloadOptions {
   /// Allowance floor so an almost-expired query still makes progress —
   /// also the whole allowance for post-deadline salvage evaluation.
   uint64_t min_budget_rows = 256;
-  /// Wall-clock backstop per evaluation (engine::EvalLimits), for
-  /// runtimes without a virtual clock. 0 = none.
-  double max_eval_seconds = 0;
 
   /// Seeds the shed-coin stream (combined with the query id + attempt).
   uint64_t seed = 1;
@@ -158,8 +149,6 @@ struct PeerOptions {
   bool enable_select_pushdown = true;
   bool enable_consolidation = true;
   bool enable_absorption = true;
-  bool enable_difference_split = true;  ///< §4.2 Example 3's rewrite
-  bool use_intensional_statements = true;  ///< §4 machinery on/off
 
   /// Routing loop guard. MQPs visit base servers sequentially (the
   /// pipelining trade of §2), so this must exceed the number of servers a
@@ -170,11 +159,6 @@ struct PeerOptions {
   /// from resolver hints seen in passing MQPs, and — when retain_original
   /// is set — from the provenance of returned results.
   bool cache_from_plans = true;
-
-  /// Authoritative servers re-announce *index-level* registrations upward
-  /// (§3.3). When this is also set, base-level entries are forwarded too —
-  /// which collapses the hierarchy toward a central index (ablation knob).
-  bool forward_base_registrations = false;
 
   /// Item fields carrying the namespace coordinates, in dimension order
   /// (e.g. {"location", "category"}). Used to filter collections broader
@@ -482,7 +466,6 @@ class Peer : public net::PeerNode {
   void HandleFetch(const wire::Envelope& env, net::PeerId from);
   void HandleFetchReply(const wire::Envelope& env);
   void HandleSubquery(const wire::Envelope& env, net::PeerId from);
-  std::string BuildRegisterPayload(int ttl) const;
 
   // --- distributed top-k coordinator (DESIGN.md §10) ---------------------------
 

@@ -34,6 +34,9 @@ thread_local TlsShard tls_shard;
 // facing each other deadlock the fabric. They soft-overflow instead.
 thread_local bool tls_transport_thread = false;
 
+// Per-connection outbound queue bound, in frames (see the header notes).
+constexpr size_t kSendQueueCap = 1024;
+
 void PutU32(std::string* out, uint32_t v) {
   char b[4];
   std::memcpy(b, &v, 4);
@@ -230,14 +233,13 @@ void TcpTransport::Send(net::Message msg) {
       PublishShard();
       return;
     }
-    const size_t cap = options_.send_queue_cap;
-    if (cap > 0 && conn->queue.size() >= cap) {
+    if (conn->queue.size() >= kSendQueueCap) {
       if (tls_transport_thread) {
         shard.tcp_send_soft_overflows++;
       } else {
         shard.tcp_send_queue_waits++;
         conn->can_write.wait(wl, [&] {
-          return conn->queue.size() < cap || conn->closed ||
+          return conn->queue.size() < kSendQueueCap || conn->closed ||
                  conn->write_failed;
         });
         if (conn->closed || conn->write_failed) {

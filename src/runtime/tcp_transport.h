@@ -19,14 +19,14 @@
 //
 // Outbound backpressure (DESIGN.md §11, parity with ThreadedRuntime's
 // mailboxes). Send enqueues the framed message on the connection's
-// bounded queue and returns; the writer thread drains it to the socket.
-// When the queue is full, an *external* sender blocks until the writer
-// frees space (counted in NetStats::tcp_send_queue_waits), while a
-// transport-internal thread — a reader mid-delivery or the timer thread
-// — never blocks: it over-admits past the cap and counts
-// tcp_send_soft_overflows, because parking the thread that drains peer
-// A's inbox until peer B's outbox drains is how distributed deadlocks
-// are built.
+// queue, bounded at 1024 frames, and returns; the writer thread drains
+// it to the socket. When the queue is full, an *external* sender blocks
+// until the writer frees space (counted in
+// NetStats::tcp_send_queue_waits), while a transport-internal thread — a
+// reader mid-delivery or the timer thread — never blocks: it over-admits
+// past the cap and counts tcp_send_soft_overflows, because parking the
+// thread that drains peer A's inbox until peer B's outbox drains is how
+// distributed deadlocks are built.
 //
 // Frame format (all integers little-endian uint32):
 //   [rest-length][from][to][kind-len][kind][header-len][header]
@@ -73,10 +73,6 @@ struct TcpOptions {
   /// Shutdown() waits at most this long for in-flight work to drain
   /// before closing sockets out from under the readers.
   double drain_timeout_seconds = 5.0;
-  /// Per-connection outbound queue bound, in frames (0 = unbounded, the
-  /// pre-§11 behavior). External senders block at the cap; transport
-  /// threads soft-overflow past it (see the header notes).
-  size_t send_queue_cap = 1024;
 };
 
 /// \brief Loopback-TCP transport: per-peer listening sockets, framed

@@ -132,7 +132,7 @@ void SyncAgent::Rejoin() {
   }
   // The re-stamped records are the freshest news there is: gossip them
   // now rather than up to a whole interval later.
-  if (!sim_->IsFailed(id_)) SendDigests();
+  if (!sim_->IsFailed(id_)) SendDigest();
 }
 
 void SyncAgent::ScheduleTick() {
@@ -170,23 +170,20 @@ void SyncAgent::Tick() {
       if (expiry_hook_) expiry_hook_(origin);
     }
     versioned_.PurgeTombstones(now, options_.tombstone_gc_seconds);
-    SendDigests();
+    SendDigest();
   }
   ScheduleTick();
 }
 
-void SyncAgent::SendDigests() {
+void SyncAgent::SendDigest() {
   if (peers_.empty()) return;
-  // Deterministic partner sample without replacement: the draws depend
-  // only on the pool size, and the pool is in address order.
+  // Deterministic partner draw: the first partner of a shuffle of the
+  // whole pool (in address order). The shuffle's draws depend only on the
+  // pool size; drawing one index instead would consume the Rng differently
+  // and change every later partner.
   pool_.assign(peers_.begin(), peers_.end());
   rng_.Shuffle(&pool_);
-  const size_t n = std::min(options_.fanout, pool_.size());
-  for (size_t i = 0; i < n; ++i) SendDigest(versioned_.Address(pool_[i]));
-}
-
-void SyncAgent::SendDigest(std::string_view target) {
-  auto pid = sim_->Lookup(target);
+  auto pid = sim_->Lookup(versioned_.Address(pool_.front()));
   if (!pid.ok() || *pid == id_) return;
   ++counters_.digests_sent;
   wire::Send(sim_, id_, *pid,

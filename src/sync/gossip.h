@@ -48,9 +48,9 @@
 namespace mqp::sync {
 
 /// \brief Gossip/anti-entropy knobs. All times are simulated seconds.
+/// Each gossip round pushes one digest to one partner.
 struct SyncOptions {
   double gossip_interval_seconds = 5;   ///< digest push period
-  size_t fanout = 1;                    ///< partners per gossip round
   double entry_ttl_seconds = 60;        ///< declared TTL on own records
   double refresh_interval_seconds = 20; ///< presence heartbeat period
   double tombstone_gc_seconds = 600;    ///< purge tombstones older than this
@@ -162,9 +162,8 @@ class SyncAgent {
   void AddPartner(uint32_t id, bool seed);
   /// Removes a partner; a seed stays unless `unseed` (a goodbye).
   void DropPartner(uint32_t id, bool unseed);
-  /// Sends a digest to `fanout` partners drawn from the pool.
-  void SendDigests();
-  void SendDigest(std::string_view target);
+  /// Sends a digest to one partner drawn from the pool.
+  void SendDigest();
   /// Sends a delta body of `records` records (an empty body: nothing).
   void SendDeltaBody(std::string_view target, std::string body,
                      size_t records);

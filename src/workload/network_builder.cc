@@ -36,7 +36,6 @@ GarageSaleNetwork BuildGarageSaleNetwork(net::Transport* sim,
         {ns::CategoryPath(), ns::CategoryPath()}));
     opts.roles.meta_index = true;
     opts.roles.authoritative = true;
-    opts.use_intensional_statements = p.use_statements;
     net.owned.push_back(std::make_unique<Peer>(sim, opts));
     net.top_meta = net.owned.back().get();
   }
@@ -51,7 +50,6 @@ GarageSaleNetwork BuildGarageSaleNetwork(net::Transport* sim,
         ns::InterestCell({*path, ns::CategoryPath()}));
     opts.roles.index = true;
     opts.roles.authoritative = true;
-    opts.use_intensional_statements = p.use_statements;
     net.owned.push_back(std::make_unique<Peer>(sim, opts));
     Peer* idx = net.owned.back().get();
     idx->AddBootstrap(net.top_meta->address());
@@ -68,7 +66,6 @@ GarageSaleNetwork BuildGarageSaleNetwork(net::Transport* sim,
     opts.dimension_fields = kGarageSaleFields;
     opts.interest = ns::InterestArea(spec.cell);
     opts.roles.base = true;
-    opts.use_intensional_statements = p.use_statements;
     net.owned.push_back(std::make_unique<Peer>(sim, opts));
     Peer* seller = net.owned.back().get();
     auto items = net.generator.MakeItems(spec, p.items_per_seller);
@@ -83,7 +80,6 @@ GarageSaleNetwork BuildGarageSaleNetwork(net::Transport* sim,
   {
     PeerOptions opts = p.client_template;
     if (opts.name.empty()) opts.name = "client";
-    opts.use_intensional_statements = p.use_statements;
     opts.dimension_fields = kGarageSaleFields;
     net.owned.push_back(std::make_unique<Peer>(sim, opts));
     net.client = net.owned.back().get();
@@ -144,7 +140,6 @@ SuperPeerNetwork BuildSuperPeerNetwork(net::Transport* sim,
         ns::InterestCell({ns::CategoryPath(), ns::CategoryPath()}));
     opts.roles.meta_index = true;
     opts.roles.authoritative = true;
-    opts.use_intensional_statements = p.use_statements;
     net.owned.push_back(std::make_unique<Peer>(sim, opts));
     net.root = net.owned.back().get();
   }
@@ -158,7 +153,6 @@ SuperPeerNetwork BuildSuperPeerNetwork(net::Transport* sim,
     opts.interest = SuperPeerRegion(s);
     opts.roles.index = true;
     opts.roles.authoritative = true;
-    opts.use_intensional_statements = p.use_statements;
     net.owned.push_back(std::make_unique<Peer>(sim, opts));
     Peer* sp = net.owned.back().get();
     sp->AddBootstrap(net.root->address());
@@ -185,7 +179,6 @@ SuperPeerNetwork BuildSuperPeerNetwork(net::Transport* sim,
       ns::InterestCell cell({MustParse(loc), MustParse(category)});
       opts.interest = ns::InterestArea(cell);
       opts.roles.base = true;
-      opts.use_intensional_statements = p.use_statements;
       net.owned.push_back(std::make_unique<Peer>(sim, opts));
       Peer* leaf = net.owned.back().get();
 
@@ -212,7 +205,6 @@ SuperPeerNetwork BuildSuperPeerNetwork(net::Transport* sim,
     PeerOptions opts = p.client_template;
     if (opts.name.empty()) opts.name = "client";
     opts.dimension_fields = kSuperPeerFields;
-    opts.use_intensional_statements = p.use_statements;
     net.owned.push_back(std::make_unique<Peer>(sim, opts));
     net.client = net.owned.back().get();
     net.client->AddBootstrap(net.root->address());

@@ -22,7 +22,6 @@ struct GarageSaleNetworkParams {
   size_t num_sellers = 20;
   size_t items_per_seller = 20;
   uint64_t seed = 42;
-  bool use_statements = true;  ///< peers apply intensional statements
   peer::PeerOptions client_template;  ///< options copied into the client
 };
 
@@ -80,9 +79,6 @@ struct SuperPeerNetworkParams {
   size_t categories = 8;         ///< dim-1 vocabulary size
   size_t items_per_leaf = 2;
   uint64_t seed = 42;
-  /// Intensional statements off by default: registration stays light at
-  /// million-leaf scale (flip on to exercise the §4 machinery too).
-  bool use_statements = false;
   /// Catalog placement: when true the catalog tier (root + super-peers)
   /// gossips versioned state among itself — leaves only ever register
   /// upward, so sync load scales with N, not N*M.

@@ -999,8 +999,8 @@ Reduction Reduce(PlanNode* u, engine::LocalStore* store,
 // sub-plans, folded as bytes, against the DOM path: the same decoded plan
 // with every data leaf forced through mutable_items(). The fold must
 // build no xml::Node and match the DOM path's encoded plan, items,
-// cardinality and staleness, and under random row and byte budgets its
-// abort outcome, budget_aborts and remaining allowance. Distinct and
+// cardinality and staleness, and under random row budgets its abort
+// outcome, budget_aborts and remaining allowance. Distinct and
 // top-k unions must not fold. MQP_EQUIV_SEEDS sets the seed count (CI
 // runs 1000).
 TEST(UnionFoldTest, FoldMatchesTheDomPathSweep) {
@@ -1075,7 +1075,6 @@ TEST(UnionFoldTest, FoldMatchesTheDomPathSweep) {
 
     engine::EvalLimits limits;
     if (rng.NextBool(0.6)) limits.max_rows = 1 + rng.NextBelow(40);
-    if (rng.NextBool(0.6)) limits.max_bytes = 1 + rng.NextBelow(6000);
     const Reduction fold = Reduce(fold_u, &store, limits);
     const Reduction dom = Reduce(dom_u, &store, limits);
     EXPECT_EQ(fold.dom_nodes, 0u) << "seed " << seed;
@@ -1083,11 +1082,9 @@ TEST(UnionFoldTest, FoldMatchesTheDomPathSweep) {
     EXPECT_EQ(fold.budget_aborts, dom.budget_aborts) << "seed " << seed;
     EXPECT_EQ(fold.left.exhausted, dom.left.exhausted) << "seed " << seed;
     if (!fold.left.exhausted) {
-      // Both charged the same rows and bytes (an exhausted budget refuses
-      // every later charge, so what was left at the trip is moot).
+      // Both charged the same rows (an exhausted budget refuses every
+      // later charge, so what was left at the trip is moot).
       EXPECT_EQ(fold.left.rows_left, dom.left.rows_left) << "seed " << seed;
-      EXPECT_EQ(fold.left.bytes_left, dom.left.bytes_left)
-          << "seed " << seed;
     }
     if (!fold.ok) {
       // All or nothing: an aborted fold leaves the union unreduced.

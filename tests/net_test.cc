@@ -146,22 +146,6 @@ TEST(SimulatorTest, RunStopsAtMaxTime) {
   EXPECT_TRUE(sim.Idle());
 }
 
-TEST(SimulatorTest, LinkOverrideChangesLatency) {
-  Simulator sim;
-  Recorder a(&sim), b(&sim), c(&sim);
-  LinkParams slow;
-  slow.latency_seconds = 5.0;
-  slow.bytes_per_second = 1e9;
-  sim.SetLinkOverride(a.id(), c.id(), slow);
-  sim.Send({a.id(), b.id(), "k", "x", 0});
-  sim.Send({a.id(), c.id(), "k", "x", 0});
-  sim.Run();
-  ASSERT_EQ(b.times.size(), 1u);
-  ASSERT_EQ(c.times.size(), 1u);
-  EXPECT_LT(b.times[0], 1.0);
-  EXPECT_GT(c.times[0], 4.9);
-}
-
 TEST(SimulatorTest, EventsCascadeFromHandlers) {
   Simulator sim;
   // A handler that forwards once.

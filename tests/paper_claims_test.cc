@@ -7,9 +7,28 @@
 #include <string>
 
 #include "workload/churn.h"
+#include "workload/replicas.h"
 
 namespace mqp {
 namespace {
+
+// C3 (bench_c3_intensional), the paper's §4.2 Example 1: as the replica
+// count k grows, intensional statements keep the answer at one base visit
+// and one copy of the 40 items; without them every one of the k+1
+// holders is visited and the answer repeats k+1 times. Statements ship
+// strictly fewer bytes and answer sooner at every k.
+TEST(PaperClaims, C3StatementsKeepOneBaseVisit) {
+  for (const size_t replicas : workload::kReplicaCounts) {
+    const auto with = workload::RunReplicaQuery(true, replicas);
+    const auto without = workload::RunReplicaQuery(false, replicas);
+    std::string failed;
+    for (const std::string& f :
+         workload::ReplicaStatementsShape(with, without, replicas)) {
+      failed += "\n  " + f;
+    }
+    EXPECT_TRUE(failed.empty()) << replicas << " replica(s):" << failed;
+  }
+}
 
 // C7 (bench_c7_churn): this repo's gossip extension (DESIGN.md §3), not a
 // claim of the paper. Gossip converges within the measured rounds after

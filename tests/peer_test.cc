@@ -9,6 +9,7 @@
 #include "workload/garage_sale.h"
 #include "workload/network_builder.h"
 #include "xml/parser.h"
+#include "xml/token_writer.h"
 
 namespace mqp::peer {
 namespace {
@@ -100,6 +101,49 @@ TEST(PeerTest, RegisterPayloadListsCollectionsNamedAndStatements) {
   ASSERT_TRUE(named.ok());
   EXPECT_FALSE(named->empty());
   EXPECT_EQ(idx.catalog().statements().size(), 1u);
+}
+
+// A registration's delay is range-checked like every other wire
+// integer: an entry whose delay is not an int rejects the whole body,
+// counted once in decode_rejects, instead of being stored truncated or
+// as 0.
+TEST(PeerTest, RegisterDelayThatIsNotAnIntRejectsTheBody) {
+  net::Simulator sim;
+  PeerOptions io;
+  io.name = "idx";
+  io.roles.index = true;
+  Peer idx(&sim, io);
+  PeerOptions so;
+  so.name = "s";
+  Peer sender(&sim, so);
+  for (const auto& [xpath, delay] :
+       {std::pair<const char*, const char*>{"/too-big", "4294967297"},
+        {"/not-a-number", "abc"},
+        {"/good", "15"}}) {
+    std::string body;
+    xml::TokenWriter w(&body);
+    w.Start("register");
+    w.Attr("server", sender.address());
+    w.Attr("name", "s");
+    w.Start("entry");
+    w.Attr("area", "(USA.OR,Music)");
+    w.Attr("xpath", xpath);
+    w.Attr("delay", delay);
+    w.End();
+    w.End();
+    wire::Send(&sim, sender.id(), idx.id(),
+               {wire::kRegisterKind, "", 0, net::MakePayload(body)});
+  }
+  sim.Run();
+  EXPECT_EQ(idx.counters().registrations_received, 3u);
+  EXPECT_EQ(idx.counters().decode_rejects, 2u);
+  std::vector<catalog::IndexEntry> stored;
+  for (const auto& e : idx.catalog().entries()) {
+    if (e.server == sender.address()) stored.push_back(e);
+  }
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_EQ(stored[0].xpath, "/good");
+  EXPECT_EQ(stored[0].delay_minutes, 15);
 }
 
 TEST(PeerTest, RegistrationIgnoredByNonIndexPeers) {

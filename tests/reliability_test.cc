@@ -560,10 +560,8 @@ TEST(ReliabilityFailover, SuspicionQuarantineExpiresAfterTtl) {
   ASSERT_TRUE(net.client->IsSuspect(victim->address()))
       << "the unanswered seller was never suspected";
   // Jump past the quarantine TTL: the suspicion must lapse.
-  const double ttl =
-      net.client->options().reliability.suspicion_ttl_seconds;
   bool lapsed = false;
-  sim.Schedule(sim.now() + ttl + 1.0,
+  sim.Schedule(sim.now() + peer::kSuspicionTtlSeconds + 1.0,
                [&] { lapsed = !net.client->IsSuspect(victim->address()); });
   sim.Run();
   EXPECT_TRUE(lapsed) << "suspicion outlived its TTL";
