@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   }
 
   bench::Header("C14", "adaptive distributed top-k: bounded batched "
-                       "fetches vs the ship-everything reference");
+                       "subqueries vs the ship-everything reference");
 
   const uint64_t seed = 1400;
   std::vector<size_t> seller_counts = ci ? std::vector<size_t>{4}

@@ -10,8 +10,8 @@
 //                     behalf) and kept twice: per peer in
 //                     peer::PeerCounters and network-wide in net::NetStats.
 //                     Both structs inherit these members from
-//                     mqp::PeerReportedCounters, and Peer::Count bumps both
-//                     copies in one call. The engine sub-list also
+//                     mqp::PeerReportedCounters, and peer::CounterSink
+//                     bumps both copies in one call. The engine sub-list also
 //                     generates engine::EngineStats.
 //   * peer-only     — peer::PeerCounters only.
 //

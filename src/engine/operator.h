@@ -23,7 +23,7 @@ namespace mqp::engine {
 /// peer's handlers onto one thread at a time, while shared immutable
 /// items remain readable cross-thread (DESIGN.md §8). Stats() is
 /// therefore thread-local — a handler snapshots it before and after an
-/// evaluation and reports the deltas through Peer::Count, the same
+/// evaluation and reports the deltas through peer::CounterSink, the same
 /// pattern as xml::DomNodesBuilt(). topk_rows_pruned is never bumped by
 /// plain TopNOp, so the ablated ship-everything reference stays at zero.
 struct EngineStats {

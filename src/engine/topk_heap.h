@@ -103,7 +103,7 @@ struct TopKSlice {
   uint64_t total = 0;        ///< items.size()
 };
 
-/// Computes the slice a bounded fetch/subquery reply ships. A source
+/// Computes the slice a bounded subquery reply ships. A source
 /// never needs to ship more than k rows (its own k+1-th is beaten by k
 /// better rows from the same leaf), and nothing past the first
 /// bound-pruned position in score order. Terminal slices (more=false)

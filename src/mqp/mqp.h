@@ -51,21 +51,25 @@
 //               TcpTransport (length-prefixed frames, wall-clock time)
 //   sync/       gossip/anti-entropy catalog maintenance (digests, deltas,
 //               TTL expiry) on top of the wire layer
-//   peer/       the peer: roles, registration, the Figure-2 MQP loop,
-//               the client reliability layer (DESIGN.md §9: deadlines,
-//               retries with seeded backoff, suspicion-list failover
-//               over binding alternatives, partial-result degradation),
-//               and distributed top-k merge sessions (DESIGN.md §10:
-//               bounded score-ordered batches, threshold early
-//               termination, adaptive windows), plus overload protection
-//               (DESIGN.md §11: admission control, priority-aware RED
-//               shedding over a virtual service-time model, per-query
-//               evaluation budgets, cooperative cancellation)
+//   peer/       the peer (peer.h): roles, registration, the Figure-2 MQP
+//               loop, message dispatch and the fetch, subquery and
+//               category services; three peer-confined components it
+//               owns: QueryClient (query_client.h, DESIGN.md §9:
+//               deadlines, retries with seeded backoff, suspicion-list
+//               failover, partial-result degradation, cancel fan-out),
+//               TopKCoordinator (topk_coordinator.h, §10: bounded
+//               score-ordered subquery batches, threshold early
+//               termination, adaptive windows) and Admission
+//               (admission.h, §11: priority-aware RED shedding over a
+//               virtual service-time model, per-query evaluation
+//               budgets, the cancelled-query ring); common.h holds what
+//               they share (options, outcome, counters)
 //   baseline/   Napster / Gnutella / coordinator baselines
 //   workload/   garage-sale, CD-market, gene-expression generators, the
 //               churn and flash-crowd scenario drivers, and topology
 //               builders (garage-sale tree, super-peer hierarchies)
-//               plus the §4.2 replica-statement scenario (C3)
+//               plus the §2 coordinator comparison (C2) and the §4.2
+//               replica-statement scenario (C3)
 //
 // Outside the library, tests/support/ (the mqp_test_support target) keeps
 // the implementations the library replaced as references that tests and
@@ -128,6 +132,7 @@
 #include "wire/plan_codec.h"
 #include "workload/cd_market.h"
 #include "workload/churn.h"
+#include "workload/coordinator_race.h"
 #include "workload/flash_crowd.h"
 #include "workload/garage_sale.h"
 #include "workload/gene_expression.h"

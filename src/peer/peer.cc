@@ -1,14 +1,11 @@
 #include "peer/peer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <unordered_set>
 #include <utility>
 
 #include "algebra/walk.h"
 #include "common/strings.h"
-#include "engine/field_accessor.h"
 #include "engine/operator.h"
 #include "ns/urn.h"
 #include "wire/body_codec.h"
@@ -22,44 +19,9 @@ namespace mqp::peer {
 using algebra::OpType;
 using algebra::Plan;
 using algebra::PlanNode;
-using algebra::PlanNodePtr;
 using algebra::ProvenanceAction;
-using algebra::ProvenanceEntry;
 
 namespace {
-
-// FNV-1a, the shed coin's hash: the coin must be a pure function of
-// (seed, query id, attempt), identical across backends and standard
-// libraries (std::hash is implementation-defined, so it cannot be the
-// coin).
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t Fnv1a(uint64_t h, std::string_view s) {
-  for (const unsigned char c : s) {
-    h = (h ^ c) * kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t Fnv1a(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xffu)) * kFnvPrime;
-  }
-  return h;
-}
-
-// Retry backoff (DESIGN.md §9): each retry doubles the per-attempt
-// timeout up to a 30-s cap, then scales it by a ±20% jitter draw.
-constexpr double kBackoffFactor = 2.0;
-constexpr double kMaxBackoffSeconds = 30;
-constexpr double kRetryJitter = 0.2;
-
-// Shedding (DESIGN.md §11): best-effort plans enter the RED gray zone at
-// half the delay watermark; higher priorities are refused only past four
-// times the watermark (server side) or the pending cap (client side).
-constexpr double kEarlyShedFraction = 0.5;
-constexpr double kHighPriorityCeiling = 4.0;
 
 // `now - before` over one counter-table group, as a batch for Count.
 #define MQP_COUNTER_DELTA(name) deltas.name = now.name - before.name;
@@ -82,49 +44,43 @@ PeerReportedCounters ResolveDeltas(const catalog::ResolveStats& now,
 
 }  // namespace
 
-void Peer::Count(uint64_t PeerReportedCounters::*counter, uint64_t n) {
-  counters_.*counter += n;
-  sim_->stats().*counter += n;
+EngineTally::EngineTally(CounterSink* sink)
+    : sink_(sink), before_(engine::Stats()) {
+  ++sink_->engine_tally_depth_;
 }
 
-void Peer::Count(const PeerReportedCounters& deltas) {
-  counters_.Add(deltas);
-  sim_->stats().Add(deltas);
+EngineTally::~EngineTally() {
+  if (--sink_->engine_tally_depth_ > 0) return;
+  sink_->Count(EngineDeltas(engine::Stats(), before_));
 }
 
-/// Re-entrant: only the outermost scope records, so a result callback
-/// that submits a fresh query from inside ProcessPlan cannot double-count.
-class Peer::EngineTally {
- public:
-  explicit EngineTally(Peer* peer) : peer_(peer), before_(engine::Stats()) {
-    ++peer_->engine_tally_depth_;
-  }
-
-  ~EngineTally() {
-    if (--peer_->engine_tally_depth_ > 0) return;
-    peer_->Count(EngineDeltas(engine::Stats(), before_));
-  }
-
-  EngineTally(const EngineTally&) = delete;
-  EngineTally& operator=(const EngineTally&) = delete;
-
- private:
-  Peer* peer_;
-  engine::EngineStats before_;
-};
+net::Payload PlanBody(const Plan& plan, CounterSink* counts) {
+  PeerReportedCounters deltas;
+  auto serialized = wire::SerializePlanShared(plan, &deltas);
+  counts->Count(deltas);
+  return std::move(serialized.bytes);
+}
 
 Peer::Peer(net::Transport* sim, PeerOptions options)
-    : sim_(sim), options_(std::move(options)) {
-  id_ = sim_->Register(this);
+    : sim_(sim),
+      id_(sim->Register(this)),
+      options_(std::move(options)),
+      counts_(sim),
+      client_(sim, id_, options_, &counts_, ResumeLoop()),
+      topk_(sim, id_, options_.cost, &counts_, ResumeLoop()),
+      admission_(sim, options_.overload, &counts_) {
   if (options_.name.empty()) {
     options_.name = "peer-" + std::to_string(id_);
   }
   catalog_.set_dimension_fields(options_.dimension_fields);
   catalog_.SetAuthority(options_.interest, options_.roles.authoritative);
   catalog_.set_owner(address());
-  // Per-peer jitter stream: the configured seed spread by peer id, so a
-  // fleet sharing one ReliabilityOptions still staggers its retries.
-  reliability_rng_ = mqp::Rng(options_.reliability.seed * 1000003ULL + id_ + 1);
+}
+
+Resume Peer::ResumeLoop() {
+  return [this](Plan plan, uint32_t hops, double deadline, uint32_t attempt) {
+    ProcessPlan(std::move(plan), hops, deadline, attempt);
+  };
 }
 
 void Peer::PublishCollection(const std::string& collection_id,
@@ -290,14 +246,12 @@ void Peer::HandleFetchReply(const wire::Envelope& env) {
   const std::string& req = env.query_id;
   auto it = pending_pulls_.find(req);
   if (it == pending_pulls_.end()) {
-    // Not an index pull — bounded top-k fetches reuse the fetch-reply
-    // kind, correlated by the "#tk" request-id suffix.
-    HandleBoundedReply(env);
+    counts_.Count(&PeerCounters::unmatched_replies);
     return;
   }
   auto decoded = wire::DecodeItemBody(env.body());
   if (!decoded.ok()) {
-    Count(&PeerCounters::reply_decode_failures);
+    counts_.Count(&PeerCounters::reply_decode_failures);
     return;
   }
   PendingPull pull = std::move(it->second);
@@ -342,92 +296,32 @@ void Peer::DropReplica(const std::string& collection_id) {
 }
 
 std::string Peer::SubmitQuery(Plan plan, Callback cb) {
-  const OverloadOptions& ov = options_.overload;
-  if (OverloadActive() && ov.max_pending_queries > 0) {
-    // Client-side admission (DESIGN.md §11): a bounded pending budget.
-    // Priority-0 submissions are refused at the watermark; higher
-    // priorities may overshoot up to the ceiling before they too are
-    // refused. Nothing is sent — the caller hears `shed` synchronously
-    // and can retry later or degrade.
-    size_t limit = ov.max_pending_queries;
-    if (plan.policy().priority > 0) {
-      limit = std::max<size_t>(
-          limit, static_cast<size_t>(static_cast<double>(limit) *
-                                     kHighPriorityCeiling));
-    }
-    if (pending_.size() >= limit) {
-      std::string shed_qid =
-          options_.name + "-q" + std::to_string(next_query_++);
-      Count(&PeerCounters::queries_shed);
-      QueryOutcome outcome;
-      outcome.query_id = shed_qid;
-      outcome.shed = true;
-      outcome.submitted_at = sim_->now();
-      outcome.completed_at = sim_->now();
-      if (cb) cb(outcome);
-      return shed_qid;
-    }
-  }
   std::string qid = options_.name + "-q" + std::to_string(next_query_++);
-  plan.set_query_id(qid);
-  plan.set_submitted_at(sim_->now());
-  // Force the display target to this peer.
-  PlanNodePtr body = plan.root();
-  if (body != nullptr && body->type() == OpType::kDisplay) {
-    body = body->child(0);
-  }
-  plan.set_root(PlanNode::Display(address(), body));
-  if (options_.retain_original) plan.SnapshotOriginal();
-  if (options_.record_provenance) {
-    plan.provenance().Add({address(), sim_->now(),
-                           ProvenanceAction::kForwarded, "submitted", 0});
-  }
-  const ReliabilityOptions& rel = options_.reliability;
-  Pending pend;
-  pend.callback = std::move(cb);
-  pend.submitted_at = sim_->now();
-  if (rel.query_deadline_seconds > 0) {
-    pend.deadline = sim_->now() + rel.query_deadline_seconds;
-  }
-  if (rel.enabled) {
-    // Retain the exact submitted plan (target set, provenance seeded):
-    // every retry restarts from these bytes, not from whatever mutated
-    // copy is stranded somewhere in the network.
-    pend.original = std::make_shared<const Plan>(plan.Clone());
-  }
-  const double deadline = pend.deadline;
-  pending_[qid] = std::move(pend);
-  if (rel.enabled) {
-    double when = sim_->now() + Backoff(0);
-    if (deadline > 0 && (rel.max_retries == 0 || when > deadline)) {
-      when = deadline;
-    }
-    ArmQueryTimer(qid, when);
-  } else if (deadline > 0) {
-    // Reliability ablated: no retries and no deadline on the wire, but
-    // the pending entry is still reaped (the state-leak fix stands).
-    ArmQueryTimer(qid, deadline);
-  }
-  const double wire_deadline = rel.enabled ? deadline : 0;
-  sim_->ScheduleFor(id_, sim_->now(),
-                    [this, p = std::move(plan), wire_deadline]() mutable {
-                      ProcessPlan(std::move(p), /*hops=*/0, wire_deadline,
-                                  /*attempt=*/0);
-                    });
+  client_.Submit(qid, std::move(plan), std::move(cb));
   return qid;
+}
+
+std::vector<std::string> Peer::CheckInvariants() const {
+  std::vector<std::string> violations = client_.CheckInvariants();
+  for (std::string& v : topk_.CheckInvariants()) {
+    violations.push_back(std::move(v));
+  }
+  for (std::string& v : violations) v = options_.name + ": " + v;
+  return violations;
 }
 
 void Peer::HandleMessage(const net::Message& msg) {
   auto decoded = wire::DecodeEnvelope(msg);
   if (!decoded.ok()) {  // malformed frames are dropped
-    Count(&PeerCounters::decode_rejects);
+    counts_.Count(&PeerCounters::decode_rejects);
     return;
   }
   const wire::Envelope env = std::move(decoded).value();
   if (env.kind == kMqpKind) {
     HandleMqp(env);
   } else if (env.kind == kCancelKind) {
-    HandleCancel(env);
+    // Only the first copy of a cancel reaps the query's merge session.
+    if (admission_.Cancel(env.query_id)) topk_.Cancel(env.query_id);
   } else if (env.kind == kResultKind) {
     HandleResult(env);
   } else if (env.kind == kRegisterKind) {
@@ -443,16 +337,16 @@ void Peer::HandleMessage(const net::Message& msg) {
   } else if (env.kind == kSubqueryReplyKind) {
     // The peer only sends subqueries as bounded top-k requests; every
     // subquery reply goes through the top-k demux.
-    HandleBoundedReply(env);
+    topk_.HandleReply(env);
   } else if (env.kind == kCategoryReplyKind) {
     HandleCategoryReply(env);
   } else if (env.kind == kSyncDigestKind) {
     if (sync_ != nullptr && !sync_->HandleDigest(env, msg.from)) {
-      Count(&PeerCounters::decode_rejects);
+      counts_.Count(&PeerCounters::decode_rejects);
     }
   } else if (env.kind == kSyncDeltaKind) {
     if (sync_ != nullptr && !sync_->HandleDelta(env, msg.from)) {
-      Count(&PeerCounters::decode_rejects);
+      counts_.Count(&PeerCounters::decode_rejects);
     }
   }
 }
@@ -498,7 +392,7 @@ void Peer::HandleCategoryReply(const wire::Envelope& env) {
   if (it == category_waiters_.end()) return;
   std::vector<std::string> categories;
   if (!ParseCategoryReply(env.body(), &categories)) {
-    Count(&PeerCounters::decode_rejects);
+    counts_.Count(&PeerCounters::decode_rejects);
     return;
   }
   auto cb = std::move(it->second);
@@ -513,13 +407,12 @@ void Peer::ProcessPlan(Plan plan, uint32_t hops, double deadline,
   // Report the engine counters this pass produces. The scope spans the
   // whole loop: annotation fetches, locality probes and sub-plan
   // evaluation all touch the store/engine.
-  const EngineTally tally(this);
+  const EngineTally tally(&counts_);
   // Under the overload service model a plan whose deadline already passed
   // skips the whole resolve/optimize pass: RouteOrDeliver's deadline
   // branch salvages what it can under the floor budget and delivers the
   // partial — nobody is waiting for a better answer (DESIGN.md §11).
-  if (OverloadActive() && options_.overload.service_rate_qps > 0 &&
-      deadline > 0 && sim_->now() >= deadline) {
+  if (admission_.Expired(deadline)) {
     RouteOrDeliver(std::move(plan), hops, deadline, attempt);
     return;
   }
@@ -534,7 +427,7 @@ void Peer::ProcessPlan(Plan plan, uint32_t hops, double deadline,
     // allowance: a budget expiring mid-scan aborts the evaluation with
     // kTimeout, the sub-plan stays unreduced, and the partial flows out
     // through the normal incomplete-plan machinery.
-    const engine::ScopedEvalBudget budget(EvalLimitsFor(deadline));
+    const engine::ScopedEvalBudget budget(admission_.LimitsFor(deadline));
     reduced = EvaluateSubplans(&plan);
   }
   if (options_.record_provenance) {
@@ -671,13 +564,13 @@ int Peer::ResolveUrns(Plan* plan) {
                 avoid.end()) {
               return true;
             }
-            if (IsSuspect(server)) return true;
+            if (client_.IsSuspect(server)) return true;
             auto spid = sim_->Lookup(server);
             return spid.ok() && sim_->IsFailed(*spid);
           });
       if (!filtered.empty() &&
           filtered.alternatives.size() < binding->alternatives.size()) {
-        Count(&PeerCounters::failovers);
+        counts_.Count(&PeerCounters::failovers);
         binding_value = std::move(filtered);
       }
     }
@@ -697,8 +590,8 @@ int Peer::ResolveUrns(Plan* plan) {
       AddProvenance(plan, ProvenanceAction::kBound, urn_text);
     }
   }
-  counters_.urns_bound += bound;
-  Count(ResolveDeltas(catalog_.resolve_stats(), before));
+  counts_.values.urns_bound += bound;
+  counts_.Count(ResolveDeltas(catalog_.resolve_stats(), before));
   return bound;
 }
 
@@ -740,7 +633,7 @@ int Peer::EvaluateSubplans(Plan* plan) {
     std::vector<PlanNode*> next;
     for (const auto& decision : pm.Decide(worklist, cost)) {
       if (!decision.evaluate) {
-        ++counters_.subplans_deferred;
+        ++counts_.values.subplans_deferred;
         for (const auto& c : decision.subplan->children()) {
           if (!c->IsConstant()) next.push_back(c.get());
         }
@@ -751,7 +644,7 @@ int Peer::EvaluateSubplans(Plan* plan) {
     }
     worklist = std::move(next);
   }
-  counters_.subplans_evaluated += reduced;
+  counts_.values.subplans_evaluated += reduced;
   return reduced;
 }
 
@@ -766,7 +659,7 @@ int Peer::ForceEvaluate(Plan* plan) {
   for (PlanNode* node : candidates) {
     if (ReduceSubplan(node)) ++reduced;
   }
-  counters_.subplans_evaluated += reduced;
+  counts_.values.subplans_evaluated += reduced;
   return reduced;
 }
 
@@ -863,17 +756,10 @@ std::string UnansweredSummary(const Plan& plan, const std::string& self) {
 
 }  // namespace
 
-net::Payload Peer::PlanBody(const Plan& plan) {
-  PeerReportedCounters deltas;
-  auto serialized = wire::SerializePlanShared(plan, &deltas);
-  Count(deltas);
-  return std::move(serialized.bytes);
-}
-
 Result<Plan> Peer::DecodePlan(const net::Payload& body) {
   PeerReportedCounters deltas;
   auto plan = wire::ParsePlanShared(body, &deltas);
-  Count(deltas);
+  counts_.Count(deltas);
   return plan;
 }
 
@@ -890,13 +776,10 @@ void Peer::RouteOrDeliver(Plan plan, uint32_t hops, double deadline,
   if (deadline > 0 && sim_->now() >= deadline) {
     {
       // Past-deadline salvage is floor-budgeted when budgets are
-      // configured: reduce the cheap parts, never burn the core scanning
-      // a large collection nobody is still waiting for (DESIGN.md §11).
-      engine::EvalLimits lim;
-      if (OverloadActive() && options_.overload.budget_rows_per_second > 0) {
-        lim.max_rows = options_.overload.min_budget_rows;
-      }
-      const engine::ScopedEvalBudget budget(lim);
+      // configured (past the deadline the allowance is the floor): reduce
+      // the cheap parts, never burn the core scanning a large collection
+      // nobody is still waiting for (DESIGN.md §11).
+      const engine::ScopedEvalBudget budget(admission_.LimitsFor(deadline));
       ForceEvaluate(&plan);
     }
     if (!plan.IsFullyEvaluated() && options_.record_provenance) {
@@ -911,7 +794,10 @@ void Peer::RouteOrDeliver(Plan plan, uint32_t hops, double deadline,
   // bound-stamped remote sub-plans, pull score-ordered prefixes here
   // instead of forwarding the whole plan. The session owns the plan until
   // the bound proves no remote row can still win.
-  if (MaybeStartTopKSession(&plan, hops, deadline, attempt)) return;
+  if (topk_.MaybeStart(&plan, hops, deadline, attempt,
+                       client_.Contacted(plan.query_id()))) {
+    return;
+  }
   // Gather candidate next hops: servers of remote URL leaves, resolver
   // hints of URN leaves, bootstrap servers for unhinted URNs.
   std::map<std::string, int> candidates;
@@ -951,7 +837,7 @@ void Peer::RouteOrDeliver(Plan plan, uint32_t hops, double deadline,
     for (auto cit = candidates.begin(); cit != candidates.end();) {
       auto cpid = sim_->Lookup(cit->first);
       if (cpid.ok() && sim_->IsFailed(*cpid)) {
-        Suspect(cit->first);
+        client_.Suspect(cit->first);
         cit = candidates.erase(cit);
         routed_around = true;
       } else {
@@ -964,7 +850,7 @@ void Peer::RouteOrDeliver(Plan plan, uint32_t hops, double deadline,
       for (const auto& [addr, score] : candidates) {
         const bool avoided =
             std::find(avoid.begin(), avoid.end(), addr) != avoid.end();
-        if (!avoided && !IsSuspect(addr)) kept.emplace(addr, score);
+        if (!avoided && !client_.IsSuspect(addr)) kept.emplace(addr, score);
       }
       if (!kept.empty() && kept.size() < candidates.size()) {
         candidates = std::move(kept);
@@ -984,7 +870,7 @@ void Peer::RouteOrDeliver(Plan plan, uint32_t hops, double deadline,
       DeliverToTarget(std::move(plan), deadline, attempt);
       return;
     }
-    ++counters_.plans_dead_ended;
+    ++counts_.values.plans_dead_ended;
     if (!plan.IsFullyEvaluated() && options_.record_provenance) {
       AddProvenance(&plan, ProvenanceAction::kForwarded,
                     "dead-end unanswered:" + UnansweredSummary(plan, self));
@@ -1008,32 +894,28 @@ void Peer::RouteOrDeliver(Plan plan, uint32_t hops, double deadline,
       best_unvisited = unvisited;
     }
   }
-  if (!best_unvisited &&
-      static_cast<int>(plan.provenance().size()) + 2 >= options_.max_hops) {
-    // Everything promising was already visited and we are nearly out of
-    // hops: give up gracefully with a partial answer.
-    ++counters_.plans_dead_ended;
-    DeliverToTarget(std::move(plan), deadline, attempt);
-    return;
-  }
   auto pid = sim_->Lookup(best);
-  if (!pid.ok()) {
-    ++counters_.plans_dead_ended;
+  if (!pid.ok() || (!best_unvisited &&
+                    static_cast<int>(plan.provenance().size()) + 2 >=
+                        options_.max_hops)) {
+    // No such hop, or everything promising was already visited and we
+    // are nearly out of hops: give up gracefully with a partial answer.
+    ++counts_.values.plans_dead_ended;
     DeliverToTarget(std::move(plan), deadline, attempt);
     return;
   }
   if (routed_around) {
     // The plan made it past at least one dead/suspect server and is
     // still moving: one failover per routing decision.
-    Count(&PeerCounters::failovers);
+    counts_.Count(&PeerCounters::failovers);
   }
-  if (auto pit = pending_.find(plan.query_id()); pit != pending_.end()) {
+  if (auto* contacted = client_.Contacted(plan.query_id())) {
     // This peer is the query's own client: remember the first hop so a
     // later cancel fan-out can reach the work (DESIGN.md §11).
-    pit->second.contacted.insert(best);
+    contacted->insert(best);
   }
-  ++counters_.plans_forwarded;
-  net::Payload body = PlanBody(plan);
+  ++counts_.values.plans_forwarded;
+  net::Payload body = PlanBody(plan, &counts_);
   wire::Send(sim_, id_, *pid,
              {kMqpKind, plan.query_id(), hops + 1, std::move(body), deadline,
               attempt});
@@ -1043,12 +925,12 @@ void Peer::DeliverToTarget(Plan plan, double deadline, uint32_t attempt) {
   const std::string target = plan.target();
   auto pid = sim_->Lookup(target);
   if (!pid.ok()) return;  // no deliverable target: drop
-  net::Payload body = PlanBody(plan);
+  net::Payload body = PlanBody(plan, &counts_);
   if (*pid == id_) {
     HandleResultPlan(std::move(plan), body->size());
     return;
   }
-  ++counters_.results_delivered;
+  ++counts_.values.results_delivered;
   // The attempt number rides along so each retry's result is a distinct
   // byte string under content-hash fault injection.
   wire::Send(sim_, id_, *pid,
@@ -1062,24 +944,15 @@ void Peer::HandleResult(const wire::Envelope& env) {
   const uint64_t nodes_before = xml::DomNodesBuilt();
   auto plan = DecodePlan(env.payload);
   if (!plan.ok()) {
-    Count(&PeerCounters::decode_rejects);
+    counts_.Count(&PeerCounters::decode_rejects);
     return;
   }
   HandleResultPlan(std::move(plan).value(), env.body().size());
-  counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
+  counts_.values.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
 }
 
 void Peer::HandleResultPlan(Plan plan, size_t wire_bytes) {
-  auto it = pending_.find(plan.query_id());
-  if (it == pending_.end()) {
-    // Unknown — or a late duplicate for a query that already finished
-    // (a retry raced the original, or the fault plan duplicated the
-    // result): count the suppression, deliver nothing twice.
-    if (completed_.Contains(plan.query_id())) {
-      Count(&PeerCounters::duplicates_suppressed);
-    }
-    return;
-  }
+  if (!client_.Awaits(plan.query_id())) return;
   // §3.4 caching: each kBound provenance entry names the exact URN the
   // server resolved — under the completeness gate, a binder either covered
   // that area or was authoritative for it, so (area → server) is a sound
@@ -1104,213 +977,7 @@ void Peer::HandleResultPlan(Plan plan, size_t wire_bytes) {
       }
     }
   }
-  Pending& p = it->second;
-  const bool complete = plan.IsFullyEvaluated();
-  const ReliabilityOptions& rel = options_.reliability;
-  if (!complete && rel.enabled) {
-    // An attempt came back short. Quarantine the servers that went
-    // unanswered, keep the best partial seen so far, and retry after a
-    // backoff (the same pacing as a timeout: an immediate relaunch would
-    // burn the retry budget before a crashed server restarts) — unless
-    // the deadline or retry budget is spent, in which case the best
-    // partial goes out now.
-    const std::string qid = plan.query_id();
-    SuspectUnansweredLeaves(plan);
-    // Shed markers are authoritative refusals (DESIGN.md §11):
-    // quarantine the shedding servers so the retry binds and routes
-    // around the hot spot instead of queueing behind it again.
-    for (const auto& e : plan.provenance().entries()) {
-      if (e.action == ProvenanceAction::kShed) Suspect(e.server);
-    }
-    QueryOutcome partial;
-    partial.query_id = qid;
-    partial.complete = false;
-    partial.items = plan.PartialItems();
-    partial.provenance = plan.provenance();
-    partial.submitted_at = p.submitted_at;
-    partial.completed_at = sim_->now();
-    partial.result_bytes = wire_bytes;
-    partial.final_plan = std::move(plan);
-    if (p.best_partial == nullptr ||
-        partial.items.size() > p.best_partial->items.size()) {
-      p.best_partial = std::make_unique<QueryOutcome>(std::move(partial));
-    }
-    const double now = sim_->now();
-    const bool budget_left = p.original != nullptr &&
-                             p.attempt + 1 <= rel.max_retries &&
-                             (p.deadline == 0 || now < p.deadline);
-    if (budget_left) {
-      ++p.generation;  // stale timers from this attempt no-op
-      double when = now + Backoff(p.attempt);
-      if (p.deadline > 0 && when > p.deadline) when = p.deadline;
-      ArmQueryTimer(qid, when);
-      return;
-    }
-    GiveUp(qid);
-    return;
-  }
-  QueryOutcome outcome;
-  outcome.query_id = plan.query_id();
-  outcome.complete = complete;
-  if (outcome.complete) {
-    auto items = plan.ResultItems();
-    if (items.ok()) outcome.items = std::move(items).value();
-  }
-  outcome.provenance = plan.provenance();
-  outcome.submitted_at = p.submitted_at;
-  outcome.completed_at = sim_->now();
-  outcome.result_bytes = wire_bytes;
-  outcome.attempts = p.attempt + 1;
-  outcome.final_plan = std::move(plan);
-  Callback cb = std::move(p.callback);
-  if (OverloadActive() && p.attempt > 0) {
-    // A retried query may have superseded attempts still live in the
-    // network; reap them. Fault-free single-attempt traffic skips this,
-    // keeping its wire traces byte-identical.
-    SendCancels(outcome.query_id, p);
-  }
-  completed_.Insert(outcome.query_id);
-  pending_.erase(it);
-  if (cb) cb(outcome);
-}
-
-// --- client reliability (DESIGN.md §9) ------------------------------------------
-
-double Peer::Backoff(uint32_t attempt) {
-  double base = options_.reliability.retry_timeout_seconds;
-  for (uint32_t i = 0; i < attempt; ++i) {
-    base *= kBackoffFactor;
-    if (base >= kMaxBackoffSeconds) break;
-  }
-  if (base > kMaxBackoffSeconds) base = kMaxBackoffSeconds;
-  const double u = reliability_rng_.NextDouble();
-  return base * (1.0 + kRetryJitter * (2.0 * u - 1.0));
-}
-
-void Peer::Suspect(const std::string& server) {
-  if (!options_.reliability.enabled) return;
-  if (server.empty() || server == address()) return;
-  suspects_[server] = sim_->now() + kSuspicionTtlSeconds;
-}
-
-bool Peer::IsSuspect(const std::string& server) {
-  auto it = suspects_.find(server);
-  if (it == suspects_.end()) return false;
-  if (it->second <= sim_->now()) {
-    suspects_.erase(it);  // quarantine over: forgive lazily
-    return false;
-  }
-  return true;
-}
-
-void Peer::SuspectUnansweredLeaves(const Plan& plan) {
-  if (plan.root() == nullptr) return;
-  // The leaves still unresolved in a returned plan name exactly the
-  // servers whose answers never arrived — the confirmed casualties, as
-  // opposed to every server the route touched.
-  algebra::ForEachNode(plan.root().get(), [&](const PlanNode* n) {
-    if (n->type() == OpType::kUrl && n->url() != address()) {
-      Suspect(n->url());
-    } else if (n->type() == OpType::kUrn && !n->urn_hint().empty() &&
-               n->urn_hint() != address()) {
-      Suspect(n->urn_hint());
-    }
-  });
-}
-
-void Peer::ArmQueryTimer(const std::string& query_id, double when) {
-  auto it = pending_.find(query_id);
-  if (it == pending_.end()) return;
-  const uint64_t gen = it->second.generation;
-  sim_->ScheduleFor(id_, when, [this, qid = query_id, gen] {
-    OnQueryTimer(qid, gen);
-  });
-}
-
-void Peer::OnQueryTimer(const std::string& query_id, uint64_t generation) {
-  auto it = pending_.find(query_id);
-  if (it == pending_.end()) return;       // already finished
-  Pending& p = it->second;
-  if (p.generation != generation) return;  // superseded by a newer event
-  const ReliabilityOptions& rel = options_.reliability;
-  const double now = sim_->now();
-  if (!rel.enabled || p.original == nullptr ||
-      (p.deadline > 0 && now >= p.deadline) ||
-      p.attempt + 1 > rel.max_retries) {
-    GiveUp(query_id);
-    return;
-  }
-  StartAttempt(query_id, p.attempt + 1);
-}
-
-void Peer::StartAttempt(const std::string& query_id, uint32_t attempt) {
-  auto it = pending_.find(query_id);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  p.attempt = attempt;
-  ++p.generation;
-  Count(&PeerCounters::query_retries);
-  Plan plan = p.original->Clone();
-  if (options_.record_provenance) {
-    AddProvenance(&plan, ProvenanceAction::kForwarded,
-                  "retry " + std::to_string(attempt));
-  }
-  // Stamp the current (unexpired) suspicion list into the plan so every
-  // hop of this attempt resolves and routes around the casualties the
-  // previous attempts discovered.
-  auto& avoid = plan.policy().route_avoid;
-  avoid.clear();
-  const double now = sim_->now();
-  for (auto sit = suspects_.begin(); sit != suspects_.end();) {
-    if (sit->second <= now) {
-      sit = suspects_.erase(sit);
-    } else {
-      avoid.push_back(sit->first);  // map order: deterministic stamp
-      ++sit;
-    }
-  }
-  const double deadline = p.deadline;
-  double when = now + Backoff(attempt);
-  if (deadline > 0) {
-    // The last allowed attempt gets the whole remaining budget: giving
-    // up one backoff step after launching it would discard a result
-    // that is still legitimately in flight.
-    if (attempt >= options_.reliability.max_retries || when > deadline) {
-      when = deadline;
-    }
-  }
-  ArmQueryTimer(query_id, when);
-  // Last: processing may complete the query synchronously (local data),
-  // erasing the pending entry `p` points into.
-  ProcessPlan(std::move(plan), /*hops=*/0, deadline, attempt);
-}
-
-void Peer::GiveUp(const std::string& query_id) {
-  auto it = pending_.find(query_id);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  Count(&PeerCounters::query_timeouts);
-  QueryOutcome outcome;
-  if (p.best_partial != nullptr) {
-    outcome = std::move(*p.best_partial);
-  } else {
-    outcome.query_id = query_id;
-    outcome.submitted_at = p.submitted_at;
-  }
-  outcome.complete = false;
-  outcome.timed_out = true;
-  outcome.attempts = p.attempt + 1;
-  outcome.completed_at = sim_->now();
-  if (!outcome.items.empty()) {
-    Count(&PeerCounters::partials_delivered);
-  }
-  Callback cb = std::move(p.callback);
-  // Giving up abandons every in-flight attempt: tell the servers that
-  // hold its work to stop (DESIGN.md §11).
-  if (OverloadActive()) SendCancels(query_id, p);
-  completed_.Insert(query_id);
-  pending_.erase(it);
-  if (cb) cb(outcome);
+  client_.OnResult(std::move(plan), wire_bytes);
 }
 
 // --- registration ---------------------------------------------------------------
@@ -1331,10 +998,14 @@ struct RegisterNamed {
   std::string xpath;
 };
 
+// The forwarding budget a registration starts with (§3.3), and the most
+// a received one may claim.
+constexpr int kRegisterTtl = 2;
+
 struct RegisterDoc {
   std::string server;
   std::string name;
-  int64_t ttl = 0;
+  int ttl = 0;
   std::vector<RegisterEntry> entries;
   std::vector<RegisterNamed> named;
   std::vector<std::string> statements;
@@ -1351,7 +1022,9 @@ Result<RegisterDoc> ParseRegisterBody(std::string_view body) {
   MQP_ASSIGN_OR_RETURN(t, r.ReadAttrs(&attrs));
   doc.server = attrs.Get("server");
   doc.name = attrs.Get("name");
-  (void)mqp::ParseInt64(attrs.Get("ttl", "0"), &doc.ttl);
+  if (!mqp::ParseInteger(attrs.Get("ttl", "0"), &doc.ttl)) {
+    return r.Error("register ttl must be an int");
+  }
   while (t.type != xml::TokenType::kEndElement) {
     if (t.type == xml::TokenType::kStartElement) {
       const std::string ctag(t.name);
@@ -1435,7 +1108,7 @@ void Peer::JoinNetwork() {
   RegisterDoc doc;
   doc.server = address();
   doc.name = options_.name;
-  doc.ttl = 2;
+  doc.ttl = kRegisterTtl;
   for (const catalog::SyncEntry& se : OwnSyncEntries()) {
     if (se.kind == catalog::SyncEntryKind::kNamed) {
       doc.named.push_back(RegisterNamed{se.urn, se.entry.xpath});
@@ -1467,11 +1140,11 @@ void Peer::JoinNetwork() {
 }
 
 void Peer::HandleRegister(const wire::Envelope& env) {
-  ++counters_.registrations_received;
+  ++counts_.values.registrations_received;
   if (!options_.roles.index && !options_.roles.meta_index) return;
   auto parsed = ParseRegisterBody(env.body());
   if (!parsed.ok()) {
-    Count(&PeerCounters::decode_rejects);
+    counts_.Count(&PeerCounters::decode_rejects);
     return;
   }
   RegisterDoc reg = std::move(parsed).value();
@@ -1518,12 +1191,14 @@ void Peer::HandleRegister(const wire::Envelope& env) {
     if (st.ok()) catalog_.AddStatement(std::move(st).value());
   }
   // Authoritative servers propagate registrations upward so higher-level
-  // meta-indexes learn about coverage (§3.3), bounded by a TTL. Only
+  // meta-indexes learn about coverage (§3.3), bounded by a TTL that a
+  // sender cannot raise past kRegisterTtl (two servers bootstrapped to
+  // each other would otherwise bounce it back and forth ttl times). Only
   // index-level entries travel: the meta level tracks servers, not
   // collections or named resources (§3.2).
   if (stored && options_.roles.authoritative && reg.ttl > 0) {
     RegisterDoc fwd = std::move(reg);
-    --fwd.ttl;
+    fwd.ttl = std::min(fwd.ttl, kRegisterTtl) - 1;
     std::erase_if(fwd.entries,
                   [](const RegisterEntry& e) { return e.level != "index"; });
     fwd.named.clear();
@@ -1565,7 +1240,7 @@ void Peer::HandleCategoryQuery(const wire::Envelope& env, net::PeerId from) {
   if (!options_.roles.category || hierarchies_ == nullptr) return;
   xml::AttrList q;
   if (!wire::DecodeAttrBody(env.body(), &q).ok()) {
-    Count(&PeerCounters::decode_rejects);
+    counts_.Count(&PeerCounters::decode_rejects);
     return;
   }
   std::string reply;
@@ -1593,585 +1268,41 @@ void Peer::HandleCategoryQuery(const wire::Envelope& env, net::PeerId from) {
 
 // --- fetch service (pull; used by baselines & index pull) --------------------------
 
-namespace {
-
-// Parses the tk-* request attributes shared by bounded fetches and
-// subquery annotations into a (spec, bound, leaf, cont, batch) tuple.
-struct TopKRequest {
-  engine::TopKSpec spec;
-  engine::TopKBoundRef bound;
-  uint32_t leaf = 0;
-  uint64_t cont = 0;
-  uint64_t batch = 0;
-};
-
-uint64_t AttrU64(const xml::AttrList& attrs, std::string_view key,
-                 uint64_t fallback) {
-  const std::string* s = attrs.Find(key);
-  if (s == nullptr) return fallback;
-  int64_t v = 0;
-  if (!mqp::ParseInt64(*s, &v) || v < 0) return fallback;
-  return static_cast<uint64_t>(v);
-}
-
-bool ParseTopKRequest(const xml::AttrList& attrs, TopKRequest* out) {
-  const std::string* field = attrs.Find("tk-field");
-  if (field == nullptr || field->empty()) return false;
-  out->spec.field = *field;
-  out->spec.ascending = attrs.Get("tk-order", "asc") != "desc";
-  out->spec.k = AttrU64(attrs, "tk-k", 0);
-  out->batch = AttrU64(attrs, "tk-batch", 0);
-  out->cont = AttrU64(attrs, "tk-cont", 0);
-  out->leaf = static_cast<uint32_t>(AttrU64(attrs, "tk-leaf", 0));
-  if (const std::string* bkey = attrs.Find("tk-bkey")) {
-    out->bound.present = true;
-    out->bound.key = *bkey;
-    out->bound.leaf = static_cast<uint32_t>(AttrU64(attrs, "tk-bleaf", 0));
-  }
-  return out->spec.k > 0;
-}
-
-// Emits a bounded top-k reply: the slice's continuation attributes on the
-// wrapper element, then the shipped items in score order. The reply
-// echoes the request's deadline/attempt so PR 8's fault plans treat each
-// (cont, attempt) slice as a distinct, idempotently retryable exchange.
-void SendTopKReply(net::Transport* sim, net::PeerId self, net::PeerId to,
-                   const char* root_tag, const std::string& server,
-                   const wire::Envelope& env, const algebra::ItemSet& items,
-                   const engine::TopKSlice& slice) {
-  std::string reply;
-  xml::TokenWriter w(&reply);
-  w.Start(root_tag);
-  w.Attr("server", server);
-  w.Attr("tk", "1");
-  w.Attr("total", slice.total);
-  w.Attr("cont", slice.next_cont);
-  w.Attr("more", slice.more ? "1" : "0");
-  if (slice.more) w.Attr("next", slice.next_key);
-  for (size_t idx : slice.ship) {
-    w.Write(*items[idx]);
-  }
-  w.End();
-  wire::Send(sim, self, to,
-             {env.kind == kFetchKind ? kFetchReplyKind : kSubqueryReplyKind,
-              env.query_id, 0, net::MakePayload(std::move(reply)),
-              env.deadline, env.attempt});
-}
-
-}  // namespace
-
 void Peer::HandleFetch(const wire::Envelope& env, net::PeerId from) {
-  const EngineTally tally(this);
+  const EngineTally tally(&counts_);
   xml::AttrList attrs;
   if (!wire::DecodeAttrBody(env.body(), &attrs).ok()) {
-    Count(&PeerCounters::decode_rejects);
+    counts_.Count(&PeerCounters::decode_rejects);
     return;
   }
   auto items = store_.Fetch(address(), attrs.Get("xpath"));
-  TopKRequest req;
-  if (items.ok() && ParseTopKRequest(attrs, &req)) {
-    // Bounded path: ship only the score-ordered prefix the coordinator's
-    // current bound leaves eligible, from the continuation offset on.
-    const engine::TopKSlice slice = engine::BoundedPrefix(
-        *items, req.spec, req.bound, req.leaf, req.cont, req.batch);
-    SendTopKReply(sim_, id_, from, "fetch-reply", address(), env, *items,
-                  slice);
-    return;
-  }
-  std::string reply;
-  xml::TokenWriter w(&reply);
-  w.Start("fetch-reply");
-  w.Attr("server", address());
-  if (items.ok()) {
-    for (const auto& item : *items) {
-      w.Write(*item);
-    }
-  }
-  w.End();
-  wire::Send(sim_, id_, from,
-             {kFetchReplyKind, env.query_id, 0,
-              net::MakePayload(std::move(reply))});
+  SendItemReply(sim_, id_, from, env, items.ok() ? &*items : nullptr);
 }
 
 // --- subquery service (coordinator-style distributed QP, baseline C2) ------------
 
 void Peer::HandleSubquery(const wire::Envelope& env, net::PeerId from) {
-  const EngineTally tally(this);
+  const EngineTally tally(&counts_);
   // Subquery evaluation honors the requesting query's remaining deadline
   // (DESIGN.md §11); an exhausted budget yields the empty reply below,
   // which the coordinator's deadline/retry machinery already handles.
-  const engine::ScopedEvalBudget budget(EvalLimitsFor(env.deadline));
+  const engine::ScopedEvalBudget budget(admission_.LimitsFor(env.deadline));
   // The body is the sub-plan's <mqp> document itself (the coordinator
   // stopped wrapping it; correlation rides in the envelope header).
   auto plan = DecodePlan(env.payload);
   if (!plan.ok()) {
-    Count(&PeerCounters::reply_decode_failures);
+    counts_.Count(&PeerCounters::reply_decode_failures);
   } else if (plan->root() != nullptr) {
-    // A bound-stamped root marks a bounded top-k request: evaluate the
-    // sub-plan, then ship only the eligible score-ordered slice.
-    const auto& topk = std::as_const(*plan->root()).annotations().topk;
-    if (topk.has_value() && topk->k > 0 && !topk->order_field.empty()) {
-      auto items = engine::Evaluate(*plan->root(), &store_);
-      if (items.ok()) {
-        engine::TopKSpec spec{topk->order_field, topk->ascending, topk->k};
-        engine::TopKBoundRef bound;
-        if (topk->has_bound) {
-          bound.present = true;
-          bound.key = topk->bound_key;
-          bound.leaf = topk->bound_leaf;
-        }
-        const engine::TopKSlice slice = engine::BoundedPrefix(
-            *items, spec, bound, topk->leaf, topk->cont, topk->batch);
-        SendTopKReply(sim_, id_, from, "subquery-reply", address(), env,
-                      *items, slice);
-        return;
-      }
-    }
-  }
-  std::string reply;
-  xml::TokenWriter w(&reply);
-  w.Start("subquery-reply");
-  w.Attr("server", address());
-  if (plan.ok() && plan->root() != nullptr) {
-    // An evaluation failure yields an empty reply; the old error
-    // attribute was write-only diagnostics no receiver ever read.
+    // A bound-stamped root marks a bounded top-k request: the reply then
+    // ships only the eligible score-ordered slice.
     auto items = engine::Evaluate(*plan->root(), &store_);
     if (items.ok()) {
-      for (const auto& item : *items) {
-        w.Write(*item);
-      }
+      SendItemReply(sim_, id_, from, env, &*items, plan->root().get());
+      return;
     }
   }
-  w.End();
-  wire::Send(sim_, id_, from,
-             {kSubqueryReplyKind, env.query_id, 0,
-              net::MakePayload(std::move(reply))});
-}
-
-// --- distributed top-k coordinator (DESIGN.md §10) ---------------------------------
-
-namespace {
-
-// DFS through non-distinct unions, collecting the TopN input's frontier
-// in left-to-right order (the leaf numbering every participant shares).
-// False on a repeated node: DAG sharing makes leaf positions ambiguous.
-bool CollectTopKFrontier(const PlanNodePtr& node, algebra::NodeMarks* seen,
-                         std::vector<PlanNodePtr>* out) {
-  if (!seen->Insert(node.get())) return false;
-  if (node->type() == OpType::kUnion && !node->distinct()) {
-    for (const auto& c : node->children()) {
-      if (!CollectTopKFrontier(c, seen, out)) return false;
-    }
-    return true;
-  }
-  out->push_back(node);
-  return true;
-}
-
-}  // namespace
-
-void Peer::TruncateForTopK(const PlanNode& node, algebra::ItemSet* items) {
-  const auto& topk = std::as_const(node).annotations().topk;
-  if (!topk.has_value() || topk->k == 0 || topk->order_field.empty()) return;
-  const engine::TopKSpec spec{topk->order_field, topk->ascending, topk->k};
-  engine::TopKBoundRef bound;
-  if (topk->has_bound) {
-    bound.present = true;
-    bound.key = topk->bound_key;
-    bound.leaf = topk->bound_leaf;
-  }
-  *items = engine::TopKTruncate(*items, spec, bound, topk->leaf);
-}
-
-bool Peer::MaybeStartTopKSession(Plan* plan, uint32_t hops, double deadline,
-                                 uint32_t attempt) {
-  if (!optimizer::use_distributed_topk()) return false;
-  if (plan->root() == nullptr || plan->query_id().empty()) return false;
-  // Find the consumer TopN under the display/projection wrappers.
-  PlanNode* topn = plan->root().get();
-  while (topn->type() == OpType::kDisplay ||
-         topn->type() == OpType::kProject) {
-    if (topn->children().size() != 1) return false;
-    topn = topn->child(0).get();
-  }
-  if (topn->type() != OpType::kTopN || !topn->has_limit() ||
-      topn->limit() == 0 || topn->order_field().empty() ||
-      topn->children().empty()) {
-    return false;
-  }
-  std::vector<PlanNodePtr> frontier;
-  {
-    algebra::NodeMarks seen;
-    if (!CollectTopKFrontier(topn->child(0), &seen, &frontier)) return false;
-  }
-  // Classify the frontier: constants will pre-load the merge;
-  // bound-stamped remote sub-plans become streamed sources; anything else
-  // (an unresolved URN, an unstamped remote branch, a distinct union)
-  // means this peer cannot finish the merge — route the plan normally.
-  // Constants are read only once the session is sure to start: a walk
-  // that merely passes through leaves its carried data unbuilt.
-  const engine::TopKSpec spec{topn->order_field(), topn->ascending(),
-                              topn->limit()};
-  TopKSession s;
-  s.spec = spec;
-  std::vector<uint64_t> cards;
-  uint64_t total_card = 0;
-  bool all_cards = true;
-  for (size_t li = 0; li < frontier.size(); ++li) {
-    const PlanNodePtr& node = frontier[li];
-    const auto leaf = static_cast<uint32_t>(li);
-    if (node->IsConstant()) continue;
-    const auto& topk = std::as_const(*node).annotations().topk;
-    if (!topk.has_value() || topk->order_field != spec.field ||
-        topk->ascending != spec.ascending || topk->k != spec.k) {
-      return false;
-    }
-    TopKSource src;
-    src.node = node;
-    src.leaf = leaf;
-    if (node->type() == OpType::kUrl) {
-      src.is_fetch = true;
-      src.server = node->url();
-      src.xpath = node->xpath();
-    } else {
-      // One server must answer the whole sub-plan: no URN, one URL host.
-      bool single_server = true;
-      algebra::ForEachNode(node.get(), [&](const PlanNode* n) {
-        if (n->type() == OpType::kUrn) {
-          single_server = false;
-        } else if (n->type() == OpType::kUrl) {
-          if (src.server.empty()) {
-            src.server = n->url();
-          } else if (src.server != n->url()) {
-            single_server = false;
-          }
-        }
-      });
-      if (!single_server) return false;
-    }
-    if (src.server.empty()) return false;
-    const auto& card = std::as_const(*node).annotations().cardinality;
-    if (card.has_value()) {
-      cards.push_back(*card);
-      total_card += *card;
-    } else {
-      cards.push_back(0);
-      all_cards = false;
-    }
-    s.sources.push_back(std::move(src));
-  }
-  if (s.sources.empty()) return false;
-  // Every source server must be reachable right now; otherwise leave the
-  // plan to normal routing and its failover machinery.
-  for (const auto& src : s.sources) {
-    auto pid = sim_->Lookup(src.server);
-    if (!pid.ok() || sim_->IsFailed(*pid)) return false;
-  }
-  // The (key, leaf, idx) order is total, so preloading after the
-  // classification keeps exactly the rows preloading during it kept.
-  s.heap = std::make_unique<engine::TopKHeap>(spec.k, spec.ascending);
-  engine::FieldAccessor key(spec.field);
-  for (size_t li = 0; li < frontier.size(); ++li) {
-    if (!frontier[li]->IsConstant()) continue;
-    uint64_t idx = 0;
-    for (const auto& item : frontier[li]->items()) {
-      s.heap->Push(key.Eval(*item).value_or(std::string_view()),
-                   static_cast<uint32_t>(li), idx++, item);
-    }
-  }
-  // Initial windows: each source's expected contribution to the top k —
-  // proportional to catalog cardinalities when every source carries one,
-  // else an even split — oversampled 2x (a second round costs a full
-  // RTT, so mild over-asking is the cheaper error) and capped at k (no
-  // source ever needs to ship more; its k+1-th row is beaten by k
-  // same-leaf rows).
-  const size_t fan = s.sources.size();
-  for (size_t i = 0; i < fan; ++i) {
-    uint64_t b;
-    if (all_cards && total_card > 0) {
-      b = static_cast<uint64_t>(
-          std::llround(2.0 * static_cast<double>(spec.k) *
-                       static_cast<double>(cards[i]) /
-                       static_cast<double>(total_card)));
-    } else {
-      b = (2 * spec.k + fan - 1) / fan;
-    }
-    s.sources[i].batch = std::clamp<uint64_t>(b, 1, spec.k);
-  }
-  const std::string qid = plan->query_id();
-  if (auto pit = pending_.find(qid); pit != pending_.end()) {
-    // Coordinating our own query: the streamed sources hold per-slice
-    // work a cancel should reach.
-    for (const auto& src : s.sources) {
-      pit->second.contacted.insert(src.server);
-    }
-  }
-  s.plan = std::move(*plan);
-  s.topn = topn;
-  s.hops = hops;
-  s.deadline = deadline;
-  s.attempt = attempt;
-  s.generation = next_topk_generation_++;
-  // A retry supersedes the previous attempt's session outright; the old
-  // attempt's in-flight replies die on the attempt check.
-  topk_sessions_.erase(qid);
-  auto [it, inserted] = topk_sessions_.emplace(qid, std::move(s));
-  if (deadline > 0) {
-    const uint64_t gen = it->second.generation;
-    sim_->ScheduleFor(id_, deadline,
-                      [this, qid, gen]() { OnTopKDeadline(qid, gen); });
-  }
-  const size_t n = it->second.sources.size();
-  for (size_t i = 0; i < n; ++i) {
-    SendTopKRequest(qid, i);
-  }
-  return true;
-}
-
-void Peer::SendTopKRequest(const std::string& query_id, size_t idx) {
-  auto it = topk_sessions_.find(query_id);
-  if (it == topk_sessions_.end()) return;
-  TopKSession& s = it->second;
-  TopKSource& src = s.sources[idx];
-  auto pid = sim_->Lookup(src.server);
-  if (!pid.ok()) return;  // stalled source: the deadline timer cleans up
-  // The correlation id carries the session, the source, and the
-  // continuation offset — a retried slice is idempotent because a reply
-  // for any cont other than the source's current one is dropped.
-  const std::string rid = query_id + "#tk" + std::to_string(src.leaf) + "." +
-                          std::to_string(src.cont);
-  const engine::TopKBoundRef bound =
-      s.heap->full() ? s.heap->Bound() : engine::TopKBoundRef{};
-  if (src.is_fetch) {
-    std::string body;
-    xml::TokenWriter w(&body);
-    w.Start("fetch");
-    w.Attr("xpath", src.xpath);
-    w.Attr("tk-field", s.spec.field);
-    w.Attr("tk-order", s.spec.ascending ? "asc" : "desc");
-    w.Attr("tk-k", s.spec.k);
-    w.Attr("tk-batch", src.batch);
-    w.Attr("tk-cont", src.cont);
-    w.Attr("tk-leaf", src.leaf);
-    if (bound.present) {
-      w.Attr("tk-bkey", bound.key);
-      w.Attr("tk-bleaf", bound.leaf);
-    }
-    w.End();
-    wire::Send(sim_, id_, *pid,
-               {kFetchKind, rid, 0, net::MakePayload(std::move(body)),
-                s.deadline, s.attempt});
-    return;
-  }
-  // Subquery source: refresh the annotation's continuation state and
-  // bound, then ship the sub-plan document itself.
-  algebra::TopKBound ann;
-  ann.order_field = s.spec.field;
-  ann.ascending = s.spec.ascending;
-  ann.k = s.spec.k;
-  ann.batch = src.batch;
-  ann.cont = src.cont;
-  ann.leaf = src.leaf;
-  if (bound.present) {
-    ann.has_bound = true;
-    ann.bound_key = bound.key;
-    ann.bound_leaf = bound.leaf;
-  }
-  if (std::as_const(*src.node).annotations().topk != ann) {
-    src.node->annotations().topk = std::move(ann);
-  }
-  algebra::Plan sub;
-  sub.set_root(src.node);
-  wire::Send(sim_, id_, *pid,
-             {kSubqueryKind, rid, 0, PlanBody(sub), s.deadline, s.attempt});
-}
-
-void Peer::HandleBoundedReply(const wire::Envelope& env) {
-  const std::string& rid = env.query_id;
-  const size_t marker = rid.rfind("#tk");
-  const auto count_unmatched = [this]() {
-    Count(&PeerCounters::unmatched_replies);
-  };
-  if (marker == std::string::npos) {
-    count_unmatched();
-    return;
-  }
-  const std::string qid = rid.substr(0, marker);
-  const std::string suffix = rid.substr(marker + 3);
-  const size_t dot = suffix.find('.');
-  int64_t leaf = -1;
-  int64_t cont = -1;
-  if (dot == std::string::npos ||
-      !mqp::ParseInt64(suffix.substr(0, dot), &leaf) ||
-      !mqp::ParseInt64(suffix.substr(dot + 1), &cont) || leaf < 0 ||
-      cont < 0) {
-    count_unmatched();
-    return;
-  }
-  auto it = topk_sessions_.find(qid);
-  if (it == topk_sessions_.end()) {
-    // Late replies for a recently finished session are expected noise
-    // (the terminating round's losers); anything else is unaccounted.
-    if (!topk_done_.Contains(qid)) count_unmatched();
-    return;
-  }
-  TopKSession& s = it->second;
-  if (env.attempt != s.attempt) return;  // a superseded attempt's reply
-  size_t idx = s.sources.size();
-  for (size_t i = 0; i < s.sources.size(); ++i) {
-    if (s.sources[i].leaf == static_cast<uint32_t>(leaf)) {
-      idx = i;
-      break;
-    }
-  }
-  if (idx == s.sources.size()) {
-    count_unmatched();
-    return;
-  }
-  const TopKSource& src = s.sources[idx];
-  // Duplicate or stale slice (a fault-plan re-delivery, or a reply that
-  // raced its own retry): the continuation offset identifies the one
-  // slice the source is waiting for.
-  if (src.done || src.cont != static_cast<uint64_t>(cont)) return;
-  MergeTopKBatch(qid, idx, env);
-}
-
-void Peer::MergeTopKBatch(const std::string& query_id, size_t idx,
-                          const wire::Envelope& env) {
-  const EngineTally tally(this);
-  auto sit = topk_sessions_.find(query_id);
-  if (sit == topk_sessions_.end()) return;
-  TopKSession& s = sit->second;
-  TopKSource& src = s.sources[idx];
-  auto decoded = wire::DecodeItemBodyWithAttrs(env.body());
-  if (!decoded.ok()) {
-    Count(&PeerCounters::reply_decode_failures);
-    return;  // the session stalls; the deadline timer (or a retry) recovers
-  }
-  const wire::ItemBody body = std::move(decoded).value();
-  engine::FieldAccessor key(s.spec.field);
-  uint64_t accepted = 0;
-  uint64_t seq = 0;
-  for (const auto& item : body.items) {
-    const std::string_view k = key.Eval(*item).value_or(std::string_view());
-    if (s.heap->WouldAccept(k, src.leaf)) ++accepted;
-    s.heap->Push(k, src.leaf, src.cont + seq, item);
-    ++seq;
-  }
-  const uint64_t shipped = body.items.size();
-  src.received_rows += shipped;
-  src.received_bytes += env.body().size();
-  src.total = AttrU64(body.attrs, "total", src.total);
-  src.cont = AttrU64(body.attrs, "cont", src.cont + shipped);
-  const bool more = AttrU64(body.attrs, "more", 0) != 0;
-  Count(&PeerCounters::topk_batches);
-  if (!more) {
-    src.done = true;
-  } else if (s.heap->full()) {
-    // Threshold test (the ADiT termination): the server's next eligible
-    // key rides in the reply — if the heap's k-th entry already beats
-    // it, nothing further from this source can win. The server never
-    // sees the terminal slice, so the rows it still holds are credited
-    // here (disjoint from BoundedPrefix's terminal-slice credit).
-    const std::string* next = body.attrs.Find("next");
-    if (next != nullptr && !s.heap->WouldAccept(*next, src.leaf)) {
-      src.done = true;
-      src.terminated_early = true;
-      Count(&PeerCounters::topk_early_terminations);
-      if (src.total > src.received_rows) {
-        const uint64_t pruned = src.total - src.received_rows;
-        Count(&PeerCounters::topk_rows_pruned, pruned);
-      }
-    }
-  }
-  if (!src.done) {
-    // Adapt the next window. With a full heap, a catalog histogram for
-    // the order field turns the bound into a direct estimate of how many
-    // rows at the server can still win; without one, fall back to
-    // multiplicative adaptation on the observed acceptance rate.
-    const uint64_t cap = s.spec.k > 0 ? s.spec.k : 1;
-    const uint64_t lo = std::min<uint64_t>(4, cap);
-    uint64_t batch = src.batch;
-    bool refined = false;
-    if (s.heap->full() && src.total > 0) {
-      const engine::TopKBoundRef bound = s.heap->Bound();
-      const algebra::FieldHistogram* hist =
-          std::as_const(*src.node).annotations().HistogramFor(s.spec.field);
-      if (hist != nullptr) {
-        char* end = nullptr;
-        const double v = std::strtod(bound.key.c_str(), &end);
-        if (end != bound.key.c_str() && *end == '\0') {
-          double frac = s.spec.ascending
-                            ? hist->FractionBelow(v)
-                            : 1.0 - hist->FractionBelow(v) -
-                                  hist->FractionEquals(v);
-          if (frac < 0) frac = 0;
-          const auto useful = static_cast<uint64_t>(
-              std::llround(frac * static_cast<double>(src.total)));
-          batch = useful > src.received_rows ? useful - src.received_rows
-                                             : lo;
-          refined = true;
-        }
-      }
-    }
-    if (!refined && shipped > 0) {
-      if (accepted * 2 >= shipped) {
-        batch = src.batch * 2;
-      } else if (accepted * 10 < shipped) {
-        batch = src.batch / 2;
-      }
-    }
-    src.batch = std::clamp<uint64_t>(batch, lo, cap);
-    SendTopKRequest(query_id, idx);
-    return;
-  }
-  for (const auto& other : s.sources) {
-    if (!other.done) return;
-  }
-  FinishTopKSession(query_id);
-}
-
-void Peer::FinishTopKSession(const std::string& query_id) {
-  auto it = topk_sessions_.find(query_id);
-  if (it == topk_sessions_.end()) return;
-  TopKSession s = std::move(it->second);
-  topk_sessions_.erase(it);
-  topk_done_.Insert(query_id);
-  // Estimate what the bound kept off the wire: unshipped rows per source,
-  // priced at that source's observed bytes-per-row (cost-model fallback
-  // when a source shipped nothing). Benches measure real wire bytes; the
-  // counter is the per-query attribution.
-  for (const auto& src : s.sources) {
-    if (src.total <= src.received_rows) continue;
-    const uint64_t unshipped = src.total - src.received_rows;
-    const double per_row =
-        src.received_rows > 0
-            ? static_cast<double>(src.received_bytes) /
-                  static_cast<double>(src.received_rows)
-            : options_.cost.avg_item_bytes;
-    const auto saved = static_cast<uint64_t>(
-        std::llround(per_row * static_cast<double>(unshipped)));
-    Count(&PeerCounters::topk_bytes_saved, saved);
-  }
-  // The heap holds exactly the reference TopN's answer; morphing the TopN
-  // to it and re-entering the Figure-2 loop finishes the plan (remaining
-  // wrappers evaluate over constants, then delivery).
-  s.topn->MorphToData(s.heap->Finish());
-  ProcessPlan(std::move(s.plan), s.hops, s.deadline, s.attempt);
-}
-
-void Peer::OnTopKDeadline(const std::string& query_id, uint64_t generation) {
-  auto it = topk_sessions_.find(query_id);
-  if (it == topk_sessions_.end() || it->second.generation != generation) {
-    return;  // the session finished (or was superseded) before the timer
-  }
-  TopKSession s = std::move(it->second);
-  topk_sessions_.erase(it);
-  topk_done_.Insert(query_id);
-  // The TopN stays unmorphed — ProcessPlan's deadline branch force-
-  // evaluates what it can and delivers the partial (PR 8 semantics: the
-  // client's retry machinery sees an incomplete plan and takes over).
-  ProcessPlan(std::move(s.plan), s.hops, s.deadline, s.attempt);
+  // A malformed plan or a failed evaluation gets the empty reply.
+  SendItemReply(sim_, id_, from, env, nullptr);
 }
 
 // --- overload protection (DESIGN.md §11) -------------------------------------------
@@ -2182,154 +1313,39 @@ void Peer::HandleMqp(const wire::Envelope& env) {
   const uint64_t nodes_before = xml::DomNodesBuilt();
   auto parsed = DecodePlan(env.payload);
   if (!parsed.ok()) {  // malformed plans are dropped
-    Count(&PeerCounters::decode_rejects);
+    counts_.Count(&PeerCounters::decode_rejects);
     return;
   }
-  ++counters_.plans_received;
+  ++counts_.values.plans_received;
   Plan plan = std::move(parsed).value();
-  const OverloadOptions& ov = options_.overload;
-  if (OverloadActive() && cancelled_.Contains(plan.query_id())) {
-    // The client already tore this query down; servicing it is waste.
-    Count(&PeerCounters::cancelled_sessions_reaped);
-    counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
-    return;
+  switch (admission_.Admit(plan, env.deadline, env.attempt)) {
+    case Admission::Verdict::kReap:
+      break;
+    case Admission::Verdict::kServe:
+      ProcessPlan(std::move(plan), env.hops, env.deadline, env.attempt);
+      break;
+    case Admission::Verdict::kShed:
+      // Returned, not dropped: the partial goes back to its target now.
+      // The marker is recorded even when provenance is otherwise ablated:
+      // it is the wire signal the client's failover keys on (quarantine
+      // the hot server, rebind elsewhere), not an audit note.
+      AddProvenance(&plan, ProvenanceAction::kShed, "overload");
+      DeliverToTarget(std::move(plan), env.deadline, env.attempt);
+      break;
+    case Admission::Verdict::kQueue:
+      sim_->ScheduleFor(
+          id_, admission_.serve_at(),
+          [this, p = std::move(plan), hops = env.hops,
+           deadline = env.deadline, attempt = env.attempt]() mutable {
+            // Cancelled while queued: reap instead of serving.
+            if (admission_.Reap(p.query_id())) return;
+            const uint64_t nb = xml::DomNodesBuilt();
+            ProcessPlan(std::move(p), hops, deadline, attempt);
+            counts_.values.hop_dom_nodes_built += xml::DomNodesBuilt() - nb;
+          });
+      break;
   }
-  if (ov.service_rate_qps <= 0) {
-    // No service-time model: process at arrival (the pre-§11 path —
-    // default traces stay byte-identical).
-    ProcessPlan(std::move(plan), env.hops, env.deadline, env.attempt);
-    counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
-    return;
-  }
-  // The modeled core serves one plan per 1/rate seconds; arrivals queue
-  // behind busy_until_. The model runs even when the protection is
-  // ablated — it is the hardware, not the policy; the policy is deciding
-  // *not* to join a hopeless queue.
-  const double now = sim_->now();
-  const double start = std::max(now, busy_until_);
-  if (OverloadActive() && env.deadline > 0 &&
-      start + 1.0 / ov.service_rate_qps > env.deadline) {
-    // Even served next, this plan's results would leave past its
-    // deadline. Refuse instead of burning a core slot on a query nobody
-    // will wait for: the partial evaluated so far goes back *now* —
-    // before the client's own deadline fires — and the kShed marker
-    // quarantines this hop so a retry binds elsewhere.
-    ShedPlan(std::move(plan), env.deadline, env.attempt);
-    counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
-    return;
-  }
-  if (OverloadActive() &&
-      ShouldShed(start - now, plan.policy().priority, plan.query_id(),
-                 env.attempt)) {
-    ShedPlan(std::move(plan), env.deadline, env.attempt);
-    counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
-    return;
-  }
-  // The plan occupies the core for [start, start + 1/rate) and its
-  // results leave at service *completion* — a lone plan on an idle peer
-  // still costs one service time, not zero (M/D/1, not a pure queue).
-  busy_until_ = start + 1.0 / ov.service_rate_qps;
-  sim_->ScheduleFor(
-      id_, busy_until_,
-      [this, p = std::move(plan), hops = env.hops, deadline = env.deadline,
-       attempt = env.attempt]() mutable {
-        if (OverloadActive() && cancelled_.Contains(p.query_id())) {
-          // Cancelled while queued: reap instead of serving.
-          Count(&PeerCounters::cancelled_sessions_reaped);
-          return;
-        }
-        const uint64_t nb = xml::DomNodesBuilt();
-        ProcessPlan(std::move(p), hops, deadline, attempt);
-        counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nb;
-      });
-  counters_.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
-}
-
-bool Peer::ShouldShed(double projected_delay, uint32_t priority,
-                      const std::string& query_id, uint32_t attempt) {
-  const OverloadOptions& ov = options_.overload;
-  if (ov.shed_delay_seconds <= 0) return false;
-  if (priority > 0) {
-    // High-priority traffic is refused only past the hard ceiling —
-    // beyond it, admitting more would starve everything already queued.
-    return projected_delay >= ov.shed_delay_seconds * kHighPriorityCeiling;
-  }
-  if (projected_delay >= ov.shed_delay_seconds) return true;
-  const double knee = kEarlyShedFraction * ov.shed_delay_seconds;
-  if (projected_delay <= knee) return false;
-  // RED-style gray zone: shed with probability ramping linearly from 0
-  // at the knee to 1 at the watermark, so pressure is released gradually
-  // instead of oscillating around a hard edge. The coin is a pure
-  // function of (seed, query id, attempt) — every backend, and every
-  // rerun, flips it the same way.
-  const double p = (projected_delay - knee) / (ov.shed_delay_seconds - knee);
-  uint64_t h = Fnv1a(kFnvOffset, ov.seed);
-  h = Fnv1a(h, query_id);
-  h = Fnv1a(h, static_cast<uint64_t>(attempt));
-  const double coin = static_cast<double>(h % 1000000ULL) / 1e6;
-  return coin < p;
-}
-
-void Peer::ShedPlan(Plan plan, double deadline, uint32_t attempt) {
-  Count(&PeerCounters::queries_shed);
-  // The marker is recorded even when provenance is otherwise ablated: it
-  // is the wire signal the client's failover keys on (quarantine the hot
-  // server, rebind elsewhere), not an audit note.
-  AddProvenance(&plan, ProvenanceAction::kShed, "overload");
-  DeliverToTarget(std::move(plan), deadline, attempt);
-}
-
-engine::EvalLimits Peer::EvalLimitsFor(double deadline) const {
-  engine::EvalLimits lim;
-  if (!OverloadActive()) return lim;
-  const OverloadOptions& ov = options_.overload;
-  if (ov.budget_rows_per_second > 0 && deadline > 0) {
-    // Remaining virtual time converts to a deterministic row allowance
-    // (a wall-clock cap would differ run to run); the floor keeps tiny
-    // salvage evaluations finishable even at the deadline's edge.
-    const double remaining = deadline - sim_->now();
-    uint64_t rows = 0;
-    if (remaining > 0) {
-      rows = static_cast<uint64_t>(
-          remaining * static_cast<double>(ov.budget_rows_per_second));
-    }
-    lim.max_rows = std::max(rows, ov.min_budget_rows);
-  }
-  return lim;
-}
-
-void Peer::SendCancels(const std::string& query_id, const Pending& p) {
-  // Fan out to every server this query's attempts touched: the first
-  // hops it was forwarded to, plus everything the best partial's
-  // provenance names (servers later hops pulled in).
-  std::set<std::string> targets = p.contacted;
-  if (p.best_partial != nullptr) {
-    for (const auto& e : p.best_partial->provenance.entries()) {
-      targets.insert(e.server);
-    }
-  }
-  targets.erase(address());
-  for (const auto& t : targets) {
-    auto pid = sim_->Lookup(t);
-    if (!pid.ok() || *pid == id_) continue;
-    Count(&PeerCounters::cancels_sent);
-    wire::Send(sim_, id_, *pid, {kCancelKind, query_id, 0, net::Payload()});
-  }
-}
-
-void Peer::HandleCancel(const wire::Envelope& env) {
-  if (!OverloadActive()) return;
-  const std::string& qid = env.query_id;
-  if (qid.empty()) return;
-  // Idempotent under FaultInjector duplication: only the first copy of a
-  // cancel does any work.
-  if (!cancelled_.Insert(qid)) return;
-  auto it = topk_sessions_.find(qid);
-  if (it != topk_sessions_.end()) {
-    topk_sessions_.erase(it);
-    topk_done_.Insert(qid);
-    Count(&PeerCounters::cancelled_sessions_reaped);
-  }
+  counts_.values.hop_dom_nodes_built += xml::DomNodesBuilt() - nodes_before;
 }
 
 }  // namespace mqp::peer

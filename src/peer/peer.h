@@ -4,30 +4,26 @@
 //
 //   parse → resolve URNs via catalog → rewrite/optimize → policy-select
 //   evaluable sub-plans → evaluate & reduce → route or deliver.
+//
+// Three extensions are components the peer owns: QueryClient (client
+// reliability, DESIGN.md §9), TopKCoordinator (distributed top-k, §10)
+// and Admission (overload protection, §11).
 #pragma once
 
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "algebra/plan.h"
 #include "algebra/plan_xml.h"
 #include "catalog/catalog.h"
-#include "common/counters.h"
-#include "common/rng.h"
 #include "engine/local_store.h"
-#include "engine/operator.h"
-#include "engine/topk_heap.h"
-#include "net/transport.h"
 #include "ns/hierarchy.h"
-#include "ns/interest.h"
-#include "optimizer/cost.h"
-#include "optimizer/policy.h"
 #include "optimizer/rewrites.h"
+#include "peer/admission.h"
+#include "peer/common.h"
+#include "peer/query_client.h"
+#include "peer/topk_coordinator.h"
 #include "sync/gossip.h"
 #include "wire/envelope.h"
 
@@ -47,196 +43,6 @@ inline constexpr auto kSyncDigestKind = wire::kSyncDigestKind;
 inline constexpr auto kSyncDeltaKind = wire::kSyncDeltaKind;
 inline constexpr auto kCancelKind = wire::kCancelKind;
 
-/// \brief Which §3.2 roles this peer performs (freely composable).
-struct PeerRoles {
-  bool base = false;        ///< serves named collections of data
-  bool index = false;       ///< tracks base servers (with collection detail)
-  bool meta_index = false;  ///< tracks servers by interest area only
-  bool category = false;    ///< answers hierarchy-structure queries
-  bool authoritative = false;  ///< strives to know all servers in its area
-};
-
-/// How long a server stays quarantined on the suspicion list after a
-/// failed interaction; suspect servers lose routing ties and their
-/// binding alternatives are skipped while fresher ones exist.
-inline constexpr double kSuspicionTtlSeconds = 60;
-
-/// \brief Client-side query-reliability knobs (DESIGN.md §9). With
-/// `enabled` false the peer behaves exactly as before the reliability
-/// layer existed — no retries, no failover filtering, no deadline on the
-/// wire — except that a nonzero deadline still reaps the pending entry
-/// (the state-leak fix stands even when the layer is ablated). Retries
-/// back off exponentially (×2, capped at 30 s) with ±20% jitter drawn
-/// from a per-peer seeded Rng, so schedules stay deterministic.
-struct ReliabilityOptions {
-  bool enabled = true;
-
-  /// Per-query deadline budget in seconds from submission (0 = none:
-  /// the query may pend forever, the pre-reliability behaviour).
-  double query_deadline_seconds = 120;
-
-  /// Base per-attempt timeout before the first retry fires.
-  double retry_timeout_seconds = 4;
-  /// Retries after the initial attempt (total attempts = 1 + max_retries).
-  /// Deep enough that with the backoff ladder the deadline, not this
-  /// count, is what normally ends a hopeless query.
-  uint32_t max_retries = 8;
-
-  /// Seeds the per-peer jitter stream (combined with the peer id).
-  uint64_t seed = 1;
-};
-
-/// \brief Overload-protection knobs (DESIGN.md §11). With `enabled` off,
-/// the peer accepts every query, never sheds, never aborts an
-/// evaluation, and never cancels — the pre-overload reference. The
-/// defaults are inert (no service-time model, no row budgets), so a
-/// peer that never configures this struct behaves byte-identically to
-/// before the layer existed.
-struct OverloadOptions {
-  bool enabled = true;
-
-  /// Modeled service rate for remote plan processing, in queries per
-  /// virtual second. 0 keeps handlers instantaneous in virtual time —
-  /// the pre-overload behaviour. When set, each admitted remote plan
-  /// occupies this peer for 1/rate seconds and later arrivals queue
-  /// behind it (deferred via transport timers), which is what gives
-  /// overload a latency consequence on simulated backends. The queue's
-  /// projected delay is also what admission control sheds on. Applies
-  /// in ablated mode too: it models the peer's capacity, not the
-  /// protection.
-  double service_rate_qps = 0;
-
-  /// Projected-queueing-delay watermark (seconds) past which
-  /// best-effort (priority-0) plans are refused outright. In the
-  /// RED-style gray zone past half the watermark they are shed
-  /// probabilistically (linearly ramping to certainty at the watermark),
-  /// by a seeded coin that is a pure function of (seed, query id,
-  /// attempt) — bit-identical across backends, the FaultInjector
-  /// pattern. Higher-priority plans (policy priority > 0) are refused
-  /// only past four times the watermark.
-  double shed_delay_seconds = 2.0;
-
-  /// Client-side admission: refuse SubmitQuery outright (outcome
-  /// `shed`, complete=false) while this many queries are already
-  /// pending here; higher-priority submissions may overshoot to four
-  /// times the cap. 0 = unlimited.
-  size_t max_pending_queries = 0;
-
-  /// Deadline → row-allowance conversion for the per-query engine
-  /// budget: an evaluation may produce (remaining deadline seconds ×
-  /// this rate) rows before it aborts with a partial. 0 disables row
-  /// budgets (the default).
-  uint64_t budget_rows_per_second = 0;
-  /// Allowance floor so an almost-expired query still makes progress —
-  /// also the whole allowance for post-deadline salvage evaluation.
-  uint64_t min_budget_rows = 256;
-
-  /// Seeds the shed-coin stream (combined with the query id + attempt).
-  uint64_t seed = 1;
-};
-
-/// \brief Per-peer configuration.
-struct PeerOptions {
-  std::string name;          ///< human-readable label (for traces)
-  ns::InterestArea interest; ///< the peer's interest area
-  PeerRoles roles;
-
-  optimizer::PolicyConfig policy;  ///< deferment policy (Figure 2)
-  optimizer::CostParams cost;
-
-  bool record_provenance = true;   ///< §5.1
-  bool retain_original = false;    ///< carry the original plan in the MQP
-  bool enable_select_pushdown = true;
-  bool enable_consolidation = true;
-  bool enable_absorption = true;
-
-  /// Routing loop guard. MQPs visit base servers sequentially (the
-  /// pipelining trade of §2), so this must exceed the number of servers a
-  /// wide query touches.
-  int max_hops = 256;
-
-  /// §3.4/§5.1 catalog caching: harvest (area → index server) entries
-  /// from resolver hints seen in passing MQPs, and — when retain_original
-  /// is set — from the provenance of returned results.
-  bool cache_from_plans = true;
-
-  /// Item fields carrying the namespace coordinates, in dimension order
-  /// (e.g. {"location", "category"}). Used to filter collections broader
-  /// than a requested area down to the requested portion.
-  std::vector<std::string> dimension_fields;
-
-  /// Numeric fields to histogram when annotating local collections (§5.1);
-  /// downstream cost models use them for selectivity estimation.
-  std::vector<std::string> histogram_fields;
-
-  /// Test hook for §5.1 spoofing: URNs whose text contains this substring
-  /// are bound to the empty set with normal-looking provenance.
-  std::string spoof_urn_substring;
-
-  /// Client-side reliability: deadlines, retries, failover, partials.
-  ReliabilityOptions reliability;
-
-  /// Overload protection: admission control, per-query resource
-  /// budgets, priority shedding, cooperative cancellation (DESIGN.md
-  /// §11).
-  OverloadOptions overload;
-};
-
-/// \brief A bounded set of recently seen ids. Holds at most `cap` ids
-/// and evicts the oldest insertion first; re-inserting a held id does
-/// not refresh its age.
-class RecentIds {
- public:
-  explicit RecentIds(size_t cap) : cap_(cap) {}
-
-  /// Adds `id`; true if it was not already held.
-  bool Insert(const std::string& id) {
-    if (!set_.insert(id).second) return false;
-    order_.push_back(id);
-    if (order_.size() > cap_) {
-      set_.erase(order_.front());
-      order_.pop_front();
-    }
-    return true;
-  }
-
-  bool Contains(const std::string& id) const { return set_.count(id) > 0; }
-
- private:
-  size_t cap_;
-  std::deque<std::string> order_;
-  std::set<std::string> set_;
-};
-
-/// \brief What a client gets back for a submitted query.
-struct QueryOutcome {
-  std::string query_id;
-  bool complete = false;        ///< plan fully evaluated
-  algebra::ItemSet items;
-  algebra::Provenance provenance;
-  double submitted_at = 0;
-  double completed_at = 0;
-  size_t result_bytes = 0;      ///< wire size of the returning MQP
-  algebra::Plan final_plan;     ///< full returning plan (for verification)
-  /// Attempts launched for this query (1 = no retries needed).
-  uint32_t attempts = 1;
-  /// True when the deadline/retry budget ran out: `items` then holds the
-  /// best *partial* result any attempt produced (possibly empty), with
-  /// provenance marking what went unanswered — degradation, not silence.
-  bool timed_out = false;
-  /// True when client-side admission control refused the query at
-  /// submission (DESIGN.md §11): nothing was sent, `items` is empty.
-  bool shed = false;
-};
-
-/// \brief Per-peer counters for tests and benches: the peer-only and
-/// peer-reported groups of the counter table (common/counters.h). The
-/// peer-reported members are inherited; Peer::Count records them here and
-/// in the transport's NetStats at once.
-struct PeerCounters : PeerReportedCounters {
-  MQP_PEER_ONLY_COUNTERS(MQP_COUNTER_FIELD)
-};
-
 /// \brief A network participant. Attach to any net::Transport (the
 /// deterministic simulator, the threaded runtime, or the TCP
 /// transport — DESIGN.md §8), publish data or indexes, join, and
@@ -244,8 +50,11 @@ struct PeerCounters : PeerReportedCounters {
 /// transport serializes handler invocations per peer.
 class Peer : public net::PeerNode {
  public:
-  /// Registers with `net` (which must outlive the peer).
+  /// Registers with `net` (which must outlive the peer). The transport
+  /// and the peer's components hold its address, so it never moves.
   Peer(net::Transport* net, PeerOptions options);
+  Peer(const Peer&) = delete;
+  Peer& operator=(const Peer&) = delete;
 
   net::PeerId id() const { return id_; }
   /// This peer's cached network address (no allocation per call).
@@ -256,7 +65,7 @@ class Peer : public net::PeerNode {
   catalog::Catalog& catalog() { return catalog_; }
   const catalog::Catalog& catalog() const { return catalog_; }
   engine::LocalStore& store() { return store_; }
-  const PeerCounters& counters() const { return counters_; }
+  const PeerCounters& counters() const { return counts_.values; }
 
   // --- base-server API --------------------------------------------------------
 
@@ -336,7 +145,7 @@ class Peer : public net::PeerNode {
   void DropReplica(const std::string& collection_id);
 
   /// Distributed top-k merge sessions currently coordinated here.
-  size_t topk_sessions() const { return topk_sessions_.size(); }
+  size_t topk_sessions() const { return topk_.sessions(); }
 
   // --- category-server API ------------------------------------------------------
 
@@ -361,7 +170,7 @@ class Peer : public net::PeerNode {
 
   // --- client API --------------------------------------------------------------
 
-  using Callback = std::function<void(const QueryOutcome&)>;
+  using Callback = QueryClient::Callback;
 
   /// Submits a query. The plan's display target is overwritten to this
   /// peer; processing starts locally and the result arrives via `cb` once
@@ -373,49 +182,38 @@ class Peer : public net::PeerNode {
   /// Queries submitted here still awaiting an outcome. With a deadline
   /// configured this returns to zero once every query resolves or is
   /// reaped — the pending map must not grow across a churn loop.
-  size_t pending_queries() const { return pending_.size(); }
+  size_t pending_queries() const { return client_.pending(); }
 
   /// True while `server` sits on the suspicion list (failed interaction
   /// within the TTL). Suspect servers are routed around when any
   /// alternative exists.
-  bool IsSuspect(const std::string& server);
+  bool IsSuspect(const std::string& server) {
+    return client_.IsSuspect(server);
+  }
+
+  /// What must hold once the transport is idle: every pending query and
+  /// every top-k session that carries a timer has ended, because all
+  /// timers have fired. Returns one line per violation; empty when sound.
+  std::vector<std::string> CheckInvariants() const;
 
   // --- net::PeerNode -------------------------------------------------------------
 
   void HandleMessage(const net::Message& msg) override;
 
  private:
-  struct Pending;  // defined below (client reliability state)
-
   // The Figure-2 processing loop. `hops` is the wire-layer hop count the
   // plan arrived with (0 for locally submitted queries); `deadline` and
   // `attempt` are the envelope's reliability fields (0 on fault-free
   // legacy traffic) and travel with the plan to the next hop.
   void ProcessPlan(algebra::Plan plan, uint32_t hops = 0, double deadline = 0,
                    uint32_t attempt = 0);
+  /// The way back into ProcessPlan that the components are given.
+  Resume ResumeLoop();
 
-  // --- overload protection (DESIGN.md §11) -------------------------------------
-
-  /// True when this peer's options enable the protection layer.
-  bool OverloadActive() const { return options_.overload.enabled; }
   /// Decode + admission control + service-time deferral for an arriving
   /// remote plan; admitted plans reach ProcessPlan when the modeled
   /// queue drains to them.
   void HandleMqp(const wire::Envelope& env);
-  /// Deterministic admission decision for an arriving plan, given the
-  /// projected queueing delay (pure in (seed, query id, attempt)).
-  bool ShouldShed(double projected_delay, uint32_t priority,
-                  const std::string& query_id, uint32_t attempt);
-  /// Returns the plan unevaluated with a `shed` provenance marker so the
-  /// PR 8 client retries elsewhere or degrades.
-  void ShedPlan(algebra::Plan plan, double deadline, uint32_t attempt);
-  /// The engine budget for one evaluation under `deadline` (unlimited
-  /// when budgets are off or no deadline applies).
-  engine::EvalLimits EvalLimitsFor(double deadline) const;
-  /// Cancel fan-out to every server this query touched; idempotent on
-  /// the receiver.
-  void SendCancels(const std::string& query_id, const Pending& p);
-  void HandleCancel(const wire::Envelope& env);
 
   /// Resolution stage; returns how many URNs were bound.
   int ResolveUrns(algebra::Plan* plan);
@@ -442,17 +240,6 @@ class Peer : public net::PeerNode {
   void RouteOrDeliver(algebra::Plan plan, uint32_t hops, double deadline = 0,
                       uint32_t attempt = 0);
 
-  /// Records a peer-reported counter once: in counters_ and in the
-  /// calling thread's sim_->stats() shard. Pass `&PeerCounters::name`;
-  /// a substrate or peer-only counter does not compile.
-  void Count(uint64_t PeerReportedCounters::*counter, uint64_t n = 1);
-  /// The same for a batch of deltas (engine, resolve and codec tallies).
-  void Count(const PeerReportedCounters& deltas);
-  /// Reports engine::Stats() deltas through Count on scope exit.
-  class EngineTally;
-
-  /// Serializes via the wire-layer cache, counting the work.
-  net::Payload PlanBody(const algebra::Plan& plan);
   /// Decodes a plan body via the wire codec, counting the work.
   Result<algebra::Plan> DecodePlan(const net::Payload& body);
 
@@ -466,64 +253,6 @@ class Peer : public net::PeerNode {
   void HandleFetch(const wire::Envelope& env, net::PeerId from);
   void HandleFetchReply(const wire::Envelope& env);
   void HandleSubquery(const wire::Envelope& env, net::PeerId from);
-
-  // --- distributed top-k coordinator (DESIGN.md §10) ---------------------------
-
-  /// One remote contributor to a top-k merge: an annotated sub-plan the
-  /// coordinator streams score-ordered batches from.
-  struct TopKSource {
-    algebra::PlanNodePtr node;  ///< the annotated sub-plan (in the plan DAG)
-    std::string server;         ///< the peer answering for this sub-plan
-    bool is_fetch = false;      ///< bare URL leaf → bounded fetch
-    std::string xpath;          ///< fetch-path collection selector
-    uint32_t leaf = 0;          ///< tie-break position under the TopN
-    uint64_t cont = 0;          ///< continuation: rows received so far
-    uint64_t batch = 0;         ///< next request's window size
-    uint64_t total = 0;         ///< server-reported collection size
-    uint64_t received_rows = 0;
-    uint64_t received_bytes = 0;
-    bool done = false;
-    bool terminated_early = false;
-  };
-
-  /// An in-flight top-k merge: the parked plan, its consumer TopN, the
-  /// shared-order heap, and one TopKSource per remote sub-plan.
-  struct TopKSession {
-    algebra::Plan plan;
-    algebra::PlanNode* topn = nullptr;  ///< stable across Plan moves
-    engine::TopKSpec spec;
-    std::unique_ptr<engine::TopKHeap> heap;
-    std::vector<TopKSource> sources;
-    uint32_t hops = 0;
-    double deadline = 0;   ///< absolute; 0 = none
-    uint32_t attempt = 0;  ///< reliability attempt the session serves
-    uint64_t generation = 0;  ///< guards the deadline cleanup timer
-  };
-
-  /// Parks the plan in a merge session when its consumer TopN sits over
-  /// annotated remote sub-plans (plus constants); sends the first round
-  /// of bounded requests. False = not a top-k shape, route normally.
-  bool MaybeStartTopKSession(algebra::Plan* plan, uint32_t hops,
-                             double deadline, uint32_t attempt);
-  /// Sends the next bounded request for `sources[idx]`, carrying the
-  /// heap's current k-th bound and the adapted batch size.
-  void SendTopKRequest(const std::string& query_id, size_t idx);
-  /// Demux for bounded fetch/subquery replies ("qid#tk<leaf>.<cont>"
-  /// correlation ids); counts decode failures and unmatched replies.
-  void HandleBoundedReply(const wire::Envelope& env);
-  /// Merges one decoded batch into the session's heap; tightens the
-  /// bound, terminates or re-requests the source, finishes the session
-  /// when every source is done.
-  void MergeTopKBatch(const std::string& query_id, size_t idx,
-                      const wire::Envelope& env);
-  /// Morphs the TopN to the heap's result and resumes the Figure-2 loop.
-  void FinishTopKSession(const std::string& query_id);
-  /// Deadline cleanup: delivers the plan as a partial (TopN unmorphed).
-  void OnTopKDeadline(const std::string& query_id, uint64_t generation);
-  /// Drops rows a bound-stamped sub-plan can never contribute before the
-  /// result is folded into the plan (the local-evaluation analog of the
-  /// server-side bounded prefix).
-  void TruncateForTopK(const algebra::PlanNode& node, algebra::ItemSet* items);
 
   /// The single construction points for this peer's syncable facts —
   /// record identity is the exact field tuple, so Publish* and
@@ -542,6 +271,10 @@ class Peer : public net::PeerNode {
   net::Transport* sim_;  // the substrate (simulator or runtime backend)
   net::PeerId id_;
   PeerOptions options_;
+  CounterSink counts_;
+  QueryClient client_;      // client reliability (DESIGN.md §9)
+  TopKCoordinator topk_;    // distributed top-k merges (DESIGN.md §10)
+  Admission admission_;     // overload protection (DESIGN.md §11)
   engine::LocalStore store_;
   catalog::Catalog catalog_;
   std::unique_ptr<sync::SyncAgent> sync_;
@@ -562,67 +295,8 @@ class Peer : public net::PeerNode {
   uint64_t next_pull_ = 0;
   /// Monotonic replica-id mint: survives DropReplica, so ids never reuse.
   uint64_t next_replica_ = 0;
-
-  std::map<std::string, TopKSession> topk_sessions_;  // query id → session
-  /// Recently finished session ids: late in-flight replies for them are
-  /// dropped silently instead of counting as unmatched.
-  RecentIds topk_done_{128};
-  uint64_t next_topk_generation_ = 0;
-
-  // --- client reliability (DESIGN.md §9) ---------------------------------------
-
-  /// Backoff before retry `attempt` (0-based), jittered and capped.
-  double Backoff(uint32_t attempt);
-  /// Quarantines `server` on the suspicion list for the configured TTL.
-  void Suspect(const std::string& server);
-  /// Launches retry attempt `attempt` of `p`'s query from its retained
-  /// original, routing around current suspects.
-  void StartAttempt(const std::string& query_id, uint32_t attempt);
-  /// Arms the pending query's single retry/deadline timer; `generation`
-  /// guards against stale firings (each result/retry bumps it).
-  void ArmQueryTimer(const std::string& query_id, double when);
-  void OnQueryTimer(const std::string& query_id, uint64_t generation);
-  /// Finishes an exhausted query with its best partial outcome.
-  void GiveUp(const std::string& query_id);
-  /// Suspects the servers named by still-unresolved leaves of a returned
-  /// incomplete plan (the hops that went unanswered).
-  void SuspectUnansweredLeaves(const algebra::Plan& plan);
-
-  struct Pending {
-    Callback callback;
-    double submitted_at = 0;
-    double deadline = 0;    ///< absolute; 0 = none
-    uint32_t attempt = 0;   ///< attempts launched - 1
-    uint64_t generation = 0;  ///< bumps on every retry/result; stale timers no-op
-    /// Retained for retries (reliability only; null otherwise).
-    std::shared_ptr<const algebra::Plan> original;
-    /// Best incomplete outcome any attempt returned (most items wins).
-    std::unique_ptr<QueryOutcome> best_partial;
-    /// First-hop servers each attempt was forwarded to — the cancel
-    /// fan-out targets (DESIGN.md §11), joined with the provenance of
-    /// the best partial at send time.
-    std::set<std::string> contacted;
-  };
-  std::map<std::string, Pending> pending_;
-  /// Recently finished query ids: late duplicate results for them are
-  /// counted, not re-delivered.
-  RecentIds completed_{128};
-  /// Suspicion list: server address → quarantine expiry time.
-  std::map<std::string, double> suspects_;
-  mqp::Rng reliability_rng_{1};
+  /// Mints query ids and category request ids alike.
   uint64_t next_query_ = 0;
-  PeerCounters counters_;
-  int engine_tally_depth_ = 0;  // EngineTally re-entrancy guard
-
-  // --- overload protection (DESIGN.md §11) -------------------------------------
-
-  /// Virtual time until which this peer's modeled core is busy; the
-  /// service-time model queues admitted plans behind it. Never read when
-  /// service_rate_qps is 0.
-  double busy_until_ = 0;
-  /// Recently cancelled query ids: queued plans and late traffic for
-  /// these are dropped instead of serviced.
-  RecentIds cancelled_{256};
 };
 
 }  // namespace mqp::peer

@@ -15,8 +15,8 @@
 // items of non-canonical runs, which decode eagerly — and plan_decode_ns
 // on the steady clock). Both helpers count into the wire group of the
 // counter table (common/counters.h): pass a NetStats shard directly, or a
-// local PeerReportedCounters that the peer then reports through
-// Peer::Count.
+// local PeerReportedCounters that the peer then reports through its
+// peer::CounterSink.
 #pragma once
 
 #include "algebra/plan.h"

@@ -63,6 +63,11 @@ OracleRun RunOracle(net::Transport* transport, uint64_t seed) {
   scenario.Run();
   OracleRun run;
   run.violations = scenario.CheckAnswers();
+  for (const peer::Peer* p : scenario.LiveSyncedPeers()) {
+    for (std::string& v : p->CheckInvariants()) {
+      run.violations.push_back(std::move(v));
+    }
+  }
   for (const auto& q : scenario.queries_log()) {
     run.queries += q.answered >= 0 ? 1 : 0;
     run.complete += q.complete ? 1 : 0;

@@ -39,10 +39,11 @@ std::vector<NamedCounter> PeerReported() {
   };
 }
 
-// A burst of area and top-k queries (some with predicates, so top-k
-// ships bounded subqueries as well as bounded fetches) into a garage-sale
-// network under a lossy fault plan, with every peer's modeled core slower
-// than the burst: the run retries, sheds and merges top-k batches.
+// A burst of area and top-k queries (some with predicates, so top-k's
+// bounded subqueries carry select sub-plans as well as bare URL leaves)
+// into a garage-sale network under a lossy fault plan, with every peer's
+// modeled core slower than the burst: the run retries, sheds and merges
+// top-k batches.
 // Returns the merged NetStats after the peers' counters were checked
 // against it.
 net::NetStats RunMixedLoad(net::Transport* transport) {

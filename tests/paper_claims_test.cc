@@ -5,12 +5,38 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "workload/churn.h"
+#include "workload/coordinator_race.h"
 #include "workload/replicas.h"
 
 namespace mqp {
 namespace {
+
+// C2 (bench_c2_mqp_vs_coordinator), the paper's §2: at 8, 32 and 128
+// sellers the MQP, coord-ship and coord-push answers are all complete,
+// both coordinators answer strictly sooner than the migrating MQP, and
+// pushing the selection ships strictly fewer bytes than shipping raw
+// collections. (The MQP itself may ship more than either: it carries the
+// data it gathers from seller to seller.) With one of 32 sellers failed
+// both coordinators answer a partial at their timeout and the MQP client
+// answers a partial instead of losing the query.
+TEST(PaperClaims, C2CoordinatorFasterPushShipsLess) {
+  auto expect_shape = [](const workload::Race& race,
+                         const std::vector<std::string>& misses) {
+    std::string failed;
+    for (const std::string& f : misses) failed += "\n  " + f;
+    EXPECT_TRUE(failed.empty()) << race.sellers << " sellers:" << failed;
+  };
+  for (const size_t sellers : workload::kRaceSellerCounts) {
+    const workload::Race race = workload::RunRace(sellers, false);
+    expect_shape(race, workload::HealthyRaceShape(race));
+  }
+  const workload::Race failed =
+      workload::RunRace(workload::kRaceFailureSellers, true);
+  expect_shape(failed, workload::FailedRaceShape(failed));
+}
 
 // C3 (bench_c3_intensional), the paper's §4.2 Example 1: as the replica
 // count k grows, intensional statements keep the answer at one base visit

@@ -146,6 +146,60 @@ TEST(PeerTest, RegisterDelayThatIsNotAnIntRejectsTheBody) {
   EXPECT_EQ(stored[0].delay_minutes, 15);
 }
 
+// A registration's ttl is the sender's forwarding budget: it is read
+// like every other wire integer (a malformed ttl rejects the body,
+// counted once in decode_rejects) and capped at the budget JoinNetwork
+// sends, so two authoritative index servers bootstrapped to each other
+// forward one registration at most twice, whatever ttl it claims.
+TEST(PeerTest, RegisterTtlIsCheckedAndCapped) {
+  net::Simulator sim;
+  PeerOptions io;
+  io.roles.index = true;
+  io.roles.authoritative = true;
+  io.name = "a";
+  Peer a(&sim, io);
+  io.name = "b";
+  Peer b(&sim, io);
+  a.AddBootstrap(b.address());
+  b.AddBootstrap(a.address());
+  PeerOptions so;
+  so.name = "s";
+  Peer sender(&sim, so);
+  auto send = [&](const char* ttl) {
+    std::string body;
+    xml::TokenWriter w(&body);
+    w.Start("register");
+    w.Attr("server", sender.address());
+    w.Attr("name", "s");
+    w.Attr("ttl", ttl);
+    w.Start("entry");
+    w.Attr("level", "index");
+    w.Attr("area", "(USA.OR,Music)");
+    w.End();
+    w.End();
+    wire::Send(&sim, sender.id(), a.id(),
+               {wire::kRegisterKind, "", 0, net::MakePayload(body)});
+    sim.Run();
+  };
+  auto stored_at_a = [&] {
+    size_t n = 0;
+    for (const auto& e : a.catalog().entries()) {
+      if (e.server == sender.address()) ++n;
+    }
+    return n;
+  };
+  send("abc");
+  EXPECT_EQ(a.counters().decode_rejects, 1u);
+  EXPECT_EQ(stored_at_a(), 0u);
+  EXPECT_EQ(b.counters().registrations_received, 0u);
+  send("1000");
+  const uint64_t forwards = a.counters().registrations_received +
+                            b.counters().registrations_received - 2;
+  EXPECT_LE(forwards, 2u);
+  EXPECT_EQ(stored_at_a(), 1u);
+  EXPECT_EQ(b.counters().registrations_received, 1u);
+}
+
 TEST(PeerTest, RegistrationIgnoredByNonIndexPeers) {
   net::Simulator sim;
   PeerOptions o;

@@ -488,6 +488,93 @@ TEST(ReliabilityLeak, PendingQueriesReapedAcrossChurnWaves) {
   }
 }
 
+// --- the retry ladder --------------------------------------------------------
+
+/// When each attempt of one doomed query left the client, and how the
+/// query ended.
+struct Ladder {
+  std::vector<uint32_t> attempts;  ///< envelope attempt of each mqp send
+  std::vector<double> launches;    ///< virtual time of each mqp send
+  double completed_at = 0;
+  uint32_t outcome_attempts = 0;
+  bool timed_out = false;
+};
+
+Ladder RunLadder(uint32_t max_retries, double deadline_seconds) {
+  net::Simulator sim;
+  GarageSaleNetworkParams params;
+  params.num_sellers = 1;
+  params.seed = 41;
+  auto net = BuildGarageSaleNetwork(&sim, params);
+  sim.Fail(net.sellers[0]->id());
+  auto& rel = net.client->mutable_options().reliability;
+  rel.max_retries = max_retries;
+  rel.query_deadline_seconds = deadline_seconds;
+  Ladder ladder;
+  sim.set_on_send([&](const net::Message& m) {
+    if (m.from != net.client->id() || m.kind != wire::kMqpKind) return;
+    auto env = wire::DecodeEnvelope(m);
+    ASSERT_TRUE(env.ok());
+    ladder.attempts.push_back(env->attempt);
+    ladder.launches.push_back(sim.now());
+  });
+  size_t returned = 0;
+  net.client->SubmitQuery(
+      MakeAreaQueryPlan(*ns::InterestArea::Parse("(USA,*)")),
+      [&](const QueryOutcome& o) {
+        ++returned;
+        ladder.completed_at = o.completed_at;
+        ladder.outcome_attempts = o.attempts;
+        ladder.timed_out = o.timed_out;
+      });
+  sim.Run();
+  EXPECT_EQ(returned, 1u);
+  EXPECT_EQ(net.client->pending_queries(), 0u);
+  return ladder;
+}
+
+// The client's only seller is down, so every attempt dead-ends and comes
+// back short. The launch times pin the attempt-timer rule: attempt a
+// waits Backoff(a) after the previous one came back, the last allowed
+// attempt's timer arms at the deadline, and no timer passes the
+// deadline; completed_at pins when the client gives up.
+TEST(ReliabilityLadder, DeadEndAttemptsLaunchOnTheBackoffLadder) {
+  struct Want {
+    uint32_t max_retries;
+    double deadline;
+    std::vector<double> launches;
+    double completed_at;
+  };
+  const Want wants[] = {
+      {0, 0, {0.040242399999999998}, 0.14294080000000001},
+      {0, 20, {0.040242399999999998}, 0.14297200000000002},
+      {1, 0, {0.040242399999999998, 3.9101170979830404}, 4.0135554979830408},
+      {1, 20, {0.040242399999999998, 3.9101482979830404}, 4.0136026979830408},
+      {3,
+       0,
+       {0.040242399999999998, 3.9101170979830404, 11.249340761505607,
+        24.453577844479476},
+       24.557016244479474},
+      {3,
+       20,
+       {0.040242399999999998, 3.9101482979830404, 11.249387961505608},
+       20.0402424},
+  };
+  for (const Want& w : wants) {
+    SCOPED_TRACE("max_retries " + std::to_string(w.max_retries) +
+                 ", deadline " + std::to_string(w.deadline));
+    const Ladder l = RunLadder(w.max_retries, w.deadline);
+    ASSERT_EQ(l.launches.size(), w.launches.size());
+    for (size_t i = 0; i < w.launches.size(); ++i) {
+      EXPECT_EQ(l.attempts[i], i);
+      EXPECT_EQ(l.launches[i], w.launches[i]) << "attempt " << i;
+    }
+    EXPECT_EQ(l.completed_at, w.completed_at);
+    EXPECT_EQ(l.outcome_attempts, w.launches.size());
+    EXPECT_TRUE(l.timed_out);
+  }
+}
+
 // --- failover and suspicion --------------------------------------------------
 
 // A pulled replica gives the binding a second alternative; when the
@@ -782,6 +869,10 @@ ChurnFp RunChurnUnderFaults(net::Transport* transport, uint64_t seed) {
   scenario.EnableSyncEverywhere();
   fi.Arm();
   scenario.Run();
+  for (const Peer* p : scenario.LiveSyncedPeers()) {
+    EXPECT_EQ(p->CheckInvariants(), std::vector<std::string>{})
+        << "seed " << seed;
+  }
   ChurnFp fp;
   fp.fails = scenario.stats().fails;
   fp.recovers = scenario.stats().recovers;

@@ -347,6 +347,8 @@ struct WireObs {
   uint64_t reply_decode_failures = 0;
   uint64_t unmatched_replies = 0;
   uint64_t decode_rejects = 0;
+  /// Peer::CheckInvariants of every live peer once the run is idle.
+  std::vector<std::string> violations;
 };
 
 TopKFp RunTopKQuery(net::Transport* transport, uint64_t seed, uint64_t k,
@@ -362,8 +364,9 @@ TopKFp RunTopKQuery(net::Transport* transport, uint64_t seed, uint64_t k,
   const uint64_t bytes_after_build = transport->stats().bytes;
   TopKFp fp;
   const auto area = *ns::InterestArea::Parse("(USA,*)");
-  // A predicate turns the remote branches into select(url) sub-plans, so
-  // the session uses bounded *subqueries* instead of bounded fetches.
+  // A predicate turns the remote branches into select(url) sub-plans;
+  // without one each branch is a bare URL leaf, sent as a one-node
+  // bounded subquery.
   algebra::ExprPtr pred =
       with_predicate ? algebra::FieldLess("price", "100") : nullptr;
   net.client->SubmitQuery(
@@ -388,6 +391,12 @@ TopKFp RunTopKQuery(net::Transport* transport, uint64_t seed, uint64_t k,
     obs->reply_decode_failures = s.reply_decode_failures;
     obs->unmatched_replies = s.unmatched_replies;
     obs->decode_rejects = s.decode_rejects;
+    for (const auto& p : net.owned) {
+      if (transport->IsFailed(p->id())) continue;
+      for (std::string& v : p->CheckInvariants()) {
+        obs->violations.push_back(std::move(v));
+      }
+    }
   }
   return fp;
 }
@@ -428,6 +437,7 @@ TEST(DistributedTopK, MatchesUnboundedReferenceManySeeds) {
     EXPECT_EQ(obs.reply_decode_failures, 0u) << "seed " << seed;
     EXPECT_EQ(obs.unmatched_replies, 0u) << "seed " << seed;
     EXPECT_EQ(obs.decode_rejects, 0u) << "seed " << seed;
+    EXPECT_EQ(obs.violations, std::vector<std::string>{}) << "seed " << seed;
     total_batches += obs.topk_batches;
     total_pruned += obs.topk_rows_pruned;
     total_early += obs.topk_early_terminations;
@@ -539,7 +549,7 @@ TEST(DistributedTopK, ShipsFarFewerBytesThanReference) {
 }
 
 // PR 8 composition: under drop/dup/delay faults with client retries on,
-// bounded fetches are idempotent per continuation token — whenever the
+// bounded subqueries are idempotent per continuation token — whenever the
 // query completes, the ranking equals the clean ablated reference, and
 // the same seed reproduces the same outcome.
 TEST(DistributedTopK, ComposesWithFaultInjectionAndRetries) {
@@ -580,6 +590,11 @@ TEST(DistributedTopK, ComposesWithFaultInjectionAndRetries) {
           });
       fi.Run();
       EXPECT_TRUE(fp.returned) << "seed " << seed;
+      for (const auto& p : net.owned) {
+        if (sim.IsFailed(p->id())) continue;
+        EXPECT_EQ(p->CheckInvariants(), std::vector<std::string>{})
+            << "seed " << seed;
+      }
       if (fp.complete) {
         EXPECT_EQ(fp.rows, reference.rows) << "seed " << seed;
       }
