@@ -320,23 +320,26 @@ int StampTopK(PlanNode* node, const algebra::TopKBound& bound,
   // Descend through non-distinct unions only: each branch keeps its own
   // full contribution under concatenating union, so per-branch bounds
   // are sound; a distinct union could need more than k rows per branch.
+  // Such a union is bounded itself: wherever it is evaluated it keeps
+  // its top k rows instead of folding every row it carries.
+  int count = 0;
   if (node->type() == OpType::kUnion && !node->distinct()) {
-    int count = 0;
     for (const auto& c : node->children()) {
       count += StampTopK(c.get(), bound, locality);
     }
-    return count;
-  }
-  if (node->type() == OpType::kXmlData) return 0;  // preloaded at the heap
-  std::string server;
-  if (!IsRemoteSingleServerUnit(*node, locality, &server) || server.empty()) {
-    return 0;
+  } else {
+    if (node->type() == OpType::kXmlData) return 0;  // preloaded at the heap
+    std::string server;
+    if (!IsRemoteSingleServerUnit(*node, locality, &server) ||
+        server.empty()) {
+      return 0;
+    }
   }
   // Const read first: the mutating annotations() accessor bumps the
   // node's stamp, which would invalidate the wire cache on every hop.
-  if (std::as_const(*node).annotations().topk == bound) return 0;
+  if (std::as_const(*node).annotations().topk == bound) return count;
   node->annotations().topk = bound;
-  return 1;
+  return count + 1;
 }
 
 }  // namespace

@@ -79,13 +79,14 @@ bool use_distributed_topk();
 
 /// \brief Distributed top-k bound pushdown (DESIGN.md §10): for each
 /// bounded TopN(k, field), descends through non-distinct Union nodes and
-/// stamps a TopKBound annotation (order_field, ascending, k) on every
-/// maximal remote single-server sub-plan — no Display/Urn nodes, at
-/// least one URL leaf, all URL leaves on one non-local server. The
-/// hosting peer's top-k coordinator turns annotated sub-plans into
-/// bounded, score-ordered, batched fetch/subquery requests. Distinct
+/// stamps a TopKBound annotation (order_field, ascending, k) on each of
+/// them and on every maximal remote single-server sub-plan — no
+/// Display/Urn nodes, at least one URL leaf, all URL leaves on one
+/// non-local server. The hosting peer's top-k coordinator turns
+/// annotated sub-plans into bounded, score-ordered, batched subquery
+/// requests; a bounded union reduces to its top k rows. Distinct
 /// unions block the descent (per-branch truncation could collapse
-/// duplicates below k distinct rows). Returns the number of sub-plans
+/// duplicates below k distinct rows). Returns the number of nodes
 /// stamped; already-stamped nodes are left untouched (no wire-cache
 /// churn). No-op when use_distributed_topk() is false.
 int PushTopKBounds(algebra::PlanNode* root, const Locality& locality);

@@ -1,6 +1,7 @@
 #include "peer/peer.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -645,7 +646,37 @@ int Peer::EvaluateSubplans(Plan* plan) {
     worklist = std::move(next);
   }
   counts_.values.subplans_evaluated += reduced;
+  if (reduced > 0) MergeBoundedRuns(plan);
   return reduced;
+}
+
+void Peer::MergeBoundedRuns(Plan* plan) {
+  algebra::ForEachNodePostOrder(plan->root().get(), [&](PlanNode* node) {
+    const auto& topk = std::as_const(*node).annotations().topk;
+    if (node->type() != OpType::kUnion || node->distinct() || !topk) return;
+    const std::vector<algebra::PlanNodePtr>& in = node->children();
+    for (size_t i = 0, end = 0; i < in.size(); i = end + 1) {
+      uint64_t rows = 0;
+      std::optional<int> stale;
+      for (end = i; end < in.size() && in[end]->IsConstant(); ++end) {
+        rows += in[end]->item_count();
+        if (auto s = in[end]->annotations().staleness_minutes) {
+          stale = std::max(stale.value_or(*s), *s);
+        }
+      }
+      if (end - i < 2 || rows <= topk->k) continue;
+      // Only adjacent inputs merge, in child order, so every row keeps
+      // its place in the union's order and every tie-break stays.
+      auto run = PlanNode::Union({in.begin() + i, in.begin() + end});
+      run->annotations().topk = topk;
+      run->annotations().staleness_minutes = stale;
+      if (!ReduceSubplan(run.get())) continue;
+      auto& out = node->mutable_children();
+      out.erase(out.begin() + i + 1, out.begin() + end);
+      out[i] = std::move(run);
+      end = i + 1;
+    }
+  });
 }
 
 int Peer::ForceEvaluate(Plan* plan) {

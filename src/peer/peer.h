@@ -228,6 +228,11 @@ class Peer : public net::PeerNode {
   /// Policy + evaluation stage; returns how many sub-plans were reduced.
   int EvaluateSubplans(algebra::Plan* plan);
 
+  /// On a hop that reduced a sub-plan: each run of two or more adjacent
+  /// data inputs of a top-k-bounded union holding more than k rows
+  /// becomes one data leaf with the run's top k (DESIGN.md §10).
+  void MergeBoundedRuns(algebra::Plan* plan);
+
   /// Final-resort evaluation ignoring deferment (dead-ended plans).
   int ForceEvaluate(algebra::Plan* plan);
 

@@ -288,7 +288,9 @@ void QueryClient::GiveUp(PendingMap::iterator it) {
   counts_->Count(&PeerCounters::query_timeouts);
   QueryOutcome outcome;
   if (p.best_partial != nullptr) {
-    outcome = std::move(*p.best_partial);
+    // A copy: Finish's cancel fan-out still reads the partial's
+    // provenance.
+    outcome = *p.best_partial;
   } else {
     outcome.query_id = it->first;
     outcome.submitted_at = p.submitted_at;

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -573,6 +574,48 @@ TEST(ReliabilityLadder, DeadEndAttemptsLaunchOnTheBackoffLadder) {
     EXPECT_EQ(l.outcome_attempts, w.launches.size());
     EXPECT_TRUE(l.timed_out);
   }
+}
+
+// A query that gives up cancels every server its attempts touched: the
+// first hop it was forwarded to, and every server the best partial's
+// provenance names, which later hops pulled in (DESIGN.md §11).
+TEST(ReliabilityGiveUp, CancelsReachServersLaterHopsPulledIn) {
+  net::Simulator sim;
+  GarageSaleNetworkParams params;
+  params.num_sellers = 6;
+  params.seed = 41;
+  auto net = BuildGarageSaleNetwork(&sim, params);
+  sim.Fail(net.sellers[0]->id());  // the walk comes back short
+  net.client->mutable_options().reliability.max_retries = 0;
+  std::set<net::PeerId> first_hops;
+  std::map<net::PeerId, int> cancels;
+  sim.set_on_send([&](const net::Message& m) {
+    if (m.from != net.client->id()) return;
+    if (m.kind == wire::kMqpKind) first_hops.insert(m.to);
+    if (m.kind == wire::kCancelKind) ++cancels[m.to];
+  });
+  QueryOutcome out;
+  size_t returned = 0;
+  net.client->SubmitQuery(
+      MakeAreaQueryPlan(*ns::InterestArea::Parse("(USA,*)")),
+      [&](const QueryOutcome& o) {
+        out = o;
+        ++returned;
+      });
+  sim.Run();
+  ASSERT_EQ(returned, 1u);
+  ASSERT_TRUE(out.timed_out);
+  std::set<net::PeerId> later_hops;
+  for (const auto& e : out.provenance.entries()) {
+    auto pid = sim.Lookup(e.server);
+    ASSERT_TRUE(pid.ok()) << e.server;
+    if (*pid != net.client->id() && first_hops.count(*pid) == 0) {
+      later_hops.insert(*pid);
+    }
+  }
+  ASSERT_FALSE(later_hops.empty());
+  for (const net::PeerId pid : first_hops) EXPECT_EQ(cancels[pid], 1) << pid;
+  for (const net::PeerId pid : later_hops) EXPECT_EQ(cancels[pid], 1) << pid;
 }
 
 // --- failover and suspicion --------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include "algebra/plan.h"
 #include "algebra/plan_xml.h"
+#include "algebra/walk.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "engine/field_accessor.h"
@@ -36,6 +38,7 @@
 #include "runtime/threaded_runtime.h"
 #include "support/dom_plan_codec.h"
 #include "wire/envelope.h"
+#include "wire/plan_codec.h"
 #include "workload/garage_sale.h"
 #include "workload/network_builder.h"
 #include "xml/node.h"
@@ -500,6 +503,180 @@ TEST(DistributedTopK, HopWithoutSessionLeavesCarriedDataUnread) {
   EXPECT_EQ(relay.counters().plans_forwarded, 1u);
   EXPECT_EQ(relay.counters().field_accessor_hits, 0u);
   EXPECT_EQ(relay.counters().hop_dom_nodes_built, 0u);
+}
+
+// --- a walking plan over tied keys -------------------------------------------
+
+Item NamedPricedItem(const std::string& name, int price) {
+  auto node = xml::Node::Element("item");
+  node->AddElementWithText("name", name);
+  node->AddElementWithText("price", std::to_string(price));
+  return Item(node.release());
+}
+
+/// What one walk over tied prices returned, and what the plans that left
+/// its evaluating hops carried.
+struct TieWalk {
+  TopKFp fp;
+  size_t bounded_unions = 0;  ///< bounded unions leaving evaluating hops
+  size_t data_runs = 0;       ///< their runs of two or more data inputs
+  std::vector<std::string> oversized;  ///< such runs over k rows
+};
+
+// A hand-built top-k walk. The client's plan is
+//   TopN(k, price, union(distinct-union(R1, R2), union(S1, S2),
+//                        urn@idx, S3, S4))
+// and the URN stays unresolved until every URL leaf has been visited, so
+// the plan walks the sellers (in address order: S3, S1, R2, S4, R1, S2)
+// before `idx` binds the URN to T1..T3. Prices come from a few values, so
+// keys tie across sellers; R1 and R2 each hold one item five times, which
+// a distinct union keeps once.
+TieWalk RunTieWalk(uint64_t k, bool ascending, bool distributed) {
+  const ScopedTopK knob(distributed);
+  net::Simulator sim;
+  std::vector<std::unique_ptr<Peer>> peers;
+  auto add = [&](const std::string& name) {
+    PeerOptions o;
+    o.name = name;
+    o.roles.base = name != "idx";
+    o.roles.index = name == "idx";
+    peers.push_back(std::make_unique<Peer>(&sim, o));
+    return peers.back().get();
+  };
+  auto hold = [](const std::string& name, std::vector<int> prices) {
+    ItemSet items;
+    for (size_t i = 0; i < prices.size(); ++i) {
+      items.push_back(
+          NamedPricedItem(name + "-" + std::to_string(i), prices[i]));
+    }
+    return items;
+  };
+  auto dup = [](const std::string& name, int price, int copies) {
+    ItemSet items;
+    for (int i = 0; i < copies; ++i) {
+      items.push_back(NamedPricedItem(name, price));
+    }
+    return items;
+  };
+  const auto area = ns::MakeArea({"USA/OR", "*"});
+  const std::string urn = "urn:ForSale:tied-prices";
+  const std::string xpath = engine::LocalStore::CollectionXPath("c");
+  Peer* s3 = add("s3");
+  Peer* s1 = add("s1");
+  Peer* r2 = add("r2");
+  Peer* s4 = add("s4");
+  Peer* r1 = add("r1");
+  Peer* s2 = add("s2");
+  Peer* idx = add("idx");
+  s1->PublishCollection("c", area, hold("s1", {30, 20, 40, 20}));
+  s2->PublishCollection("c", area, hold("s2", {20, 30, 20}));
+  s3->PublishCollection("c", area, hold("s3", {40, 30, 30, 20}));
+  s4->PublishCollection("c", area, hold("s4", {20, 40, 30}));
+  ItemSet r1_items = dup("r1-a", 10, 5);
+  r1_items.push_back(NamedPricedItem("r1-b", 20));
+  r1->PublishCollection("c", area, r1_items);
+  ItemSet r2_items = dup("r2-a", 10, 5);
+  r2_items.push_back(NamedPricedItem("r2-b", 20));
+  r2->PublishCollection("c", area, r2_items);
+  const std::vector<std::vector<int>> t_prices = {
+      {30, 20, 20}, {40, 20, 30}, {20, 30}};
+  for (size_t t = 0; t < t_prices.size(); ++t) {
+    const std::string name = "t" + std::to_string(t + 1);
+    Peer* seller = add(name);
+    seller->PublishNamed(urn, "c", hold(name, t_prices[t]));
+    seller->AddBootstrap(idx->address());
+    seller->JoinNetwork();
+  }
+  PeerOptions co;
+  co.name = "client";
+  Peer client(&sim, co);
+  sim.Run();
+
+  auto url = [&](const Peer* p) { return PlanNode::Url(p->address(), xpath); };
+  algebra::Plan plan(PlanNode::Display(
+      "", PlanNode::TopN(
+              k, "price", ascending,
+              PlanNode::Union(
+                  {PlanNode::Union({url(r1), url(r2)}, /*distinct=*/true),
+                   PlanNode::Union({url(s1), url(s2)}),
+                   PlanNode::UrnRef(urn, idx->address()), url(s3),
+                   url(s4)}))));
+  TieWalk walk;
+  sim.set_on_send([&](const net::Message& m) {
+    if (m.kind != wire::kMqpKind) return;
+    auto env = wire::DecodeEnvelope(m);
+    ASSERT_TRUE(env.ok());
+    auto sent = wire::ParsePlanShared(env->payload);
+    ASSERT_TRUE(sent.ok()) << sent.status();
+    const auto& visits = sent->provenance().entries();
+    if (visits.empty() ||
+        visits.back().action != algebra::ProvenanceAction::kEvaluated) {
+      return;
+    }
+    algebra::ForEachNode(sent->root().get(), [&](const PlanNode* n) {
+      if (n->type() != algebra::OpType::kUnion ||
+          !n->annotations().topk.has_value()) {
+        return;
+      }
+      ++walk.bounded_unions;
+      const auto& in = n->children();
+      for (size_t i = 0; i < in.size();) {
+        size_t end = i;
+        uint64_t rows = 0;
+        while (end < in.size() && in[end]->IsConstant()) {
+          rows += in[end++]->item_count();
+        }
+        if (end - i >= 2) {
+          ++walk.data_runs;
+          if (rows > k) {
+            walk.oversized.push_back(visits.back().server + ": inputs " +
+                                     std::to_string(i) + ".." +
+                                     std::to_string(end - 1) + " hold " +
+                                     std::to_string(rows) + " rows");
+          }
+        }
+        i = std::max(end, i + 1);
+      }
+    });
+  });
+  client.SubmitQuery(std::move(plan), [&](const QueryOutcome& o) {
+    walk.fp.returned = true;
+    walk.fp.complete = o.complete;
+    for (const auto& item : o.items) {
+      walk.fp.rows.push_back(item->ChildText("name") + "|" +
+                             item->ChildText("price"));
+    }
+  });
+  sim.Run();
+  return walk;
+}
+
+// Bounded unions on a walk (DESIGN.md §10): every k on both sides of
+// each tie and both directions return the ablated ranking, and no run of
+// two or more adjacent data inputs of a bounded union leaves an
+// evaluating hop with more than k rows. A merge that reorders a run,
+// reaches across a non-data input, or truncates a distinct union's
+// branches before it deduplicates changes some ranking here.
+TEST(DistributedTopK, WalkKeepsAtMostKRowsPerRunOverTiedKeys) {
+  size_t runs_checked = 0;
+  for (const bool asc : {true, false}) {
+    for (uint64_t k = 1; k <= 12; ++k) {
+      SCOPED_TRACE((asc ? "ascending k " : "descending k ") +
+                   std::to_string(k));
+      const TieWalk reference = RunTieWalk(k, asc, /*distributed=*/false);
+      ASSERT_TRUE(reference.fp.returned);
+      ASSERT_TRUE(reference.fp.complete);
+      ASSERT_EQ(reference.fp.rows.size(), k);
+      EXPECT_EQ(reference.bounded_unions, 0u);  // the reference stamps none
+      const TieWalk got = RunTieWalk(k, asc, /*distributed=*/true);
+      ASSERT_TRUE(got.fp.complete);
+      EXPECT_EQ(got.fp.rows, reference.fp.rows);
+      EXPECT_GT(got.bounded_unions, 0u);
+      EXPECT_EQ(got.oversized, std::vector<std::string>{});
+      runs_checked += got.data_runs;
+    }
+  }
+  EXPECT_GT(runs_checked, 0u);
 }
 
 // Simulator and threaded runtime return the same ranking with the
