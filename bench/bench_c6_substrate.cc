@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "mqp/mqp.h"
+#include "support/dom_parser.h"
 
 using namespace mqp;
 

@@ -61,7 +61,7 @@ int main() {
   };
   std::vector<HopRecord> hops;
   sim.set_on_send([&](const net::Message& m) {
-    if (m.kind == peer::kMqpKind || m.kind == peer::kResultKind) {
+    if (m.kind == wire::kMqpKind || m.kind == wire::kResultKind) {
       hops.push_back({m.kind, m.from, m.to, m.size_bytes});
     }
   });

@@ -382,11 +382,6 @@ ExprPtr FieldLess(std::string path, std::string value) {
                        Expr::Literal(std::move(value)));
 }
 
-ExprPtr FieldLessEq(std::string path, std::string value) {
-  return Expr::Compare(CompareOp::kLe, Expr::Field(std::move(path)),
-                       Expr::Literal(std::move(value)));
-}
-
 ExprPtr FieldGreater(std::string path, std::string value) {
   return Expr::Compare(CompareOp::kGt, Expr::Field(std::move(path)),
                        Expr::Literal(std::move(value)));

@@ -134,7 +134,6 @@ class Expr {
 
 /// price < 10  (numeric-aware)
 ExprPtr FieldLess(std::string path, std::string value);
-ExprPtr FieldLessEq(std::string path, std::string value);
 ExprPtr FieldGreater(std::string path, std::string value);
 ExprPtr FieldEquals(std::string path, std::string value);
 

@@ -310,24 +310,10 @@ void PlanNode::MorphTo(const PlanNode& other) {
   annotations_ = copy->annotations_;
 }
 
-size_t PlanNode::NodeCount() const {
-  size_t count = 0;
-  ForEachNode(this, [&count](const PlanNode*) { ++count; });
-  return count;
-}
-
 std::vector<const PlanNode*> PlanNode::UrnLeaves() const {
   std::vector<const PlanNode*> out;
   ForEachNode(this, [&out](const PlanNode* n) {
     if (n->type() == OpType::kUrn) out.push_back(n);
-  });
-  return out;
-}
-
-std::vector<const PlanNode*> PlanNode::UrlLeaves() const {
-  std::vector<const PlanNode*> out;
-  ForEachNode(this, [&out](const PlanNode* n) {
-    if (n->type() == OpType::kUrl) out.push_back(n);
   });
   return out;
 }

@@ -211,10 +211,6 @@ class PlanNode {
 
   /// kSelect / kJoin: the predicate / join condition.
   const ExprPtr& expr() const { return expr_; }
-  void set_expr(ExprPtr e) {
-    Touch();
-    expr_ = std::move(e);
-  }
 
   /// kProject: retained field names.
   const std::vector<std::string>& fields() const { return fields_; }
@@ -287,14 +283,8 @@ class PlanNode {
   /// True iff the node is constant data (a fully evaluated plan).
   bool IsConstant() const { return type_ == OpType::kXmlData; }
 
-  /// Number of distinct nodes in the DAG rooted here.
-  size_t NodeCount() const;
-
   /// All distinct URN leaves in the DAG.
   std::vector<const PlanNode*> UrnLeaves() const;
-
-  /// All distinct URL leaves in the DAG.
-  std::vector<const PlanNode*> UrlLeaves() const;
 
   /// Structural equality (ignores annotations by default).
   bool Equals(const PlanNode& other, bool compare_annotations = false) const;

@@ -53,21 +53,6 @@ size_t Provenance::HopCount() const {
   return hops;
 }
 
-size_t Provenance::DistinctServers() const {
-  std::vector<std::string_view> seen;
-  for (const auto& e : entries_) {
-    bool found = false;
-    for (auto s : seen) {
-      if (s == e.server) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) seen.push_back(e.server);
-  }
-  return seen.size();
-}
-
 int Provenance::MaxStalenessMinutes() const {
   int max = 0;
   for (const auto& e : entries_) {

@@ -61,9 +61,6 @@ class Provenance {
   /// the same server count as one visit).
   size_t HopCount() const;
 
-  /// Number of distinct servers visited.
-  size_t DistinctServers() const;
-
   /// Maximum staleness over all entries — a bound on the currency of the
   /// final answer (§5.1 "judging the quality of an answer").
   int MaxStalenessMinutes() const;

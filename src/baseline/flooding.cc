@@ -98,11 +98,6 @@ void FloodingClient::Query(const ns::InterestArea& area, int horizon) {
   StartFlood(flood_id, area, horizon, id());
 }
 
-void FloodingClient::Reset() {
-  collected_.clear();
-  hits_ = 0;
-}
-
 void FloodingClient::HandleMessage(const net::Message& msg) {
   if (msg.kind == wire::kFloodHitKind) {
     auto items = wire::DecodeItemBody(msg.body());

@@ -25,7 +25,6 @@ class FloodingPeer : public net::PeerNode {
   const ns::InterestArea& area() const { return area_; }
 
   void AddNeighbor(net::PeerId neighbor);
-  const std::vector<net::PeerId>& neighbors() const { return neighbors_; }
 
   /// Starts a flood from this node: asks all neighbors for items in
   /// `area`, up to `horizon` hops. Replies go to `reply_to`.
@@ -62,7 +61,6 @@ class FloodingClient : public FloodingPeer {
 
   const algebra::ItemSet& CollectedItems() const { return collected_; }
   size_t hits_received() const { return hits_; }
-  void Reset();
 
   void HandleMessage(const net::Message& msg) override;
 

@@ -7,14 +7,6 @@ namespace mqp::catalog {
 using algebra::PlanNode;
 using algebra::PlanNodePtr;
 
-int BindingAlternative::MaxStaleness() const {
-  int max = 0;
-  for (const auto& s : sources) {
-    max = std::max(max, s.staleness_minutes);
-  }
-  return max;
-}
-
 Binding Binding::WithoutServers(
     const std::function<bool(const std::string& server)>& excluded) const {
   Binding out;

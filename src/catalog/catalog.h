@@ -48,9 +48,6 @@ struct BindingAlternative {
   /// duplicated items must be collapsed.
   bool distinct = false;
 
-  /// The currency bound of this alternative (max source staleness).
-  int MaxStaleness() const;
-
   bool operator==(const BindingAlternative& other) const = default;
 };
 
@@ -196,7 +193,6 @@ class Catalog {
   }
 
   const ResolveStats& resolve_stats() const { return resolve_stats_; }
-  void ResetResolveStats() { resolve_stats_ = ResolveStats{}; }
 
   /// Item fields corresponding to the namespace dimensions, copied into
   /// every binding this catalog produces (see Binding::dimension_fields).

@@ -995,7 +995,7 @@ bool VersionedCatalog::ApplyRecord(const VersionedRecord& in, uint32_t origin,
                     .ttl_seconds = in.ttl_seconds,
                     .stamped_at = now,
                     .tombstone = in.tombstone};
-  // Within one origin, Newer() reduces to a higher sequence.
+  // Within one origin, the LWW order reduces to a higher sequence.
   if (in.entry.kind == SyncEntryKind::kPresence) {
     if (const Stamp* p = PresenceOf(origin);
         p != nullptr && in.version.sequence <= p->sequence) {

@@ -79,12 +79,6 @@ struct EntryVersion {
   std::string origin;    ///< address of the asserting peer
   uint64_t sequence = 0; ///< per-origin monotonic counter
 
-  /// Strictly newer-than, the LWW merge order for one record key.
-  bool Newer(const EntryVersion& other) const {
-    if (sequence != other.sequence) return sequence > other.sequence;
-    return origin > other.origin;
-  }
-
   bool operator==(const EntryVersion& other) const = default;
 };
 

@@ -41,12 +41,6 @@ uint64_t Rng::NextBelow(uint64_t n) {
   return r % n;
 }
 
-int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextBelow(span));
-}
-
 double Rng::NextDouble() {
   // 53 random mantissa bits.
   return static_cast<double>(Next() >> 11) * (1.0 / 9007199254740992.0);

@@ -21,9 +21,6 @@ class Rng {
   /// Uniform in [0, n). Precondition: n > 0.
   uint64_t NextBelow(uint64_t n);
 
-  /// Uniform in [lo, hi] inclusive. Precondition: lo <= hi.
-  int64_t NextInRange(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1).
   double NextDouble();
 

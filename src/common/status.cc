@@ -14,16 +14,10 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "NotFound";
     case StatusCode::kUnresolved:
       return "Unresolved";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
     case StatusCode::kTimeout:
       return "Timeout";
-    case StatusCode::kPolicyViolation:
-      return "PolicyViolation";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kNotImplemented:
-      return "NotImplemented";
   }
   return "Unknown";
 }

@@ -18,11 +18,8 @@ enum class StatusCode : int {
   kParseError = 2,        ///< malformed XML / URN / plan text
   kNotFound = 3,          ///< resource, category, or URN unknown
   kUnresolved = 4,        ///< a URN/URL could not be resolved here
-  kUnavailable = 5,       ///< peer or link down
-  kTimeout = 6,           ///< query time budget exhausted
-  kPolicyViolation = 7,   ///< routing/security policy forbids the action
-  kInternal = 8,          ///< invariant violation inside the library
-  kNotImplemented = 9,
+  kTimeout = 5,           ///< query time budget exhausted
+  kInternal = 6,          ///< invariant violation inside the library
 };
 
 /// \brief Human-readable name of a StatusCode (e.g. "ParseError").
@@ -53,20 +50,11 @@ class Status {
   static Status Unresolved(std::string msg) {
     return Status(StatusCode::kUnresolved, std::move(msg));
   }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
-  }
   static Status Timeout(std::string msg) {
     return Status(StatusCode::kTimeout, std::move(msg));
   }
-  static Status PolicyViolation(std::string msg) {
-    return Status(StatusCode::kPolicyViolation, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status NotImplemented(std::string msg) {
-    return Status(StatusCode::kNotImplemented, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -53,30 +53,6 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string ReplaceAll(std::string s, std::string_view from,
-                       std::string_view to) {
-  if (from.empty()) return s;
-  std::string out;
-  out.reserve(s.size());
-  size_t start = 0;
-  while (true) {
-    const size_t pos = s.find(from, start);
-    if (pos == std::string::npos) {
-      out.append(s, start, std::string::npos);
-      break;
-    }
-    out.append(s, start, pos - start);
-    out.append(to);
-    start = pos + from.size();
-  }
-  return out;
-}
-
 namespace {
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }

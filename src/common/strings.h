@@ -21,11 +21,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 std::string_view Trim(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
-/// Case-sensitive replacement of every occurrence of `from` with `to`.
-std::string ReplaceAll(std::string s, std::string_view from,
-                       std::string_view to);
 
 /// Parses a decimal integer of type T (int, uint32_t, int64_t or
 /// uint64_t); returns false on garbage or a value outside T's range —

@@ -8,11 +8,12 @@
 //               once; NetStats, PeerCounters and EngineStats are
 //               generated from it — DESIGN.md §12)
 //   xml/        XML DOM (the data-item model) with structural hashing and
-//               epoch-cached sizes/hashes, parser, serializer, XPath-lite,
-//               and the streaming codec: pull TokenReader / emitting
-//               TokenWriter (the wire hot path — no throwaway DOM) plus
-//               the canonical-run recognizer that lets carried items
-//               skip decoding (CanonicalRunEnd; see DESIGN.md §5)
+//               epoch-cached sizes/hashes, serializer, entity escaping
+//               and decoding (entities), XPath-lite, and the streaming
+//               codec: pull TokenReader / emitting TokenWriter (the only
+//               decoder; the wire hot path — no throwaway DOM) plus the
+//               canonical-run recognizer that lets carried items skip
+//               decoding (CanonicalRunEnd; see DESIGN.md §5)
 //   ns/         multi-hierarchic namespaces: categories (interned to dense
 //               PathIds with Euler-tour intervals), interest areas, URNs
 //   algebra/    mutant query plans: operators, expressions, XML wire format
@@ -73,7 +74,8 @@
 //
 // Outside the library, tests/support/ (the mqp_test_support target) keeps
 // the implementations the library replaced as references that tests and
-// benches compare against: the DOM plan codec and the cloning store. The
+// benches compare against: the DOM XML parser, the DOM plan codec and the
+// cloning store. The
 // binary-heap scheduler and the linear area scan live beside the checks
 // that use them (tests/substrate_test.cc, tests/catalog_index_test.cc,
 // benches c11 and c8).
@@ -138,8 +140,8 @@
 #include "workload/gene_expression.h"
 #include "workload/network_builder.h"
 #include "workload/replicas.h"
+#include "xml/entities.h"
 #include "xml/node.h"
-#include "xml/parser.h"
 #include "xml/token_reader.h"
 #include "xml/token_writer.h"
 #include "xml/writer.h"

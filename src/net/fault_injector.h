@@ -93,8 +93,6 @@ class FaultInjector : public Transport {
   /// Starts applying message faults; schedules the plan's crash and
   /// restart events (once, on the first Arm).
   void Arm();
-  /// Stops applying message faults (already-scheduled crashes still fire).
-  void Disarm() { armed_ = false; }
   bool armed() const { return armed_; }
 
   const FaultPlan& plan() const { return plan_; }

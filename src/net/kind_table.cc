@@ -76,12 +76,6 @@ std::string_view KindNameOf(KindId id) {
   return t.names[id];
 }
 
-size_t InternedKindCount() {
-  const Table& t = GlobalTable();
-  std::shared_lock<std::shared_mutex> lk(t.mu);
-  return t.names.size();
-}
-
 std::vector<KindId> SortedKindIds() {
   Table& t = GlobalTable();
   std::unique_lock<std::shared_mutex> lk(t.mu);

@@ -39,9 +39,6 @@ KindId FindKind(std::string_view kind);
 /// the life of the process.
 std::string_view KindNameOf(KindId id);
 
-/// Number of kinds interned so far.
-size_t InternedKindCount();
-
 /// All interned ids ordered by kind name. The order is cached and
 /// recomputed only after a new kind was interned; returned by value so a
 /// concurrent intern can never invalidate an iteration in progress.

@@ -20,12 +20,6 @@ Result<CategoryPath> CategoryPath::Parse(std::string_view text) {
   return CategoryPath(std::move(segs));
 }
 
-CategoryPath CategoryPath::Parent() const {
-  if (IsTop()) return CategoryPath();
-  std::vector<std::string> segs(segments_.begin(), segments_.end() - 1);
-  return CategoryPath(std::move(segs));
-}
-
 CategoryPath CategoryPath::Child(std::string label) const {
   std::vector<std::string> segs = segments_;
   segs.push_back(std::move(label));

@@ -35,9 +35,6 @@ class CategoryPath {
   /// The final (most specific) label; precondition: !IsTop().
   const std::string& leaf() const { return segments_.back(); }
 
-  /// Parent category; top's parent is top.
-  CategoryPath Parent() const;
-
   /// Extends this path with one more label.
   CategoryPath Child(std::string label) const;
 

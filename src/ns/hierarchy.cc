@@ -61,23 +61,6 @@ Result<size_t> MultiHierarchy::DimensionIndex(std::string_view name) const {
   return Status::NotFound("no dimension named '" + std::string(name) + "'");
 }
 
-Status MultiHierarchy::Validate(
-    const std::vector<CategoryPath>& coords) const {
-  if (coords.size() != dims_.size()) {
-    return Status::InvalidArgument(
-        "coordinate tuple has " + std::to_string(coords.size()) +
-        " entries; namespace has " + std::to_string(dims_.size()) +
-        " dimensions");
-  }
-  for (size_t i = 0; i < coords.size(); ++i) {
-    if (!dims_[i]->Contains(coords[i])) {
-      return Status::NotFound("unknown category '" + coords[i].ToString() +
-                              "' in dimension '" + dims_[i]->name() + "'");
-    }
-  }
-  return Status::OK();
-}
-
 MultiHierarchy MakeGarageSaleNamespace() {
   MultiHierarchy ns;
   const size_t loc = ns.AddDimension("Location");

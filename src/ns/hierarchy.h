@@ -96,9 +96,6 @@ class MultiHierarchy {
   /// Index of the dimension named `name`, or error.
   Result<size_t> DimensionIndex(std::string_view name) const;
 
-  /// Validates that each coordinate of the tuple is a known category.
-  Status Validate(const std::vector<CategoryPath>& coords) const;
-
   /// Monotonic: grows whenever any dimension gains a category or a
   /// dimension is added.
   uint64_t version() const;

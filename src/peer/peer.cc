@@ -239,7 +239,7 @@ void Peer::PullIndexedData(int delay_minutes) {
     w.Attr("xpath", e.xpath);
     w.End();
     wire::Send(sim_, id_, *pid,
-               {kFetchKind, req, 0, net::MakePayload(std::move(body))});
+               {wire::kFetchKind, req, 0, net::MakePayload(std::move(body))});
   }
 }
 
@@ -318,34 +318,34 @@ void Peer::HandleMessage(const net::Message& msg) {
     return;
   }
   const wire::Envelope env = std::move(decoded).value();
-  if (env.kind == kMqpKind) {
+  if (env.kind == wire::kMqpKind) {
     HandleMqp(env);
-  } else if (env.kind == kCancelKind) {
+  } else if (env.kind == wire::kCancelKind) {
     // Only the first copy of a cancel reaps the query's merge session.
     if (admission_.Cancel(env.query_id)) topk_.Cancel(env.query_id);
-  } else if (env.kind == kResultKind) {
+  } else if (env.kind == wire::kResultKind) {
     HandleResult(env);
-  } else if (env.kind == kRegisterKind) {
+  } else if (env.kind == wire::kRegisterKind) {
     HandleRegister(env);
-  } else if (env.kind == kCategoryQueryKind) {
+  } else if (env.kind == wire::kCategoryQueryKind) {
     HandleCategoryQuery(env, msg.from);
-  } else if (env.kind == kFetchKind) {
+  } else if (env.kind == wire::kFetchKind) {
     HandleFetch(env, msg.from);
-  } else if (env.kind == kSubqueryKind) {
+  } else if (env.kind == wire::kSubqueryKind) {
     HandleSubquery(env, msg.from);
-  } else if (env.kind == kFetchReplyKind) {
+  } else if (env.kind == wire::kFetchReplyKind) {
     HandleFetchReply(env);
-  } else if (env.kind == kSubqueryReplyKind) {
+  } else if (env.kind == wire::kSubqueryReplyKind) {
     // The peer only sends subqueries as bounded top-k requests; every
     // subquery reply goes through the top-k demux.
     topk_.HandleReply(env);
-  } else if (env.kind == kCategoryReplyKind) {
+  } else if (env.kind == wire::kCategoryReplyKind) {
     HandleCategoryReply(env);
-  } else if (env.kind == kSyncDigestKind) {
+  } else if (env.kind == wire::kSyncDigestKind) {
     if (sync_ != nullptr && !sync_->HandleDigest(env, msg.from)) {
       counts_.Count(&PeerCounters::decode_rejects);
     }
-  } else if (env.kind == kSyncDeltaKind) {
+  } else if (env.kind == wire::kSyncDeltaKind) {
     if (sync_ != nullptr && !sync_->HandleDelta(env, msg.from)) {
       counts_.Count(&PeerCounters::decode_rejects);
     }
@@ -948,8 +948,8 @@ void Peer::RouteOrDeliver(Plan plan, uint32_t hops, double deadline,
   ++counts_.values.plans_forwarded;
   net::Payload body = PlanBody(plan, &counts_);
   wire::Send(sim_, id_, *pid,
-             {kMqpKind, plan.query_id(), hops + 1, std::move(body), deadline,
-              attempt});
+             {wire::kMqpKind, plan.query_id(), hops + 1, std::move(body),
+              deadline, attempt});
 }
 
 void Peer::DeliverToTarget(Plan plan, double deadline, uint32_t attempt) {
@@ -965,8 +965,8 @@ void Peer::DeliverToTarget(Plan plan, double deadline, uint32_t attempt) {
   // The attempt number rides along so each retry's result is a distinct
   // byte string under content-hash fault injection.
   wire::Send(sim_, id_, *pid,
-             {kResultKind, plan.query_id(), 0, std::move(body), deadline,
-              attempt});
+             {wire::kResultKind, plan.query_id(), 0, std::move(body),
+              deadline, attempt});
 }
 
 void Peer::HandleResult(const wire::Envelope& env) {
@@ -1166,7 +1166,7 @@ void Peer::JoinNetwork() {
   for (const auto& t : targets) {
     auto pid = sim_->Lookup(t);
     if (!pid.ok() || *pid == id_) continue;
-    wire::Send(sim_, id_, *pid, {kRegisterKind, "", 0, payload});
+    wire::Send(sim_, id_, *pid, {wire::kRegisterKind, "", 0, payload});
   }
 }
 
@@ -1238,7 +1238,7 @@ void Peer::HandleRegister(const wire::Envelope& env) {
       for (const auto& b : bootstraps_) {
         auto pid = sim_->Lookup(b);
         if (pid.ok() && *pid != id_) {
-          wire::Send(sim_, id_, *pid, {kRegisterKind, "", 0, payload});
+          wire::Send(sim_, id_, *pid, {wire::kRegisterKind, "", 0, payload});
         }
       }
     }
@@ -1264,7 +1264,8 @@ void Peer::RequestCategories(const std::string& server,
   auto pid = sim_->Lookup(server);
   if (!pid.ok()) return;
   wire::Send(sim_, id_, *pid,
-             {kCategoryQueryKind, req, 0, net::MakePayload(std::move(body))});
+             {wire::kCategoryQueryKind, req, 0,
+              net::MakePayload(std::move(body))});
 }
 
 void Peer::HandleCategoryQuery(const wire::Envelope& env, net::PeerId from) {
@@ -1293,7 +1294,7 @@ void Peer::HandleCategoryQuery(const wire::Envelope& env, net::PeerId from) {
   auto pid = sim_->Lookup(q.Get("reply-to"));
   if (!pid.ok()) pid = Result<net::PeerId>(from);
   wire::Send(sim_, id_, *pid,
-             {kCategoryReplyKind, env.query_id, 0,
+             {wire::kCategoryReplyKind, env.query_id, 0,
               net::MakePayload(std::move(reply))});
 }
 

@@ -29,20 +29,6 @@
 
 namespace mqp::peer {
 
-// Message kinds (owned by the wire layer; re-exported for existing users).
-inline constexpr auto kMqpKind = wire::kMqpKind;
-inline constexpr auto kResultKind = wire::kResultKind;
-inline constexpr auto kRegisterKind = wire::kRegisterKind;
-inline constexpr auto kCategoryQueryKind = wire::kCategoryQueryKind;
-inline constexpr auto kCategoryReplyKind = wire::kCategoryReplyKind;
-inline constexpr auto kFetchKind = wire::kFetchKind;
-inline constexpr auto kFetchReplyKind = wire::kFetchReplyKind;
-inline constexpr auto kSubqueryKind = wire::kSubqueryKind;
-inline constexpr auto kSubqueryReplyKind = wire::kSubqueryReplyKind;
-inline constexpr auto kSyncDigestKind = wire::kSyncDigestKind;
-inline constexpr auto kSyncDeltaKind = wire::kSyncDeltaKind;
-inline constexpr auto kCancelKind = wire::kCancelKind;
-
 /// \brief A network participant. Attach to any net::Transport (the
 /// deterministic simulator, the threaded runtime, or the TCP
 /// transport — DESIGN.md §8), publish data or indexes, join, and
@@ -90,7 +76,6 @@ class Peer : public net::PeerNode {
   /// Out-of-band bootstrap (§3.2: peers discover top-level meta-index
   /// servers outside the P2P network).
   void AddBootstrap(const std::string& address);
-  const std::vector<std::string>& bootstraps() const { return bootstraps_; }
 
   /// Registers this peer's holdings/interest with bootstrap servers and
   /// any index servers already known to the local catalog.

@@ -125,16 +125,6 @@ const net::NetStats& ThreadedRuntime::stats() const {
   return merged_;
 }
 
-void ThreadedRuntime::ClearStats() {
-  std::lock_guard<std::mutex> lk(sched_mu_);
-  for (net::NetStats& shard : worker_shards_) shard.Clear();
-  for (auto& [tid, shard] : extra_shards_) {
-    (void)tid;
-    shard->Clear();
-  }
-  merged_.Clear();
-}
-
 bool ThreadedRuntime::AccountSend(net::Message& msg, net::NetStats& shard) {
   // Mirrors Simulator::Send's accounting exactly (net/simulator.cc): wire
   // size defaulted once, kind interned once, drops tallied but never

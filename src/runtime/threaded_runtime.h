@@ -111,9 +111,6 @@ class ThreadedRuntime : public net::Transport {
 
   size_t num_threads() const { return num_threads_; }
 
-  /// Zeroes every shard (driving thread, quiescent only).
-  void ClearStats();
-
   /// Drains outstanding work (bounded wait) and joins the pool.
   /// Idempotent. After Shutdown, Send/Schedule are no-ops. The
   /// destructor stops the pool WITHOUT draining — call Shutdown first

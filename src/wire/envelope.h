@@ -78,9 +78,6 @@ struct Envelope {
   /// The compact framing header, including its trailing delimiter.
   std::string EncodeHeader() const;
 
-  /// Total bytes this envelope occupies on the wire (header + body).
-  size_t WireSize() const { return EncodeHeader().size() + body().size(); }
-
   /// Frames the envelope into a simulator message. The payload pointer is
   /// shared, not copied.
   net::Message ToMessage(net::PeerId from, net::PeerId to) const;

@@ -95,14 +95,6 @@ Node* Node::AddText(std::string text) {
   return AddChild(Text(std::move(text)));
 }
 
-size_t Node::ElementCount() const {
-  size_t n = 0;
-  for (const auto& c : children_) {
-    if (c->is_element()) ++n;
-  }
-  return n;
-}
-
 const Node* Node::Child(std::string_view name) const {
   for (const auto& c : children_) {
     if (c->is_element() && c->name_ == name) return c.get();
@@ -135,25 +127,6 @@ std::string Node::InnerText() const {
   for (const auto& c : children_) {
     out += c->InnerText();
   }
-  return out;
-}
-
-std::unique_ptr<Node> Node::RemoveChild(size_t i) {
-  if (cache_marked_.load(std::memory_order_relaxed)) {
-    internal::BumpMutationEpoch();
-  }
-  auto out = std::move(children_[i]);
-  children_.erase(children_.begin() + static_cast<ptrdiff_t>(i));
-  return out;
-}
-
-std::unique_ptr<Node> Node::ReplaceChild(size_t i,
-                                         std::unique_ptr<Node> child) {
-  if (cache_marked_.load(std::memory_order_relaxed)) {
-    internal::BumpMutationEpoch();
-  }
-  auto out = std::move(children_[i]);
-  children_[i] = std::move(child);
   return out;
 }
 

@@ -3,7 +3,7 @@
 // The paper serializes query plans and partial results as XML; this module
 // supplies the DOM that the rest of the library builds on. Only the XML
 // subset that the system needs is modeled: elements, attributes and text.
-// (Comments, PIs and CDATA are accepted by the parser but not retained.)
+// (Comments, PIs and CDATA are accepted by the TokenReader but not retained.)
 #pragma once
 
 #include <cstdint>
@@ -40,8 +40,8 @@ uint64_t DomNodesBuilt();
 /// trees (wire decode, result materialization) never flushes the caches
 /// of stored immutable items, while any mutation that could touch a
 /// cached subtree flushes everything (coarse but sound: a node can only
-/// enter a cached subtree via AddChild/ReplaceChild on a marked parent,
-/// which bumps).
+/// enter a cached subtree via AddChild or mutable_children on a marked
+/// parent, which bumps).
 uint64_t DomMutationEpoch();
 
 /// \brief One node of an XML tree (element or text). Elements own their
@@ -64,12 +64,6 @@ class Node {
 
   /// Element tag name (empty for text nodes).
   const std::string& name() const { return name_; }
-  void set_name(std::string name) {
-    if (cache_marked_.load(std::memory_order_relaxed)) {
-      internal::BumpMutationEpoch();
-    }
-    name_ = std::move(name);
-  }
 
   /// Text content (text nodes only).
   const std::string& text() const { return text_; }
@@ -121,9 +115,6 @@ class Node {
     return children_;
   }
 
-  /// Number of element children.
-  size_t ElementCount() const;
-
   /// First element child named `name`, or nullptr.
   const Node* Child(std::string_view name) const;
   Node* Child(std::string_view name);
@@ -137,12 +128,6 @@ class Node {
 
   /// Concatenated text of all descendant text nodes.
   std::string InnerText() const;
-
-  /// Removes and returns the i-th child. Precondition: i < children().size().
-  std::unique_ptr<Node> RemoveChild(size_t i);
-
-  /// Replaces the i-th child, returning the old one.
-  std::unique_ptr<Node> ReplaceChild(size_t i, std::unique_ptr<Node> child);
 
   /// Deep copy.
   std::unique_ptr<Node> Clone() const;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 
-#include "xml/parser.h"
+#include "xml/entities.h"
 
 namespace mqp::xml {
 

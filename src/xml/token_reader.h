@@ -1,21 +1,22 @@
 // Pull-mode streaming XML tokenizer — the decode half of the streaming
 // codec (DESIGN.md §5).
 //
-// The DOM parser (xml/parser.h) materializes a full Node tree whose
-// strings are all owned copies; on the wire hot path that tree is built
-// once per hop and immediately discarded. TokenReader walks the same XML
-// subset and hands out a flat token stream instead:
+// A DOM parser materializes a full Node tree whose strings are all owned
+// copies; on the wire hot path that tree would be built once per hop and
+// immediately discarded. TokenReader walks the XML subset mqp uses and
+// hands out a flat token stream instead:
 //
 //   StartElement(name) Attr(key,value)* (Text | StartElement...)* EndElement
 //
 // Token string_views are borrowed — either directly from the input buffer
 // (the common case: no entities) or from an internal scratch that the next
 // Next() call overwrites. Consumers must copy what they keep before
-// advancing. Entity decoding happens on demand via the parser's shared
-// DecodeEntityAt, and the whitespace rules match the DOM parser exactly
-// (whitespace-only text runs are dropped; runs coalesce across comments,
-// PIs, entities and CDATA), so a token walk observes the same logical
-// document as Parse(). Errors carry byte offsets in the same format.
+// advancing. Entity decoding happens on demand via DecodeEntityAt
+// (xml/entities.h), and the whitespace rules match the DOM parser the
+// tests keep in tests/support/dom_parser.h exactly (whitespace-only text
+// runs are dropped; runs coalesce across comments, PIs, entities and
+// CDATA), so a token walk observes the same logical document as that
+// parser. Errors carry byte offsets in the same format.
 #pragma once
 
 #include <cstddef>

@@ -2,7 +2,7 @@
 
 #include <atomic>
 
-#include "xml/parser.h"
+#include "xml/entities.h"
 
 namespace mqp::xml {
 

@@ -374,10 +374,4 @@ std::vector<std::string> XPath::EvalStrings(const Node& root) const {
   return out;
 }
 
-std::vector<const Node*> EvalXPath(std::string_view expr, const Node& root) {
-  auto xp = XPath::Parse(expr);
-  if (!xp.ok()) return {};
-  return xp->Eval(root);
-}
-
 }  // namespace mqp::xml

@@ -131,7 +131,4 @@ class XPath {
   std::vector<Step> steps_;
 };
 
-/// \brief Convenience: parse + Eval in one call; empty result on parse error.
-std::vector<const Node*> EvalXPath(std::string_view expr, const Node& root);
-
 }  // namespace mqp::xml

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "catalog/catalog.h"
 #include "catalog/intension.h"
 #include "ns/urn.h"
@@ -233,10 +235,12 @@ TEST(CatalogTest, ExampleThreeContainmentWithDelay) {
   bool has_fresh_pair = false;
   for (const auto& alt : binding.alternatives) {
     if (alt.sources.size() == 1 && alt.sources[0].server == "R" &&
-        alt.MaxStaleness() == 30) {
+        alt.sources[0].staleness_minutes == 30) {
       has_stale_single = true;
     }
-    if (alt.sources.size() == 2 && alt.MaxStaleness() == 0) {
+    if (alt.sources.size() == 2 &&
+        std::max(alt.sources[0].staleness_minutes,
+                 alt.sources[1].staleness_minutes) == 0) {
       has_fresh_pair = true;
     }
   }

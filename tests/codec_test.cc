@@ -21,10 +21,10 @@
 #include "engine/operator.h"
 #include "net/message.h"
 #include "optimizer/cost.h"
+#include "support/dom_parser.h"
 #include "support/dom_plan_codec.h"
 #include "wire/body_codec.h"
 #include "xml/node.h"
-#include "xml/parser.h"
 #include "xml/token_reader.h"
 #include "xml/token_writer.h"
 #include "xml/writer.h"

@@ -4,7 +4,7 @@
 #include "algebra/plan_xml.h"
 #include "engine/local_store.h"
 #include "engine/operator.h"
-#include "xml/parser.h"
+#include "support/dom_parser.h"
 #include "xml/writer.h"
 
 namespace mqp::engine {

@@ -393,7 +393,7 @@ TEST(Cancel, LateCancelIsNoOpAndCancelledIdDropsLatePlans) {
     Plan late = workload::MakeAreaQueryPlan(area);
     late.set_query_id(qid);
     wire::Send(&sim, net.client->id(), seller->id(),
-               {peer::kMqpKind, qid, 0,
+               {wire::kMqpKind, qid, 0,
                 net::MakePayload(algebra::SerializePlan(late))});
   }
   sim.Run();
@@ -419,6 +419,11 @@ CrowdFp RunCrowd(net::Transport* transport, uint64_t seed) {
   const auto& st = scenario.Run();
   EXPECT_EQ(st.leaked_pending, 0u) << "seed " << seed;
   EXPECT_EQ(st.leaked_sessions, 0u) << "seed " << seed;
+  for (const auto& p : scenario.net().owned) {
+    if (transport->IsFailed(p->id())) continue;
+    EXPECT_EQ(p->CheckInvariants(), std::vector<std::string>{})
+        << "seed " << seed;
+  }
   return {st.decision_trace, st.queries_shed, st.budget_aborts,
           st.cancels_sent, st.cancelled_sessions_reaped};
 }

@@ -8,7 +8,6 @@
 #include "workload/cd_market.h"
 #include "workload/garage_sale.h"
 #include "workload/network_builder.h"
-#include "xml/parser.h"
 #include "xml/token_writer.h"
 
 namespace mqp::peer {

@@ -6,8 +6,8 @@
 #include "common/strings.h"
 #include "engine/operator.h"
 #include "query/parser.h"
+#include "support/dom_parser.h"
 #include "workload/network_builder.h"
-#include "xml/parser.h"
 
 namespace mqp::query {
 namespace {

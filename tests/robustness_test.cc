@@ -135,9 +135,9 @@ TEST(RobustnessTest, MalformedMessagesIgnored) {
   o.roles.index = true;
   Peer p(&sim, o);
   for (const char* kind :
-       {peer::kMqpKind, peer::kResultKind, peer::kRegisterKind,
-        peer::kCategoryQueryKind, peer::kFetchKind, peer::kSubqueryKind,
-        peer::kFetchReplyKind}) {
+       {wire::kMqpKind, wire::kResultKind, wire::kRegisterKind,
+        wire::kCategoryQueryKind, wire::kFetchKind, wire::kSubqueryKind,
+        wire::kFetchReplyKind}) {
     sim.Send({net::kNoPeer, p.id(), kind, "<not-even-xml", 0});
     sim.Send({net::kNoPeer, p.id(), kind, "<wrong-root/>", 0});
     sim.Send({net::kNoPeer, p.id(), kind, "", 0});

@@ -41,6 +41,20 @@ size_t EquivSeeds(size_t fallback) {
   return fallback;
 }
 
+/// Peer::CheckInvariants of every peer `transport` has not failed, read
+/// once the run is idle: no query left pending, no top-k session left
+/// open past its deadline.
+std::vector<std::string> InvariantViolations(
+    const net::Transport& transport,
+    const workload::GarageSaleNetwork& network) {
+  std::vector<std::string> out;
+  for (const auto& p : network.owned) {
+    if (transport.IsFailed(p->id())) continue;
+    for (std::string& v : p->CheckInvariants()) out.push_back(std::move(v));
+  }
+  return out;
+}
+
 // --- garage-sale query equivalence -------------------------------------------
 
 /// What a query result must agree on across backends: completeness and
@@ -54,7 +68,8 @@ struct QueryFp {
   bool operator==(const QueryFp&) const = default;
 };
 
-QueryFp RunGarageSaleQuery(net::Transport* transport, uint64_t seed) {
+QueryFp RunGarageSaleQuery(net::Transport* transport, uint64_t seed,
+                           std::vector<std::string>* violations = nullptr) {
   workload::GarageSaleNetworkParams params;
   params.num_sellers = 6;
   params.items_per_seller = 5;
@@ -72,24 +87,31 @@ QueryFp RunGarageSaleQuery(net::Transport* transport, uint64_t seed) {
                             std::sort(fp.names.begin(), fp.names.end());
                           });
   transport->Run();
+  if (violations != nullptr) {
+    *violations = InvariantViolations(*transport, net);
+  }
   return fp;
 }
 
 // The acceptance sweep: for every seed, the threaded runtime at 1, 4 and
 // 8 worker threads returns the same complete result set as the
-// simulator.
+// simulator, and every backend ends with the peers' invariants intact.
 TEST(RuntimeEquivalence, GarageSaleMatchesSimulatorManySeeds) {
   const size_t seeds = EquivSeeds(1000);
+  const std::vector<std::string> none;
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     net::Simulator sim;
-    const QueryFp reference = RunGarageSaleQuery(&sim, seed);
+    std::vector<std::string> violations;
+    const QueryFp reference = RunGarageSaleQuery(&sim, seed, &violations);
     EXPECT_TRUE(reference.returned) << "seed " << seed;
     EXPECT_TRUE(reference.complete) << "seed " << seed;
+    EXPECT_EQ(violations, none) << "seed " << seed << " simulator";
     for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
       ThreadedRuntime rt(RuntimeOptions{.num_threads = threads});
-      const QueryFp got = RunGarageSaleQuery(&rt, seed);
+      const QueryFp got = RunGarageSaleQuery(&rt, seed, &violations);
       ASSERT_EQ(reference, got)
           << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(violations, none) << "seed " << seed << " threads " << threads;
       rt.Shutdown();
     }
   }
@@ -137,7 +159,8 @@ struct ChurnFp {
   bool operator==(const ChurnFp&) const = default;
 };
 
-ChurnFp RunChurn(net::Transport* transport, uint64_t seed) {
+ChurnFp RunChurn(net::Transport* transport, uint64_t seed,
+                 std::vector<std::string>* violations) {
   workload::GarageSaleNetworkParams params;
   params.num_sellers = 6;
   params.items_per_seller = 4;
@@ -186,6 +209,7 @@ ChurnFp RunChurn(net::Transport* transport, uint64_t seed) {
   fp.joins = scenario.stats().joins;
   fp.queries_submitted = scenario.stats().queries_submitted;
   fp.catalogs = LiveCatalogKeySets(scenario);
+  *violations = InvariantViolations(*transport, net);
   return fp;
 }
 
@@ -197,14 +221,18 @@ ChurnFp RunChurn(net::Transport* transport, uint64_t seed) {
 // thread counts below, not against the simulator.)
 TEST(RuntimeEquivalence, ChurnFinalCatalogsMatchSimulator) {
   const size_t seeds = EquivSeeds(40);
+  const std::vector<std::string> none;
   for (uint64_t seed = 3; seed < 3 + seeds; ++seed) {
     net::Simulator sim;
-    const ChurnFp reference = RunChurn(&sim, seed);
+    std::vector<std::string> violations;
+    const ChurnFp reference = RunChurn(&sim, seed, &violations);
+    EXPECT_EQ(violations, none) << "seed " << seed << " simulator";
     for (const size_t threads : {size_t{1}, size_t{8}}) {
       ThreadedRuntime rt(RuntimeOptions{.num_threads = threads});
-      const ChurnFp got = RunChurn(&rt, seed);
+      const ChurnFp got = RunChurn(&rt, seed, &violations);
       ASSERT_EQ(reference, got)
           << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(violations, none) << "seed " << seed << " threads " << threads;
       rt.Shutdown();
     }
   }
@@ -214,13 +242,17 @@ TEST(RuntimeEquivalence, ChurnFinalCatalogsMatchSimulator) {
 // outcomes: whatever the pool size, the same seed ends the same way.
 TEST(RuntimeEquivalence, ChurnInvariantAcrossThreadCounts) {
   const size_t seeds = std::max<size_t>(1, EquivSeeds(40) / 3);
+  const std::vector<std::string> none;
   for (uint64_t seed = 3; seed < 3 + seeds; ++seed) {
+    std::vector<std::string> violations;
     ThreadedRuntime rt1(RuntimeOptions{.num_threads = 1});
-    const ChurnFp one = RunChurn(&rt1, seed);
+    const ChurnFp one = RunChurn(&rt1, seed, &violations);
     rt1.Shutdown();
+    EXPECT_EQ(violations, none) << "seed " << seed << " threads 1";
     ThreadedRuntime rt4(RuntimeOptions{.num_threads = 4});
-    const ChurnFp four = RunChurn(&rt4, seed);
+    const ChurnFp four = RunChurn(&rt4, seed, &violations);
     rt4.Shutdown();
+    EXPECT_EQ(violations, none) << "seed " << seed << " threads 4";
     ASSERT_EQ(one, four) << "seed " << seed;
   }
 }
@@ -368,17 +400,6 @@ TEST(RuntimeStats, ShardsMergeToConsistentTotals) {
       [&](std::string_view, uint64_t count) { by_kind_total += count; });
   EXPECT_EQ(by_kind_total, merged.messages)
       << "per-kind shard merge disagrees with the message total";
-  rt.Shutdown();
-}
-
-// ClearStats zeroes every shard, including worker shards.
-TEST(RuntimeStats, ClearStatsResetsAllShards) {
-  ThreadedRuntime rt(RuntimeOptions{.num_threads = 4});
-  (void)RunGarageSaleQuery(&rt, /*seed=*/5);
-  EXPECT_GT(std::as_const(rt).stats().messages, 0u);
-  rt.ClearStats();
-  EXPECT_EQ(std::as_const(rt).stats().messages, 0u);
-  EXPECT_EQ(std::as_const(rt).stats().bytes, 0u);
   rt.Shutdown();
 }
 

@@ -4,7 +4,7 @@
 
 #include "algebra/walk.h"
 #include "common/strings.h"
-#include "xml/parser.h"
+#include "support/dom_parser.h"
 #include "xml/writer.h"
 
 namespace mqp::dom {

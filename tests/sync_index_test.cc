@@ -53,6 +53,13 @@ size_t EquivSeeds(size_t fallback) {
 
 // --- the reference: record-scanning bookkeeping ----------------------------------
 
+// Strictly newer-than, the LWW merge order for one record key: the higher
+// sequence wins, and a tie breaks on the origin string.
+bool Newer(const catalog::EntryVersion& a, const catalog::EntryVersion& b) {
+  if (a.sequence != b.sequence) return a.sequence > b.sequence;
+  return a.origin > b.origin;
+}
+
 class ReferenceCatalog {
  public:
   ReferenceCatalog(std::string self, Catalog* projection)
@@ -184,7 +191,7 @@ class ReferenceCatalog {
       const std::string key = incoming.Key();
       auto it = records_.find(key);
       if (it != records_.end() &&
-          !incoming.version.Newer(it->second.version)) {
+          !Newer(incoming.version, it->second.version)) {
         continue;
       }
       VersionedRecord rec = incoming;

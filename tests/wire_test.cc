@@ -107,8 +107,9 @@ TEST(WireEnvelopeTest, SimulatorCountsHeaderInWireSize) {
   env.query_id = "r1";
   env.payload = net::MakePayload("0123456789");
   wire::Send(&sim, net::kNoPeer, to, env);
-  EXPECT_EQ(sim.stats().bytes, env.WireSize());
-  EXPECT_GT(env.WireSize(), env.body().size());  // header accounted
+  const size_t wire_size = env.EncodeHeader().size() + env.body().size();
+  EXPECT_EQ(sim.stats().bytes, wire_size);
+  EXPECT_GT(wire_size, env.body().size());  // header accounted
 }
 
 // --- plan serialization cache ---------------------------------------------------

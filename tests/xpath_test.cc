@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
-#include "xml/parser.h"
+#include "support/dom_parser.h"
 #include "xml/xpath.h"
 
 namespace mqp::xml {
 namespace {
+
+// Parses `expr` (which must parse) and evaluates it against `root`.
+std::vector<const Node*> EvalXPath(std::string_view expr, const Node& root) {
+  auto xp = XPath::Parse(expr);
+  EXPECT_TRUE(xp.ok()) << expr << ": " << xp.status();
+  return xp.ok() ? xp->Eval(root) : std::vector<const Node*>{};
+}
 
 std::unique_ptr<Node> Doc() {
   auto doc = Parse(R"(
